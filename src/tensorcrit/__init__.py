@@ -2,8 +2,6 @@
 
 from .core import (
     DenseTensor,
-    SymmetryCertificate,
-    certify_symmetry,
     dumps_tensor,
     euler_residual,
     evaluate,

@@ -69,7 +69,7 @@ def _config_from_args(args):
             restarts = int(env)
             from_env = True
         else:
-            restarts = SolverDefaults.restarts
+            restarts = solver.SolverConfig.restarts
     config = solver.SolverConfig(
         restarts=restarts,
         seed=args.seed,
@@ -77,10 +77,6 @@ def _config_from_args(args):
         gradient_tolerance=args.tolerance,
     )
     return config, from_env
-
-
-class SolverDefaults:
-    restarts = solver.SolverConfig().restarts
 
 
 def _config_echo(config, from_env):
@@ -276,6 +272,8 @@ def _fd_gradient(tensor, vectors, mode, step=1e-5):
     return out
 
 
+# Overflow in a check shows as a non-finite result, which fails the check.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_check(args):
     tensor = _load(args.tensor)
     rng = np.random.default_rng(args.seed)

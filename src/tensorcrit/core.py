@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import permutations
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .errors import AsymmetricTensorError, ShapeError
 
 __all__ = [
     "DenseTensor",
-    "SymmetryCertificate",
     "evaluate",
     "mode_gradient",
     "sym_gradient",
@@ -30,9 +28,7 @@ __all__ = [
     "euler_residual",
     "symmetrize",
     "max_asymmetry",
-    "certify_symmetry",
     "is_symmetric",
-    "symmetry_tolerance",
     "random_tensor",
     "dumps_tensor",
     "loads_tensor",
@@ -42,9 +38,12 @@ __all__ = [
 
 
 class DenseTensor:
-    """Order-k real tensor stored dense, row-major (last index fastest)."""
+    """Order-k real tensor stored dense, row-major (last index fastest).
 
-    __slots__ = ("data",)
+    Entries are read-only, so ``max_asymmetry`` is cached on the tensor.
+    """
+
+    __slots__ = ("data", "_asymmetry")
 
     def __init__(self, data):
         arr = np.array(data, dtype=float, order="C")
@@ -56,6 +55,7 @@ class DenseTensor:
             raise ValueError("tensor entries must be finite")
         arr.flags.writeable = False
         self.data = arr
+        self._asymmetry = None
 
     @classmethod
     def from_flat(cls, shape, entries):
@@ -89,11 +89,6 @@ class DenseTensor:
 
     def __repr__(self):
         return f"DenseTensor(shape={self.shape})"
-
-
-class SymmetryCertificate(NamedTuple):
-    tensor: DenseTensor
-    max_asymmetry: float
 
 
 def _require_square(tensor: DenseTensor):
@@ -144,33 +139,36 @@ def mode_gradient(tensor: DenseTensor, vectors: Sequence, mode: int) -> np.ndarr
     return out
 
 
-def symmetry_tolerance(tensor: DenseTensor) -> float:
-    """Absolute tolerance used by the numeric symmetry check."""
-    return 1e-10 * float(np.max(np.abs(tensor.data)))
+def _orbit_ids(shape) -> np.ndarray:
+    """Orbit number of every flat index; an orbit is a multiset of indices."""
+    idx = np.indices(shape).reshape(len(shape), -1)
+    idx.sort(axis=0)
+    _, ids = np.unique(np.ravel_multi_index(idx, shape), return_inverse=True)
+    return ids
 
 
 def max_asymmetry(tensor: DenseTensor) -> float:
-    """Largest |T[perm(idx)] - T[idx]| over all index permutations (square only)."""
+    """Largest |T[perm(idx)] - T[idx]| over all index permutations (square only).
+
+    Any two entries of an index orbit are linked by a permutation, so this
+    is the largest entry minus its orbit's minimum.  Cached on the tensor.
+    """
     _require_square(tensor)
-    data = tensor.data
-    worst = 0.0
-    for perm in permutations(range(tensor.order)):
-        d = float(np.max(np.abs(np.transpose(data, perm) - data)))
-        if d > worst:
-            worst = d
-    return worst
+    if tensor._asymmetry is None:
+        ids = _orbit_ids(tensor.shape)
+        lo = np.full(ids.max() + 1, np.inf)
+        np.minimum.at(lo, ids, tensor.entries)
+        tensor._asymmetry = float(np.max(tensor.entries - lo[ids]))
+    return tensor._asymmetry
 
 
-def certify_symmetry(tensor: DenseTensor) -> SymmetryCertificate:
-    return SymmetryCertificate(tensor, max_asymmetry(tensor))
-
-
-def is_symmetric(tensor: DenseTensor, tol: float | None = None) -> bool:
+def is_symmetric(tensor: DenseTensor) -> bool:
+    """Square, with max_asymmetry within 1e-10 * max|T|."""
     if not tensor.is_square:
         return False
-    if tol is None:
-        tol = symmetry_tolerance(tensor)
-    return max_asymmetry(tensor) <= tol
+    asym = max_asymmetry(tensor)
+    # exactly symmetric tensors, the common case, skip the O(size) scale
+    return asym == 0.0 or asym <= 1e-10 * float(np.max(np.abs(tensor.data)))
 
 
 def _require_symmetric(tensor: DenseTensor):
@@ -233,25 +231,19 @@ def euler_residual(tensor: DenseTensor, v) -> float:
 
 
 def symmetrize(tensor: DenseTensor) -> DenseTensor:
-    """Average over all index permutations; output is exactly symmetric.
+    """Projection onto symmetric tensors: each entry becomes its orbit mean.
 
-    Exactly symmetric inputs are returned unchanged, which makes the map
-    an exact projection.
+    The output is exactly symmetric.  Exactly symmetric inputs are returned
+    unchanged (a mean of equal floats can differ from them in the last bit),
+    which makes the map an exact projection.
     """
-    _require_square(tensor)
     if max_asymmetry(tensor) == 0.0:
         return tensor
-    data = tensor.data
-    k = tensor.order
-    acc = np.zeros_like(data)
-    for perm in permutations(range(k)):
-        acc += np.transpose(data, perm)
-    acc /= math.factorial(k)
-    # Pin exact symmetry: every index orbit takes the value stored at its
-    # sorted representative.
-    idx = np.indices(data.shape).reshape(k, -1)
-    idx.sort(axis=0)
-    return DenseTensor(acc[tuple(idx)].reshape(data.shape))
+    ids = _orbit_ids(tensor.shape)
+    means = np.bincount(ids, weights=tensor.entries) / np.bincount(ids)
+    out = DenseTensor(means[ids].reshape(tensor.shape))
+    out._asymmetry = 0.0
+    return out
 
 
 def random_tensor(shape, seed: int, symmetric: bool = False) -> DenseTensor:
@@ -292,9 +284,10 @@ def loads_tensor(text: str) -> DenseTensor:
         raise ValueError('tensor file must be an object with "shape" and "entries"')
     shape = doc["shape"]
     entries = doc["entries"]
-    if not isinstance(shape, list) or not all(isinstance(d, int) for d in shape):
+    # JSON true/false load as bool, a subclass of int: reject them in both lists.
+    if not isinstance(shape, list) or not all(type(d) is int for d in shape):
         raise ValueError('"shape" must be a list of integers')
-    if not isinstance(entries, list):
+    if not isinstance(entries, list) or any(isinstance(x, bool) for x in entries):
         raise ValueError('"entries" must be a list of numbers')
     try:
         return DenseTensor.from_flat(shape, entries)

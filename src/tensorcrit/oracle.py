@@ -10,6 +10,7 @@ bisection on the circle.  Only the elementary contraction primitives
 from __future__ import annotations
 
 import math
+import string
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +38,21 @@ class CriticalSet(NamedTuple):
     points: tuple
     complete: bool
     resolution: float
+
+
+# einsum labels for the tensor's modes, kept apart from the solver's table;
+# "Z" labels the batch of points.
+_LETTERS = string.ascii_letters[:-1]
+
+
+def _batch_grad(data, V):
+    """First-mode gradient of the form at each row of V, in all other modes."""
+    k = data.ndim
+    if k > len(_LETTERS):
+        raise ShapeError(f"tensor order {k} exceeds the supported maximum {len(_LETTERS)}")
+    letters = _LETTERS[:k]
+    sub = letters + "," + ",".join("Z" + letters[i] for i in range(1, k)) + "->Z" + letters[0]
+    return np.einsum(sub, data, *([V] * (k - 1)))
 
 
 def jacobi_eigen(A):
@@ -151,9 +167,7 @@ def _grid_restriction(data, thetas):
     """Values and derivative of theta -> f(v(theta),...) on the whole grid."""
     k = data.ndim
     V = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    letters = "abcdefghij"[:k]
-    sub = letters + "," + ",".join("Z" + letters[i] for i in range(1, k)) + "->Z" + letters[0]
-    G = np.einsum(sub, data, *([V] * (k - 1)))
+    G = _batch_grad(data, V)
     values = np.sum(G * V, axis=1)
     tangent = np.stack([-V[:, 1], V[:, 0]], axis=1)
     dg = k * np.sum(G * tangent, axis=1)
@@ -285,22 +299,15 @@ def _fibonacci_sphere(count):
     return np.stack([r * np.cos(th), r * np.sin(th), z], axis=1)
 
 
-def _batch_grad3(data, V):
-    k = data.ndim
-    letters = "abcdefghij"[:k]
-    sub = letters + "," + ",".join("Z" + letters[i] for i in range(1, k)) + "->Z" + letters[0]
-    return np.einsum(sub, data, *([V] * (k - 1)))
-
-
 def _polish_on_sphere(data, V0, tol, iters=25):
     """Newton with a finite-difference Jacobian on the stationarity system."""
     k = data.ndim
     n = V0.shape[1]
     V = V0.copy()
-    lam = np.sum(_batch_grad3(data, V) * V, axis=1)
+    lam = np.sum(_batch_grad(data, V) * V, axis=1)
 
     def state(V, lam):
-        G = _batch_grad3(data, V)
+        G = _batch_grad(data, V)
         R = G - lam[:, None] * V
         c = (np.sum(V * V, axis=1) - 1.0) / 2.0
         F = np.concatenate([R, c[:, None]], axis=1)
@@ -318,7 +325,7 @@ def _polish_on_sphere(data, V0, tol, iters=25):
         for j in range(n):
             e = np.zeros(n)
             e[j] = h
-            JG[:, :, j] = (_batch_grad3(data, Va + e) - _batch_grad3(data, Va - e)) / (2 * h)
+            JG[:, :, j] = (_batch_grad(data, Va + e) - _batch_grad(data, Va - e)) / (2 * h)
         K = np.zeros((active.size, n + 1, n + 1))
         K[:, :n, :n] = JG
         K[:, np.arange(n), np.arange(n)] -= lama[:, None]
@@ -392,7 +399,7 @@ def sphere_grid_search(tensor, resolution=0.15, tol=1e-10):
     nrm = np.linalg.norm(V, axis=1)
     good = np.isfinite(nrm) & (nrm > 1e-300)
     V = V[good] / nrm[good, None]
-    G = _batch_grad3(data, V)
+    G = _batch_grad(data, V)
     lam = np.sum(G * V, axis=1)
     resid = np.linalg.norm(G - lam[:, None] * V, axis=1)
     keep = np.flatnonzero(np.isfinite(resid) & (resid <= tol))

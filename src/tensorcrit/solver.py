@@ -17,6 +17,7 @@ starts), then residual-based acceptance and deduplication.
 from __future__ import annotations
 
 import logging
+import string
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,7 +47,13 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_LETTERS = "abcdefghij"
+# einsum labels for the tensor's modes; "Z" labels the batch of search points.
+_LETTERS = string.ascii_letters[:-1]
+
+
+def _check_order(k):
+    if k > len(_LETTERS):
+        raise ShapeError(f"tensor order {k} exceeds the supported maximum {len(_LETTERS)}")
 
 
 @dataclass(frozen=True)
@@ -512,6 +519,7 @@ def _eigen_run(tensor, mode, config, symmetric, reported_mode, classify):
         raise ShapeError("eigenpair solvers need tensor order >= 2")
     if n < 2:
         raise ShapeError("eigenpair solvers need dimension >= 2")
+    _check_order(k)
     p = check_norm_param(config.p)
     V, lam, resid = _stationary_candidates(tensor, mode, p, config, symmetric)
     flag_zero = p != 2.0
@@ -744,6 +752,7 @@ def singular_tuples(tensor, config=None):
     k = tensor.order
     if k < 2:
         raise ValueError("singular tuples need tensor order >= 2")
+    _check_order(k)
     p = check_norm_param(config.p)
     data = tensor.data
     dims = tensor.shape

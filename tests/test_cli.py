@@ -202,6 +202,7 @@ def test_check_asymmetric_skips_euler(tmp_path, capsys):
     assert "euler-homogeneity: skipped" in out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_overflowing_entries_fail(tmp_path, capsys):
     t = write(tmp_path, "big.json", np.full((2, 2, 2), 1e300))
     code, out, _ = run(capsys, ["check", t])

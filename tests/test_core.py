@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from tensorcrit import (
     AsymmetricTensorError,
     DenseTensor,
     ShapeError,
-    certify_symmetry,
     dumps_tensor,
     euler_residual,
     evaluate,
@@ -231,11 +231,14 @@ def test_symmetrize_rejects_rectangular():
         symmetrize(DenseTensor(np.ones((2, 3))))
 
 
-def test_certify_symmetry():
-    cert = certify_symmetry(random_tensor((3, 3, 3), 11, symmetric=True))
-    assert cert.max_asymmetry == 0.0
-    cert = certify_symmetry(DenseTensor([[0.0, 1.0], [0.0, 0.0]]))
-    assert cert.max_asymmetry == 1.0
+def test_max_asymmetry_known_values():
+    assert max_asymmetry(random_tensor((3, 3, 3), 11, symmetric=True)) == 0.0
+    assert max_asymmetry(DenseTensor([[0.0, 1.0], [0.0, 0.0]])) == 1.0
+
+
+def test_max_asymmetry_rejects_rectangular():
+    with pytest.raises(ShapeError):
+        max_asymmetry(DenseTensor(np.ones((2, 3))))
 
 
 def test_random_tensor_deterministic():
@@ -253,6 +256,13 @@ def test_random_tensor_seeds_differ():
 def test_random_tensor_symmetric():
     T = random_tensor((4, 4, 4), 5, symmetric=True)
     assert max_asymmetry(T) <= 1e-15
+
+
+def test_random_tensor_symmetric_order_eleven_is_fast():
+    start = time.perf_counter()
+    T = random_tensor((2,) * 11, 3, symmetric=True)
+    assert time.perf_counter() - start < 1.0
+    assert max_asymmetry(DenseTensor(T.data)) == 0.0
 
 
 def test_random_tensor_symmetric_needs_square():
@@ -298,3 +308,14 @@ def test_file_format_rejects_garbage():
         loads_tensor('{"shape": [2]}')
     with pytest.raises(ShapeError):
         loads_tensor('{"shape": [2, 2], "entries": [1, 2, 3]}')
+
+
+def test_file_format_rejects_booleans():
+    with pytest.raises(ValueError, match="shape"):
+        loads_tensor('{"shape": [true, 2], "entries": [1, 2]}')
+    with pytest.raises(ValueError, match="shape"):
+        loads_tensor('{"shape": [false], "entries": []}')
+    with pytest.raises(ValueError, match="entries"):
+        loads_tensor('{"shape": [2], "entries": [true, 0.5]}')
+    with pytest.raises(ValueError, match="entries"):
+        loads_tensor('{"shape": [1], "entries": [false]}')

@@ -6,6 +6,7 @@ from tensorcrit import (
     DegenerateTensorError,
     DenseTensor,
     EigenPair,
+    ShapeError,
     SolverConfig,
     classify_index,
     dedupe,
@@ -379,6 +380,19 @@ def test_symmetric_eigenpair_gives_singular_tuple(cubic):
 def test_singular_rejects_order_one():
     with pytest.raises(ValueError):
         singular_tuples(DenseTensor(np.ones(3)), CFG)
+
+
+def test_singular_order_above_ten():
+    T = random_tensor((2,) * 11, 1)
+    tuples = singular_tuples(T, SolverConfig(restarts=4))
+    assert tuples
+    for t in tuples:
+        assert t.residual <= CFG.gradient_tolerance
+
+
+def test_order_beyond_einsum_labels_is_shape_error():
+    with pytest.raises(ShapeError, match="order 52"):
+        singular_tuples(DenseTensor(np.ones((1,) * 52)), CFG)
 
 
 def test_singular_matches_svd_oracle():
