@@ -31,7 +31,7 @@ from .core import (
     random_tensor,
     read_tensor_file,
 )
-from .errors import AsymmetricTensorError, DegenerateTensorError
+from .errors import DegenerateTensorError
 from .norms import p_norm, p_norm_gradient
 
 ENV_RESTARTS = "TENSORCRIT_RESTARTS"
@@ -139,9 +139,10 @@ def cmd_eig(args, parser):
         parser.error("--audit applies to --symmetric runs only")
     if args.audit and args.p != 2.0:
         parser.error("--audit requires --p 2 (the Morse analysis is a 2-norm result)")
+    if args.mode is not None and args.mode < 1:
+        parser.error("--mode must be >= 1; --symmetric runs the symmetric problem")
+    mode = 0 if args.symmetric else args.mode
     tensor = _load(args.tensor)
-    if not tensor.is_square:
-        return _fail(f"eigenpairs need a square tensor, got shape {tensor.shape}")
     try:
         config, from_env = _config_from_args(args)
     except ValueError as exc:
@@ -149,20 +150,7 @@ def cmd_eig(args, parser):
     t0 = time.perf_counter()
     notes = []
     try:
-        if args.symmetric:
-            if args.p == 2.0:
-                pairs = solver.symmetric_eigenpairs(tensor, config)
-            else:
-                if not is_symmetric(tensor):
-                    return _fail("tensor is not symmetric within tolerance")
-                pairs = solver.generalized_eigenpairs(tensor, 1, config)
-        else:
-            if args.p == 2.0:
-                pairs = solver.mode_eigenpairs(tensor, args.mode, config)
-            else:
-                pairs = solver.generalized_eigenpairs(tensor, args.mode, config)
-    except AsymmetricTensorError as exc:
-        return _fail(str(exc))
+        pairs = solver.generalized_eigenpairs(tensor, mode, config)
     except ValueError as exc:
         return _fail(str(exc))
     except DegenerateTensorError as exc:
@@ -183,7 +171,7 @@ def cmd_eig(args, parser):
         },
         "config": _config_echo(config, from_env),
         "symmetric": bool(args.symmetric),
-        "mode": 0 if args.symmetric else args.mode,
+        "mode": mode,
         "pairs": [_pair_dict(pt) for pt in pairs],
         "morse": None,
         "notes": notes,

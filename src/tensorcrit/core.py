@@ -240,7 +240,13 @@ def symmetrize(tensor: DenseTensor) -> DenseTensor:
     if max_asymmetry(tensor) == 0.0:
         return tensor
     ids = _orbit_ids(tensor.shape)
-    means = np.bincount(ids, weights=tensor.entries) / np.bincount(ids)
+    # Sum each orbit scaled by a power of two near its largest |entry|, so the
+    # sum cannot overflow; the scaling is exact for normal numbers.
+    top = np.zeros(ids.max() + 1)
+    np.maximum.at(top, ids, np.abs(tensor.entries))
+    _, exp = np.frexp(top)
+    sums = np.bincount(ids, weights=np.ldexp(tensor.entries, -exp[ids]))
+    means = np.ldexp(sums / np.bincount(ids), exp)
     out = DenseTensor(means[ids].reshape(tensor.shape))
     out._asymmetry = 0.0
     return out

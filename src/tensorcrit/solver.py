@@ -213,15 +213,21 @@ def _random_starts(seed, restarts, dims, p):
     return [_normalize_rows(V, p) for V in out]
 
 
-def _coarse_unique(V, tol):
-    reps = []
-    for row in V:
-        if not np.all(np.isfinite(row)):
-            continue
-        if reps and float(np.min(np.linalg.norm(np.array(reps) - row, axis=1))) <= tol:
-            continue
-        reps.append(row)
-    return np.array(reps) if reps else np.empty((0, V.shape[1]))
+def _leaders(X, tol):
+    """Greedy cluster leaders among the finite rows of X, in row order.
+
+    Rows come in priority order.  The first free row leads a cluster that
+    takes every later row within Euclidean distance tol of it, and the next
+    free row leads the next cluster.  Non-finite rows are never leaders.
+    """
+    free = np.all(np.isfinite(X), axis=1)
+    leaders = []
+    while free.any():
+        i = int(np.argmax(free))
+        leaders.append(i)
+        free[i] = False
+        free[i + 1 :] &= np.linalg.norm(X[i + 1 :] - X[i], axis=1) > tol
+    return np.array(leaders, dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +381,15 @@ def _ascend(data, V0, p, sign, config, symmetric):
     return V
 
 
-def _stationary_candidates(tensor, mode, p, config, symmetric):
+def _stationary_candidates(tensor, i0, p, config, symmetric):
     """Accepted (vector, value, residual) triples from the multi-start search."""
     data = tensor.data
-    k = tensor.order
     n = tensor.shape[0]
-    i0 = mode - 1
     (V0,) = _random_starts(config.seed, config.restarts, (n,), p)
     chunks = []
     for sign in (1.0, -1.0):
         ends = _ascend(data, V0, p, sign, config, symmetric)
-        reps = _coarse_unique(ends, 1e-3)
+        reps = ends[_leaders(ends, 1e-3)]
         Vp, _ = _polish_eigen(data, reps, i0, p, config, symmetric)
         chunks.append(_accept_eigen(data, Vp, i0, p, config.gradient_tolerance))
     Vd, _ = _polish_eigen(data, V0, i0, p, config, symmetric)
@@ -402,65 +406,51 @@ def _max_isolated_points(n, k):
     return 2 * pairs
 
 
-def _crowded(vectors, limit, tol=1e-2):
-    if len(vectors) < 2:
-        return False
-    mat = np.array(vectors)
+def _keys(points):
+    """One row per point: its vectors concatenated."""
+    return np.array(
+        [np.concatenate((pt.vector,) if isinstance(pt, EigenPair) else pt.vectors) for pt in points]
+    )
+
+
+def _check_isolated(points, limit, cap, too_many):
+    """Raise DegenerateTensorError unless the deduplicated points look isolated.
+
+    More than ``cap`` points (None: no cap) raise with the message
+    ``too_many``.  More than ``limit`` points that each have another point
+    within 1e-2 look like samples of a continuum.
+    """
+    if cap is not None and len(points) > cap:
+        raise DegenerateTensorError(too_many)
+    if len(points) <= limit:
+        return
+    keys = _keys(points)
     crowd = 0
-    for i in range(len(mat)):
-        d = np.linalg.norm(mat - mat[i], axis=1)
+    for i in range(len(keys)):
+        d = np.linalg.norm(keys - keys[i], axis=1)
         d[i] = np.inf
-        if float(d.min()) <= tol:
-            crowd += 1
-            if crowd > limit:
-                return True
-    return False
-
-
-def _check_isolated(points, n, k, cap_applies):
-    vectors = [np.concatenate([np.atleast_1d(v) for v in _point_vectors(pt)]) for pt in points]
-    if cap_applies and len(points) > _max_isolated_points(n, k):
-        raise DegenerateTensorError(
-            f"{len(points)} stationary points survive deduplication, more than any "
-            f"tensor with isolated critical points can have; the critical set looks "
-            f"like a continuum"
-        )
-    if _crowded(vectors, limit=3 * n):
-        raise DegenerateTensorError(
-            "deduplicated stationary points crowd each other; the critical set "
-            "looks like a continuum"
-        )
-
-
-def _point_vectors(pt):
-    if isinstance(pt, EigenPair):
-        return (pt.vector,)
-    return pt.vectors
+        crowd += float(d.min()) <= 1e-2
+        if crowd > limit:
+            noun = "stationary points" if isinstance(points[0], EigenPair) else "singular tuples"
+            raise DegenerateTensorError(
+                f"deduplicated {noun} crowd each other; the critical set looks like a continuum"
+            )
 
 
 def dedupe(points, tol):
     """Greedy clustering at Euclidean distance tol on concatenated vectors.
 
-    Keeps the lowest-residual representative of each cluster; antipodal
-    points are never merged (their distance is 2 on unit spheres).
+    Keeps the lowest-residual representative of each cluster, in input
+    order; antipodal points are never merged (their distance is 2 on unit
+    spheres).  Points with non-finite vectors are dropped.
     """
     if not points:
         return []
-    keys = [np.concatenate(_point_vectors(pt)) for pt in points]
-    order = sorted(
-        range(len(points)),
-        key=lambda i: (points[i].residual, tuple(keys[i].tolist())),
+    keys = _keys(points)
+    order = np.array(
+        sorted(range(len(points)), key=lambda i: (points[i].residual, tuple(keys[i].tolist())))
     )
-    kept = []
-    mat = None
-    for i in order:
-        if mat is not None:
-            if float(np.min(np.linalg.norm(mat - keys[i], axis=1))) <= tol:
-                continue
-        kept.append(i)
-        mat = keys[i][None, :] if mat is None else np.vstack([mat, keys[i]])
-    kept.sort()
-    return [points[i] for i in kept]
+    return [points[i] for i in np.sort(order[_leaders(keys[order], tol)])]
 
 
 def residual_eigen(tensor, v, value, mode, p=2.0):
@@ -512,8 +502,19 @@ def _sorted_pairs(pairs):
     return sorted(pairs, key=lambda pt: (-pt.value, tuple(pt.vector.tolist())))
 
 
-def _eigen_run(tensor, mode, config, symmetric, reported_mode, classify):
+def _eigen_run(tensor, mode, config):
+    """Eigenpairs in ``mode`` under config.p; mode 0 is the symmetric problem.
+
+    The symmetric problem under the 2-norm also gets Morse data.  Modes
+    1..k use the symmetric Jacobian iff the tensor is symmetric.
+    """
     k = tensor.order
+    _require_square(tensor)
+    if not 0 <= mode <= k:
+        raise ValueError(f"mode must be in 0..{k} (0: symmetric), got {mode}")
+    if mode == 0:
+        _require_symmetric(tensor)
+    symmetric = mode == 0 or is_symmetric(tensor)
     n = tensor.shape[0]
     if k < 2:
         raise ShapeError("eigenpair solvers need tensor order >= 2")
@@ -521,13 +522,13 @@ def _eigen_run(tensor, mode, config, symmetric, reported_mode, classify):
         raise ShapeError("eigenpair solvers need dimension >= 2")
     _check_order(k)
     p = check_norm_param(config.p)
-    V, lam, resid = _stationary_candidates(tensor, mode, p, config, symmetric)
+    V, lam, resid = _stationary_candidates(tensor, max(mode - 1, 0), p, config, symmetric)
     flag_zero = p != 2.0
     pairs = [
         EigenPair(
             vector=V[i],
             value=float(lam[i]),
-            mode=reported_mode,
+            mode=mode,
             residual=float(resid[i]),
             near_zero_coords=bool(flag_zero and np.min(np.abs(V[i])) < 1e-6),
         )
@@ -541,8 +542,12 @@ def _eigen_run(tensor, mode, config, symmetric, reported_mode, classify):
     if p != 2.0:
         merge_tol = max(merge_tol, 10.0 * config.gradient_tolerance ** (1.0 / (k - 1)))
     pairs = dedupe(pairs, merge_tol)
-    _check_isolated(pairs, n, k, cap_applies=(p == 2.0))
-    if classify:
+    _check_isolated(
+        pairs, 3 * n, _max_isolated_points(n, k) if p == 2.0 else None,
+        f"{len(pairs)} stationary points survive deduplication, more than any "
+        f"tensor with isolated critical points can have; the critical set looks like a continuum",
+    )
+    if mode == 0 and p == 2.0:
         classified = []
         degenerate = 0
         for pt in pairs:
@@ -577,44 +582,37 @@ def symmetric_eigenpairs(tensor, config=None):
     nondegenerate points (e.g. the identity matrix).
     """
     config = config or SolverConfig()
-    _require_symmetric(tensor)
     if config.p != 2.0:
         raise ValueError(
             "symmetric eigenpairs use the 2-norm; use generalized_eigenpairs "
             "for other norm parameters"
         )
-    return _eigen_run(tensor, 1, config, symmetric=True, reported_mode=0, classify=True)
+    return _eigen_run(tensor, 0, config)
 
 
 def mode_eigenpairs(tensor, mode, config=None):
-    """Mode-i eigenpairs of a square (not necessarily symmetric) tensor."""
+    """Mode-i eigenpairs of a square (not necessarily symmetric) tensor.
+
+    Mode 0 is the symmetric problem and returns what symmetric_eigenpairs
+    returns.
+    """
     config = config or SolverConfig()
-    _require_square(tensor)
-    if not 1 <= mode <= tensor.order:
-        raise ValueError(f"mode must be in 1..{tensor.order}, got {mode}")
     if config.p != 2.0:
         raise ValueError("mode_eigenpairs uses the 2-norm; see generalized_eigenpairs")
-    symmetric = is_symmetric(tensor)
-    return _eigen_run(
-        tensor, mode, config, symmetric=symmetric, reported_mode=mode, classify=False
-    )
+    return _eigen_run(tensor, mode, config)
 
 
 def generalized_eigenpairs(tensor, mode, config=None):
     """Mode-i eigenpairs under the p-norm from the config (1 < p < inf).
 
-    With p = 2 this reproduces mode_eigenpairs exactly.  Pairs whose
-    vectors have near-zero coordinates are flagged, since the p-norm is
-    not twice differentiable there for p < 2.
+    ``mode`` is 0..k.  Mode 0 is the symmetric problem: the tensor must be
+    symmetric, and with p = 2 the pairs carry Morse data exactly as from
+    symmetric_eigenpairs.  With p = 2, modes 1..k reproduce mode_eigenpairs
+    exactly.  Pairs whose vectors have near-zero coordinates are flagged
+    when p != 2, since the p-norm is not twice differentiable there for
+    p < 2.
     """
-    config = config or SolverConfig()
-    _require_square(tensor)
-    if not 1 <= mode <= tensor.order:
-        raise ValueError(f"mode must be in 1..{tensor.order}, got {mode}")
-    symmetric = is_symmetric(tensor)
-    return _eigen_run(
-        tensor, mode, config, symmetric=symmetric, reported_mode=mode, classify=False
-    )
+    return _eigen_run(tensor, mode, config or SolverConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -778,25 +776,14 @@ def singular_tuples(tensor, config=None):
 
     ends = _alternating_ascent(data, Ws0, p, config)
     cat = np.concatenate(ends, axis=1)
-    reps = _coarse_unique(cat, 1e-3)
+    reps = cat[_leaders(cat, 1e-3)]
     found = polish(_split(reps, dims, off)) + polish(Ws0)
     found = dedupe(found, config.dedupe_tolerance)
-    if (
-        found
-        and all(t.degenerate for t in found)
-        and len(found) > 3 * total
-    ):
-        raise DegenerateTensorError(
-            "every surviving tuple has a vanishing singular value and the set is "
-            "large; the tensor looks identically degenerate"
-        )
-    if _crowded(
-        [np.concatenate(t.vectors) for t in found], limit=3 * total
-    ):
-        raise DegenerateTensorError(
-            "deduplicated singular tuples crowd each other; the critical set "
-            "looks like a continuum"
-        )
+    _check_isolated(
+        found, 3 * total, 3 * total if all(t.degenerate for t in found) else None,
+        "every surviving tuple has a vanishing singular value and the set is "
+        "large; the tensor looks identically degenerate",
+    )
     if not found:
         log.info(
             "no singular tuples found at this effort (restarts=%d)", config.restarts

@@ -149,6 +149,48 @@ def test_eig_mode_run(tmp_path, capsys):
     assert all(p["mode"] == 2 for p in doc["pairs"])
 
 
+def test_eig_mode_zero_is_usage_error(cubic_file):
+    # mode 0 names the symmetric problem in the library; the CLI spells it --symmetric
+    for mode in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["eig", cubic_file, "--mode", mode])
+        assert exc.value.code == 2
+
+
+def test_eig_mode_p3_run(tmp_path, capsys):
+    t = write(tmp_path, "a.json", random_tensor((3, 3, 3), 6).data)
+    code, out, _ = run(capsys, ["eig", t, "--mode", "1", "--p", "3", "--restarts", "24"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["p"] == 3.0
+    assert doc["mode"] == 1 and doc["pairs"]
+    for p in doc["pairs"]:
+        assert p["mode"] == 1 and p["index"] is None
+        assert np.sum(np.abs(p["vector"]) ** 3) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.fixture
+def sym_file(tmp_path):
+    return write(tmp_path, "sym.json", random_tensor((3, 3, 3), 5, symmetric=True).data)
+
+
+def test_eig_symmetric_p_run_reports_mode_zero(sym_file, capsys):
+    code, out, _ = run(capsys, ["eig", sym_file, "--symmetric", "--p", "1.5", "--restarts", "24"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["symmetric"] is True and doc["mode"] == 0 and doc["pairs"]
+    for p in doc["pairs"]:
+        assert p["mode"] == 0 and p["index"] is None
+        assert np.sum(np.abs(p["vector"]) ** 1.5) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_eig_symmetric_p_rejects_asymmetric(tmp_path, capsys):
+    t = write(tmp_path, "a.json", random_tensor((3, 3, 3), 6).data)
+    code, out, err = run(capsys, ["eig", t, "--symmetric", "--p", "1.5"])
+    assert code == 2
+    assert out == "" and "symmetric" in err
+
+
 # --- svd --------------------------------------------------------------------
 
 

@@ -226,6 +226,27 @@ def test_symmetrize_symmetric_input_unchanged():
     assert np.array_equal(symmetrize(T).data, T.data)
 
 
+def test_symmetrize_near_float_max():
+    # the orbit {(0, 1), (1, 0)} sums to 2.7e308, beyond the largest float
+    S = symmetrize(DenseTensor([[1e308, 1.7e308], [1e308, 0.0]]))
+    np.testing.assert_array_equal(S.data, [[1e308, 1.35e308], [1.35e308, 0.0]])
+    assert max_asymmetry(S) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 4, 4), (3, 3, 3, 3), (2,) * 5])
+def test_symmetrize_bits_match_plain_orbit_mean(shape):
+    # the overflow-safe scaling changes no bit of ordinary inputs, so seeded
+    # random_tensor(..., symmetric=True) tensors are the same as before it
+    from tensorcrit.core import _orbit_ids
+
+    ids = _orbit_ids(shape)
+    for seed in range(25):
+        T = random_tensor(shape, seed)
+        plain = np.bincount(ids, weights=T.entries) / np.bincount(ids)
+        assert np.array_equal(symmetrize(T).entries, plain[ids])
+        assert np.array_equal(random_tensor(shape, seed, symmetric=True).entries, plain[ids])
+
+
 def test_symmetrize_rejects_rectangular():
     with pytest.raises(ShapeError):
         symmetrize(DenseTensor(np.ones((2, 3))))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from tensorcrit import (
     symmetric_eigenpairs,
     symmetrize,
 )
+from tensorcrit.solver import _check_isolated, _leaders
 from conftest import geodesic_second_derivative, match_pair, tangent_basis
 
 CFG = SolverConfig(restarts=40, seed=0)
@@ -159,6 +162,49 @@ def test_mode_pairs_rotation_matrix_empty():
 def test_mode_out_of_range():
     with pytest.raises(ValueError):
         mode_eigenpairs(DenseTensor(np.eye(2)), 3, CFG)
+    with pytest.raises(ValueError):
+        generalized_eigenpairs(DenseTensor(np.eye(2)), -1, CFG)
+
+
+# --- one eigen body: mode 0 is the symmetric problem ------------------------
+
+
+def _same_pairs(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x.vector, y.vector)
+        assert (x.value, x.mode, x.residual, x.index, x.nondegenerate, x.near_zero_coords) == (
+            y.value, y.mode, y.residual, y.index, y.nondegenerate, y.near_zero_coords
+        )
+
+
+@pytest.mark.parametrize("shape, seed", [((3, 3, 3), 17), ((2, 2, 2, 2), 3), ((4, 4), 8)])
+def test_mode_zero_is_the_symmetric_solver(shape, seed):
+    # mode_eigenpairs accepts mode 0 too, as generalized_eigenpairs does
+    T = random_tensor(shape, seed, symmetric=True)
+    sym = symmetric_eigenpairs(T, CFG)
+    assert sym and all(p.mode == 0 and p.index is not None for p in sym)
+    _same_pairs(generalized_eigenpairs(T, 0, CFG), sym)
+    _same_pairs(mode_eigenpairs(T, 0, CFG), sym)
+
+
+def test_mode_zero_rejects_asymmetric_input():
+    T = random_tensor((3, 3, 3), 6)
+    for p in (2.0, 1.5):
+        with pytest.raises(AsymmetricTensorError):
+            generalized_eigenpairs(T, 0, SolverConfig(restarts=4, p=p))
+    with pytest.raises(AsymmetricTensorError):
+        mode_eigenpairs(T, 0, CFG)
+
+
+def test_mode_zero_p_norm_pairs_are_unclassified():
+    T = random_tensor((3, 3, 3), 5, symmetric=True)
+    cfg = SolverConfig(restarts=24, p=1.5)
+    pairs = generalized_eigenpairs(T, 0, cfg)
+    assert pairs and all(p.mode == 0 and p.index is None for p in pairs)
+    # mode 1 of a symmetric tensor is the same problem; only the mode label differs
+    ones = generalized_eigenpairs(T, 1, cfg)
+    _same_pairs([replace(p, mode=0) for p in ones], pairs)
 
 
 # --- generalized (p-norm) eigenpairs --------------------------------------
@@ -259,6 +305,136 @@ def test_dedupe_keeps_antipodes():
 
 def test_dedupe_empty():
     assert dedupe([], 1e-6) == []
+
+
+# Brute-force copies of the per-point greedy loops that _leaders and
+# _check_isolated replaced; the new code must make the same decisions.
+
+
+def _ref_coarse_unique(V, tol):
+    reps = []
+    for row in V:
+        if not np.all(np.isfinite(row)):
+            continue
+        if reps and float(np.min(np.linalg.norm(np.array(reps) - row, axis=1))) <= tol:
+            continue
+        reps.append(row)
+    return np.array(reps) if reps else np.empty((0, V.shape[1]))
+
+
+def _ref_dedupe(points, tol):
+    keys = [np.concatenate([p.vector]) for p in points]
+    order = sorted(range(len(points)), key=lambda i: (points[i].residual, tuple(keys[i].tolist())))
+    kept = []
+    mat = None
+    for i in order:
+        if mat is not None and float(np.min(np.linalg.norm(mat - keys[i], axis=1))) <= tol:
+            continue
+        kept.append(i)
+        mat = keys[i][None, :] if mat is None else np.vstack([mat, keys[i]])
+    return [points[i] for i in sorted(kept)]
+
+
+def _ref_crowded(vectors, limit, tol=1e-2):
+    mat = np.array(vectors)
+    crowd = 0
+    for i in range(len(mat)):
+        d = np.linalg.norm(mat - mat[i], axis=1)
+        d[i] = np.inf
+        if float(d.min()) <= tol:
+            crowd += 1
+            if crowd > limit:
+                return True
+    return False
+
+
+def _cloud(seed, m, n, spread):
+    """Unit points around a few centres, their antipodes, and exact copies."""
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((max(1, m // 8), n))
+    X = centres[rng.integers(len(centres), size=m)] + spread * rng.standard_normal((m, n))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    X[m // 3 : m // 2] = -X[: m // 2 - m // 3]
+    X[-3:] = X[:3]
+    return X
+
+
+def _crowds(X, limit):
+    try:
+        _check_isolated([_pair(x) for x in X], limit, None, "")
+    except DegenerateTensorError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_clusterer_matches_greedy_loops(seed):
+    n = 2 + seed % 4
+    for spread, tol in ((1e-3, 1e-3), (1e-7, 1e-6), (1e-2, 1e-2), (0.3, 0.5)):
+        X = _cloud(seed, 120, n, spread)
+        assert np.array_equal(X[_leaders(X, tol)], _ref_coarse_unique(X, tol))
+        rng = np.random.default_rng(seed)
+        pts = [_pair(x, residual=float(r)) for x, r in zip(X, rng.integers(0, 4, len(X)) * 1e-12)]
+        assert [id(p) for p in dedupe(pts, tol)] == [id(p) for p in _ref_dedupe(pts, tol)]
+        for limit in (0, 3, 30, 119):
+            assert _crowds(X, limit) == _ref_crowded(X, limit)
+
+
+def test_clusterer_skips_nonfinite_rows():
+    X = _cloud(1, 40, 3, 1e-3)
+    X[[0, 5, 17]] = [np.nan, np.inf, -np.inf]
+    X[9, 1] = np.nan
+    got = X[_leaders(X, 1e-3)]
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, _ref_coarse_unique(X, 1e-3))
+    assert _leaders(np.full((3, 2), np.nan), 1.0).shape == (0,)
+
+
+def test_clusterer_exact_tie_at_tol_merges():
+    X = np.array([[0.6, 0.8], [0.8, 0.6], [-0.6, 0.8], [0.6, -0.8]])
+    tol = float(np.linalg.norm(X[1] - X[0]))
+    below = float(np.nextafter(tol, 0.0))
+    assert _leaders(X, tol).tolist() == [0, 2, 3]
+    assert _leaders(X, below).tolist() == [0, 1, 2, 3]
+    for t in (tol, below):
+        assert np.array_equal(X[_leaders(X, t)], _ref_coarse_unique(X, t))
+    X = _cloud(2, 60, 3, 0.05)
+    for j in (1, 7, 30):
+        tol = float(np.linalg.norm(X[j] - X[0]))
+        assert np.array_equal(X[_leaders(X, tol)], _ref_coarse_unique(X, tol))
+    # pairs exactly 1e-2 apart are crowded: 2 * 5 crowded points exceed limit 9
+    X = np.array([[float(c), y] for c in range(5) for y in (0.0, 0.01)])
+    assert _crowds(X, 9) and _ref_crowded(X, 9)
+    assert not _crowds(X, 10)
+
+
+def test_clusterer_keeps_antipodes():
+    X = _cloud(3, 50, 4, 0.0)
+    X = np.concatenate([X, -X])
+    lead = X[_leaders(X, 1e-6)]
+    assert len(lead) % 2 == 0
+    assert np.array_equal(lead, _ref_coarse_unique(X, 1e-6))
+
+
+def test_clusterer_unmergeable_set_without_square_temporaries():
+    # 400 distinct points on S^2, as the degenerate continua yield at 200 restarts
+    import tracemalloc
+
+    X = _cloud(4, 400, 3, 1.0)[:-3]
+    X = X[np.argsort(X[:, 0])]
+    assert len(_leaders(X, 1e-6)) == len(X) == len(_ref_coarse_unique(X, 1e-6))
+    pts = [_pair(x) for x in X]
+    assert len(dedupe(pts, 1e-6)) == len(X)
+    for limit in (9, 200):
+        assert _crowds(X, limit) == _ref_crowded(X, limit)
+    m = 800
+    X = _cloud(5, m, 3, 1.0)
+    tracemalloc.start()
+    _leaders(X, 1e-6)
+    assert not _crowds(X, m - 1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < m * m * 8 / 4  # an m x m float64 array would be 5 MB
 
 
 # --- cross-cutting solver invariants ---------------------------------------
