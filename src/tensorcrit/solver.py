@@ -17,6 +17,7 @@ starts), then residual-based acceptance and deduplication.
 from __future__ import annotations
 
 import logging
+import numbers
 import string
 from dataclasses import dataclass, replace
 
@@ -60,11 +61,13 @@ def _check_order(k):
 class SolverConfig:
     """Search effort, tolerances, and step control.
 
-    Backtracking: Newton steps are damped by halving until the residual
-    norm drops by the Armijo fraction ``armijo_slope * alpha``, up to
-    ``max_backtracks`` halvings; ascent steps grow by ``step_grow`` after
-    an improvement and shrink by ``step_shrink`` otherwise, starting from
-    ``initial_step``.
+    Backtracking: a Newton step is damped to the longest alpha among
+    2^0, 2^-1, ..., 2^-(max_backtracks-1) at which the residual norm drops
+    by the Armijo fraction ``armijo_slope * alpha``; the step lengths are
+    evaluated in doubling blocks (1; 1/2, 1/4; 1/8 .. 1/64; ...), one
+    batched residual evaluation per block.  Ascent steps grow by
+    ``step_grow`` after an improvement and shrink by ``step_shrink``
+    otherwise, starting from ``initial_step``.
     """
 
     restarts: int = 200
@@ -80,13 +83,19 @@ class SolverConfig:
     max_backtracks: int = 25
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        for name, low in (("restarts", 1), ("max_iterations", 1), ("max_backtracks", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}")
         for name in ("gradient_tolerance", "dedupe_tolerance", "initial_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not 0 <= self.armijo_slope < 1:
+            raise ValueError("armijo_slope must be in [0, 1)")
+        if not 0 < self.step_shrink < 1:
+            raise ValueError("step_shrink must be in (0, 1)")
+        if not 1 <= self.step_grow < np.inf:
+            raise ValueError("step_grow must be finite and >= 1")
         check_norm_param(self.p)
 
 
@@ -236,43 +245,61 @@ def _leaders(X, tol):
 
 
 def _damped_newton(z0, state_fn, jac_fn, config, iters, target):
+    """Damped Newton on the square systems F(z) = 0, one per row of z0.
+
+    Each row takes the longest step alpha * dz, alpha in 2^0, 2^-1, ...,
+    2^-(max_backtracks-1), that passes the Armijo test; a row with no such
+    alpha, or a non-finite Newton step, stalls.  The step lengths are tried
+    in doubling blocks (2^0; 2^-1..2^-2; 2^-3..2^-6; ...), one state_fn call
+    per block on every row still searching, so an iteration makes at most
+    ceil(log2(max_backtracks + 1)) calls.  The alphas are exact powers of
+    two and state_fn works row by row, so the outcome is bit-identical to
+    trying the halvings one at a time.
+    """
     z = z0.copy()
     F, Fn = state_fn(z)
+    calls, trial_rows, newton_iters = 1, 0, 0
     stalled = ~np.isfinite(Fn)
     for _ in range(iters):
         active = np.flatnonzero((Fn > target) & ~stalled)
         if active.size == 0:
             break
+        newton_iters += 1
         za = z[active]
+        Fa = Fn[active]
         J = jac_fn(za)
         try:
             dz = np.linalg.solve(J, -F[active][..., None])[..., 0]
         except np.linalg.LinAlgError:
             dz = -np.squeeze(np.linalg.pinv(J) @ F[active][..., None], axis=-1)
-        bad = ~np.all(np.isfinite(dz), axis=1)
-        dz[bad] = 0.0
-        alpha = np.ones(active.size)
-        improved = np.zeros(active.size, dtype=bool)
-        best_z = za.copy()
-        best_F = F[active].copy()
-        best_Fn = Fn[active].copy()
-        for _bt in range(config.max_backtracks):
-            todo = np.flatnonzero(~improved & ~bad)
-            if todo.size == 0:
-                break
-            zt = za[todo] + alpha[todo, None] * dz[todo]
-            Ft, Fnt = state_fn(zt)
-            ok = np.isfinite(Fnt) & (Fnt <= (1.0 - config.armijo_slope * alpha[todo]) * Fn[active][todo])
-            hit = todo[ok]
-            best_z[hit] = zt[ok]
-            best_F[hit] = Ft[ok]
-            best_Fn[hit] = Fnt[ok]
-            improved[hit] = True
-            alpha[todo[~ok]] *= 0.5
-        stalled[active[~improved]] = True
-        z[active] = best_z
-        F[active] = best_F
-        Fn[active] = best_Fn
+        searching = np.flatnonzero(np.all(np.isfinite(dz), axis=1))
+        stalled[active] = True  # until one of its step lengths passes
+        first = 0
+        while searching.size and first < config.max_backtracks:
+            last = min(2 * first + 1, config.max_backtracks)
+            alphas = np.ldexp(1.0, -np.arange(first, last))
+            zt = za[searching, None] + alphas[:, None] * dz[searching, None]
+            Ft, Fnt = state_fn(zt.reshape(-1, za.shape[1]))
+            calls += 1
+            trial_rows += Fnt.size
+            Ft = Ft.reshape(zt.shape[:2] + Ft.shape[1:])
+            Fnt = Fnt.reshape(zt.shape[:2])
+            ok = np.isfinite(Fnt) & (Fnt <= (1.0 - config.armijo_slope * alphas) * Fa[searching, None])
+            hit = ok.any(axis=1)
+            longest = np.argmax(ok[hit], axis=1)
+            rows = active[searching[hit]]
+            z[rows] = zt[hit, longest]
+            F[rows] = Ft[hit, longest]
+            Fn[rows] = Fnt[hit, longest]
+            stalled[rows] = False
+            searching = searching[~hit]
+            first = last
+    log.debug(
+        "damped Newton: %d iterations, %d state calls, %d step-length rows; "
+        "%d of %d rows converged, %d stalled",
+        newton_iters, calls, trial_rows, np.count_nonzero(Fn <= target), Fn.size,
+        np.count_nonzero(stalled),
+    )
     return z
 
 

@@ -121,6 +121,27 @@ def test_eig_audit_with_mode_is_usage_error(cubic_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", [["eig", "--symmetric"], ["svd"]])
+def test_nonfinite_tolerance_is_usage_error(cubic_file, capsys, command, value):
+    argv = [command[0], cubic_file, *command[1:], "--restarts", "4", "--tolerance", value]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "gradient_tolerance must be finite and > 0" in err
+
+
+def test_debug_logging_leaves_report_unchanged(tmp_path, capsys, caplog):
+    t = write(tmp_path, "r.json", random_tensor((3, 3, 3), 5).data)
+    for argv in (["svd", t, "--restarts", "24"], ["eig", t, "--mode", "2", "--restarts", "24"]):
+        _, quiet, _ = run(capsys, argv)
+        with caplog.at_level("DEBUG", logger="tensorcrit"):
+            _, loud, _ = run(capsys, argv)
+        assert any("damped Newton" in r.getMessage() for r in caplog.records)
+        caplog.clear()
+        assert strip_timings(loud) == strip_timings(quiet)
+
+
 def test_eig_rejects_rectangular(tmp_path, capsys):
     t = write(tmp_path, "rect.json", np.ones((2, 3)))
     code, _, _ = run(capsys, ["eig", t, "--symmetric"])

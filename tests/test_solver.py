@@ -1,3 +1,6 @@
+import logging
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +26,7 @@ from tensorcrit import (
     symmetric_eigenpairs,
     symmetrize,
 )
+from tensorcrit import solver
 from tensorcrit.solver import _check_isolated, _leaders
 from conftest import geodesic_second_derivative, match_pair, tangent_basis
 
@@ -38,6 +42,39 @@ def test_config_validation():
         SolverConfig(p=1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    SolverConfig(max_backtracks=0, armijo_slope=0.0, step_grow=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("gradient_tolerance", math.nan),
+        ("gradient_tolerance", math.inf),
+        ("dedupe_tolerance", math.nan),
+        ("dedupe_tolerance", math.inf),
+        ("initial_step", math.nan),
+        ("initial_step", math.inf),
+        ("max_backtracks", -3),
+        ("max_backtracks", 2.5),
+        ("restarts", 2.5),
+        ("restarts", math.nan),
+        ("max_iterations", 3.5),
+        ("armijo_slope", math.nan),
+        ("armijo_slope", -1e-4),
+        ("armijo_slope", 1.0),
+        ("step_shrink", math.nan),
+        ("step_shrink", 0.0),
+        ("step_shrink", 1.0),
+        ("step_grow", math.nan),
+        ("step_grow", math.inf),
+        ("step_grow", 0.5),
+    ],
+)
+def test_config_rejects_nonfinite_and_out_of_range(field, value):
+    # each of these used to be accepted and end in an empty or false result,
+    # or in a TypeError from deep inside the search
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
 
 
 def test_pair_vector_is_read_only():
@@ -435,6 +472,184 @@ def test_clusterer_unmergeable_set_without_square_temporaries():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < m * m * 8 / 4  # an m x m float64 array would be 5 MB
+
+
+# --- damped Newton line search ---------------------------------------------
+# Brute-force copy of the sequential-halving loop that the blocked line search
+# replaced; the new code must return the same bits.
+
+
+def _ref_damped_newton(z0, state_fn, jac_fn, config, iters, target):
+    z = z0.copy()
+    F, Fn = state_fn(z)
+    stalled = ~np.isfinite(Fn)
+    for _ in range(iters):
+        active = np.flatnonzero((Fn > target) & ~stalled)
+        if active.size == 0:
+            break
+        za = z[active]
+        J = jac_fn(za)
+        try:
+            dz = np.linalg.solve(J, -F[active][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            dz = -np.squeeze(np.linalg.pinv(J) @ F[active][..., None], axis=-1)
+        bad = ~np.all(np.isfinite(dz), axis=1)
+        dz[bad] = 0.0
+        alpha = np.ones(active.size)
+        improved = np.zeros(active.size, dtype=bool)
+        best_z = za.copy()
+        best_F = F[active].copy()
+        best_Fn = Fn[active].copy()
+        for _bt in range(config.max_backtracks):
+            todo = np.flatnonzero(~improved & ~bad)
+            if todo.size == 0:
+                break
+            zt = za[todo] + alpha[todo, None] * dz[todo]
+            Ft, Fnt = state_fn(zt)
+            ok = np.isfinite(Fnt) & (Fnt <= (1.0 - config.armijo_slope * alpha[todo]) * Fn[active][todo])
+            hit = todo[ok]
+            best_z[hit] = zt[ok]
+            best_F[hit] = Ft[ok]
+            best_Fn[hit] = Fnt[ok]
+            improved[hit] = True
+            alpha[todo[~ok]] *= 0.5
+        stalled[active[~improved]] = True
+        z[active] = best_z
+        F[active] = best_F
+        Fn[active] = best_Fn
+    return z
+
+
+BACKTRACKS = [0, 1, 2, 3, 7, 8, 25, 26]  # both sides of every block edge
+
+
+def _newton_systems(shape, p, seed):
+    """(z0, state_fn, jac_fn) as the solver's polish builds them, on raw starts."""
+    out = []
+    if len(set(shape)) == 1:
+        T = random_tensor(shape, seed)
+        S = random_tensor(shape, seed, symmetric=True)
+        for data, i0, sym in ((S.data, 0, True), (T.data, 1, False)):
+            (V,) = solver._random_starts(seed, 24, shape[:1], p)
+            lam = solver._batch_eval(data, [V] * len(shape))
+            out.append((
+                np.concatenate([V, lam[:, None]], axis=1),
+                solver._eigen_state_fn(data, i0, p),
+                solver._eigen_jac_fn(data, i0, p, sym),
+            ))
+    data = random_tensor(shape, seed).data
+    Ws = solver._random_starts(seed, 24, shape, p)
+    s0 = np.repeat(solver._batch_eval(data, Ws)[:, None], len(shape), axis=1)
+    out.append((
+        np.concatenate(Ws + [s0], axis=1),
+        solver._singular_state_fn(data, p),
+        solver._singular_jac_fn(data, p),
+    ))
+    return out
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5, 3.0])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4, 4), (4, 5, 6), (2, 3, 4, 3)])
+def test_line_search_matches_sequential_halving(shape, p):
+    for max_backtracks in (25,) if len(shape) == 4 else (2, 25):
+        cfg = SolverConfig(max_backtracks=max_backtracks)
+        for z0, state, jac in _newton_systems(shape, p, seed=len(shape) + int(2 * p)):
+            args = (state, jac, cfg, 60, 0.05 * cfg.gradient_tolerance)
+            got = solver._damped_newton(z0, *args)
+            assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
+
+
+@pytest.mark.parametrize("max_backtracks", BACKTRACKS)
+def test_line_search_matches_sequential_halving_at_block_edges(max_backtracks):
+    cfg = SolverConfig(max_backtracks=max_backtracks)
+    for z0, state, jac in _newton_systems((3, 3, 3), 2.0, seed=11) + _newton_systems((2, 3, 4), 3.0, seed=12):
+        args = (state, jac, cfg, 60, 0.05 * cfg.gradient_tolerance)
+        assert solver._damped_newton(z0, *args).tobytes() == _ref_damped_newton(z0, *args).tobytes()
+
+
+def _toy_state(z):
+    """F = x - 1/2 inside |x| <= 2, inf up to 1e3 and NaN beyond; z[:, 2] is inert."""
+    X = z[:, :2]
+    F = np.where(np.abs(X) > 2.0, np.where(np.abs(X) > 1e3, np.nan, np.inf), X - 0.5)
+    F = np.concatenate([F, np.zeros((len(z), 1))], axis=1)
+    return F, np.linalg.norm(F, axis=1)
+
+
+def _toy_jac(z):
+    """diag(s, s, 1) with s = z[:, 2]: the Newton step is -(x - 1/2) / s."""
+    J = np.zeros((len(z), 3, 3))
+    J[:, 0, 0] = J[:, 1, 1] = z[:, 2]
+    J[:, 2, 2] = 1.0
+    return J
+
+
+def _toy_rows(singular):
+    rng = np.random.default_rng(5)
+    rows = [
+        [0.5, 0.5, 1.0],  # converged at entry
+        [2.5, 0.0, 1.0],  # non-finite residual at entry
+        [1e4, 0.3, 1.0],  # NaN residual at entry
+        [1.0, 0.2, 1e-320],  # Newton step overflows to inf
+        [1.5, -1.0, -1.0],  # the step points uphill: every halving fails
+        [0.6, 0.5, -0.3],
+    ]
+    # s << 1 overshoots into the non-finite region, so the accepted alpha
+    # falls in every block, down to about 2^-19 for s = 1e-6
+    for s in (1.0, 0.7, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6):
+        for x in rng.uniform(-1.9, 1.9, size=(3, 2)):
+            rows.append([x[0], x[1], s])
+    if singular:
+        rows.append([1.2, 0.1, 0.0])  # a singular Jacobian sends the batch to pinv
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("singular", [False, True])
+@pytest.mark.parametrize("max_backtracks", BACKTRACKS)
+def test_line_search_edge_rows_match_sequential_halving(max_backtracks, singular):
+    cfg = SolverConfig(max_backtracks=max_backtracks)
+    z0 = _toy_rows(singular)
+    args = (_toy_state, _toy_jac, cfg, 40, 1e-12)
+    got = solver._damped_newton(z0, *args)
+    assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
+    assert np.array_equal(got[:6], z0[:6])  # converged, non-finite, bad step, uphill
+    moved = np.any(got[6:39] != z0[6:39], axis=1)
+    assert moved.all() if max_backtracks >= 20 else not moved.all()
+
+
+def test_line_search_state_calls_per_newton_iteration(monkeypatch):
+    counts = {"state": 0, "jac": 0, "newton": 0}
+
+    def counted(fn, key):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def counted_factory(factory, key):
+        return lambda *args: counted(factory(*args), key)
+
+    monkeypatch.setattr(solver, "_singular_state_fn", counted_factory(solver._singular_state_fn, "state"))
+    monkeypatch.setattr(solver, "_singular_jac_fn", counted_factory(solver._singular_jac_fn, "jac"))
+    monkeypatch.setattr(solver, "_damped_newton", counted(solver._damped_newton, "newton"))
+    singular_tuples(random_tensor((4, 5, 6), 5))
+    blocks = math.ceil(math.log2(SolverConfig().max_backtracks + 1))
+    assert blocks == 5
+    # one Jacobian per Newton iteration; one initial state call per polish
+    assert counts["newton"] == 2 and counts["jac"] > 0
+    assert counts["state"] <= blocks * counts["jac"] + counts["newton"]
+
+
+def test_newton_effort_is_logged_at_debug(caplog):
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        singular_tuples(random_tensor((3, 4, 5), 2), CFG)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("damped Newton")]
+    assert len(lines) == 2  # ascent representatives, then the raw starts
+    for line in lines:
+        iters, calls, trials, converged, rows, stalled = map(int, re.findall(r"\d+", line))
+        assert 1 <= calls <= 5 * iters + 1
+        assert calls - 1 <= trials
+        assert converged + stalled <= rows
+    assert rows == CFG.restarts and converged > 0
 
 
 # --- cross-cutting solver invariants ---------------------------------------
