@@ -18,17 +18,16 @@ from __future__ import annotations
 
 import logging
 import numbers
-import string
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
+    _check_vectors,
     _require_square,
     _require_symmetric,
     is_symmetric,
     mode_gradient,
-    sym_hessian,
 )
 from .errors import DegenerateTensorError, ShapeError
 from .norms import check_norm_param, phi
@@ -48,13 +47,15 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# einsum labels for the tensor's modes; "Z" labels the batch of search points.
-_LETTERS = string.ascii_letters[:-1]
+# Highest supported tensor order.  The solver's kernel needs no einsum
+# labels, but the oracles spend one per mode and stop at 51, and the
+# solvers accept the same tensors as the oracles that check them.
+_MAX_ORDER = 51
 
 
 def _check_order(k):
-    if k > len(_LETTERS):
-        raise ShapeError(f"tensor order {k} exceeds the supported maximum {len(_LETTERS)}")
+    if k > _MAX_ORDER:
+        raise ShapeError(f"tensor order {k} exceeds the supported maximum {_MAX_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -149,41 +150,45 @@ class SingularTuple:
 # ---------------------------------------------------------------------------
 
 
+def _batch_contract(data, vs, keep):
+    """Contract data with vs[m] in every mode m not in ``keep``, one row per point.
+
+    Returns shape (rows,) + the dims of the kept modes, in ``keep`` order.
+    The modes are contracted one at a time, each by a two-operand einsum
+    over the leading axis (the kept modes are moved last), so the work is
+    about rows * size(data) multiply-adds instead of a joint pass over every
+    index with k products.  Each output row depends only on the same rows of
+    vs, bit for bit, whatever the number of rows: the line search and the
+    ascent's carried gradients rely on this.
+    """
+    dims = data.shape
+    rest = [m for m in range(data.ndim) if m not in keep]
+    D = np.transpose(data, rest + list(keep))
+    out = np.einsum("nX,Zn->ZX", D.reshape(dims[rest[0]], -1), vs[rest[0]])
+    for m in rest[1:]:
+        out = np.einsum("Znx,Zn->Zx", out.reshape(len(out), dims[m], out.shape[1] // dims[m]), vs[m])
+    return out.reshape((len(out),) + tuple(dims[m] for m in keep))
+
+
+def _dot_rows(A, B):
+    return np.einsum("Za,Za->Z", A, B)
+
+
 def _batch_eval(data, vs):
-    k = data.ndim
-    sub = _LETTERS[:k] + "," + ",".join("Z" + _LETTERS[i] for i in range(k)) + "->Z"
-    return np.einsum(sub, data, *vs)
+    """Form value per row, as <mode-0 gradient, vs[0]>."""
+    return _dot_rows(_batch_contract(data, vs, (0,)), vs[0])
 
 
 def _batch_mode_grad(data, vs, i0):
-    k = data.ndim
-    ops = [vs[r] for r in range(k) if r != i0]
-    sub = (
-        _LETTERS[:k]
-        + ","
-        + ",".join("Z" + _LETTERS[r] for r in range(k) if r != i0)
-        + "->Z"
-        + _LETTERS[i0]
-    )
-    return np.einsum(sub, data, *ops)
+    return _batch_contract(data, vs, (i0,))
 
 
 def _batch_pair_jac(data, vs, i0, r0):
     """d(mode-i0 gradient)/d(vector in slot r0), one matrix per row."""
-    k = data.ndim
-    rest = [m for m in range(k) if m not in (i0, r0)]
-    if not rest:
+    if data.ndim == 2:
         mat = data if i0 < r0 else data.T
         return np.broadcast_to(mat, (vs[0].shape[0],) + mat.shape)
-    sub = (
-        _LETTERS[:k]
-        + ","
-        + ",".join("Z" + _LETTERS[m] for m in rest)
-        + "->Z"
-        + _LETTERS[i0]
-        + _LETTERS[r0]
-    )
-    return np.einsum(sub, data, *[vs[m] for m in rest])
+    return _batch_contract(data, vs, (i0, r0))
 
 
 def _phi_rows(V, q):
@@ -374,37 +379,54 @@ def _accept_eigen(data, V, i0, p, gtol):
         nrm = _p_norm_rows(V, p)
         good = np.isfinite(nrm) & (nrm > 1e-300)
         V = V[good] / nrm[good, None]
-        lam = _batch_eval(data, [V] * k)
         G = _batch_mode_grad(data, [V] * k, i0)
+        lam = _dot_rows(G, V)  # f(v, ..., v) = <g_i, v> in every mode i
         resid = np.linalg.norm(G - lam[:, None] * _phi_rows(V, p - 1.0), axis=1)
     keep = np.isfinite(resid) & (resid <= gtol)
     return V[keep], lam[keep], resid[keep]
 
 
 def _ascend(data, V0, p, sign, config, symmetric):
-    """Projected gradient on the unit p-sphere, maximizing sign * f."""
+    """Projected gradient on the unit p-sphere, maximizing sign * f.
+
+    f at a point is <g_0, v>, from the mode-0 gradient the next step needs
+    anyway; an accepted trial point carries its gradient into the next
+    iteration.  So an iteration costs one contraction when symmetric and k
+    otherwise, and the kernel's row independence makes the carried
+    gradient bit-identical to a fresh one.
+    """
     k = data.ndim
+
+    def gradient_and_value(V):
+        if symmetric:
+            g0 = _batch_mode_grad(data, [V] * k, 0)
+            return k * g0, sign * _dot_rows(g0, V)
+        grads = [_batch_mode_grad(data, [V] * k, i) for i in range(k)]
+        return sum(grads), sign * _dot_rows(grads[0], V)
+
     V = V0.copy()
     step = np.full(V.shape[0], config.initial_step)
-    f = sign * _batch_eval(data, [V] * k)
-    for _ in range(min(60, config.max_iterations)):
-        if symmetric:
-            G = k * _batch_mode_grad(data, [V] * k, 0)
-        else:
-            G = sum(_batch_mode_grad(data, [V] * k, i) for i in range(k))
+    G, f = gradient_and_value(V)
+    for iterations in range(1, min(60, config.max_iterations) + 1):
         W = V + sign * step[:, None] * G
         nrm = _p_norm_rows(W, p)
         ok = np.isfinite(nrm) & (nrm > 1e-300)
         W[ok] /= nrm[ok, None]
         W[~ok] = V[~ok]
-        fW = sign * _batch_eval(data, [W] * k)
+        GW, fW = gradient_and_value(W)
         better = fW > f + 1e-15
         V[better] = W[better]
         f[better] = fW[better]
+        G[better] = GW[better]
         step[better] = np.minimum(step[better] * config.step_grow, 10.0)
         step[~better] *= config.step_shrink
         if np.all(step < 1e-12):
             break
+    log.debug(
+        "projected ascent: %d iterations, %d rows improved in the last, "
+        "%d of %d rows with step >= 1e-12",
+        iterations, np.count_nonzero(better), np.count_nonzero(step >= 1e-12), V.shape[0],
+    )
     return V
 
 
@@ -480,17 +502,47 @@ def dedupe(points, tol):
     return [points[i] for i in np.sort(order[_leaders(keys[order], tol)])]
 
 
+def _check_unit(vec, p):
+    nrm = float(np.sum(np.abs(vec) ** p) ** (1.0 / p))
+    if abs(nrm - 1.0) > 1e-8:
+        raise ValueError(f"v must be a unit vector in the p-norm, got ||v||_p = {nrm}")
+
+
 def residual_eigen(tensor, v, value, mode, p=2.0):
     """Stationarity defect ||mode_gradient - value * phi_{p-1}(v)||_2 at a unit v."""
     _require_square(tensor)
     p = check_norm_param(p)
     vec = np.asarray(v, dtype=float)
-    nrm = float(np.sum(np.abs(vec) ** p) ** (1.0 / p))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"v must be a unit vector in the p-norm, got ||v||_p = {nrm}")
+    _check_unit(vec, p)
     k = tensor.order
     grad = mode_gradient(tensor, [vec] * k, mode)
     return float(np.linalg.norm(grad - value * phi(vec, p - 1.0)))
+
+
+def _morse_rows(data, V, values, residual_tolerance):
+    """classify_index of the eigenpairs (V[i], values[i]), as two arrays.
+
+    Raises ValueError for the first row whose stationarity residual
+    exceeds residual_tolerance.
+    """
+    k = data.ndim
+    n = data.shape[0]
+    resid = np.linalg.norm(_batch_mode_grad(data, [V] * k, 0) - values[:, None] * V, axis=1)
+    over = np.flatnonzero(resid > residual_tolerance)
+    if over.size:
+        raise ValueError(
+            f"(v, value) is not stationary enough to classify: residual {resid[over[0]]:.3e} "
+            f"exceeds {residual_tolerance:.3e}"
+        )
+    H = k * (k - 1) * _batch_pair_jac(data, [V] * k, 0, 1)
+    H = (H + np.swapaxes(H, 1, 2)) / 2 - k * values[:, None, None] * np.eye(n)
+    _, _, vt = np.linalg.svd(V[:, None, :])
+    Bt = vt[:, 1:]  # rows: an orthonormal basis of the tangent space
+    HR = Bt @ H @ np.swapaxes(Bt, 1, 2)
+    HR = (HR + np.swapaxes(HR, 1, 2)) / 2
+    eig = np.linalg.eigvalsh(HR)
+    eps = 1e-8 * np.maximum(1.0, np.max(np.abs(eig), axis=1))[:, None]
+    return np.sum(eig < -eps, axis=1), np.all(np.abs(eig) > eps, axis=1)
 
 
 def classify_index(tensor, v, value, residual_tolerance=1e-8):
@@ -506,23 +558,12 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
     n = tensor.shape[0]
     if n < 2:
         raise ShapeError("index classification needs dimension >= 2")
-    vec = np.asarray(v, dtype=float)
-    r = residual_eigen(tensor, vec, value, 1, 2.0)
-    if r > residual_tolerance:
-        raise ValueError(
-            f"(v, value) is not stationary enough to classify: residual {r:.3e} "
-            f"exceeds {residual_tolerance:.3e}"
-        )
-    H = sym_hessian(tensor, vec) - tensor.order * value * np.eye(n)
-    _, _, vt = np.linalg.svd(vec[None, :])
-    B = vt[1:].T
-    HR = B.T @ H @ B
-    HR = (HR + HR.T) / 2
-    eig = np.linalg.eigvalsh(HR)
-    eps = 1e-8 * max(1.0, float(np.max(np.abs(eig))))
-    index = int(np.sum(eig < -eps))
-    nondegenerate = bool(np.all(np.abs(eig) > eps))
-    return index, nondegenerate
+    vec = _check_vectors(tensor, [v] * tensor.order)[0]
+    _check_unit(vec, 2.0)
+    index, nondegenerate = _morse_rows(
+        tensor.data, vec[None, :], np.array([float(value)]), residual_tolerance
+    )
+    return int(index[0]), bool(nondegenerate[0])
 
 
 def _sorted_pairs(pairs):
@@ -574,23 +615,21 @@ def _eigen_run(tensor, mode, config):
         f"{len(pairs)} stationary points survive deduplication, more than any "
         f"tensor with isolated critical points can have; the critical set looks like a continuum",
     )
-    if mode == 0 and p == 2.0:
-        classified = []
-        degenerate = 0
-        for pt in pairs:
-            idx, nondeg = classify_index(
-                tensor, pt.vector, pt.value,
-                residual_tolerance=max(1e-8, 10 * config.gradient_tolerance),
-            )
-            if not nondeg:
-                degenerate += 1
-            classified.append(replace(pt, index=idx, nondegenerate=nondeg))
-        if classified and 2 * degenerate > len(classified):
+    if mode == 0 and p == 2.0 and pairs:
+        index, nondeg = _morse_rows(
+            tensor.data, _keys(pairs), np.array([pt.value for pt in pairs]),
+            max(1e-8, 10 * config.gradient_tolerance),
+        )
+        degenerate = int(np.count_nonzero(~nondeg))
+        if 2 * degenerate > len(pairs):
             raise DegenerateTensorError(
-                f"{degenerate} of {len(classified)} stationary points are "
+                f"{degenerate} of {len(pairs)} stationary points are "
                 f"degenerate critical points; the tensor is degenerate"
             )
-        pairs = classified
+        pairs = [
+            replace(pt, index=int(i), nondegenerate=bool(d))
+            for pt, i, d in zip(pairs, index, nondeg)
+        ]
     if not pairs:
         log.info(
             "no stationary points found at this effort (restarts=%d); "
@@ -732,12 +771,14 @@ def _accept_singular(data, Ws, p, gtol, scale):
         for nrm in nrms:
             good &= np.isfinite(nrm) & (nrm > 1e-300)
         Ws = [W[good] / nrm[good, None] for W, nrm in zip(Ws, nrms)]
-        raw = _batch_eval(data, Ws)
-        # canonical sign: flip the first vector wherever the value is negative
+        g0 = _batch_mode_grad(data, Ws, 0)  # does not involve Ws[0]
+        raw = _dot_rows(g0, Ws[0])
+        # canonical sign: flip the first vector wherever the value is negative;
+        # that negates the value exactly
         flip = raw < 0
         Ws[0] = np.where(flip[:, None], -Ws[0], Ws[0])
-        sigma = _batch_eval(data, Ws)
-        grads = [_batch_mode_grad(data, Ws, i) for i in range(k)]
+        sigma = np.where(flip, -raw, raw)
+        grads = [g0] + [_batch_mode_grad(data, Ws, i) for i in range(1, k)]
         phis = [_phi_rows(W, p - 1.0) for W in Ws]
         resid = np.stack(
             [np.linalg.norm(g - sigma[:, None] * f, axis=1) for g, f in zip(grads, phis)],

@@ -19,10 +19,12 @@ from tensorcrit import (
     generalized_eigenpairs,
     jacobi_eigen,
     mode_eigenpairs,
+    mode_gradient,
     random_tensor,
     residual_eigen,
     singular_tuples,
     svd_small,
+    sym_hessian,
     symmetric_eigenpairs,
     symmetrize,
 )
@@ -318,6 +320,57 @@ def test_classify_rejects_nonstationary(cubic):
     v = np.array([0.6, 0.8])
     with pytest.raises(ValueError):
         classify_index(cubic, v, evaluate(cubic, [v] * 3))
+
+
+def _ref_classify(tensor, v, value):
+    """The per-pair classification the batched helper replaced, on core's primitives."""
+    k = tensor.order
+    n = tensor.shape[0]
+    H = sym_hessian(tensor, v) - k * value * np.eye(n)
+    B = tangent_basis(v).T
+    HR = B.T @ H @ B
+    eig = np.linalg.eigvalsh((HR + HR.T) / 2)
+    eps = 1e-8 * max(1.0, float(np.max(np.abs(eig))))
+    return int(np.sum(eig < -eps)), bool(np.all(np.abs(eig) > eps))
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4), (5, 5, 5), (6, 6, 6), (4, 4, 4, 4)])
+def test_batched_classification_matches_per_pair_reference(shape, monkeypatch):
+    def per_pair_call(*args, **kwargs):
+        raise AssertionError("the solver classifies all pairs in one batch")
+
+    monkeypatch.setattr(solver, "classify_index", per_pair_call)
+    for seed in range(2):
+        T = random_tensor(shape, 60 + seed, symmetric=True)
+        pairs = symmetric_eigenpairs(T, SolverConfig(restarts=60, seed=seed))
+        assert pairs
+        V = np.array([pt.vector for pt in pairs])
+        lam = np.array([pt.value for pt in pairs])
+        index, nondeg = solver._morse_rows(T.data, V, lam, 1e-8)
+        for pt, i, d in zip(pairs, index, nondeg):
+            assert (pt.index, pt.nondegenerate) == (i, d) == _ref_classify(T, pt.vector, pt.value)
+
+
+def test_batched_classification_of_degenerate_points():
+    T = DenseTensor(np.eye(3))
+    V = np.random.default_rng(4).standard_normal((9, 3))
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    index, nondeg = solver._morse_rows(T.data, V, np.ones(9), 1e-8)
+    assert [(int(i), bool(d)) for i, d in zip(index, nondeg)] == [_ref_classify(T, v, 1.0) for v in V]
+    assert not nondeg.any()
+
+
+def test_batched_classification_rejects_nonstationary_row(cubic):
+    good = np.array([[1.0, 0.0], [0.0, 1.0]])
+    bad = np.array([0.6, 0.8])
+    V = np.array([good[0], bad, good[1]])
+    lam = np.array([1.0, evaluate(cubic, [bad] * 3), 1.0])
+    with pytest.raises(ValueError) as batched:
+        solver._morse_rows(cubic.data, V, lam, 1e-8)
+    with pytest.raises(ValueError) as single:
+        classify_index(cubic, bad, lam[1])
+    assert str(batched.value) == str(single.value)
+    assert str(single.value).startswith("(v, value) is not stationary enough to classify: residual ")
 
 
 # --- dedupe ---------------------------------------------------------------
@@ -650,6 +703,153 @@ def test_newton_effort_is_logged_at_debug(caplog):
         assert calls - 1 <= trials
         assert converged + stalled <= rows
     assert rows == CFG.restarts and converged > 0
+
+
+# --- batch kernels ---------------------------------------------------------
+
+KERNEL_SHAPES = [(3, 4), (5, 5), (3, 3, 3), (4, 5, 6), (4, 4, 4, 4), (2, 3, 4, 3), (3, 2, 3, 2, 2)]
+
+
+def _kernel_outputs(data, vs):
+    """Every batch primitive, under every choice of kept modes."""
+    k = data.ndim
+    out = {"eval": solver._batch_eval(data, vs)}
+    for i in range(k):
+        out[("grad", i)] = solver._batch_mode_grad(data, vs, i)
+        for r in range(k):
+            if r != i:
+                out[("pair", i, r)] = solver._batch_pair_jac(data, vs, i, r)
+    return out
+
+
+def _split_rows(z, shape):
+    """Rows as the solver holds them: column blocks of one search-state matrix."""
+    off = np.concatenate([[0], np.cumsum(shape)])
+    return [z[:, off[i] : off[i + 1]] for i in range(len(shape))]
+
+
+def _row_blocks(shape, rows, seed):
+    z = np.random.default_rng(seed).standard_normal((rows, sum(shape) + len(shape)))
+    return z, _split_rows(z, shape)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_batch_kernels_are_row_independent(shape):
+    data = random_tensor(shape, len(shape)).data
+    z, vs = _row_blocks(shape, 1600, seed=sum(shape))
+    full = _kernel_outputs(data, vs)
+    rng = np.random.default_rng(9)
+    for size in (1, 2, 3, 5, 8, 17, 64, 333, 1600):
+        idx = rng.choice(1600, size, replace=False)  # shuffled order
+        contiguous = [np.ascontiguousarray(v[idx]) for v in vs]
+        for rows in (contiguous, _split_rows(z[idx], shape)):
+            got = _kernel_outputs(data, rows)
+            for key, value in full.items():
+                assert got[key].tobytes() == np.ascontiguousarray(value[idx]).tobytes(), (key, size)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_batch_kernels_match_core_contractions(shape):
+    T = random_tensor(shape, 3)
+    k = len(shape)
+    _, vs = _row_blocks(shape, 6, seed=5)
+    out = _kernel_outputs(T.data, vs)
+    scale = float(np.max(np.abs(T.data)))
+    for z in range(6):
+        row = [v[z] for v in vs]
+        assert out["eval"][z] == pytest.approx(evaluate(T, row), rel=1e-12, abs=1e-12 * scale)
+        for i in range(k):
+            np.testing.assert_allclose(
+                out[("grad", i)][z], mode_gradient(T, row, i + 1), rtol=1e-12, atol=1e-12 * scale
+            )
+    if len(set(shape)) == 1:
+        S = random_tensor(shape, 4, symmetric=True)
+        V = vs[0]
+        H = k * (k - 1) * solver._batch_pair_jac(S.data, [V] * k, 0, 1)
+        for z in range(6):
+            np.testing.assert_allclose(
+                (H[z] + H[z].T) / 2, sym_hessian(S, V[z]), rtol=1e-12, atol=1e-12 * scale * k * k
+            )
+
+
+def test_matrix_pair_jacobian_is_a_broadcast_view():
+    M = random_tensor((3, 4), 8).data
+    _, vs = _row_blocks((3, 4), 5, seed=1)
+    J = solver._batch_pair_jac(M, vs, 0, 1)
+    Jt = solver._batch_pair_jac(M, vs, 1, 0)
+    assert J.shape == (5, 3, 4) and Jt.shape == (5, 4, 3)
+    assert np.shares_memory(J, M) and np.shares_memory(Jt, M)
+    assert all(np.array_equal(J[z], M) and np.array_equal(Jt[z], M.T) for z in range(5))
+
+
+def _ref_ascend(data, V0, p, sign, config, symmetric):
+    """The ascent before it carried gradients: a fresh gradient and value every iteration."""
+    k = data.ndim
+    V = V0.copy()
+    step = np.full(V.shape[0], config.initial_step)
+    f = sign * solver._batch_eval(data, [V] * k)
+    for _ in range(min(60, config.max_iterations)):
+        if symmetric:
+            G = k * solver._batch_mode_grad(data, [V] * k, 0)
+        else:
+            G = sum(solver._batch_mode_grad(data, [V] * k, i) for i in range(k))
+        W = V + sign * step[:, None] * G
+        nrm = solver._p_norm_rows(W, p)
+        ok = np.isfinite(nrm) & (nrm > 1e-300)
+        W[ok] /= nrm[ok, None]
+        W[~ok] = V[~ok]
+        fW = sign * solver._batch_eval(data, [W] * k)
+        better = fW > f + 1e-15
+        V[better] = W[better]
+        f[better] = fW[better]
+        step[better] = np.minimum(step[better] * config.step_grow, 10.0)
+        step[~better] *= config.step_shrink
+        if np.all(step < 1e-12):
+            break
+    return V
+
+
+def _ascent_runs(monkeypatch, caplog, data, p, symmetric):
+    """(start, sign, result, contractions, iterations) of one ascent per sign."""
+    calls = []
+    contract = solver._batch_contract
+    monkeypatch.setattr(solver, "_batch_contract", lambda *a: calls.append(1) or contract(*a))
+    (V0,) = solver._random_starts(3, 50, data.shape[:1], p)
+    out = []
+    for sign in (1.0, -1.0):
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+            V = solver._ascend(data, V0, p, sign, CFG, symmetric)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("projected ascent")]
+        iters, improved, moving, rows = map(int, re.findall(r"\d+", line)[:4])
+        assert improved <= rows and moving <= rows and rows == 50
+        out.append((V0, sign, V, len(calls), iters))
+    return out
+
+
+@pytest.mark.parametrize("shape, p", [((3, 3, 3), 2.0), ((4, 4, 4, 4), 2.0), ((5, 5, 5), 3.0)])
+def test_ascent_makes_one_contraction_per_iteration(shape, p, monkeypatch, caplog):
+    k = len(shape)
+    S = random_tensor(shape, 6, symmetric=True).data
+    for V0, sign, V, contractions, iters in _ascent_runs(monkeypatch, caplog, S, p, True):
+        assert 1 <= iters <= 60 and contractions <= iters + 1
+        assert V.tobytes() == _ref_ascend(S, V0, p, sign, CFG, True).tobytes()
+    T = random_tensor(shape, 6).data
+    for V0, sign, V, contractions, iters in _ascent_runs(monkeypatch, caplog, T, p, False):
+        assert contractions <= k * (iters + 1)
+        assert V.tobytes() == _ref_ascend(T, V0, p, sign, CFG, False).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 5, 6), (3, 3, 3), (2, 3, 4, 3), (3, 4), (5, 6)])
+def test_singular_sign_flip_negates_the_value_exactly(shape):
+    data = random_tensor(shape, 7).data
+    Ws = solver._random_starts(3, 200, shape, 2.0)
+    raw = solver._batch_eval(data, Ws)
+    flip = raw < 0
+    assert flip.any() and not flip.all()
+    Ws[0] = np.where(flip[:, None], -Ws[0], Ws[0])
+    assert np.where(flip, -raw, raw).tobytes() == solver._batch_eval(data, Ws).tobytes()
 
 
 # --- cross-cutting solver invariants ---------------------------------------
