@@ -10,5 +10,10 @@ class AsymmetricTensorError(ValueError):
 
 
 class DegenerateTensorError(RuntimeError):
-    """The stationary-point set appears to be a continuum (or otherwise
-    degenerate), so a finite list of isolated points cannot be reported."""
+    """The critical set is positive-dimensional; no finite list describes it.
+
+    The message names the rule that fired: ``count cap`` (p = 2 eigenpairs
+    beyond the Cartwright-Sturmfels count) or ``continuum witness`` (a step
+    along a Jacobian null vector reaches another point of the same value).
+    Isolated degenerate points do not raise; the solvers return them.
+    """

@@ -249,8 +249,11 @@ def _leaders(X, tol):
 # ---------------------------------------------------------------------------
 
 
-def _damped_newton(z0, state_fn, jac_fn, config, iters, target):
+def _damped_newton(z0, state_fn, jac_fn, config, iters=60, target=None):
     """Damped Newton on the square systems F(z) = 0, one per row of z0.
+
+    At most min(iters, max_iterations) iterations; a row is done when its
+    residual norm is at most target (default 0.05 * gradient_tolerance).
 
     Each row takes the longest step alpha * dz, alpha in 2^0, 2^-1, ...,
     2^-(max_backtracks-1), that passes the Armijo test; a row with no such
@@ -261,11 +264,13 @@ def _damped_newton(z0, state_fn, jac_fn, config, iters, target):
     two and state_fn works row by row, so the outcome is bit-identical to
     trying the halvings one at a time.
     """
+    if target is None:
+        target = 0.05 * config.gradient_tolerance
     z = z0.copy()
     F, Fn = state_fn(z)
     calls, trial_rows, newton_iters = 1, 0, 0
     stalled = ~np.isfinite(Fn)
-    for _ in range(iters):
+    for _ in range(min(iters, config.max_iterations)):
         active = np.flatnonzero((Fn > target) & ~stalled)
         if active.size == 0:
             break
@@ -354,7 +359,7 @@ def _eigen_jac_fn(data, i0, p, symmetric):
 
 def _polish_eigen(data, V0, i0, p, config, symmetric):
     if V0.shape[0] == 0:
-        return V0, np.empty(0)
+        return V0
     k = data.ndim
     lam0 = _batch_eval(data, [V0] * k)
     z0 = np.concatenate([V0, lam0[:, None]], axis=1)
@@ -363,11 +368,8 @@ def _polish_eigen(data, V0, i0, p, config, symmetric):
         _eigen_state_fn(data, i0, p),
         _eigen_jac_fn(data, i0, p, symmetric),
         config,
-        iters=min(60, config.max_iterations),
-        target=0.05 * config.gradient_tolerance,
     )
-    n = data.shape[0]
-    return z[:, :n], z[:, n]
+    return z[:, : data.shape[0]]
 
 
 def _accept_eigen(data, V, i0, p, gtol):
@@ -439,9 +441,9 @@ def _stationary_candidates(tensor, i0, p, config, symmetric):
     for sign in (1.0, -1.0):
         ends = _ascend(data, V0, p, sign, config, symmetric)
         reps = ends[_leaders(ends, 1e-3)]
-        Vp, _ = _polish_eigen(data, reps, i0, p, config, symmetric)
+        Vp = _polish_eigen(data, reps, i0, p, config, symmetric)
         chunks.append(_accept_eigen(data, Vp, i0, p, config.gradient_tolerance))
-    Vd, _ = _polish_eigen(data, V0, i0, p, config, symmetric)
+    Vd = _polish_eigen(data, V0, i0, p, config, symmetric)
     chunks.append(_accept_eigen(data, Vd, i0, p, config.gradient_tolerance))
     V = np.concatenate([c[0] for c in chunks])
     # antipodal completion: -v is stationary with multiplier (-1)^k lam
@@ -449,41 +451,40 @@ def _stationary_candidates(tensor, i0, p, config, symmetric):
     return _accept_eigen(data, V, i0, p, config.gradient_tolerance)
 
 
-def _max_isolated_points(n, k):
-    """Twice the generic count of isolated eigenpairs (antipodes included)."""
-    pairs = n if k == 2 else ((k - 1) ** n - 1) // (k - 2)
-    return 2 * pairs
+def _check_continuum(z, state_fn, jac_fn, merge_tol, config, noun):
+    """Raise DegenerateTensorError if the rows of z lie on a positive-dimensional set.
 
-
-def _keys(points):
-    """One row per point: its vectors concatenated."""
-    return np.array(
-        [np.concatenate((pt.vector,) if isinstance(pt, EigenPair) else pt.vectors) for pt in points]
-    )
-
-
-def _check_isolated(points, limit, cap, too_many):
-    """Raise DegenerateTensorError unless the deduplicated points look isolated.
-
-    More than ``cap`` points (None: no cap) raise with the message
-    ``too_many``.  More than ``limit`` points that each have another point
-    within 1e-2 look like samples of a continuum.
+    Local dimension test (Bates, Hauenstein, Peterson & Sommese, SINUM 2009)
+    on rows z = (point, multipliers), critical value last.  A row whose bordered
+    Jacobian has sigma_min <= sqrt(gtol) * sigma_max is stepped h = max(1e-3,
+    10 * merge_tol) along its null vector and corrected by damped Newton; a
+    stationary result with the same value at a distance in (merge_tol, 2h]
+    witnesses a continuum.  Newton returns to isolated degenerate points.
     """
-    if cap is not None and len(points) > cap:
-        raise DegenerateTensorError(too_many)
-    if len(points) <= limit:
-        return
-    keys = _keys(points)
-    crowd = 0
-    for i in range(len(keys)):
-        d = np.linalg.norm(keys - keys[i], axis=1)
-        d[i] = np.inf
-        crowd += float(d.min()) <= 1e-2
-        if crowd > limit:
-            noun = "stationary points" if isinstance(points[0], EigenPair) else "singular tuples"
-            raise DegenerateTensorError(
-                f"deduplicated {noun} crowd each other; the critical set looks like a continuum"
-            )
+    gtol = config.gradient_tolerance
+    J = jac_fn(z)
+    with np.errstate(all="ignore"):
+        s = np.linalg.svd(J, compute_uv=False)
+        rel = s[:, -1] / s[:, 0]
+    flagged = np.flatnonzero(rel <= np.sqrt(gtol))
+    witness = []
+    if flagged.size:
+        h = max(1e-3, 10.0 * merge_tol)
+        z0 = z[flagged]
+        z1 = _damped_newton(z0 + h * np.linalg.svd(J[flagged])[2][:, -1], state_fn, jac_fn, config)
+        dist = np.linalg.norm(z1 - z0, axis=1)
+        same = (state_fn(z1)[1] <= gtol) & (np.abs(z1[:, -1] - z0[:, -1]) <= gtol)
+        witness = np.flatnonzero(same & (dist > merge_tol) & (dist <= 2.0 * h))
+    log.debug(
+        "continuum check: %d points, %d flagged, %d witnesses, smallest relative sigma_min %.3g",
+        len(z), flagged.size, len(witness), np.min(rel, initial=np.inf),
+    )
+    if len(witness):
+        value, d = z0[witness[0], -1], dist[witness[0]]
+        raise DegenerateTensorError(
+            f"continuum witness: the {noun} with critical value {value:.6g} continues to another "
+            f"at distance {d:.3g} with the same value; the critical set is positive-dimensional"
+        )
 
 
 def dedupe(points, tol):
@@ -495,7 +496,9 @@ def dedupe(points, tol):
     """
     if not points:
         return []
-    keys = _keys(points)
+    keys = np.array(
+        [np.concatenate((pt.vector,) if isinstance(pt, EigenPair) else pt.vectors) for pt in points]
+    )
     order = np.array(
         sorted(range(len(points)), key=lambda i: (points[i].residual, tuple(keys[i].tolist())))
     )
@@ -508,14 +511,27 @@ def _check_unit(vec, p):
         raise ValueError(f"v must be a unit vector in the p-norm, got ||v||_p = {nrm}")
 
 
-def residual_eigen(tensor, v, value, mode, p=2.0):
-    """Stationarity defect ||mode_gradient - value * phi_{p-1}(v)||_2 at a unit v."""
+def _check_eigen_args(tensor, mode):
+    """A square tensor and a mode in 0..k; mode 0 (symmetric) needs a symmetric tensor."""
     _require_square(tensor)
+    k = tensor.order
+    if not 0 <= mode <= k:
+        raise ValueError(f"mode must be in 0..{k} (0: symmetric), got {mode}")
+    if mode == 0:
+        _require_symmetric(tensor)
+
+
+def residual_eigen(tensor, v, value, mode, p=2.0):
+    """Stationarity defect ||mode_gradient - value * phi_{p-1}(v)||_2 at a unit v.
+
+    Mode 0 is the symmetric problem (gradient in mode 1, symmetric tensor).
+    """
+    _check_eigen_args(tensor, mode)
     p = check_norm_param(p)
     vec = np.asarray(v, dtype=float)
     _check_unit(vec, p)
     k = tensor.order
-    grad = mode_gradient(tensor, [vec] * k, mode)
+    grad = mode_gradient(tensor, [vec] * k, max(mode, 1))
     return float(np.linalg.norm(grad - value * phi(vec, p - 1.0)))
 
 
@@ -566,10 +582,6 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
     return int(index[0]), bool(nondegenerate[0])
 
 
-def _sorted_pairs(pairs):
-    return sorted(pairs, key=lambda pt: (-pt.value, tuple(pt.vector.tolist())))
-
-
 def _eigen_run(tensor, mode, config):
     """Eigenpairs in ``mode`` under config.p; mode 0 is the symmetric problem.
 
@@ -577,11 +589,7 @@ def _eigen_run(tensor, mode, config):
     1..k use the symmetric Jacobian iff the tensor is symmetric.
     """
     k = tensor.order
-    _require_square(tensor)
-    if not 0 <= mode <= k:
-        raise ValueError(f"mode must be in 0..{k} (0: symmetric), got {mode}")
-    if mode == 0:
-        _require_symmetric(tensor)
+    _check_eigen_args(tensor, mode)
     symmetric = mode == 0 or is_symmetric(tensor)
     n = tensor.shape[0]
     if k < 2:
@@ -590,7 +598,8 @@ def _eigen_run(tensor, mode, config):
         raise ShapeError("eigenpair solvers need dimension >= 2")
     _check_order(k)
     p = check_norm_param(config.p)
-    V, lam, resid = _stationary_candidates(tensor, max(mode - 1, 0), p, config, symmetric)
+    i0 = max(mode - 1, 0)
+    V, lam, resid = _stationary_candidates(tensor, i0, p, config, symmetric)
     flag_zero = p != 2.0
     pairs = [
         EigenPair(
@@ -610,42 +619,40 @@ def _eigen_run(tensor, mode, config):
     if p != 2.0:
         merge_tol = max(merge_tol, 10.0 * config.gradient_tolerance ** (1.0 / (k - 1)))
     pairs = dedupe(pairs, merge_tol)
-    _check_isolated(
-        pairs, 3 * n, _max_isolated_points(n, k) if p == 2.0 else None,
-        f"{len(pairs)} stationary points survive deduplication, more than any "
-        f"tensor with isolated critical points can have; the critical set looks like a continuum",
-    )
-    if mode == 0 and p == 2.0 and pairs:
-        index, nondeg = _morse_rows(
-            tensor.data, _keys(pairs), np.array([pt.value for pt in pairs]),
-            max(1e-8, 10 * config.gradient_tolerance),
+    cap = 2 * (n if k == 2 else ((k - 1) ** n - 1) // (k - 2))  # antipodes included
+    if p == 2.0 and len(pairs) > cap:
+        raise DegenerateTensorError(
+            f"count cap: {len(pairs)} stationary points survive deduplication, more than the "
+            f"{cap} of the Cartwright-Sturmfels count (antipodes included); the set is not finite"
         )
-        degenerate = int(np.count_nonzero(~nondeg))
-        if 2 * degenerate > len(pairs):
-            raise DegenerateTensorError(
-                f"{degenerate} of {len(pairs)} stationary points are "
-                f"degenerate critical points; the tensor is degenerate"
-            )
-        pairs = [
-            replace(pt, index=int(i), nondegenerate=bool(d))
-            for pt, i, d in zip(pairs, index, nondeg)
-        ]
     if not pairs:
         log.info(
             "no stationary points found at this effort (restarts=%d); "
             "the spectrum may be empty over the reals",
             config.restarts,
         )
-    return _sorted_pairs(pairs)
+        return []
+    z = np.array([np.append(pt.vector, pt.value) for pt in pairs])
+    state, jac = _eigen_state_fn(tensor.data, i0, p), _eigen_jac_fn(tensor.data, i0, p, symmetric)
+    _check_continuum(z, state, jac, merge_tol, config, "stationary point")
+    if mode == 0 and p == 2.0:
+        tol = max(1e-8, 10 * config.gradient_tolerance)
+        index, nondeg = _morse_rows(tensor.data, z[:, :n], z[:, n], tol)
+        pairs = [
+            replace(pt, index=int(i), nondegenerate=bool(d))
+            for pt, i, d in zip(pairs, index, nondeg)
+        ]
+    return sorted(pairs, key=lambda pt: (-pt.value, tuple(pt.vector.tolist())))
 
 
 def symmetric_eigenpairs(tensor, config=None):
     """All eigenpairs of a symmetric tensor found by the multi-start search.
 
     Pairs are sorted by descending value; v and -v count separately.  Each
-    pair carries its Morse index and nondegeneracy flag.  Raises
-    DegenerateTensorError when the critical set is not a finite set of
-    nondegenerate points (e.g. the identity matrix).
+    pair carries its Morse index and nondegeneracy flag.  A positive-
+    dimensional critical set (e.g. the identity matrix) raises
+    DegenerateTensorError at any effort; isolated degenerate points are
+    returned, nondegenerate=False where the Morse test resolves them.
     """
     config = config or SolverConfig()
     if config.p != 2.0:
@@ -812,7 +819,10 @@ def singular_tuples(tensor, config=None):
     Alternating maximization seeds the large-sigma tuples; damped Newton
     from the raw random starts reaches the saddle tuples.  Every accepted
     tuple satisfies all k mode equations with the common multiplier
-    sigma = f(v_1, ..., v_k) within the gradient tolerance.
+    sigma = f(v_1, ..., v_k) within the gradient tolerance.  A positive-
+    dimensional critical set (e.g. np.ones((2, 3))) raises
+    DegenerateTensorError at any effort; isolated sigma = 0 tuples are
+    returned with degenerate=True.
     """
     config = config or SolverConfig()
     k = tensor.order
@@ -822,7 +832,7 @@ def singular_tuples(tensor, config=None):
     p = check_norm_param(config.p)
     data = tensor.data
     dims = tensor.shape
-    off, total = _singular_layout(dims)
+    off, _ = _singular_layout(dims)
     scale = float(np.linalg.norm(data.reshape(-1)))
     Ws0 = _random_starts(config.seed, config.restarts, dims, p)
     state = _singular_state_fn(data, p)
@@ -833,11 +843,7 @@ def singular_tuples(tensor, config=None):
             return []
         s0 = np.repeat(_batch_eval(data, Ws)[:, None], k, axis=1)
         z0 = np.concatenate(list(Ws) + [s0], axis=1)
-        z = _damped_newton(
-            z0, state, jacf, config,
-            iters=min(60, config.max_iterations),
-            target=0.05 * config.gradient_tolerance,
-        )
+        z = _damped_newton(z0, state, jacf, config)
         return _accept_singular(
             data, _split(z, dims, off), p, config.gradient_tolerance, scale
         )
@@ -847,16 +853,9 @@ def singular_tuples(tensor, config=None):
     reps = cat[_leaders(cat, 1e-3)]
     found = polish(_split(reps, dims, off)) + polish(Ws0)
     found = dedupe(found, config.dedupe_tolerance)
-    _check_isolated(
-        found, 3 * total, 3 * total if all(t.degenerate for t in found) else None,
-        "every surviving tuple has a vanishing singular value and the set is "
-        "large; the tensor looks identically degenerate",
-    )
     if not found:
-        log.info(
-            "no singular tuples found at this effort (restarts=%d)", config.restarts
-        )
-    return sorted(
-        found,
-        key=lambda t: (-t.sigma, tuple(np.concatenate(t.vectors).tolist())),
-    )
+        log.info("no singular tuples found at this effort (restarts=%d)", config.restarts)
+        return []
+    z = np.array([np.append(np.concatenate(t.vectors), [t.sigma] * k) for t in found])
+    _check_continuum(z, state, jacf, config.dedupe_tolerance, config, "singular tuple")
+    return sorted(found, key=lambda t: (-t.sigma, tuple(np.concatenate(t.vectors).tolist())))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,25 @@ def test_eig_identity_degenerate(tmp_path, capsys):
     code, _, err = run(capsys, ["eig", t, "--symmetric", "--restarts", "30"])
     assert code == 4
     assert "degenerate" in err
+
+
+def test_degenerate_diagnostic_names_the_rule(tmp_path, capsys):
+    eye = write(tmp_path, "eye.json", np.eye(2))
+    code, out, err = run(capsys, ["eig", eye, "--symmetric", "--restarts", "30"])
+    assert (code, out) == (4, "")
+    assert err.startswith(
+        "degenerate: count cap: 60 stationary points survive deduplication, more than the 4 "
+    )
+    cubic = np.zeros((2, 2, 2))
+    cubic[0, 0, 0] = cubic[1, 1, 1] = 1.0
+    t = write(tmp_path, "cubic.json", cubic)
+    code, out, err = run(capsys, ["eig", t, "--mode", "1", "--p", "3", "--restarts", "30"])
+    assert (code, out) == (4, "")
+    assert re.match(
+        r"degenerate: continuum witness: the stationary point with critical value \S+ "
+        r"continues to another at distance 0\.001 ",
+        err,
+    )
 
 
 def test_eig_matrix_values(tmp_path, capsys):
@@ -235,14 +255,15 @@ def test_svd_rank_one_flags_zero_sigma(tmp_path, capsys):
 
 
 def test_svd_order_three_all_ones(tmp_path, capsys):
+    # besides the top tuple (sigma = 2^1.5) the rank-one tensor has a circle of
+    # sigma = 0 tuples (u, v orthogonal to (1, 1), any w): degenerate at any effort
     t = write(tmp_path, "ones3.json", np.ones((2, 2, 2)))
-    code, out, _ = run(capsys, ["svd", t, "--restarts", "24"])
-    assert code == 0
-    doc = json.loads(out)
-    top = doc["tuples"][0]
-    assert top["sigma"] == pytest.approx(2 ** 1.5, abs=1e-9)
-    for v in top["vectors"]:
-        np.testing.assert_allclose(np.abs(v), [2 ** -0.5] * 2, atol=1e-9)
+    code, out, err = run(capsys, ["svd", t, "--restarts", "24"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith(
+        "degenerate: continuum witness: the singular tuple with critical value 0 "
+    )
 
 
 # --- check ------------------------------------------------------------------

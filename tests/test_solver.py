@@ -29,7 +29,7 @@ from tensorcrit import (
     symmetrize,
 )
 from tensorcrit import solver
-from tensorcrit.solver import _check_isolated, _leaders
+from tensorcrit.solver import _leaders
 from conftest import geodesic_second_derivative, match_pair, tangent_basis
 
 CFG = SolverConfig(restarts=40, seed=0)
@@ -110,6 +110,27 @@ def test_residual_requires_unit_vector():
     T = DenseTensor(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
         residual_eigen(T, [2.0, 0.0], 1.0, 1)
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_residual_accepts_mode_zero_pairs(p):
+    # mode 0 is the symmetric problem, as in generalized_eigenpairs
+    T = random_tensor((3, 3, 3), 8, symmetric=True)
+    pairs = generalized_eigenpairs(T, 0, SolverConfig(restarts=40, seed=1, p=p))
+    assert pairs and all(pt.mode == 0 for pt in pairs)
+    for pt in pairs:
+        r = residual_eigen(T, pt.vector, pt.value, pt.mode, p)
+        assert r <= SolverConfig().gradient_tolerance
+        assert r == residual_eigen(T, pt.vector, pt.value, 1, p)
+
+
+def test_residual_mode_range_and_symmetry():
+    T = DenseTensor([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(AsymmetricTensorError):
+        residual_eigen(T, [1.0, 0.0], 0.0, 0)
+    for mode in (-1, 3):
+        with pytest.raises(ValueError, match=r"mode must be in 0\.\.2"):
+            residual_eigen(T, [1.0, 0.0], 0.0, mode)
 
 
 # --- symmetric eigenpairs -------------------------------------------------
@@ -286,6 +307,141 @@ def test_generalized_cubic_p3_mixed_point_is_stationary(cubic):
         generalized_eigenpairs(cubic, 1, SolverConfig(restarts=40, seed=2, p=3.0))
 
 
+# --- degeneracy verdicts ---------------------------------------------------
+# A positive-dimensional critical set raises at every effort; isolated
+# degenerate points are returned.
+
+
+def _diag(values, k):
+    n = len(values)
+    data = np.zeros((n,) * k)
+    data[(np.arange(n),) * k] = values
+    return DenseTensor(data)
+
+
+def _eye_x_eye():
+    eye = np.eye(3)
+    return symmetrize(DenseTensor(np.einsum("ij,kl->ijkl", eye, eye)))
+
+
+CONTINUA = {
+    "svd-ones-2x3": lambda cfg: singular_tuples(DenseTensor(np.ones((2, 3))), cfg),
+    "svd-ones-2x2x2": lambda cfg: singular_tuples(DenseTensor(np.ones((2, 2, 2))), cfg),
+    "eye-3": lambda cfg: symmetric_eigenpairs(DenseTensor(np.eye(3)), cfg),
+    "zeros-3x3x3": lambda cfg: symmetric_eigenpairs(DenseTensor(np.zeros((3, 3, 3))), cfg),
+    "sym-eye-x-eye": lambda cfg: symmetric_eigenpairs(_eye_x_eye(), cfg),
+    "diag-111-p4": lambda cfg: generalized_eigenpairs(
+        _diag([1.0] * 3, 4), 1, replace(cfg, p=4.0)
+    ),
+}
+EFFORTS = [24, 100, 200, 800]
+
+
+def _continuum_lines(caplog):
+    return [
+        r.getMessage() for r in caplog.records if r.getMessage().startswith("continuum check")
+    ]
+
+
+def _counts(line):
+    return [int(x) for x in re.findall(r"(\d+) (?:points|flagged|witnesses)", line)]
+
+
+@pytest.mark.parametrize("restarts", EFFORTS)
+@pytest.mark.parametrize("case", sorted(CONTINUA))
+def test_continuum_raises_at_every_effort(case, restarts):
+    with pytest.raises(DegenerateTensorError):
+        CONTINUA[case](SolverConfig(restarts=restarts))
+
+
+def test_count_cap_names_the_cartwright_sturmfels_count():
+    with pytest.raises(DegenerateTensorError) as err:
+        symmetric_eigenpairs(DenseTensor(np.eye(3)), SolverConfig(restarts=24))
+    assert re.fullmatch(
+        r"count cap: 48 stationary points survive deduplication, more than the 6 of the "
+        r"Cartwright-Sturmfels count \(antipodes included\); the set is not finite",
+        str(err.value),
+    )
+
+
+@pytest.mark.parametrize(
+    "case, noun, distance",
+    # the step is h = max(1e-3, 10 * merge radius); for p = k = 4 the merge
+    # radius widens to 10 * gtol^(1/3)
+    [
+        ("svd-ones-2x3", "singular tuple", 1e-3),
+        ("diag-111-p4", "stationary point", 100 * 1e-10 ** (1 / 3)),
+    ],
+)
+def test_continuum_witness_names_value_and_distance(case, noun, distance, caplog):
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        with pytest.raises(DegenerateTensorError) as err:
+            CONTINUA[case](SolverConfig(restarts=24))
+    msg = str(err.value)
+    m = re.fullmatch(
+        rf"continuum witness: the {noun} with critical value (\S+) continues to another at "
+        r"distance (\S+) with the same value; the critical set is positive-dimensional",
+        msg,
+    )
+    assert m, msg
+    assert float(m.group(2)) == pytest.approx(distance, rel=0.01)
+    (line,) = _continuum_lines(caplog)
+    points, flagged, witnesses = _counts(line)
+    assert points >= flagged >= witnesses >= 1
+
+
+@pytest.mark.parametrize("restarts", EFFORTS)
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_isolated_multiple_roots_are_returned(k, restarts, caplog):
+    # p = k makes every basis vector of a diagonal tensor a root of multiplicity
+    # k - 1: the Jacobian certificate flags each one, but no witness exists
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        pairs = generalized_eigenpairs(
+            _diag([1.0, 2.0, 3.0], k), 1, SolverConfig(restarts=restarts, p=float(k))
+        )
+    assert len(pairs) == 6  # +-e_j, one pair each
+    for j, val in enumerate([1.0, 2.0, 3.0]):
+        e = np.eye(3)[j]
+        assert any(
+            abs(pt.value - val) <= 1e-8 and np.linalg.norm(np.abs(pt.vector) - e) < 1e-3
+            for pt in pairs
+        ), f"basis vector {j} not recovered"
+    (line,) = _continuum_lines(caplog)
+    points, flagged, witnesses = _counts(line)
+    assert points == len(pairs) and flagged == len(pairs) and witnesses == 0
+
+
+@pytest.mark.parametrize("restarts", EFFORTS)
+def test_rank_one_matrix_zero_sigma_tuples_are_returned(restarts):
+    tuples = singular_tuples(DenseTensor(np.ones((2, 2))), SolverConfig(restarts=restarts))
+    assert sorted({round(t.sigma, 9) for t in tuples}) == [0.0, 2.0]
+    assert all(t.degenerate == (t.sigma <= 1e-6) for t in tuples)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_tensors_are_never_counts(seed, caplog):
+    S = random_tensor((3, 3, 3), 1000 + seed, symmetric=True)
+    A = random_tensor((3, 3, 3), 500 + seed)
+    B = random_tensor((2, 2, 2, 2), 500 + seed)
+    cfg = SolverConfig(restarts=60, seed=seed)
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        found = [
+            symmetric_eigenpairs(S, cfg),
+            mode_eigenpairs(A, 2, cfg),
+            mode_eigenpairs(B, 2, cfg),
+            generalized_eigenpairs(A, 1, replace(cfg, p=1.5)),
+            generalized_eigenpairs(B, 1, replace(cfg, p=3.0)),
+            singular_tuples(random_tensor((3, 4, 5), 700 + seed), cfg),
+            singular_tuples(random_tensor((2, 3, 4), 700 + seed), replace(cfg, p=3.0)),
+        ]
+    lines = _continuum_lines(caplog)
+    assert len(lines) == sum(1 for points in found if points) >= 5  # one check per nonempty set
+    for line in lines:
+        points, flagged, witnesses = _counts(line)
+        assert points > 0 and flagged == 0 and witnesses == 0
+        assert float(line.rsplit(" ", 1)[1]) > SolverConfig().gradient_tolerance ** 0.5
+
+
 # --- classify_index -------------------------------------------------------
 
 
@@ -397,8 +553,8 @@ def test_dedupe_empty():
     assert dedupe([], 1e-6) == []
 
 
-# Brute-force copies of the per-point greedy loops that _leaders and
-# _check_isolated replaced; the new code must make the same decisions.
+# Brute-force copies of the per-point greedy loops that _leaders replaced;
+# the new code must make the same decisions.
 
 
 def _ref_coarse_unique(V, tol):
@@ -425,19 +581,6 @@ def _ref_dedupe(points, tol):
     return [points[i] for i in sorted(kept)]
 
 
-def _ref_crowded(vectors, limit, tol=1e-2):
-    mat = np.array(vectors)
-    crowd = 0
-    for i in range(len(mat)):
-        d = np.linalg.norm(mat - mat[i], axis=1)
-        d[i] = np.inf
-        if float(d.min()) <= tol:
-            crowd += 1
-            if crowd > limit:
-                return True
-    return False
-
-
 def _cloud(seed, m, n, spread):
     """Unit points around a few centres, their antipodes, and exact copies."""
     rng = np.random.default_rng(seed)
@@ -449,14 +592,6 @@ def _cloud(seed, m, n, spread):
     return X
 
 
-def _crowds(X, limit):
-    try:
-        _check_isolated([_pair(x) for x in X], limit, None, "")
-    except DegenerateTensorError:
-        return True
-    return False
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_clusterer_matches_greedy_loops(seed):
     n = 2 + seed % 4
@@ -466,8 +601,6 @@ def test_clusterer_matches_greedy_loops(seed):
         rng = np.random.default_rng(seed)
         pts = [_pair(x, residual=float(r)) for x, r in zip(X, rng.integers(0, 4, len(X)) * 1e-12)]
         assert [id(p) for p in dedupe(pts, tol)] == [id(p) for p in _ref_dedupe(pts, tol)]
-        for limit in (0, 3, 30, 119):
-            assert _crowds(X, limit) == _ref_crowded(X, limit)
 
 
 def test_clusterer_skips_nonfinite_rows():
@@ -492,10 +625,6 @@ def test_clusterer_exact_tie_at_tol_merges():
     for j in (1, 7, 30):
         tol = float(np.linalg.norm(X[j] - X[0]))
         assert np.array_equal(X[_leaders(X, tol)], _ref_coarse_unique(X, tol))
-    # pairs exactly 1e-2 apart are crowded: 2 * 5 crowded points exceed limit 9
-    X = np.array([[float(c), y] for c in range(5) for y in (0.0, 0.01)])
-    assert _crowds(X, 9) and _ref_crowded(X, 9)
-    assert not _crowds(X, 10)
 
 
 def test_clusterer_keeps_antipodes():
@@ -515,13 +644,10 @@ def test_clusterer_unmergeable_set_without_square_temporaries():
     assert len(_leaders(X, 1e-6)) == len(X) == len(_ref_coarse_unique(X, 1e-6))
     pts = [_pair(x) for x in X]
     assert len(dedupe(pts, 1e-6)) == len(X)
-    for limit in (9, 200):
-        assert _crowds(X, limit) == _ref_crowded(X, limit)
     m = 800
     X = _cloud(5, m, 3, 1.0)
     tracemalloc.start()
     _leaders(X, 1e-6)
-    assert not _crowds(X, m - 1)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < m * m * 8 / 4  # an m x m float64 array would be 5 MB
