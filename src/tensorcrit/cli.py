@@ -66,7 +66,10 @@ def _config_from_args(args):
     if restarts is None:
         env = os.environ.get(ENV_RESTARTS)
         if env is not None:
-            restarts = int(env)
+            try:
+                restarts = int(env)
+            except ValueError:
+                raise ValueError(f"{ENV_RESTARTS} must be an integer, got {env!r}") from None
             from_env = True
         else:
             restarts = solver.SolverConfig.restarts

@@ -16,7 +16,9 @@ starts), then residual-based acceptance and deduplication.
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -170,6 +172,81 @@ def _batch_contract(data, vs, keep):
     return out.reshape((len(out),) + tuple(dims[m] for m in keep))
 
 
+def _contract_axis(T, v, before):
+    """Contract, row by row, the axis of length v.shape[1] that follows ``before`` entries.
+
+    T is the flat tensor itself (no row axis) or one flat tensor per row, in
+    C order; both reshapes are views, so the tensor is never copied.  Like
+    _batch_contract, each output row depends only on the same row of v.
+    """
+    n = v.shape[1]
+    if T.ndim == 1:
+        return np.einsum("anb,Zn->Zab", T.reshape(before, n, -1), v)
+    after = math.prod(T.shape[1:]) // (before * n)
+    return np.einsum("Zanb,Zn->Zab", T.reshape(len(T), before, n, after), v)
+
+
+def _grad_tree(T, vs, dims, lo, hi, before, out):
+    """Set out[m], for m in lo..hi-1, to T contracted in every mode of lo..hi-1 but m.
+
+    T holds, after ``before`` kept entries, the tensor over modes lo..hi-1.
+    Contracting the leading half of the modes gives the tensor over the
+    trailing half and vice versa; each half recurses, so only the first
+    contraction on each side touches all of T.
+    """
+    if hi - lo == 1:
+        out[lo] = T
+        return
+    mid = (lo + hi) // 2
+    L = T
+    for m in range(lo, mid):
+        L = _contract_axis(L, vs[m], before)
+    _grad_tree(L, vs, dims, mid, hi, before, out)
+    R = T
+    for m in reversed(range(mid, hi)):
+        R = _contract_axis(R, vs[m], before * math.prod(dims[lo:m]))
+    _grad_tree(R, vs, dims, lo, mid, before, out)
+
+
+def _batch_mode_grads(data, vs):
+    """All k mode gradients, [_batch_mode_grad(data, vs, i) for i in range(k)], from one tree.
+
+    Two contractions touch the whole tensor, whatever k.  The summation order
+    differs from _batch_contract's, so the results agree to rounding, and
+    rows stay independent bit for bit.
+    """
+    dims = data.shape
+    out = [None] * len(dims)
+    _grad_tree(data.reshape(-1), vs, dims, 0, len(dims), 1, out)
+    return [g.reshape(len(g), n) for g, n in zip(out, dims)]
+
+
+def _batch_pair_jacs(data, vs):
+    """Every unordered pair block {(i, j): _batch_pair_jac(data, vs, i, j)}, i < j.
+
+    The (j, i) block is the swapaxes of the (i, j) one.  The blocks (i, .)
+    come from the tensor contracted in modes 0..i-1, which extends the one
+    for i - 1 by a single contraction, through the gradient tree over modes
+    i+1..k-1 with mode i kept in front.  Three contractions touch the whole
+    tensor, whatever k >= 3; a matrix's one block is a broadcast view of it.
+    """
+    dims = data.shape
+    k = len(dims)
+    rows = len(vs[0])
+    out = {}
+    P = data.reshape(-1)
+    for i in range(k - 1):
+        if i:
+            P = _contract_axis(P, vs[i - 1], 1)
+        leaves = [None] * k
+        _grad_tree(P, vs, dims, i + 1, k, dims[i], leaves)
+        for j in range(i + 1, k):
+            shape = (rows, dims[i], dims[j])
+            B = leaves[j]
+            out[i, j] = np.broadcast_to(B.reshape(shape[1:]), shape) if B.ndim == 1 else B.reshape(shape)
+    return out
+
+
 def _dot_rows(A, B):
     return np.einsum("Za,Za->Z", A, B)
 
@@ -192,6 +269,8 @@ def _batch_pair_jac(data, vs, i0, r0):
 
 
 def _phi_rows(V, q):
+    if q == 1.0:
+        return V
     return np.sign(V) * np.abs(V) ** q
 
 
@@ -214,8 +293,16 @@ def _normalize_rows(V, p):
 
 
 def _random_starts(seed, restarts, dims, p):
-    """One unit start tuple per restart; stream r is derived from (seed, r)."""
-    seed_u = int(seed) & 0xFFFFFFFFFFFFFFFF
+    """One unit start tuple per restart; stream r is derived from (seed, r).
+
+    Returns a fresh list of read-only arrays that are shared with every
+    other call with the same arguments.
+    """
+    return list(_start_table(int(seed) & 0xFFFFFFFFFFFFFFFF, int(restarts), tuple(dims), float(p)))
+
+
+@functools.lru_cache(maxsize=64)
+def _start_table(seed_u, restarts, dims, p):
     out = [np.empty((restarts, n)) for n in dims]
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed_u, r]))
@@ -224,7 +311,10 @@ def _random_starts(seed, restarts, dims, p):
             while not np.any(v):
                 v = rng.standard_normal(n)
             out[i][r] = v
-    return [_normalize_rows(V, p) for V in out]
+    starts = tuple(_normalize_rows(V, p) for V in out)
+    for V in starts:
+        V.flags.writeable = False
+    return starts
 
 
 def _leaders(X, tol):
@@ -249,7 +339,31 @@ def _leaders(X, tol):
 # ---------------------------------------------------------------------------
 
 
-def _damped_newton(z0, state_fn, jac_fn, config, iters=60, target=None):
+def _min_norm_steps(J, F):
+    """The minimum-norm dz with J dz = -F, for every row."""
+    return -(np.linalg.pinv(J) @ F[..., None])[..., 0]
+
+
+def _newton_steps(J, F):
+    """dz with J dz = -F per row; a row whose own J is singular takes the pinv step.
+
+    The batched solve raises if any J is exactly singular.  The rows whose
+    LU factorization meets a zero pivot are exactly those where slogdet has
+    sign 0, so those rows take the pinv step and the others are solved
+    apart from them: a singular row changes no other row's step.
+    """
+    try:
+        return np.linalg.solve(J, -F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(J)[0] == 0
+    dz = np.empty_like(F)
+    ok = ~singular
+    dz[ok] = np.linalg.solve(J[ok], -F[ok][..., None])[..., 0]
+    dz[singular] = _min_norm_steps(J[singular], F[singular])
+    return dz
+
+
+def _damped_newton(z0, state_fn, jac_fn, config, iters=60, target=None, steps=_newton_steps):
     """Damped Newton on the square systems F(z) = 0, one per row of z0.
 
     At most min(iters, max_iterations) iterations; a row is done when its
@@ -262,7 +376,9 @@ def _damped_newton(z0, state_fn, jac_fn, config, iters=60, target=None):
     per block on every row still searching, so an iteration makes at most
     ceil(log2(max_backtracks + 1)) calls.  The alphas are exact powers of
     two and state_fn works row by row, so the outcome is bit-identical to
-    trying the halvings one at a time.
+    trying the halvings one at a time.  ``steps(J, F)`` gives the Newton
+    steps of the active rows: _newton_steps, or _min_norm_steps where a
+    solution set may be positive-dimensional.
     """
     if target is None:
         target = 0.05 * config.gradient_tolerance
@@ -277,11 +393,7 @@ def _damped_newton(z0, state_fn, jac_fn, config, iters=60, target=None):
         newton_iters += 1
         za = z[active]
         Fa = Fn[active]
-        J = jac_fn(za)
-        try:
-            dz = np.linalg.solve(J, -F[active][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            dz = -np.squeeze(np.linalg.pinv(J) @ F[active][..., None], axis=-1)
+        dz = steps(jac_fn(za), F[active])
         searching = np.flatnonzero(np.all(np.isfinite(dz), axis=1))
         stalled[active] = True  # until one of its step lengths passes
         first = 0
@@ -457,7 +569,8 @@ def _check_continuum(z, state_fn, jac_fn, merge_tol, config, noun):
     Local dimension test (Bates, Hauenstein, Peterson & Sommese, SINUM 2009)
     on rows z = (point, multipliers), critical value last.  A row whose bordered
     Jacobian has sigma_min <= sqrt(gtol) * sigma_max is stepped h = max(1e-3,
-    10 * merge_tol) along its null vector and corrected by damped Newton; a
+    10 * merge_tol) along its null vector and corrected by damped Newton with
+    minimum-norm steps, which move across a continuum rather than along it; a
     stationary result with the same value at a distance in (merge_tol, 2h]
     witnesses a continuum.  Newton returns to isolated degenerate points.
     """
@@ -471,7 +584,9 @@ def _check_continuum(z, state_fn, jac_fn, merge_tol, config, noun):
     if flagged.size:
         h = max(1e-3, 10.0 * merge_tol)
         z0 = z[flagged]
-        z1 = _damped_newton(z0 + h * np.linalg.svd(J[flagged])[2][:, -1], state_fn, jac_fn, config)
+        z1 = _damped_newton(
+            z0 + h * np.linalg.svd(J[flagged])[2][:, -1], state_fn, jac_fn, config, steps=_min_norm_steps
+        )
         dist = np.linalg.norm(z1 - z0, axis=1)
         same = (state_fn(z1)[1] <= gtol) & (np.abs(z1[:, -1] - z0[:, -1]) <= gtol)
         witness = np.flatnonzero(same & (dist > merge_tol) & (dist <= 2.0 * h))
@@ -704,20 +819,15 @@ def _split(z, dims, off):
 
 def _singular_state_fn(data, p):
     dims = data.shape
-    k = data.ndim
     off, total = _singular_layout(dims)
 
     def state(z):
-        Ws = _split(z, dims, off)
-        s = z[:, total : total + k]
+        W = z[:, :total]
+        s = np.repeat(z[:, total:], dims, axis=1)  # each multiplier over its block
         with np.errstate(all="ignore"):
-            blocks = []
-            cons = []
-            for i in range(k):
-                G = _batch_mode_grad(data, Ws, i)
-                blocks.append(G - s[:, i : i + 1] * _phi_rows(Ws[i], p - 1.0))
-                cons.append((np.sum(np.abs(Ws[i]) ** p, axis=1) - 1.0) / p)
-            F = np.concatenate(blocks + [np.stack(cons, axis=1)], axis=1)
+            G = np.concatenate(_batch_mode_grads(data, _split(z, dims, off)), axis=1)
+            cons = (np.add.reduceat(np.abs(W) ** p, off[:-1], axis=1) - 1.0) / p
+            F = np.concatenate([G - s * _phi_rows(W, p - 1.0), cons], axis=1)
             return F, np.linalg.norm(F, axis=1)
 
     return state
@@ -725,28 +835,23 @@ def _singular_state_fn(data, p):
 
 def _singular_jac_fn(data, p):
     dims = data.shape
-    k = data.ndim
     off, total = _singular_layout(dims)
-    size = total + k
+    size = total + len(dims)
+    diag = np.arange(total)
+    border = total + np.repeat(np.arange(len(dims)), dims)  # the multiplier column of each row
 
     def jac(z):
-        Ws = _split(z, dims, off)
-        s = z[:, total : total + k]
-        m = z.shape[0]
-        K = np.zeros((m, size, size))
+        W = z[:, :total]
+        K = np.zeros((z.shape[0], size, size))
         with np.errstate(all="ignore"):
-            for i in range(k):
-                ri = slice(off[i], off[i + 1])
-                for j in range(k):
-                    cj = slice(off[j], off[j + 1])
-                    if j == i:
-                        d = -s[:, i : i + 1] * _phi_slope_rows(Ws[i], p)
-                        K[:, ri, cj] = d[:, :, None] * np.eye(dims[i])
-                    else:
-                        K[:, ri, cj] = _batch_pair_jac(data, Ws, i, j)
-                Phi = _phi_rows(Ws[i], p - 1.0)
-                K[:, ri, total + i] = -Phi
-                K[:, total + i, ri] = Phi
+            for (i, j), B in _batch_pair_jacs(data, _split(z, dims, off)).items():
+                ri, rj = slice(off[i], off[i + 1]), slice(off[j], off[j + 1])
+                K[:, ri, rj] = B
+                K[:, rj, ri] = np.swapaxes(B, 1, 2)
+            K[:, diag, diag] = -np.repeat(z[:, total:], dims, axis=1) * _phi_slope_rows(W, p)
+            Phi = _phi_rows(W, p - 1.0)
+            K[:, diag, border] = -Phi
+            K[:, border, diag] = Phi
         return K
 
     return jac

@@ -338,3 +338,12 @@ def test_restarts_env_override(cubic_file, capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["config"]["restarts"] == 21
     assert doc["config"]["restarts_from_env"] is False
+
+
+@pytest.mark.parametrize("sub", ["eig", "svd"])
+def test_restarts_env_not_an_integer(cubic_file, capsys, monkeypatch, sub):
+    monkeypatch.setenv("TENSORCRIT_RESTARTS", "abc")
+    argv = [sub, cubic_file] + (["--symmetric"] if sub == "eig" else [])
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: TENSORCRIT_RESTARTS must be an integer, got 'abc'\n"

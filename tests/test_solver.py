@@ -668,10 +668,12 @@ def _ref_damped_newton(z0, state_fn, jac_fn, config, iters, target):
             break
         za = z[active]
         J = jac_fn(za)
-        try:
-            dz = np.linalg.solve(J, -F[active][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            dz = -np.squeeze(np.linalg.pinv(J) @ F[active][..., None], axis=-1)
+        dz = np.empty_like(F[active])
+        for r, b in enumerate(F[active]):
+            try:
+                dz[r] = np.linalg.solve(J[r], -b)
+            except np.linalg.LinAlgError:  # only this row's system is singular
+                dz[r] = -(np.linalg.pinv(J[r]) @ b)
         bad = ~np.all(np.isfinite(dz), axis=1)
         dz[bad] = 0.0
         alpha = np.ones(active.size)
@@ -795,6 +797,22 @@ def test_line_search_edge_rows_match_sequential_halving(max_backtracks, singular
     assert moved.all() if max_backtracks >= 20 else not moved.all()
 
 
+def test_singular_jacobian_row_leaves_other_rows_alone():
+    # a zero first vector zeroes that row's constraint row of the Jacobian
+    data = random_tensor((3, 3, 3), 2).data
+    Ws = solver._random_starts(3, 20, (3, 3, 3), 2.0)
+    s0 = np.repeat(solver._batch_eval(data, Ws)[:, None], 3, axis=1)
+    z0 = np.concatenate(Ws + [s0], axis=1)
+    bad = z0[:1].copy()
+    bad[:, :3] = 0.0
+    state, jac = solver._singular_state_fn(data, 2.0), solver._singular_jac_fn(data, 2.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac(bad), np.ones((1, 12, 1)))
+    alone = solver._damped_newton(z0, state, jac, CFG)
+    mixed = solver._damped_newton(np.concatenate([z0[:7], bad, z0[7:]]), state, jac, CFG)
+    assert np.delete(mixed, 7, axis=0).tobytes() == alone.tobytes()
+
+
 def test_line_search_state_calls_per_newton_iteration(monkeypatch):
     counts = {"state": 0, "jac": 0, "newton": 0}
 
@@ -840,6 +858,10 @@ def _kernel_outputs(data, vs):
     """Every batch primitive, under every choice of kept modes."""
     k = data.ndim
     out = {"eval": solver._batch_eval(data, vs)}
+    for i, g in enumerate(solver._batch_mode_grads(data, vs)):
+        out[("grads", i)] = g
+    for (i, r), B in solver._batch_pair_jacs(data, vs).items():
+        out[("pairs", i, r)] = B
     for i in range(k):
         out[("grad", i)] = solver._batch_mode_grad(data, vs, i)
         for r in range(k):
@@ -888,6 +910,15 @@ def test_batch_kernels_match_core_contractions(shape):
             np.testing.assert_allclose(
                 out[("grad", i)][z], mode_gradient(T, row, i + 1), rtol=1e-12, atol=1e-12 * scale
             )
+    # the shared trees sum in another order than the one-mode kernel
+    pairs = [key for key in out if key[0] == "pairs"]
+    assert len(pairs) == k * (k - 1) // 2
+    for key in [("grads", i) for i in range(k)] + pairs:
+        ref = out[("grad",) + key[1:]] if key[0] == "grads" else out[("pair",) + key[1:]]
+        np.testing.assert_allclose(out[key], ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+        if key[0] == "pairs":
+            swapped = np.swapaxes(out[("pair", key[2], key[1])], 1, 2)
+            np.testing.assert_allclose(out[key], swapped, rtol=1e-12, atol=1e-12 * np.max(np.abs(swapped)))
     if len(set(shape)) == 1:
         S = random_tensor(shape, 4, symmetric=True)
         V = vs[0]
@@ -896,6 +927,39 @@ def test_batch_kernels_match_core_contractions(shape):
             np.testing.assert_allclose(
                 (H[z] + H[z].T) / 2, sym_hessian(S, V[z]), rtol=1e-12, atol=1e-12 * scale * k * k
             )
+
+
+@pytest.mark.parametrize("shape", [(4, 5, 6), (2, 3, 4, 3)])
+def test_singular_system_contracts_the_whole_tensor_twice_per_state_call(shape, monkeypatch):
+    data = random_tensor(shape, 1).data
+    z, _ = _row_blocks(shape, 5, seed=2)
+    state, jac = solver._singular_state_fn(data, 2.0), solver._singular_jac_fn(data, 2.0)
+    calls = []
+    einsum = np.einsum
+
+    def counted(subscripts, *operands, **kwargs):
+        calls.append(any(np.shares_memory(op, data) for op in operands))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    state(z)
+    assert sum(calls) == 2
+    calls.clear()
+    jac(z)
+    assert sum(calls) == 3
+
+
+def test_random_starts_are_memoized_read_only():
+    args = (7, 30, (3, 4, 5), 3.0)
+    first = solver._random_starts(*args)
+    again = solver._random_starts(*args)
+    assert again is not first and all(a is b for a, b in zip(first, again))
+    fresh = solver._start_table.__wrapped__(7, 30, (3, 4, 5), 3.0)
+    for V, W in zip(first, fresh):
+        assert not V.flags.writeable
+        assert V.tobytes() == W.tobytes()
+        with pytest.raises(ValueError):
+            V[0, 0] = 1.0
 
 
 def test_matrix_pair_jacobian_is_a_broadcast_view():
