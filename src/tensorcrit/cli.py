@@ -13,9 +13,9 @@ Exit codes: 0 success, 1 failed identity check, 2 input or usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -33,9 +33,6 @@ from .core import (
 )
 from .errors import DegenerateTensorError
 from .norms import p_norm, p_norm_gradient
-
-ENV_RESTARTS = "TENSORCRIT_RESTARTS"
-
 
 class _InputError(Exception):
     """User-input problem; reported on stderr with exit code 2."""
@@ -61,37 +58,12 @@ def _digest(path):
 
 
 def _config_from_args(args):
-    restarts = args.restarts
-    from_env = False
-    if restarts is None:
-        env = os.environ.get(ENV_RESTARTS)
-        if env is not None:
-            try:
-                restarts = int(env)
-            except ValueError:
-                raise ValueError(f"{ENV_RESTARTS} must be an integer, got {env!r}") from None
-            from_env = True
-        else:
-            restarts = solver.SolverConfig.restarts
-    config = solver.SolverConfig(
-        restarts=restarts,
+    return solver.SolverConfig(
+        restarts=args.restarts,
         seed=args.seed,
         p=args.p,
         gradient_tolerance=args.tolerance,
     )
-    return config, from_env
-
-
-def _config_echo(config, from_env):
-    return {
-        "restarts": config.restarts,
-        "restarts_from_env": from_env,
-        "max_iterations": config.max_iterations,
-        "gradient_tolerance": config.gradient_tolerance,
-        "dedupe_tolerance": config.dedupe_tolerance,
-        "seed": config.seed,
-        "p": config.p,
-    }
 
 
 def _pair_dict(pt):
@@ -147,7 +119,7 @@ def cmd_eig(args, parser):
     mode = 0 if args.symmetric else args.mode
     tensor = _load(args.tensor)
     try:
-        config, from_env = _config_from_args(args)
+        config = _config_from_args(args)
     except ValueError as exc:
         return _fail(str(exc))
     t0 = time.perf_counter()
@@ -172,7 +144,7 @@ def cmd_eig(args, parser):
             "sha256": _digest(args.tensor),
             "shape": list(tensor.shape),
         },
-        "config": _config_echo(config, from_env),
+        "config": dataclasses.asdict(config),
         "symmetric": bool(args.symmetric),
         "mode": mode,
         "pairs": [_pair_dict(pt) for pt in pairs],
@@ -199,7 +171,7 @@ def cmd_svd(args):
     if tensor.order < 2:
         return _fail("singular tuples need tensor order >= 2")
     try:
-        config, from_env = _config_from_args(args)
+        config = _config_from_args(args)
     except ValueError as exc:
         return _fail(str(exc))
     t0 = time.perf_counter()
@@ -223,7 +195,7 @@ def cmd_svd(args):
             "sha256": _digest(args.tensor),
             "shape": list(tensor.shape),
         },
-        "config": _config_echo(config, from_env),
+        "config": dataclasses.asdict(config),
         "tuples": [_tuple_dict(t) for t in tuples],
         "notes": notes,
         "timings": {"total_seconds": time.perf_counter() - t0},
@@ -358,7 +330,7 @@ def build_parser():
     which.add_argument("--mode", type=int)
     p_eig.add_argument("--p", type=float, default=2.0)
     p_eig.add_argument("--seed", type=int, default=0)
-    p_eig.add_argument("--restarts", type=int, default=None)
+    p_eig.add_argument("--restarts", type=int, default=solver.SolverConfig.restarts)
     p_eig.add_argument("--tolerance", type=float, default=1e-10)
     p_eig.add_argument("--audit", action="store_true")
 
@@ -366,7 +338,7 @@ def build_parser():
     p_svd.add_argument("tensor")
     p_svd.add_argument("--p", type=float, default=2.0)
     p_svd.add_argument("--seed", type=int, default=0)
-    p_svd.add_argument("--restarts", type=int, default=None)
+    p_svd.add_argument("--restarts", type=int, default=solver.SolverConfig.restarts)
     p_svd.add_argument("--tolerance", type=float, default=1e-10)
 
     p_gen = sub.add_parser("gen", help="write a seeded random tensor file")

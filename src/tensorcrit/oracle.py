@@ -10,7 +10,6 @@ bisection on the circle.  Only the elementary contraction primitives
 from __future__ import annotations
 
 import math
-import string
 from typing import NamedTuple
 
 import numpy as np
@@ -40,19 +39,17 @@ class CriticalSet(NamedTuple):
     resolution: float
 
 
-# einsum labels for the tensor's modes, kept apart from the solver's table;
-# "Z" labels the batch of points.
-_LETTERS = string.ascii_letters[:-1]
-
-
 def _batch_grad(data, V):
-    """First-mode gradient of the form at each row of V, in all other modes."""
-    k = data.ndim
-    if k > len(_LETTERS):
-        raise ShapeError(f"tensor order {k} exceeds the supported maximum {len(_LETTERS)}")
-    letters = _LETTERS[:k]
-    sub = letters + "," + ",".join("Z" + letters[i] for i in range(1, k)) + "->Z" + letters[0]
-    return np.einsum(sub, data, *([V] * (k - 1)))
+    """First-mode gradient of the form at each row of V, in all other modes.
+
+    Contracts the last mode, then the others one at a time, so the order of
+    the tensor is not limited by a table of einsum labels.
+    """
+    n = V.shape[1]
+    G = V @ data.reshape(-1, n).T
+    for _ in range(data.ndim - 2):
+        G = np.einsum("Zxn,Zn->Zx", G.reshape(len(G), G.shape[1] // n, n), V)
+    return G
 
 
 def jacobi_eigen(A):

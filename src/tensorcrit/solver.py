@@ -49,56 +49,42 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Highest supported tensor order.  The solver's kernel needs no einsum
-# labels, but the oracles spend one per mode and stop at 51, and the
-# solvers accept the same tensors as the oracles that check them.
-_MAX_ORDER = 51
-
-
-def _check_order(k):
-    if k > _MAX_ORDER:
-        raise ShapeError(f"tensor order {k} exceeds the supported maximum {_MAX_ORDER}")
+# Effort caps and step control of the search.  Newton steps are damped as
+# _damped_newton describes, with the Armijo fraction _ARMIJO_SLOPE * alpha.
+# Ascent steps start at _INITIAL_STEP, grow by _STEP_GROW after an improvement
+# and shrink by _STEP_SHRINK otherwise.  Points closer than _DEDUPE_TOLERANCE
+# count as one.
+_NEWTON_ITERATIONS = 60
+_ASCENT_ITERATIONS = 60
+_ALTERNATING_SWEEPS = 40
+_DEDUPE_TOLERANCE = 1e-6
+_INITIAL_STEP = 0.25
+_STEP_GROW = 1.3
+_STEP_SHRINK = 0.4
+_ARMIJO_SLOPE = 1e-4
+_MAX_BACKTRACKS = 25
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search effort, tolerances, and step control.
+    """The settings a caller chooses: search effort, acceptance tolerance, norm.
 
-    Backtracking: a Newton step is damped to the longest alpha among
-    2^0, 2^-1, ..., 2^-(max_backtracks-1) at which the residual norm drops
-    by the Armijo fraction ``armijo_slope * alpha``; the step lengths are
-    evaluated in doubling blocks (1; 1/2, 1/4; 1/8 .. 1/64; ...), one
-    batched residual evaluation per block.  Ascent steps grow by
-    ``step_grow`` after an improvement and shrink by ``step_shrink``
-    otherwise, starting from ``initial_step``.
+    The search runs from ``restarts`` random starts drawn from ``seed``, and
+    accepts a point whose stationarity residual is at most
+    ``gradient_tolerance`` under the p-norm constraint.  Step control and
+    iteration caps are the module constants above.
     """
 
     restarts: int = 200
-    max_iterations: int = 500
     gradient_tolerance: float = 1e-10
-    dedupe_tolerance: float = 1e-6
     seed: int = 0
     p: float = 2.0
-    initial_step: float = 0.25
-    step_grow: float = 1.3
-    step_shrink: float = 0.4
-    armijo_slope: float = 1e-4
-    max_backtracks: int = 25
 
     def __post_init__(self):
-        for name, low in (("restarts", 1), ("max_iterations", 1), ("max_backtracks", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}")
-        for name in ("gradient_tolerance", "dedupe_tolerance", "initial_step"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0")
-        if not 0 <= self.armijo_slope < 1:
-            raise ValueError("armijo_slope must be in [0, 1)")
-        if not 0 < self.step_shrink < 1:
-            raise ValueError("step_shrink must be in (0, 1)")
-        if not 1 <= self.step_grow < np.inf:
-            raise ValueError("step_grow must be finite and >= 1")
+        if not (isinstance(self.restarts, numbers.Integral) and self.restarts >= 1):
+            raise ValueError("restarts must be an integer >= 1")
+        if not 0 < self.gradient_tolerance < np.inf:
+            raise ValueError("gradient_tolerance must be finite and > 0")
         check_norm_param(self.p)
 
 
@@ -363,30 +349,29 @@ def _newton_steps(J, F):
     return dz
 
 
-def _damped_newton(z0, state_fn, jac_fn, config, iters=60, target=None, steps=_newton_steps):
+def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
     """Damped Newton on the square systems F(z) = 0, one per row of z0.
 
-    At most min(iters, max_iterations) iterations; a row is done when its
-    residual norm is at most target (default 0.05 * gradient_tolerance).
+    At most _NEWTON_ITERATIONS iterations; a row is done when its residual
+    norm is at most 0.05 * gtol.
 
     Each row takes the longest step alpha * dz, alpha in 2^0, 2^-1, ...,
-    2^-(max_backtracks-1), that passes the Armijo test; a row with no such
+    2^-(_MAX_BACKTRACKS-1), that passes the Armijo test; a row with no such
     alpha, or a non-finite Newton step, stalls.  The step lengths are tried
     in doubling blocks (2^0; 2^-1..2^-2; 2^-3..2^-6; ...), one state_fn call
     per block on every row still searching, so an iteration makes at most
-    ceil(log2(max_backtracks + 1)) calls.  The alphas are exact powers of
+    ceil(log2(_MAX_BACKTRACKS + 1)) calls.  The alphas are exact powers of
     two and state_fn works row by row, so the outcome is bit-identical to
     trying the halvings one at a time.  ``steps(J, F)`` gives the Newton
     steps of the active rows: _newton_steps, or _min_norm_steps where a
     solution set may be positive-dimensional.
     """
-    if target is None:
-        target = 0.05 * config.gradient_tolerance
+    target = 0.05 * gtol
     z = z0.copy()
     F, Fn = state_fn(z)
     calls, trial_rows, newton_iters = 1, 0, 0
     stalled = ~np.isfinite(Fn)
-    for _ in range(min(iters, config.max_iterations)):
+    for _ in range(_NEWTON_ITERATIONS):
         active = np.flatnonzero((Fn > target) & ~stalled)
         if active.size == 0:
             break
@@ -397,8 +382,8 @@ def _damped_newton(z0, state_fn, jac_fn, config, iters=60, target=None, steps=_n
         searching = np.flatnonzero(np.all(np.isfinite(dz), axis=1))
         stalled[active] = True  # until one of its step lengths passes
         first = 0
-        while searching.size and first < config.max_backtracks:
-            last = min(2 * first + 1, config.max_backtracks)
+        while searching.size and first < _MAX_BACKTRACKS:
+            last = min(2 * first + 1, _MAX_BACKTRACKS)
             alphas = np.ldexp(1.0, -np.arange(first, last))
             zt = za[searching, None] + alphas[:, None] * dz[searching, None]
             Ft, Fnt = state_fn(zt.reshape(-1, za.shape[1]))
@@ -406,7 +391,7 @@ def _damped_newton(z0, state_fn, jac_fn, config, iters=60, target=None, steps=_n
             trial_rows += Fnt.size
             Ft = Ft.reshape(zt.shape[:2] + Ft.shape[1:])
             Fnt = Fnt.reshape(zt.shape[:2])
-            ok = np.isfinite(Fnt) & (Fnt <= (1.0 - config.armijo_slope * alphas) * Fa[searching, None])
+            ok = np.isfinite(Fnt) & (Fnt <= (1.0 - _ARMIJO_SLOPE * alphas) * Fa[searching, None])
             hit = ok.any(axis=1)
             longest = np.argmax(ok[hit], axis=1)
             rows = active[searching[hit]]
@@ -469,7 +454,7 @@ def _eigen_jac_fn(data, i0, p, symmetric):
     return jac
 
 
-def _polish_eigen(data, V0, i0, p, config, symmetric):
+def _polish_eigen(data, V0, i0, p, gtol, symmetric):
     if V0.shape[0] == 0:
         return V0
     k = data.ndim
@@ -479,7 +464,7 @@ def _polish_eigen(data, V0, i0, p, config, symmetric):
         z0,
         _eigen_state_fn(data, i0, p),
         _eigen_jac_fn(data, i0, p, symmetric),
-        config,
+        gtol,
     )
     return z[:, : data.shape[0]]
 
@@ -500,7 +485,7 @@ def _accept_eigen(data, V, i0, p, gtol):
     return V[keep], lam[keep], resid[keep]
 
 
-def _ascend(data, V0, p, sign, config, symmetric):
+def _ascend(data, V0, p, sign, symmetric):
     """Projected gradient on the unit p-sphere, maximizing sign * f.
 
     f at a point is <g_0, v>, from the mode-0 gradient the next step needs
@@ -519,9 +504,9 @@ def _ascend(data, V0, p, sign, config, symmetric):
         return sum(grads), sign * _dot_rows(grads[0], V)
 
     V = V0.copy()
-    step = np.full(V.shape[0], config.initial_step)
+    step = np.full(V.shape[0], _INITIAL_STEP)
     G, f = gradient_and_value(V)
-    for iterations in range(1, min(60, config.max_iterations) + 1):
+    for iterations in range(1, _ASCENT_ITERATIONS + 1):
         W = V + sign * step[:, None] * G
         nrm = _p_norm_rows(W, p)
         ok = np.isfinite(nrm) & (nrm > 1e-300)
@@ -532,8 +517,8 @@ def _ascend(data, V0, p, sign, config, symmetric):
         V[better] = W[better]
         f[better] = fW[better]
         G[better] = GW[better]
-        step[better] = np.minimum(step[better] * config.step_grow, 10.0)
-        step[~better] *= config.step_shrink
+        step[better] = np.minimum(step[better] * _STEP_GROW, 10.0)
+        step[~better] *= _STEP_SHRINK
         if np.all(step < 1e-12):
             break
     log.debug(
@@ -548,22 +533,23 @@ def _stationary_candidates(tensor, i0, p, config, symmetric):
     """Accepted (vector, value, residual) triples from the multi-start search."""
     data = tensor.data
     n = tensor.shape[0]
+    gtol = config.gradient_tolerance
     (V0,) = _random_starts(config.seed, config.restarts, (n,), p)
     chunks = []
     for sign in (1.0, -1.0):
-        ends = _ascend(data, V0, p, sign, config, symmetric)
+        ends = _ascend(data, V0, p, sign, symmetric)
         reps = ends[_leaders(ends, 1e-3)]
-        Vp = _polish_eigen(data, reps, i0, p, config, symmetric)
-        chunks.append(_accept_eigen(data, Vp, i0, p, config.gradient_tolerance))
-    Vd = _polish_eigen(data, V0, i0, p, config, symmetric)
-    chunks.append(_accept_eigen(data, Vd, i0, p, config.gradient_tolerance))
+        Vp = _polish_eigen(data, reps, i0, p, gtol, symmetric)
+        chunks.append(_accept_eigen(data, Vp, i0, p, gtol))
+    Vd = _polish_eigen(data, V0, i0, p, gtol, symmetric)
+    chunks.append(_accept_eigen(data, Vd, i0, p, gtol))
     V = np.concatenate([c[0] for c in chunks])
     # antipodal completion: -v is stationary with multiplier (-1)^k lam
     V = np.concatenate([V, -V])
-    return _accept_eigen(data, V, i0, p, config.gradient_tolerance)
+    return _accept_eigen(data, V, i0, p, gtol)
 
 
-def _check_continuum(z, state_fn, jac_fn, merge_tol, config, noun):
+def _check_continuum(z, state_fn, jac_fn, merge_tol, gtol, noun):
     """Raise DegenerateTensorError if the rows of z lie on a positive-dimensional set.
 
     Local dimension test (Bates, Hauenstein, Peterson & Sommese, SINUM 2009)
@@ -574,7 +560,6 @@ def _check_continuum(z, state_fn, jac_fn, merge_tol, config, noun):
     stationary result with the same value at a distance in (merge_tol, 2h]
     witnesses a continuum.  Newton returns to isolated degenerate points.
     """
-    gtol = config.gradient_tolerance
     J = jac_fn(z)
     with np.errstate(all="ignore"):
         s = np.linalg.svd(J, compute_uv=False)
@@ -585,7 +570,7 @@ def _check_continuum(z, state_fn, jac_fn, merge_tol, config, noun):
         h = max(1e-3, 10.0 * merge_tol)
         z0 = z[flagged]
         z1 = _damped_newton(
-            z0 + h * np.linalg.svd(J[flagged])[2][:, -1], state_fn, jac_fn, config, steps=_min_norm_steps
+            z0 + h * np.linalg.svd(J[flagged])[2][:, -1], state_fn, jac_fn, gtol, steps=_min_norm_steps
         )
         dist = np.linalg.norm(z1 - z0, axis=1)
         same = (state_fn(z1)[1] <= gtol) & (np.abs(z1[:, -1] - z0[:, -1]) <= gtol)
@@ -711,7 +696,6 @@ def _eigen_run(tensor, mode, config):
         raise ShapeError("eigenpair solvers need tensor order >= 2")
     if n < 2:
         raise ShapeError("eigenpair solvers need dimension >= 2")
-    _check_order(k)
     p = check_norm_param(config.p)
     i0 = max(mode - 1, 0)
     V, lam, resid = _stationary_candidates(tensor, i0, p, config, symmetric)
@@ -730,7 +714,7 @@ def _eigen_run(tensor, mode, config):
     # isolated solution (diagonal tensors with p = k), so everything inside a
     # radius ~ tol^(1/(k-1)) ball passes the residual test; widen the merge
     # radius to that scale to report one point per solution.
-    merge_tol = config.dedupe_tolerance
+    merge_tol = _DEDUPE_TOLERANCE
     if p != 2.0:
         merge_tol = max(merge_tol, 10.0 * config.gradient_tolerance ** (1.0 / (k - 1)))
     pairs = dedupe(pairs, merge_tol)
@@ -749,7 +733,7 @@ def _eigen_run(tensor, mode, config):
         return []
     z = np.array([np.append(pt.vector, pt.value) for pt in pairs])
     state, jac = _eigen_state_fn(tensor.data, i0, p), _eigen_jac_fn(tensor.data, i0, p, symmetric)
-    _check_continuum(z, state, jac, merge_tol, config, "stationary point")
+    _check_continuum(z, state, jac, merge_tol, config.gradient_tolerance, "stationary point")
     if mode == 0 and p == 2.0:
         tol = max(1e-8, 10 * config.gradient_tolerance)
         index, nondeg = _morse_rows(tensor.data, z[:, :n], z[:, n], tol)
@@ -857,12 +841,12 @@ def _singular_jac_fn(data, p):
     return jac
 
 
-def _alternating_ascent(data, Ws0, p, config):
+def _alternating_ascent(data, Ws0, p):
     """Cyclic best-response updates; each solves its single-mode stationarity."""
     k = data.ndim
     Ws = [W.copy() for W in Ws0]
     q = 1.0 / (p - 1.0)
-    for _ in range(min(40, config.max_iterations)):
+    for _ in range(_ALTERNATING_SWEEPS):
         for i in range(k):
             G = _batch_mode_grad(data, Ws, i)
             with np.errstate(all="ignore"):
@@ -933,7 +917,6 @@ def singular_tuples(tensor, config=None):
     k = tensor.order
     if k < 2:
         raise ValueError("singular tuples need tensor order >= 2")
-    _check_order(k)
     p = check_norm_param(config.p)
     data = tensor.data
     dims = tensor.shape
@@ -948,19 +931,19 @@ def singular_tuples(tensor, config=None):
             return []
         s0 = np.repeat(_batch_eval(data, Ws)[:, None], k, axis=1)
         z0 = np.concatenate(list(Ws) + [s0], axis=1)
-        z = _damped_newton(z0, state, jacf, config)
+        z = _damped_newton(z0, state, jacf, config.gradient_tolerance)
         return _accept_singular(
             data, _split(z, dims, off), p, config.gradient_tolerance, scale
         )
 
-    ends = _alternating_ascent(data, Ws0, p, config)
+    ends = _alternating_ascent(data, Ws0, p)
     cat = np.concatenate(ends, axis=1)
     reps = cat[_leaders(cat, 1e-3)]
     found = polish(_split(reps, dims, off)) + polish(Ws0)
-    found = dedupe(found, config.dedupe_tolerance)
+    found = dedupe(found, _DEDUPE_TOLERANCE)
     if not found:
         log.info("no singular tuples found at this effort (restarts=%d)", config.restarts)
         return []
     z = np.array([np.append(np.concatenate(t.vectors), [t.sigma] * k) for t in found])
-    _check_continuum(z, state, jacf, config.dedupe_tolerance, config, "singular tuple")
+    _check_continuum(z, state, jacf, _DEDUPE_TOLERANCE, config.gradient_tolerance, "singular tuple")
     return sorted(found, key=lambda t: (-t.sigma, tuple(np.concatenate(t.vectors).tolist())))

@@ -32,6 +32,7 @@ from tensorcrit import (
 )
 from tensorcrit.cli import main as cli_main
 from tensorcrit.core import sym_hessian
+from tensorcrit.solver import _DEDUPE_TOLERANCE
 from conftest import geodesic_second_derivative, match_pair
 
 
@@ -225,7 +226,7 @@ def test_criterion_11_p_norm_reduction():
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert abs(x.value - y.value) <= 1e-12
-            assert np.linalg.norm(x.vector - y.vector) <= cfg.dedupe_tolerance
+            assert np.linalg.norm(x.vector - y.vector) <= _DEDUPE_TOLERANCE
     d = np.zeros((3, 3, 3))
     diag = [1.0, 2.0, 3.0]
     for j, val in enumerate(diag):

@@ -326,24 +326,19 @@ def test_svd_report_deterministic(tmp_path, capsys):
     assert strip_timings(out1) == strip_timings(out2)
 
 
-def test_restarts_env_override(cubic_file, capsys, monkeypatch):
-    monkeypatch.setenv("TENSORCRIT_RESTARTS", "17")
-    code, out, _ = run(capsys, ["eig", cubic_file, "--symmetric"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["config"]["restarts"] == 17
-    assert doc["config"]["restarts_from_env"] is True
-    # explicit flag wins over the environment
-    code, out, _ = run(capsys, ["eig", cubic_file, "--symmetric", "--restarts", "21"])
-    doc = json.loads(out)
-    assert doc["config"]["restarts"] == 21
-    assert doc["config"]["restarts_from_env"] is False
-
-
 @pytest.mark.parametrize("sub", ["eig", "svd"])
-def test_restarts_env_not_an_integer(cubic_file, capsys, monkeypatch, sub):
-    monkeypatch.setenv("TENSORCRIT_RESTARTS", "abc")
+def test_config_echo_lists_the_settable_values(cubic_file, capsys, sub):
     argv = [sub, cubic_file] + (["--symmetric"] if sub == "eig" else [])
-    code, out, err = run(capsys, argv)
+    code, out, _ = run(capsys, argv + ["--restarts", "21", "--seed", "4", "--tolerance", "1e-9"])
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config == {"restarts": 21, "gradient_tolerance": 1e-9, "seed": 4, "p": 2.0}
+
+
+@pytest.mark.parametrize("command", [["eig", "--mode", "1"], ["svd"]])
+def test_order_beyond_numpy_dimensions_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"shape": [1] * 65, "entries": [1.0]}))
+    code, out, err = run(capsys, [command[0], str(path), *command[1:]])
     assert code == 2 and out == ""
-    assert err == "error: TENSORCRIT_RESTARTS must be an integer, got 'abc'\n"
+    assert "bad tensor entries" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import re
@@ -11,7 +12,6 @@ from tensorcrit import (
     DegenerateTensorError,
     DenseTensor,
     EigenPair,
-    ShapeError,
     SolverConfig,
     classify_index,
     dedupe,
@@ -42,9 +42,26 @@ def test_config_validation():
         SolverConfig(gradient_tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(p=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
-    SolverConfig(max_backtracks=0, armijo_slope=0.0, step_grow=1.0)
+
+
+# step control, effort caps and the dedupe radius are solver constants now
+REMOVED_FIELDS = {
+    "max_iterations": 500,
+    "dedupe_tolerance": 1e-6,
+    "initial_step": 0.25,
+    "step_grow": 1.3,
+    "step_shrink": 0.4,
+    "armijo_slope": 1e-4,
+    "max_backtracks": 25,
+}
+
+
+def test_config_has_exactly_the_four_settable_fields():
+    names = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert names == ["restarts", "gradient_tolerance", "seed", "p"]
+    for field, old_default in REMOVED_FIELDS.items():
+        with pytest.raises(TypeError, match=field):
+            SolverConfig(**{field: old_default})
 
 
 @pytest.mark.parametrize(
@@ -74,8 +91,9 @@ def test_config_validation():
 )
 def test_config_rejects_nonfinite_and_out_of_range(field, value):
     # each of these used to be accepted and end in an empty or false result,
-    # or in a TypeError from deep inside the search
-    with pytest.raises(ValueError, match=field):
+    # or in a TypeError from deep inside the search; a removed field is
+    # refused whatever its value
+    with pytest.raises(TypeError if field in REMOVED_FIELDS else ValueError, match=field):
         SolverConfig(**{field: value})
 
 
@@ -658,11 +676,12 @@ def test_clusterer_unmergeable_set_without_square_temporaries():
 # replaced; the new code must return the same bits.
 
 
-def _ref_damped_newton(z0, state_fn, jac_fn, config, iters, target):
+def _ref_damped_newton(z0, state_fn, jac_fn, gtol):
+    target = 0.05 * gtol
     z = z0.copy()
     F, Fn = state_fn(z)
     stalled = ~np.isfinite(Fn)
-    for _ in range(iters):
+    for _ in range(solver._NEWTON_ITERATIONS):
         active = np.flatnonzero((Fn > target) & ~stalled)
         if active.size == 0:
             break
@@ -681,13 +700,13 @@ def _ref_damped_newton(z0, state_fn, jac_fn, config, iters, target):
         best_z = za.copy()
         best_F = F[active].copy()
         best_Fn = Fn[active].copy()
-        for _bt in range(config.max_backtracks):
+        for _bt in range(solver._MAX_BACKTRACKS):
             todo = np.flatnonzero(~improved & ~bad)
             if todo.size == 0:
                 break
             zt = za[todo] + alpha[todo, None] * dz[todo]
             Ft, Fnt = state_fn(zt)
-            ok = np.isfinite(Fnt) & (Fnt <= (1.0 - config.armijo_slope * alpha[todo]) * Fn[active][todo])
+            ok = np.isfinite(Fnt) & (Fnt <= (1.0 - solver._ARMIJO_SLOPE * alpha[todo]) * Fn[active][todo])
             hit = todo[ok]
             best_z[hit] = zt[ok]
             best_F[hit] = Ft[ok]
@@ -731,20 +750,20 @@ def _newton_systems(shape, p, seed):
 
 @pytest.mark.parametrize("p", [2.0, 1.5, 3.0])
 @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4, 4), (4, 5, 6), (2, 3, 4, 3)])
-def test_line_search_matches_sequential_halving(shape, p):
+def test_line_search_matches_sequential_halving(shape, p, monkeypatch):
     for max_backtracks in (25,) if len(shape) == 4 else (2, 25):
-        cfg = SolverConfig(max_backtracks=max_backtracks)
+        monkeypatch.setattr(solver, "_MAX_BACKTRACKS", max_backtracks)
         for z0, state, jac in _newton_systems(shape, p, seed=len(shape) + int(2 * p)):
-            args = (state, jac, cfg, 60, 0.05 * cfg.gradient_tolerance)
+            args = (state, jac, CFG.gradient_tolerance)
             got = solver._damped_newton(z0, *args)
             assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
 
 
 @pytest.mark.parametrize("max_backtracks", BACKTRACKS)
-def test_line_search_matches_sequential_halving_at_block_edges(max_backtracks):
-    cfg = SolverConfig(max_backtracks=max_backtracks)
+def test_line_search_matches_sequential_halving_at_block_edges(max_backtracks, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_BACKTRACKS", max_backtracks)
     for z0, state, jac in _newton_systems((3, 3, 3), 2.0, seed=11) + _newton_systems((2, 3, 4), 3.0, seed=12):
-        args = (state, jac, cfg, 60, 0.05 * cfg.gradient_tolerance)
+        args = (state, jac, CFG.gradient_tolerance)
         assert solver._damped_newton(z0, *args).tobytes() == _ref_damped_newton(z0, *args).tobytes()
 
 
@@ -786,10 +805,10 @@ def _toy_rows(singular):
 
 @pytest.mark.parametrize("singular", [False, True])
 @pytest.mark.parametrize("max_backtracks", BACKTRACKS)
-def test_line_search_edge_rows_match_sequential_halving(max_backtracks, singular):
-    cfg = SolverConfig(max_backtracks=max_backtracks)
+def test_line_search_edge_rows_match_sequential_halving(max_backtracks, singular, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_BACKTRACKS", max_backtracks)
     z0 = _toy_rows(singular)
-    args = (_toy_state, _toy_jac, cfg, 40, 1e-12)
+    args = (_toy_state, _toy_jac, CFG.gradient_tolerance)
     got = solver._damped_newton(z0, *args)
     assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
     assert np.array_equal(got[:6], z0[:6])  # converged, non-finite, bad step, uphill
@@ -808,8 +827,8 @@ def test_singular_jacobian_row_leaves_other_rows_alone():
     state, jac = solver._singular_state_fn(data, 2.0), solver._singular_jac_fn(data, 2.0)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(jac(bad), np.ones((1, 12, 1)))
-    alone = solver._damped_newton(z0, state, jac, CFG)
-    mixed = solver._damped_newton(np.concatenate([z0[:7], bad, z0[7:]]), state, jac, CFG)
+    alone = solver._damped_newton(z0, state, jac, CFG.gradient_tolerance)
+    mixed = solver._damped_newton(np.concatenate([z0[:7], bad, z0[7:]]), state, jac, CFG.gradient_tolerance)
     assert np.delete(mixed, 7, axis=0).tobytes() == alone.tobytes()
 
 
@@ -829,7 +848,7 @@ def test_line_search_state_calls_per_newton_iteration(monkeypatch):
     monkeypatch.setattr(solver, "_singular_jac_fn", counted_factory(solver._singular_jac_fn, "jac"))
     monkeypatch.setattr(solver, "_damped_newton", counted(solver._damped_newton, "newton"))
     singular_tuples(random_tensor((4, 5, 6), 5))
-    blocks = math.ceil(math.log2(SolverConfig().max_backtracks + 1))
+    blocks = math.ceil(math.log2(solver._MAX_BACKTRACKS + 1))
     assert blocks == 5
     # one Jacobian per Newton iteration; one initial state call per polish
     assert counts["newton"] == 2 and counts["jac"] > 0
@@ -972,13 +991,13 @@ def test_matrix_pair_jacobian_is_a_broadcast_view():
     assert all(np.array_equal(J[z], M) and np.array_equal(Jt[z], M.T) for z in range(5))
 
 
-def _ref_ascend(data, V0, p, sign, config, symmetric):
+def _ref_ascend(data, V0, p, sign, symmetric):
     """The ascent before it carried gradients: a fresh gradient and value every iteration."""
     k = data.ndim
     V = V0.copy()
-    step = np.full(V.shape[0], config.initial_step)
+    step = np.full(V.shape[0], solver._INITIAL_STEP)
     f = sign * solver._batch_eval(data, [V] * k)
-    for _ in range(min(60, config.max_iterations)):
+    for _ in range(solver._ASCENT_ITERATIONS):
         if symmetric:
             G = k * solver._batch_mode_grad(data, [V] * k, 0)
         else:
@@ -992,8 +1011,8 @@ def _ref_ascend(data, V0, p, sign, config, symmetric):
         better = fW > f + 1e-15
         V[better] = W[better]
         f[better] = fW[better]
-        step[better] = np.minimum(step[better] * config.step_grow, 10.0)
-        step[~better] *= config.step_shrink
+        step[better] = np.minimum(step[better] * solver._STEP_GROW, 10.0)
+        step[~better] *= solver._STEP_SHRINK
         if np.all(step < 1e-12):
             break
     return V
@@ -1010,7 +1029,7 @@ def _ascent_runs(monkeypatch, caplog, data, p, symmetric):
         calls.clear()
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
-            V = solver._ascend(data, V0, p, sign, CFG, symmetric)
+            V = solver._ascend(data, V0, p, sign, symmetric)
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("projected ascent")]
         iters, improved, moving, rows = map(int, re.findall(r"\d+", line)[:4])
         assert improved <= rows and moving <= rows and rows == 50
@@ -1024,11 +1043,11 @@ def test_ascent_makes_one_contraction_per_iteration(shape, p, monkeypatch, caplo
     S = random_tensor(shape, 6, symmetric=True).data
     for V0, sign, V, contractions, iters in _ascent_runs(monkeypatch, caplog, S, p, True):
         assert 1 <= iters <= 60 and contractions <= iters + 1
-        assert V.tobytes() == _ref_ascend(S, V0, p, sign, CFG, True).tobytes()
+        assert V.tobytes() == _ref_ascend(S, V0, p, sign, True).tobytes()
     T = random_tensor(shape, 6).data
     for V0, sign, V, contractions, iters in _ascent_runs(monkeypatch, caplog, T, p, False):
         assert contractions <= k * (iters + 1)
-        assert V.tobytes() == _ref_ascend(T, V0, p, sign, CFG, False).tobytes()
+        assert V.tobytes() == _ref_ascend(T, V0, p, sign, False).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(4, 5, 6), (3, 3, 3), (2, 3, 4, 3), (3, 4), (5, 6)])
@@ -1074,7 +1093,7 @@ def test_scale_equivariance():
     assert len(base) == len(scaled)
     for p, q in zip(base, scaled):
         assert q.value == pytest.approx(2.0 * p.value, abs=1e-9)
-        assert np.linalg.norm(p.vector - q.vector) <= cfg.dedupe_tolerance
+        assert np.linalg.norm(p.vector - q.vector) <= solver._DEDUPE_TOLERANCE
     assert np.linalg.norm(base[0].vector - scaled[0].vector) <= 1e-9
 
 
@@ -1171,9 +1190,10 @@ def test_singular_order_above_ten():
         assert t.residual <= CFG.gradient_tolerance
 
 
-def test_order_beyond_einsum_labels_is_shape_error():
-    with pytest.raises(ShapeError, match="order 52"):
-        singular_tuples(DenseTensor(np.ones((1,) * 52)), CFG)
+def test_singular_order_fifty_two():
+    tuples = singular_tuples(DenseTensor(np.ones((1,) * 52)), SolverConfig(restarts=40))
+    assert len(tuples) == 40
+    assert all(t.residual == 0.0 and t.sigma == 1.0 for t in tuples)
 
 
 def test_singular_matches_svd_oracle():
