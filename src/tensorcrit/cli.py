@@ -109,6 +109,44 @@ def cmd_eval(args):
     return 0
 
 
+def _search(args, command, find, empty_note):
+    """Run a search subcommand and emit its JSON report; returns the exit code.
+
+    ``find(tensor, config)`` returns the points found, the report fields of
+    the command and the exit code; DegenerateTensorError from it ends the
+    run with exit 4 and no report.  ``empty_note`` is formatted with the
+    restarts when nothing is found.
+    """
+    tensor = _load(args.tensor)
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        return _fail(str(exc))
+    t0 = time.perf_counter()
+    try:
+        found, fields, exit_code = find(tensor, config)
+    except ValueError as exc:
+        return _fail(str(exc))
+    except DegenerateTensorError as exc:
+        print(f"degenerate: {exc}", file=sys.stderr)
+        return 4
+    report = {
+        "schema_version": 1,
+        "command": command,
+        "input": {
+            "path": args.tensor,
+            "sha256": _digest(args.tensor),
+            "shape": list(tensor.shape),
+        },
+        "config": dataclasses.asdict(config),
+        "notes": [] if found else [empty_note.format(restarts=config.restarts)],
+        **fields,
+        "timings": {"total_seconds": time.perf_counter() - t0},
+    }
+    _emit(report)
+    return exit_code
+
+
 def cmd_eig(args, parser):
     if args.audit and args.mode is not None:
         parser.error("--audit applies to --symmetric runs only")
@@ -117,91 +155,39 @@ def cmd_eig(args, parser):
     if args.mode is not None and args.mode < 1:
         parser.error("--mode must be >= 1; --symmetric runs the symmetric problem")
     mode = 0 if args.symmetric else args.mode
-    tensor = _load(args.tensor)
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        return _fail(str(exc))
-    t0 = time.perf_counter()
-    notes = []
-    try:
+
+    def find(tensor, config):
         pairs = solver.generalized_eigenpairs(tensor, mode, config)
-    except ValueError as exc:
-        return _fail(str(exc))
-    except DegenerateTensorError as exc:
-        print(f"degenerate: {exc}", file=sys.stderr)
-        return 4
-    if not pairs:
-        notes.append(
-            f"no stationary points found at this effort (restarts={config.restarts}); "
-            f"the real spectrum may be empty"
-        )
-    report = {
-        "schema_version": 1,
-        "command": "eig",
-        "input": {
-            "path": args.tensor,
-            "sha256": _digest(args.tensor),
-            "shape": list(tensor.shape),
-        },
-        "config": dataclasses.asdict(config),
-        "symmetric": bool(args.symmetric),
-        "mode": mode,
-        "pairs": [_pair_dict(pt) for pt in pairs],
-        "morse": None,
-        "notes": notes,
-    }
-    exit_code = 0
-    if args.audit:
+        fields = {
+            "symmetric": bool(args.symmetric),
+            "mode": mode,
+            "pairs": [_pair_dict(pt) for pt in pairs],
+            "morse": None,
+        }
+        if not args.audit:
+            return pairs, fields, 0
         try:
             morse_report = morse.audit(pairs, tensor.shape[0])
         except ValueError as exc:
-            print(f"degenerate: {exc}", file=sys.stderr)
-            return 4
-        report["morse"] = morse_report.to_dict()
-        if not morse_report.consistent:
-            exit_code = 3
-    report["timings"] = {"total_seconds": time.perf_counter() - t0}
-    _emit(report)
-    return exit_code
+            raise DegenerateTensorError(str(exc)) from exc
+        fields["morse"] = morse_report.to_dict()
+        return pairs, fields, 0 if morse_report.consistent else 3
+
+    return _search(
+        args,
+        "eig",
+        find,
+        "no stationary points found at this effort (restarts={restarts}); "
+        "the real spectrum may be empty",
+    )
 
 
 def cmd_svd(args):
-    tensor = _load(args.tensor)
-    if tensor.order < 2:
-        return _fail("singular tuples need tensor order >= 2")
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        return _fail(str(exc))
-    t0 = time.perf_counter()
-    notes = []
-    try:
+    def find(tensor, config):
         tuples = solver.singular_tuples(tensor, config)
-    except ValueError as exc:
-        return _fail(str(exc))
-    except DegenerateTensorError as exc:
-        print(f"degenerate: {exc}", file=sys.stderr)
-        return 4
-    if not tuples:
-        notes.append(
-            f"no singular tuples found at this effort (restarts={config.restarts})"
-        )
-    report = {
-        "schema_version": 1,
-        "command": "svd",
-        "input": {
-            "path": args.tensor,
-            "sha256": _digest(args.tensor),
-            "shape": list(tensor.shape),
-        },
-        "config": dataclasses.asdict(config),
-        "tuples": [_tuple_dict(t) for t in tuples],
-        "notes": notes,
-        "timings": {"total_seconds": time.perf_counter() - t0},
-    }
-    _emit(report)
-    return 0
+        return tuples, {"tuples": [_tuple_dict(t) for t in tuples]}, 0
+
+    return _search(args, "svd", find, "no singular tuples found at this effort (restarts={restarts})")
 
 
 def cmd_gen(args):

@@ -204,6 +204,19 @@ def _bisect_root(tensor, a, b, tol):
     return mid
 
 
+def _check_resolution(resolution, finest):
+    """Raise ValueError unless finest <= resolution < inf.
+
+    ``finest`` is the resolution whose first grid has 2^20 points; a finer
+    one would start the search beyond its largest grid.
+    """
+    if not finest <= resolution < math.inf:
+        raise ValueError(
+            f"resolution must be finite and at least {finest:.3g} "
+            f"(a first grid of at most 2^20 points), got {resolution!r}"
+        )
+
+
 def _circle_scan(tensor, gridsize):
     """One pass at a fixed grid; None means an unclassifiable point was hit."""
     h = 2.0 * math.pi / gridsize
@@ -260,9 +273,12 @@ def circle_critical_points(tensor, resolution=2e-3):
     Parametrizes the circle, brackets every sign change of the derivative
     on a uniform grid, and bisects.  Completeness is certified a
     posteriori: the minima and maxima must balance (index parity on the
-    circle); a failure doubles the grid, up to 2^20 points.
+    circle); a failure doubles the grid, up to 2^20 points.  A resolution
+    that is not finite and positive, or finer than 2*pi / 2^20, raises
+    ValueError.
     """
     _require_symmetric_on(tensor, 2)
+    _check_resolution(resolution, 2.0 * math.pi / 2**20)
     gridsize = max(4096, int(math.ceil(2.0 * math.pi / resolution)))
     while gridsize <= 2**20:
         points = _circle_scan(tensor, gridsize)
@@ -386,9 +402,12 @@ def sphere_grid_search(tensor, resolution=0.15, tol=1e-10):
 
     Seeds a Newton polish from every node of a spherical Fibonacci grid.
     Recall is only heuristic, so ``complete`` is always False; the set is
-    meant to cross-check the main solver.
+    meant to cross-check the main solver.  A resolution that is not finite
+    and positive, or finer than sqrt(4*pi / 2^20) (more than 2^20 nodes),
+    raises ValueError.
     """
     _require_symmetric_on(tensor, 3)
+    _check_resolution(resolution, math.sqrt(4.0 * math.pi / 2**20))
     count = max(int(math.ceil(4.0 * math.pi / resolution**2)), 200)
     nodes = _fibonacci_sphere(count)
     data = tensor.data

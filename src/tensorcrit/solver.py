@@ -138,38 +138,32 @@ class SingularTuple:
 # ---------------------------------------------------------------------------
 
 
-def _batch_contract(data, vs, keep):
-    """Contract data with vs[m] in every mode m not in ``keep``, one row per point.
-
-    Returns shape (rows,) + the dims of the kept modes, in ``keep`` order.
-    The modes are contracted one at a time, each by a two-operand einsum
-    over the leading axis (the kept modes are moved last), so the work is
-    about rows * size(data) multiply-adds instead of a joint pass over every
-    index with k products.  Each output row depends only on the same rows of
-    vs, bit for bit, whatever the number of rows: the line search and the
-    ascent's carried gradients rely on this.
-    """
-    dims = data.shape
-    rest = [m for m in range(data.ndim) if m not in keep]
-    D = np.transpose(data, rest + list(keep))
-    out = np.einsum("nX,Zn->ZX", D.reshape(dims[rest[0]], -1), vs[rest[0]])
-    for m in rest[1:]:
-        out = np.einsum("Znx,Zn->Zx", out.reshape(len(out), dims[m], out.shape[1] // dims[m]), vs[m])
-    return out.reshape((len(out),) + tuple(dims[m] for m in keep))
-
-
 def _contract_axis(T, v, before):
     """Contract, row by row, the axis of length v.shape[1] that follows ``before`` entries.
 
     T is the flat tensor itself (no row axis) or one flat tensor per row, in
-    C order; both reshapes are views, so the tensor is never copied.  Like
-    _batch_contract, each output row depends only on the same row of v.
+    C order; both reshapes are views, so the tensor is never copied.  It is
+    the solver's one contraction over tensor entries.  Each output row
+    depends only on the same row of v, bit for bit, whatever the number of
+    rows: the line search and the ascent's carried gradients rely on this.
     """
     n = v.shape[1]
     if T.ndim == 1:
         return np.einsum("anb,Zn->Zab", T.reshape(before, n, -1), v)
     after = math.prod(T.shape[1:]) // (before * n)
     return np.einsum("Zanb,Zn->Zab", T.reshape(len(T), before, n, after), v)
+
+
+def _contract_leading(D, vs):
+    """D contracted with vs[0], vs[1], ... in its leading modes, one row per point.
+
+    Returns shape (rows,) + the dims of the modes left.  With no vectors it
+    is D itself as one row, which broadcasts against any number of rows.
+    """
+    T = D.reshape(-1)
+    for v in vs:
+        T = _contract_axis(T, v, 1)
+    return T.reshape((-1,) + D.shape[len(vs) :])
 
 
 def _grad_tree(T, vs, dims, lo, hi, before, out):
@@ -195,11 +189,10 @@ def _grad_tree(T, vs, dims, lo, hi, before, out):
 
 
 def _batch_mode_grads(data, vs):
-    """All k mode gradients, [_batch_mode_grad(data, vs, i) for i in range(k)], from one tree.
+    """All k mode gradients, data contracted with vs in every mode but i, from one tree.
 
-    Two contractions touch the whole tensor, whatever k.  The summation order
-    differs from _batch_contract's, so the results agree to rounding, and
-    rows stay independent bit for bit.
+    Two contractions touch the whole tensor, whatever k; rows stay
+    independent bit for bit.
     """
     dims = data.shape
     out = [None] * len(dims)
@@ -208,7 +201,7 @@ def _batch_mode_grads(data, vs):
 
 
 def _batch_pair_jacs(data, vs):
-    """Every unordered pair block {(i, j): _batch_pair_jac(data, vs, i, j)}, i < j.
+    """Every block {(i, j): data contracted with vs in every mode but i and j}, i < j.
 
     The (j, i) block is the swapaxes of the (i, j) one.  The blocks (i, .)
     come from the tensor contracted in modes 0..i-1, which extends the one
@@ -235,23 +228,6 @@ def _batch_pair_jacs(data, vs):
 
 def _dot_rows(A, B):
     return np.einsum("Za,Za->Z", A, B)
-
-
-def _batch_eval(data, vs):
-    """Form value per row, as <mode-0 gradient, vs[0]>."""
-    return _dot_rows(_batch_contract(data, vs, (0,)), vs[0])
-
-
-def _batch_mode_grad(data, vs, i0):
-    return _batch_contract(data, vs, (i0,))
-
-
-def _batch_pair_jac(data, vs, i0, r0):
-    """d(mode-i0 gradient)/d(vector in slot r0), one matrix per row."""
-    if data.ndim == 2:
-        mat = data if i0 < r0 else data.T
-        return np.broadcast_to(mat, (vs[0].shape[0],) + mat.shape)
-    return _batch_contract(data, vs, (i0, r0))
 
 
 def _phi_rows(V, q):
@@ -410,15 +386,16 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
     return z
 
 
-def _eigen_state_fn(data, i0, p):
-    k = data.ndim
-    n = data.shape[0]
+def _eigen_state_fn(D, p):
+    """Stationarity residual of the last-mode eigenproblem of D, per row z = (v, lam)."""
+    k = D.ndim
+    n = D.shape[0]
 
     def state(z):
         V = z[:, :n]
         lam = z[:, n]
         with np.errstate(all="ignore"):
-            G = _batch_mode_grad(data, [V] * k, i0)
+            G = _contract_leading(D, [V] * (k - 1))
             R = G - lam[:, None] * _phi_rows(V, p - 1.0)
             c = (np.sum(np.abs(V) ** p, axis=1) - 1.0) / p
             F = np.concatenate([R, c[:, None]], axis=1)
@@ -427,26 +404,30 @@ def _eigen_state_fn(data, i0, p):
     return state
 
 
-def _eigen_jac_fn(data, i0, p, symmetric):
-    k = data.ndim
-    n = data.shape[0]
+def _eigen_jac_fn(D, p, symmetric):
+    """Bordered Jacobian of _eigen_state_fn.
+
+    The last-mode gradient's derivative sums the transposed (r, k-1) blocks
+    of _batch_pair_jacs, or is k-1 times D contracted in its leading k-2
+    modes when D is symmetric.
+    """
+    k = D.ndim
+    n = D.shape[0]
     diag = np.arange(n)
 
     def jac(z):
         V = z[:, :n]
         lam = z[:, n]
         with np.errstate(all="ignore"):
-            if symmetric and k > 2:
-                J = (k - 1) * _batch_pair_jac(data, [V] * k, i0, (i0 + 1) % k)
+            if symmetric:
+                J = (k - 1) * _contract_leading(D, [V] * (k - 2))
             else:
-                J = sum(
-                    _batch_pair_jac(data, [V] * k, i0, r) for r in range(k) if r != i0
-                )
-            J = np.array(J, dtype=float)
-            J[:, diag, diag] -= lam[:, None] * _phi_slope_rows(V, p)
+                blocks = _batch_pair_jacs(D, [V] * k)
+                J = sum(blocks[r, k - 1] for r in range(k - 1))
+            K = np.zeros((len(z), n + 1, n + 1))
+            K[:, :n, :n] = np.swapaxes(J, 1, 2)
+            K[:, diag, diag] -= lam[:, None] * _phi_slope_rows(V, p)
             Phi = _phi_rows(V, p - 1.0)
-            K = np.zeros((V.shape[0], n + 1, n + 1))
-            K[:, :n, :n] = J
             K[:, :n, n] = -Phi
             K[:, n, :n] = Phi
             return K
@@ -454,53 +435,45 @@ def _eigen_jac_fn(data, i0, p, symmetric):
     return jac
 
 
-def _polish_eigen(data, V0, i0, p, gtol, symmetric):
+def _polish_eigen(D, V0, p, gtol, symmetric):
     if V0.shape[0] == 0:
         return V0
-    k = data.ndim
-    lam0 = _batch_eval(data, [V0] * k)
+    lam0 = _dot_rows(_contract_leading(D, [V0] * (D.ndim - 1)), V0)
     z0 = np.concatenate([V0, lam0[:, None]], axis=1)
-    z = _damped_newton(
-        z0,
-        _eigen_state_fn(data, i0, p),
-        _eigen_jac_fn(data, i0, p, symmetric),
-        gtol,
-    )
-    return z[:, : data.shape[0]]
+    z = _damped_newton(z0, _eigen_state_fn(D, p), _eigen_jac_fn(D, p, symmetric), gtol)
+    return z[:, : D.shape[0]]
 
 
-def _accept_eigen(data, V, i0, p, gtol):
+def _accept_eigen(D, V, p, gtol):
     """Renormalize, set the multiplier to the form value, filter by residual."""
     if V.shape[0] == 0:
-        return np.empty((0, data.shape[0])), np.empty(0), np.empty(0)
-    k = data.ndim
+        return np.empty((0, D.shape[0])), np.empty(0), np.empty(0)
     with np.errstate(all="ignore"):
         nrm = _p_norm_rows(V, p)
         good = np.isfinite(nrm) & (nrm > 1e-300)
         V = V[good] / nrm[good, None]
-        G = _batch_mode_grad(data, [V] * k, i0)
-        lam = _dot_rows(G, V)  # f(v, ..., v) = <g_i, v> in every mode i
+        G = _contract_leading(D, [V] * (D.ndim - 1))
+        lam = _dot_rows(G, V)  # f(v, ..., v) = <g, v> in every mode
         resid = np.linalg.norm(G - lam[:, None] * _phi_rows(V, p - 1.0), axis=1)
     keep = np.isfinite(resid) & (resid <= gtol)
     return V[keep], lam[keep], resid[keep]
 
 
-def _ascend(data, V0, p, sign, symmetric):
+def _ascend(D, V0, p, sign, symmetric):
     """Projected gradient on the unit p-sphere, maximizing sign * f.
 
-    f at a point is <g_0, v>, from the mode-0 gradient the next step needs
-    anyway; an accepted trial point carries its gradient into the next
-    iteration.  So an iteration costs one contraction when symmetric and k
-    otherwise, and the kernel's row independence makes the carried
-    gradient bit-identical to a fresh one.
+    The gradient is k times the last-mode one if D is symmetric, else the
+    sum of the _batch_mode_grads tree, and f is <g, v> for any mode's g.  An
+    accepted trial point carries its gradient into the next iteration, and
+    row independence makes that bit-identical to a fresh one.
     """
-    k = data.ndim
+    k = D.ndim
 
     def gradient_and_value(V):
         if symmetric:
-            g0 = _batch_mode_grad(data, [V] * k, 0)
-            return k * g0, sign * _dot_rows(g0, V)
-        grads = [_batch_mode_grad(data, [V] * k, i) for i in range(k)]
+            g = _contract_leading(D, [V] * (k - 1))
+            return k * g, sign * _dot_rows(g, V)
+        grads = _batch_mode_grads(D, [V] * k)
         return sum(grads), sign * _dot_rows(grads[0], V)
 
     V = V0.copy()
@@ -529,24 +502,22 @@ def _ascend(data, V0, p, sign, symmetric):
     return V
 
 
-def _stationary_candidates(tensor, i0, p, config, symmetric):
+def _stationary_candidates(D, p, config, symmetric):
     """Accepted (vector, value, residual) triples from the multi-start search."""
-    data = tensor.data
-    n = tensor.shape[0]
     gtol = config.gradient_tolerance
-    (V0,) = _random_starts(config.seed, config.restarts, (n,), p)
+    (V0,) = _random_starts(config.seed, config.restarts, D.shape[:1], p)
     chunks = []
     for sign in (1.0, -1.0):
-        ends = _ascend(data, V0, p, sign, symmetric)
+        ends = _ascend(D, V0, p, sign, symmetric)
         reps = ends[_leaders(ends, 1e-3)]
-        Vp = _polish_eigen(data, reps, i0, p, gtol, symmetric)
-        chunks.append(_accept_eigen(data, Vp, i0, p, gtol))
-    Vd = _polish_eigen(data, V0, i0, p, gtol, symmetric)
-    chunks.append(_accept_eigen(data, Vd, i0, p, gtol))
+        Vp = _polish_eigen(D, reps, p, gtol, symmetric)
+        chunks.append(_accept_eigen(D, Vp, p, gtol))
+    Vd = _polish_eigen(D, V0, p, gtol, symmetric)
+    chunks.append(_accept_eigen(D, Vd, p, gtol))
     V = np.concatenate([c[0] for c in chunks])
     # antipodal completion: -v is stationary with multiplier (-1)^k lam
     V = np.concatenate([V, -V])
-    return _accept_eigen(data, V, i0, p, gtol)
+    return _accept_eigen(D, V, p, gtol)
 
 
 def _check_continuum(z, state_fn, jac_fn, merge_tol, gtol, noun):
@@ -643,14 +614,14 @@ def _morse_rows(data, V, values, residual_tolerance):
     """
     k = data.ndim
     n = data.shape[0]
-    resid = np.linalg.norm(_batch_mode_grad(data, [V] * k, 0) - values[:, None] * V, axis=1)
+    resid = np.linalg.norm(_contract_leading(data, [V] * (k - 1)) - values[:, None] * V, axis=1)
     over = np.flatnonzero(resid > residual_tolerance)
     if over.size:
         raise ValueError(
             f"(v, value) is not stationary enough to classify: residual {resid[over[0]]:.3e} "
             f"exceeds {residual_tolerance:.3e}"
         )
-    H = k * (k - 1) * _batch_pair_jac(data, [V] * k, 0, 1)
+    H = k * (k - 1) * _contract_leading(data, [V] * (k - 2))
     H = (H + np.swapaxes(H, 1, 2)) / 2 - k * values[:, None, None] * np.eye(n)
     _, _, vt = np.linalg.svd(V[:, None, :])
     Bt = vt[:, 1:]  # rows: an orthonormal basis of the tangent space
@@ -697,8 +668,9 @@ def _eigen_run(tensor, mode, config):
     if n < 2:
         raise ShapeError("eigenpair solvers need dimension >= 2")
     p = check_norm_param(config.p)
-    i0 = max(mode - 1, 0)
-    V, lam, resid = _stationary_candidates(tensor, i0, p, config, symmetric)
+    # the mode-i eigenpairs of T are the last-mode eigenpairs of T with mode i moved last
+    D = np.ascontiguousarray(np.moveaxis(tensor.data, max(mode - 1, 0), -1))
+    V, lam, resid = _stationary_candidates(D, p, config, symmetric)
     flag_zero = p != 2.0
     pairs = [
         EigenPair(
@@ -732,11 +704,11 @@ def _eigen_run(tensor, mode, config):
         )
         return []
     z = np.array([np.append(pt.vector, pt.value) for pt in pairs])
-    state, jac = _eigen_state_fn(tensor.data, i0, p), _eigen_jac_fn(tensor.data, i0, p, symmetric)
+    state, jac = _eigen_state_fn(D, p), _eigen_jac_fn(D, p, symmetric)
     _check_continuum(z, state, jac, merge_tol, config.gradient_tolerance, "stationary point")
     if mode == 0 and p == 2.0:
         tol = max(1e-8, 10 * config.gradient_tolerance)
-        index, nondeg = _morse_rows(tensor.data, z[:, :n], z[:, n], tol)
+        index, nondeg = _morse_rows(D, z[:, :n], z[:, n], tol)
         pairs = [
             replace(pt, index=int(i), nondegenerate=bool(d))
             for pt, i, d in zip(pairs, index, nondeg)
@@ -844,11 +816,12 @@ def _singular_jac_fn(data, p):
 def _alternating_ascent(data, Ws0, p):
     """Cyclic best-response updates; each solves its single-mode stationarity."""
     k = data.ndim
+    Ds = [np.ascontiguousarray(np.moveaxis(data, i, -1)) for i in range(k)]  # mode i last
     Ws = [W.copy() for W in Ws0]
     q = 1.0 / (p - 1.0)
     for _ in range(_ALTERNATING_SWEEPS):
         for i in range(k):
-            G = _batch_mode_grad(data, Ws, i)
+            G = _contract_leading(Ds[i], Ws[:i] + Ws[i + 1 :])
             with np.errstate(all="ignore"):
                 U = _phi_rows(G, q)
                 nrm = _p_norm_rows(U, p)
@@ -858,7 +831,6 @@ def _alternating_ascent(data, Ws0, p):
 
 
 def _accept_singular(data, Ws, p, gtol, scale):
-    k = data.ndim
     out = []
     m = Ws[0].shape[0]
     with np.errstate(all="ignore"):
@@ -867,14 +839,14 @@ def _accept_singular(data, Ws, p, gtol, scale):
         for nrm in nrms:
             good &= np.isfinite(nrm) & (nrm > 1e-300)
         Ws = [W[good] / nrm[good, None] for W, nrm in zip(Ws, nrms)]
-        g0 = _batch_mode_grad(data, Ws, 0)  # does not involve Ws[0]
-        raw = _dot_rows(g0, Ws[0])
+        grads = _batch_mode_grads(data, Ws)
+        raw = _dot_rows(grads[0], Ws[0])
         # canonical sign: flip the first vector wherever the value is negative;
-        # that negates the value exactly
+        # that negates the value and every gradient but the first exactly
         flip = raw < 0
         Ws[0] = np.where(flip[:, None], -Ws[0], Ws[0])
         sigma = np.where(flip, -raw, raw)
-        grads = [g0] + [_batch_mode_grad(data, Ws, i) for i in range(1, k)]
+        grads = grads[:1] + [np.where(flip[:, None], -g, g) for g in grads[1:]]
         phis = [_phi_rows(W, p - 1.0) for W in Ws]
         resid = np.stack(
             [np.linalg.norm(g - sigma[:, None] * f, axis=1) for g, f in zip(grads, phis)],
@@ -929,7 +901,7 @@ def singular_tuples(tensor, config=None):
     def polish(Ws):
         if Ws[0].shape[0] == 0:
             return []
-        s0 = np.repeat(_batch_eval(data, Ws)[:, None], k, axis=1)
+        s0 = np.repeat(_dot_rows(_contract_leading(data, Ws[:-1]), Ws[-1])[:, None], k, axis=1)
         z0 = np.concatenate(list(Ws) + [s0], axis=1)
         z = _damped_newton(z0, state, jacf, config.gradient_tolerance)
         return _accept_singular(

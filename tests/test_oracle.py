@@ -125,6 +125,25 @@ def test_circle_even_cardinality_and_parity(seed, k):
     assert ok and s == 0
 
 
+@pytest.mark.parametrize("resolution", [0, 0.0, -1e-3, -np.inf, np.nan, np.inf, 5e-6, 1e-320])
+def test_circle_rejects_unusable_resolution(resolution):
+    T = random_tensor((2, 2, 2), 1, symmetric=True)
+    with pytest.raises(ValueError, match="resolution must be finite and at least 5.99e-06"):
+        circle_critical_points(T, resolution)
+
+
+def test_circle_finest_resolution_searches():
+    T = random_tensor((2, 2, 2), 1, symmetric=True)
+    finest = 2 * np.pi / 2**20
+    cs = circle_critical_points(T, finest)
+    assert cs.complete and cs.resolution == finest
+    want = circle_critical_points(T)
+    assert len(cs.points) == len(want.points) == 6
+    for p, q in zip(cs.points, want.points):
+        np.testing.assert_allclose(p.vector, q.vector, atol=1e-9)
+        assert p.index == q.index
+
+
 def test_circle_grid_evaluator_matches_primitives(cubic):
     thetas = np.array([0.3, 1.1, 2.9, 4.4])
     values, dg = _grid_restriction(cubic.data, thetas)
@@ -152,6 +171,13 @@ def test_grid_search_diagonal_matrix():
 def test_grid_search_zero_tensor_degenerate():
     with pytest.raises(DegenerateTensorError):
         sphere_grid_search(DenseTensor(np.zeros((3, 3, 3))))
+
+
+@pytest.mark.parametrize("resolution", [0, -0.15, np.nan, np.inf, 1e-3, 1e-200])
+def test_grid_search_rejects_unusable_resolution(resolution):
+    T = random_tensor((3, 3, 3), 1, symmetric=True)
+    with pytest.raises(ValueError, match="resolution must be finite and at least 0.00346"):
+        sphere_grid_search(T, resolution)
 
 
 def test_grid_search_covers_solver_points():

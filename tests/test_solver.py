@@ -723,6 +723,11 @@ def _ref_damped_newton(z0, state_fn, jac_fn, gtol):
 BACKTRACKS = [0, 1, 2, 3, 7, 8, 25, 26]  # both sides of every block edge
 
 
+def _form_values(data, vs):
+    """f(vs[0][z], ..., vs[-1][z]) per row, as the solver seeds its multipliers."""
+    return solver._dot_rows(solver._contract_leading(data, vs[:-1]), vs[-1])
+
+
 def _newton_systems(shape, p, seed):
     """(z0, state_fn, jac_fn) as the solver's polish builds them, on raw starts."""
     out = []
@@ -730,16 +735,17 @@ def _newton_systems(shape, p, seed):
         T = random_tensor(shape, seed)
         S = random_tensor(shape, seed, symmetric=True)
         for data, i0, sym in ((S.data, 0, True), (T.data, 1, False)):
+            D = np.ascontiguousarray(np.moveaxis(data, i0, -1))
             (V,) = solver._random_starts(seed, 24, shape[:1], p)
-            lam = solver._batch_eval(data, [V] * len(shape))
+            lam = _form_values(D, [V] * len(shape))
             out.append((
                 np.concatenate([V, lam[:, None]], axis=1),
-                solver._eigen_state_fn(data, i0, p),
-                solver._eigen_jac_fn(data, i0, p, sym),
+                solver._eigen_state_fn(D, p),
+                solver._eigen_jac_fn(D, p, sym),
             ))
     data = random_tensor(shape, seed).data
     Ws = solver._random_starts(seed, 24, shape, p)
-    s0 = np.repeat(solver._batch_eval(data, Ws)[:, None], len(shape), axis=1)
+    s0 = np.repeat(_form_values(data, Ws)[:, None], len(shape), axis=1)
     out.append((
         np.concatenate(Ws + [s0], axis=1),
         solver._singular_state_fn(data, p),
@@ -820,7 +826,7 @@ def test_singular_jacobian_row_leaves_other_rows_alone():
     # a zero first vector zeroes that row's constraint row of the Jacobian
     data = random_tensor((3, 3, 3), 2).data
     Ws = solver._random_starts(3, 20, (3, 3, 3), 2.0)
-    s0 = np.repeat(solver._batch_eval(data, Ws)[:, None], 3, axis=1)
+    s0 = np.repeat(_form_values(data, Ws)[:, None], 3, axis=1)
     z0 = np.concatenate(Ws + [s0], axis=1)
     bad = z0[:1].copy()
     bad[:, :3] = 0.0
@@ -873,19 +879,27 @@ def test_newton_effort_is_logged_at_debug(caplog):
 KERNEL_SHAPES = [(3, 4), (5, 5), (3, 3, 3), (4, 5, 6), (4, 4, 4, 4), (2, 3, 4, 3), (3, 2, 3, 2, 2)]
 
 
+def _kept_last(data, vs, keep):
+    """The mode-last chain: data with the ``keep`` modes moved last, contracted in the rest."""
+    rest = [m for m in range(data.ndim) if m not in keep]
+    D = np.ascontiguousarray(np.moveaxis(data, keep, range(-len(keep), 0)))
+    out = solver._contract_leading(D, [vs[m] for m in rest])
+    return np.broadcast_to(out, (len(vs[0]),) + out.shape[1:])
+
+
 def _kernel_outputs(data, vs):
-    """Every batch primitive, under every choice of kept modes."""
+    """Every batch kernel: the mode-last chain for each kept mode and pair, and both trees."""
     k = data.ndim
-    out = {"eval": solver._batch_eval(data, vs)}
+    out = {"eval": _form_values(data, vs)}
     for i, g in enumerate(solver._batch_mode_grads(data, vs)):
         out[("grads", i)] = g
     for (i, r), B in solver._batch_pair_jacs(data, vs).items():
         out[("pairs", i, r)] = B
     for i in range(k):
-        out[("grad", i)] = solver._batch_mode_grad(data, vs, i)
+        out[("grad", i)] = _kept_last(data, vs, [i])
         for r in range(k):
             if r != i:
-                out[("pair", i, r)] = solver._batch_pair_jac(data, vs, i, r)
+                out[("pair", i, r)] = _kept_last(data, vs, [i, r])
     return out
 
 
@@ -929,7 +943,7 @@ def test_batch_kernels_match_core_contractions(shape):
             np.testing.assert_allclose(
                 out[("grad", i)][z], mode_gradient(T, row, i + 1), rtol=1e-12, atol=1e-12 * scale
             )
-    # the shared trees sum in another order than the one-mode kernel
+    # the shared trees sum in another order than the mode-last chain
     pairs = [key for key in out if key[0] == "pairs"]
     assert len(pairs) == k * (k - 1) // 2
     for key in [("grads", i) for i in range(k)] + pairs:
@@ -941,11 +955,26 @@ def test_batch_kernels_match_core_contractions(shape):
     if len(set(shape)) == 1:
         S = random_tensor(shape, 4, symmetric=True)
         V = vs[0]
-        H = k * (k - 1) * solver._batch_pair_jac(S.data, [V] * k, 0, 1)
+        H = k * (k - 1) * solver._contract_leading(S.data, [V] * (k - 2))
+        H = np.broadcast_to(H, (6,) + H.shape[1:])
         for z in range(6):
             np.testing.assert_allclose(
                 (H[z] + H[z].T) / 2, sym_hessian(S, V[z]), rtol=1e-12, atol=1e-12 * scale * k * k
             )
+
+
+def _whole_tensor_contractions(monkeypatch, data):
+    """A list that gains one entry per einsum call with an operand sharing memory with data."""
+    calls = []
+    einsum = np.einsum
+
+    def counted(subscripts, *operands, **kwargs):
+        if any(np.shares_memory(op, data) for op in operands):
+            calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    return calls
 
 
 @pytest.mark.parametrize("shape", [(4, 5, 6), (2, 3, 4, 3)])
@@ -953,19 +982,30 @@ def test_singular_system_contracts_the_whole_tensor_twice_per_state_call(shape, 
     data = random_tensor(shape, 1).data
     z, _ = _row_blocks(shape, 5, seed=2)
     state, jac = solver._singular_state_fn(data, 2.0), solver._singular_jac_fn(data, 2.0)
-    calls = []
-    einsum = np.einsum
-
-    def counted(subscripts, *operands, **kwargs):
-        calls.append(any(np.shares_memory(op, data) for op in operands))
-        return einsum(subscripts, *operands, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", counted)
+    calls = _whole_tensor_contractions(monkeypatch, data)
     state(z)
-    assert sum(calls) == 2
+    assert len(calls) == 2
     calls.clear()
     jac(z)
-    assert sum(calls) == 3
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4, 4), (3, 3, 3, 3, 3)])
+def test_eigen_system_contracts_the_whole_tensor_three_times_per_jacobian(shape):
+    n = shape[0]
+    z = np.random.default_rng(2).standard_normal((5, n + 1))
+    for data, symmetric, jac_passes in (
+        (random_tensor(shape, 1).data, False, 3),
+        (random_tensor(shape, 1, symmetric=True).data, True, 1),
+    ):
+        state, jac = solver._eigen_state_fn(data, 2.0), solver._eigen_jac_fn(data, 2.0, symmetric)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _whole_tensor_contractions(mp, data)
+            state(z)
+            assert len(calls) == 1
+            calls.clear()
+            jac(z)
+            assert len(calls) == jac_passes
 
 
 def test_random_starts_are_memoized_read_only():
@@ -984,30 +1024,39 @@ def test_random_starts_are_memoized_read_only():
 def test_matrix_pair_jacobian_is_a_broadcast_view():
     M = random_tensor((3, 4), 8).data
     _, vs = _row_blocks((3, 4), 5, seed=1)
-    J = solver._batch_pair_jac(M, vs, 0, 1)
-    Jt = solver._batch_pair_jac(M, vs, 1, 0)
-    assert J.shape == (5, 3, 4) and Jt.shape == (5, 4, 3)
-    assert np.shares_memory(J, M) and np.shares_memory(Jt, M)
+    J = solver._batch_pair_jacs(M, vs)[0, 1]
+    Jt = np.swapaxes(J, 1, 2)
+    lead = solver._contract_leading(M, [])  # the symmetric eigen Jacobian of a matrix
+    assert J.shape == (5, 3, 4) and Jt.shape == (5, 4, 3) and lead.shape == (1, 3, 4)
+    assert np.shares_memory(J, M) and np.shares_memory(Jt, M) and np.shares_memory(lead, M)
     assert all(np.array_equal(J[z], M) and np.array_equal(Jt[z], M.T) for z in range(5))
+    assert np.array_equal(lead[0], M)
 
 
-def _ref_ascend(data, V0, p, sign, symmetric):
+def _ref_ascend(D, V0, p, sign, symmetric):
     """The ascent before it carried gradients: a fresh gradient and value every iteration."""
-    k = data.ndim
+    k = D.ndim
+
+    def gradient(V):
+        if symmetric:
+            return k * solver._contract_leading(D, [V] * (k - 1))
+        return sum(solver._batch_mode_grads(D, [V] * k))
+
+    def value(V):
+        g = solver._contract_leading(D, [V] * (k - 1)) if symmetric else solver._batch_mode_grads(D, [V] * k)[0]
+        return sign * solver._dot_rows(g, V)
+
     V = V0.copy()
     step = np.full(V.shape[0], solver._INITIAL_STEP)
-    f = sign * solver._batch_eval(data, [V] * k)
+    f = value(V)
     for _ in range(solver._ASCENT_ITERATIONS):
-        if symmetric:
-            G = k * solver._batch_mode_grad(data, [V] * k, 0)
-        else:
-            G = sum(solver._batch_mode_grad(data, [V] * k, i) for i in range(k))
+        G = gradient(V)
         W = V + sign * step[:, None] * G
         nrm = solver._p_norm_rows(W, p)
         ok = np.isfinite(nrm) & (nrm > 1e-300)
         W[ok] /= nrm[ok, None]
         W[~ok] = V[~ok]
-        fW = sign * solver._batch_eval(data, [W] * k)
+        fW = value(W)
         better = fW > f + 1e-15
         V[better] = W[better]
         f[better] = fW[better]
@@ -1018,18 +1067,15 @@ def _ref_ascend(data, V0, p, sign, symmetric):
     return V
 
 
-def _ascent_runs(monkeypatch, caplog, data, p, symmetric):
-    """(start, sign, result, contractions, iterations) of one ascent per sign."""
-    calls = []
-    contract = solver._batch_contract
-    monkeypatch.setattr(solver, "_batch_contract", lambda *a: calls.append(1) or contract(*a))
-    (V0,) = solver._random_starts(3, 50, data.shape[:1], p)
+def _ascent_runs(caplog, D, p, symmetric):
+    """(start, sign, result, whole-tensor contractions, iterations) of one ascent per sign."""
+    (V0,) = solver._random_starts(3, 50, D.shape[:1], p)
     out = []
     for sign in (1.0, -1.0):
-        calls.clear()
         caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
-            V = solver._ascend(data, V0, p, sign, symmetric)
+        with pytest.MonkeyPatch.context() as mp, caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+            calls = _whole_tensor_contractions(mp, D)
+            V = solver._ascend(D, V0, p, sign, symmetric)
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("projected ascent")]
         iters, improved, moving, rows = map(int, re.findall(r"\d+", line)[:4])
         assert improved <= rows and moving <= rows and rows == 50
@@ -1038,15 +1084,14 @@ def _ascent_runs(monkeypatch, caplog, data, p, symmetric):
 
 
 @pytest.mark.parametrize("shape, p", [((3, 3, 3), 2.0), ((4, 4, 4, 4), 2.0), ((5, 5, 5), 3.0)])
-def test_ascent_makes_one_contraction_per_iteration(shape, p, monkeypatch, caplog):
-    k = len(shape)
+def test_ascent_makes_one_contraction_per_iteration(shape, p, caplog):
     S = random_tensor(shape, 6, symmetric=True).data
-    for V0, sign, V, contractions, iters in _ascent_runs(monkeypatch, caplog, S, p, True):
-        assert 1 <= iters <= 60 and contractions <= iters + 1
+    for V0, sign, V, contractions, iters in _ascent_runs(caplog, S, p, True):
+        assert 1 <= iters <= 60 and contractions == iters + 1
         assert V.tobytes() == _ref_ascend(S, V0, p, sign, True).tobytes()
     T = random_tensor(shape, 6).data
-    for V0, sign, V, contractions, iters in _ascent_runs(monkeypatch, caplog, T, p, False):
-        assert contractions <= k * (iters + 1)
+    for V0, sign, V, contractions, iters in _ascent_runs(caplog, T, p, False):
+        assert contractions == 2 * (iters + 1)
         assert V.tobytes() == _ref_ascend(T, V0, p, sign, False).tobytes()
 
 
@@ -1054,11 +1099,32 @@ def test_ascent_makes_one_contraction_per_iteration(shape, p, monkeypatch, caplo
 def test_singular_sign_flip_negates_the_value_exactly(shape):
     data = random_tensor(shape, 7).data
     Ws = solver._random_starts(3, 200, shape, 2.0)
-    raw = solver._batch_eval(data, Ws)
+    grads = solver._batch_mode_grads(data, Ws)
+    raw = solver._dot_rows(grads[0], Ws[0])
     flip = raw < 0
     assert flip.any() and not flip.all()
     Ws[0] = np.where(flip[:, None], -Ws[0], Ws[0])
-    assert np.where(flip, -raw, raw).tobytes() == solver._batch_eval(data, Ws).tobytes()
+    fresh = solver._batch_mode_grads(data, Ws)
+    assert np.where(flip, -raw, raw).tobytes() == solver._dot_rows(fresh[0], Ws[0]).tobytes()
+    assert fresh[0].tobytes() == grads[0].tobytes()
+    for g, h in zip(grads[1:], fresh[1:]):
+        assert np.where(flip[:, None], -g, g).tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4), (3, 3, 3, 3)])
+def test_mode_i_pairs_are_the_last_mode_pairs_with_mode_i_moved_last(shape, p):
+    T = random_tensor(shape, 12)
+    k = len(shape)
+    cfg = SolverConfig(restarts=30, seed=1, p=p)
+    for i in range(1, k + 1):
+        got = generalized_eigenpairs(T, i, cfg)
+        ref = generalized_eigenpairs(DenseTensor(np.moveaxis(T.data, i - 1, -1)), k, cfg)
+        assert got and len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.mode == i and b.mode == k
+            assert a.vector.tobytes() == b.vector.tobytes()
+            assert (a.value, a.residual, a.near_zero_coords) == (b.value, b.residual, b.near_zero_coords)
 
 
 # --- cross-cutting solver invariants ---------------------------------------
