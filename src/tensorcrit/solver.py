@@ -8,10 +8,12 @@ which makes lam the value f(v, ..., v) of the associated form (contract
 the left side with v).  A singular tuple (v_1, ..., v_k, sigma) satisfies
 the analogous equation in every mode simultaneously on the product of
 unit spheres.  No closed-form enumeration exists for k > 2, so the
-solvers run a multi-start search: projected gradient ascent/descent with
-a renormalization retraction to seed extrema, damped Newton on the full
-Lagrangian stationarity system to polish (and to reach saddles from raw
-starts), then residual-based acceptance and deduplication.
+solvers run a multi-start search, each stage once over all of its rows:
+an ascent seeds extrema (eigenpairs: projected gradient on the symmetric
+part, which carries the form, with a sign per row; tuples: alternating
+best responses), one damped Newton on the Lagrangian stationarity system
+polishes the ascent's leaders and the raw starts (which reach saddles),
+then one residual-based acceptance and deduplication.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    DenseTensor,
     _check_vectors,
     _require_square,
     _require_symmetric,
     is_symmetric,
     mode_gradient,
+    symmetrize,
 )
 from .errors import DegenerateTensorError, ShapeError
 from .norms import check_norm_param, phi
@@ -65,6 +69,10 @@ _ARMIJO_SLOPE = 1e-4
 _MAX_BACKTRACKS = 25
 
 
+def _is_int(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """The settings a caller chooses: search effort, acceptance tolerance, norm.
@@ -81,8 +89,11 @@ class SolverConfig:
     p: float = 2.0
 
     def __post_init__(self):
-        if not (isinstance(self.restarts, numbers.Integral) and self.restarts >= 1):
+        # bool is an Integral; an int() cast would misread 1.5, "3" or None
+        if not (_is_int(self.restarts) and self.restarts >= 1):
             raise ValueError("restarts must be an integer >= 1")
+        if not _is_int(self.seed):
+            raise ValueError("seed must be an integer")
         if not 0 < self.gradient_tolerance < np.inf:
             raise ValueError("gradient_tolerance must be finite and > 0")
         check_norm_param(self.p)
@@ -435,19 +446,8 @@ def _eigen_jac_fn(D, p, symmetric):
     return jac
 
 
-def _polish_eigen(D, V0, p, gtol, symmetric):
-    if V0.shape[0] == 0:
-        return V0
-    lam0 = _dot_rows(_contract_leading(D, [V0] * (D.ndim - 1)), V0)
-    z0 = np.concatenate([V0, lam0[:, None]], axis=1)
-    z = _damped_newton(z0, _eigen_state_fn(D, p), _eigen_jac_fn(D, p, symmetric), gtol)
-    return z[:, : D.shape[0]]
-
-
 def _accept_eigen(D, V, p, gtol):
     """Renormalize, set the multiplier to the form value, filter by residual."""
-    if V.shape[0] == 0:
-        return np.empty((0, D.shape[0])), np.empty(0), np.empty(0)
     with np.errstate(all="ignore"):
         nrm = _p_norm_rows(V, p)
         good = np.isfinite(nrm) & (nrm > 1e-300)
@@ -459,28 +459,26 @@ def _accept_eigen(D, V, p, gtol):
     return V[keep], lam[keep], resid[keep]
 
 
-def _ascend(D, V0, p, sign, symmetric):
-    """Projected gradient on the unit p-sphere, maximizing sign * f.
+def _ascend(S, V0, p, sign):
+    """Projected gradient on the unit p-sphere, maximizing sign[r] * f on row r.
 
-    The gradient is k times the last-mode one if D is symmetric, else the
-    sum of the _batch_mode_grads tree, and f is <g, v> for any mode's g.  An
+    S is symmetric, so with g = S contracted with v in its leading k-1
+    modes, f(v) = S(v, ..., v) is <g, v> and its gradient is k * g: one
+    contraction chain per iteration.  ``sign`` holds +1 or -1 per row.  An
     accepted trial point carries its gradient into the next iteration, and
     row independence makes that bit-identical to a fresh one.
     """
-    k = D.ndim
+    k = S.ndim
 
     def gradient_and_value(V):
-        if symmetric:
-            g = _contract_leading(D, [V] * (k - 1))
-            return k * g, sign * _dot_rows(g, V)
-        grads = _batch_mode_grads(D, [V] * k)
-        return sum(grads), sign * _dot_rows(grads[0], V)
+        g = _contract_leading(S, [V] * (k - 1))
+        return k * g, sign * _dot_rows(g, V)
 
     V = V0.copy()
     step = np.full(V.shape[0], _INITIAL_STEP)
     G, f = gradient_and_value(V)
     for iterations in range(1, _ASCENT_ITERATIONS + 1):
-        W = V + sign * step[:, None] * G
+        W = V + (sign * step)[:, None] * G
         nrm = _p_norm_rows(W, p)
         ok = np.isfinite(nrm) & (nrm > 1e-300)
         W[ok] /= nrm[ok, None]
@@ -500,24 +498,6 @@ def _ascend(D, V0, p, sign, symmetric):
         iterations, np.count_nonzero(better), np.count_nonzero(step >= 1e-12), V.shape[0],
     )
     return V
-
-
-def _stationary_candidates(D, p, config, symmetric):
-    """Accepted (vector, value, residual) triples from the multi-start search."""
-    gtol = config.gradient_tolerance
-    (V0,) = _random_starts(config.seed, config.restarts, D.shape[:1], p)
-    chunks = []
-    for sign in (1.0, -1.0):
-        ends = _ascend(D, V0, p, sign, symmetric)
-        reps = ends[_leaders(ends, 1e-3)]
-        Vp = _polish_eigen(D, reps, p, gtol, symmetric)
-        chunks.append(_accept_eigen(D, Vp, p, gtol))
-    Vd = _polish_eigen(D, V0, p, gtol, symmetric)
-    chunks.append(_accept_eigen(D, Vd, p, gtol))
-    V = np.concatenate([c[0] for c in chunks])
-    # antipodal completion: -v is stationary with multiplier (-1)^k lam
-    V = np.concatenate([V, -V])
-    return _accept_eigen(D, V, p, gtol)
 
 
 def _check_continuum(z, state_fn, jac_fn, merge_tol, gtol, noun):
@@ -565,6 +545,8 @@ def dedupe(points, tol):
     order; antipodal points are never merged (their distance is 2 on unit
     spheres).  Points with non-finite vectors are dropped.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if not points:
         return []
     keys = np.array(
@@ -643,6 +625,8 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
     """
     _require_symmetric(tensor)
     n = tensor.shape[0]
+    if tensor.order < 2:
+        raise ShapeError("index classification needs tensor order >= 2")
     if n < 2:
         raise ShapeError("index classification needs dimension >= 2")
     vec = _check_vectors(tensor, [v] * tensor.order)[0]
@@ -668,9 +652,23 @@ def _eigen_run(tensor, mode, config):
     if n < 2:
         raise ShapeError("eigenpair solvers need dimension >= 2")
     p = check_norm_param(config.p)
+    gtol = config.gradient_tolerance
     # the mode-i eigenpairs of T are the last-mode eigenpairs of T with mode i moved last
     D = np.ascontiguousarray(np.moveaxis(tensor.data, max(mode - 1, 0), -1))
-    V, lam, resid = _stationary_candidates(D, p, config, symmetric)
+    state, jac = _eigen_state_fn(D, p), _eigen_jac_fn(D, p, symmetric)
+    # f(v) = D(v, ..., v) is the form of D's symmetric part, so the ascent climbs that;
+    # the first m rows maximize f and the last m minimize it
+    S = D if symmetric else symmetrize(DenseTensor(D)).data
+    (V0,) = _random_starts(config.seed, config.restarts, (n,), p)
+    m = len(V0)
+    ends = _ascend(S, np.concatenate([V0, V0]), p, np.repeat([1.0, -1.0], m))
+    # Newton polishes the leaders of each sign half, and the raw starts to reach saddles
+    V = np.concatenate([half[_leaders(half, 1e-3)] for half in (ends[:m], ends[m:])] + [V0])
+    lam0 = _dot_rows(_contract_leading(D, [V] * (k - 1)), V)
+    V = _damped_newton(np.concatenate([V, lam0[:, None]], axis=1), state, jac, gtol)[:, :n]
+    V = _accept_eigen(D, V, p, gtol)[0]
+    # antipodal completion: -v is stationary with multiplier (-1)^k lam
+    V, lam, resid = _accept_eigen(D, np.concatenate([V, -V]), p, gtol)
     flag_zero = p != 2.0
     pairs = [
         EigenPair(
@@ -704,8 +702,7 @@ def _eigen_run(tensor, mode, config):
         )
         return []
     z = np.array([np.append(pt.vector, pt.value) for pt in pairs])
-    state, jac = _eigen_state_fn(D, p), _eigen_jac_fn(D, p, symmetric)
-    _check_continuum(z, state, jac, merge_tol, config.gradient_tolerance, "stationary point")
+    _check_continuum(z, state, jac, merge_tol, gtol, "stationary point")
     if mode == 0 and p == 2.0:
         tol = max(1e-8, 10 * config.gradient_tolerance)
         index, nondeg = _morse_rows(D, z[:, :n], z[:, n], tol)
@@ -831,7 +828,6 @@ def _alternating_ascent(data, Ws0, p):
 
 
 def _accept_singular(data, Ws, p, gtol, scale):
-    out = []
     m = Ws[0].shape[0]
     with np.errstate(all="ignore"):
         nrms = [_p_norm_rows(W, p) for W in Ws]
@@ -848,30 +844,21 @@ def _accept_singular(data, Ws, p, gtol, scale):
         sigma = np.where(flip, -raw, raw)
         grads = grads[:1] + [np.where(flip[:, None], -g, g) for g in grads[1:]]
         phis = [_phi_rows(W, p - 1.0) for W in Ws]
-        resid = np.stack(
-            [np.linalg.norm(g - sigma[:, None] * f, axis=1) for g, f in zip(grads, phis)],
-            axis=1,
-        ).max(axis=1)
-        mults = np.stack(
-            [
-                np.sum(g * f, axis=1) / np.sum(f * f, axis=1)
-                for g, f in zip(grads, phis)
-            ],
-            axis=1,
-        )
+        terms = list(zip(grads, phis))
+        resid = np.stack([np.linalg.norm(g - sigma[:, None] * f, axis=1) for g, f in terms], 1).max(1)
+        mults = np.stack([np.sum(g * f, axis=1) / np.sum(f * f, axis=1) for g, f in terms], 1)
     keep = np.isfinite(resid) & (resid <= gtol)
-    for i in np.flatnonzero(keep):
-        out.append(
-            SingularTuple(
-                vectors=tuple(W[i] for W in Ws),
-                sigma=float(sigma[i]),
-                residual=float(resid[i]),
-                critical_value=float(raw[i]),
-                mode_multipliers=tuple(mults[i]),
-                degenerate=bool(abs(sigma[i]) <= 1e-8 * scale),
-            )
+    return [
+        SingularTuple(
+            vectors=tuple(W[i] for W in Ws),
+            sigma=float(sigma[i]),
+            residual=float(resid[i]),
+            critical_value=float(raw[i]),
+            mode_multipliers=tuple(mults[i]),
+            degenerate=bool(abs(sigma[i]) <= 1e-8 * scale),
         )
-    return out
+        for i in np.flatnonzero(keep)
+    ]
 
 
 def singular_tuples(tensor, config=None):
@@ -890,6 +877,7 @@ def singular_tuples(tensor, config=None):
     if k < 2:
         raise ValueError("singular tuples need tensor order >= 2")
     p = check_norm_param(config.p)
+    gtol = config.gradient_tolerance
     data = tensor.data
     dims = tensor.shape
     off, _ = _singular_layout(dims)
@@ -897,25 +885,16 @@ def singular_tuples(tensor, config=None):
     Ws0 = _random_starts(config.seed, config.restarts, dims, p)
     state = _singular_state_fn(data, p)
     jacf = _singular_jac_fn(data, p)
-
-    def polish(Ws):
-        if Ws[0].shape[0] == 0:
-            return []
-        s0 = np.repeat(_dot_rows(_contract_leading(data, Ws[:-1]), Ws[-1])[:, None], k, axis=1)
-        z0 = np.concatenate(list(Ws) + [s0], axis=1)
-        z = _damped_newton(z0, state, jacf, config.gradient_tolerance)
-        return _accept_singular(
-            data, _split(z, dims, off), p, config.gradient_tolerance, scale
-        )
-
     ends = _alternating_ascent(data, Ws0, p)
-    cat = np.concatenate(ends, axis=1)
-    reps = cat[_leaders(cat, 1e-3)]
-    found = polish(_split(reps, dims, off)) + polish(Ws0)
-    found = dedupe(found, _DEDUPE_TOLERANCE)
+    # Newton polishes the ascent's leaders, and the raw starts to reach saddles
+    lead = _leaders(np.concatenate(ends, axis=1), 1e-3)
+    Ws = [np.concatenate([E[lead], W]) for E, W in zip(ends, Ws0)]
+    s0 = np.repeat(_dot_rows(_contract_leading(data, Ws[:-1]), Ws[-1])[:, None], k, axis=1)
+    z = _damped_newton(np.concatenate(Ws + [s0], axis=1), state, jacf, gtol)
+    found = dedupe(_accept_singular(data, _split(z, dims, off), p, gtol, scale), _DEDUPE_TOLERANCE)
     if not found:
         log.info("no singular tuples found at this effort (restarts=%d)", config.restarts)
         return []
     z = np.array([np.append(np.concatenate(t.vectors), [t.sigma] * k) for t in found])
-    _check_continuum(z, state, jacf, _DEDUPE_TOLERANCE, config.gradient_tolerance, "singular tuple")
+    _check_continuum(z, state, jacf, _DEDUPE_TOLERANCE, gtol, "singular tuple")
     return sorted(found, key=lambda t: (-t.sigma, tuple(np.concatenate(t.vectors).tolist())))

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,51 @@ from tensorcrit import (
     sym_gradient,
     symmetric_eigenpairs,
 )
+from tensorcrit import oracle
 from tensorcrit.morse import IndexHistogram
 from tensorcrit.oracle import _grid_restriction
+
+# What the oracle may take from the package: the contraction primitives and
+# the error types.  Sharing any other code path with the solver would make
+# the acceptance tests one-sided.
+ORACLE_MAY_IMPORT = {"core": {"evaluate", "is_symmetric", "sym_gradient"}, "errors": None}
+
+
+def _package_imports_outside_the_allowed(source):
+    """(module, name) of every package import in source beyond ORACLE_MAY_IMPORT."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            bad += [(a.name, None) for a in node.names if a.name.split(".")[0] == "tensorcrit"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "tensorcrit":
+                    continue
+                module = module.partition(".")[2]
+            allowed = ORACLE_MAY_IMPORT.get(module, set())
+            bad += [(module, a.name) for a in node.names if allowed is not None and a.name not in allowed]
+    return bad
+
+
+def test_oracle_imports_only_the_contraction_primitives_and_errors():
+    assert _package_imports_outside_the_allowed(inspect.getsource(oracle)) == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "from .solver import dedupe",
+        "from .core import symmetrize",
+        "from . import solver",
+        "from .core import evaluate, mode_gradient",
+        "from tensorcrit.solver import _leaders",
+        "import tensorcrit.core",
+        "def f():\n    from .morse import audit",
+    ],
+)
+def test_oracle_import_guard_catches_other_package_code(line):
+    assert _package_imports_outside_the_allowed(line)
 
 
 def test_jacobi_diagonal():

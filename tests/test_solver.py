@@ -12,6 +12,7 @@ from tensorcrit import (
     DegenerateTensorError,
     DenseTensor,
     EigenPair,
+    ShapeError,
     SolverConfig,
     classify_index,
     dedupe,
@@ -56,6 +57,12 @@ REMOVED_FIELDS = {
 }
 
 
+def test_config_accepts_numpy_integers():
+    cfg = SolverConfig(restarts=np.int64(24), seed=np.int32(-3))
+    assert (cfg.restarts, cfg.seed) == (24, -3)
+    assert symmetric_eigenpairs(random_tensor((3, 3, 3), 2, symmetric=True), cfg)
+
+
 def test_config_has_exactly_the_four_settable_fields():
     names = [f.name for f in dataclasses.fields(SolverConfig)]
     assert names == ["restarts", "gradient_tolerance", "seed", "p"]
@@ -77,6 +84,11 @@ def test_config_has_exactly_the_four_settable_fields():
         ("max_backtracks", 2.5),
         ("restarts", 2.5),
         ("restarts", math.nan),
+        ("restarts", True),
+        ("seed", 1.5),
+        ("seed", "3"),
+        ("seed", None),
+        ("seed", True),
         ("max_iterations", 3.5),
         ("armijo_slope", math.nan),
         ("armijo_slope", -1e-4),
@@ -91,7 +103,8 @@ def test_config_has_exactly_the_four_settable_fields():
 )
 def test_config_rejects_nonfinite_and_out_of_range(field, value):
     # each of these used to be accepted and end in an empty or false result,
-    # or in a TypeError from deep inside the search; a removed field is
+    # in a TypeError from deep inside the search, or in a run with another
+    # value (seed 1.5 ran as 1, restarts=True as 1); a removed field is
     # refused whatever its value
     with pytest.raises(TypeError if field in REMOVED_FIELDS else ValueError, match=field):
         SolverConfig(**{field: value})
@@ -496,6 +509,12 @@ def test_classify_rejects_nonstationary(cubic):
         classify_index(cubic, v, evaluate(cubic, [v] * 3))
 
 
+def test_classify_rejects_order_one():
+    # numpy used to raise its AxisError, an IndexError, from the Hessian transpose
+    with pytest.raises(ShapeError, match="order >= 2"):
+        classify_index(DenseTensor([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0], 1.0)
+
+
 def _ref_classify(tensor, v, value):
     """The per-pair classification the batched helper replaced, on core's primitives."""
     k = tensor.order
@@ -569,6 +588,15 @@ def test_dedupe_keeps_antipodes():
 
 def test_dedupe_empty():
     assert dedupe([], 1e-6) == []
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-6, -math.inf, math.inf])
+def test_dedupe_rejects_a_radius_that_is_not_finite_and_nonnegative(tol):
+    # a NaN radius used to merge every point into one, a negative one to keep exact duplicates
+    pairs = symmetric_eigenpairs(random_tensor((3, 3, 3), 1, symmetric=True), CFG)
+    with pytest.raises(ValueError, match="tol"):
+        dedupe(pairs + pairs, tol)
+    assert len(dedupe(pairs + pairs, 0.0)) == len(pairs) > 1
 
 
 # Brute-force copies of the per-point greedy loops that _leaders replaced;
@@ -856,22 +884,24 @@ def test_line_search_state_calls_per_newton_iteration(monkeypatch):
     singular_tuples(random_tensor((4, 5, 6), 5))
     blocks = math.ceil(math.log2(solver._MAX_BACKTRACKS + 1))
     assert blocks == 5
-    # one Jacobian per Newton iteration; one initial state call per polish
-    assert counts["newton"] == 2 and counts["jac"] > 0
+    # one polish; one Jacobian per Newton iteration and one initial state call
+    assert counts["newton"] == 1 and counts["jac"] > 0
     assert counts["state"] <= blocks * counts["jac"] + counts["newton"]
 
 
 def test_newton_effort_is_logged_at_debug(caplog):
+    T = random_tensor((3, 4, 5), 2)
     with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
-        singular_tuples(random_tensor((3, 4, 5), 2), CFG)
-    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("damped Newton")]
-    assert len(lines) == 2  # ascent representatives, then the raw starts
-    for line in lines:
-        iters, calls, trials, converged, rows, stalled = map(int, re.findall(r"\d+", line))
-        assert 1 <= calls <= 5 * iters + 1
-        assert calls - 1 <= trials
-        assert converged + stalled <= rows
-    assert rows == CFG.restarts and converged > 0
+        singular_tuples(T, CFG)
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("damped Newton")]
+    iters, calls, trials, converged, rows, stalled = map(int, re.findall(r"\d+", line))
+    assert 1 <= calls <= 5 * iters + 1
+    assert calls - 1 <= trials
+    assert converged + stalled <= rows
+    # one polish: the ascent's leaders, then the raw starts
+    ends = solver._alternating_ascent(T.data, solver._random_starts(CFG.seed, CFG.restarts, T.shape, CFG.p), CFG.p)
+    leaders = len(_leaders(np.concatenate(ends, axis=1), 1e-3))
+    assert leaders >= 1 and rows == leaders + CFG.restarts and converged > 0
 
 
 # --- batch kernels ---------------------------------------------------------
@@ -1033,18 +1063,15 @@ def test_matrix_pair_jacobian_is_a_broadcast_view():
     assert np.array_equal(lead[0], M)
 
 
-def _ref_ascend(D, V0, p, sign, symmetric):
-    """The ascent before it carried gradients: a fresh gradient and value every iteration."""
-    k = D.ndim
+def _ref_ascend(S, V0, p, sign):
+    """The ascent before it carried gradients or stacked signs: one sign, a fresh gradient every iteration."""
+    k = S.ndim
 
     def gradient(V):
-        if symmetric:
-            return k * solver._contract_leading(D, [V] * (k - 1))
-        return sum(solver._batch_mode_grads(D, [V] * k))
+        return k * solver._contract_leading(S, [V] * (k - 1))
 
     def value(V):
-        g = solver._contract_leading(D, [V] * (k - 1)) if symmetric else solver._batch_mode_grads(D, [V] * k)[0]
-        return sign * solver._dot_rows(g, V)
+        return sign * solver._dot_rows(solver._contract_leading(S, [V] * (k - 1)), V)
 
     V = V0.copy()
     step = np.full(V.shape[0], solver._INITIAL_STEP)
@@ -1067,32 +1094,63 @@ def _ref_ascend(D, V0, p, sign, symmetric):
     return V
 
 
-def _ascent_runs(caplog, D, p, symmetric):
-    """(start, sign, result, whole-tensor contractions, iterations) of one ascent per sign."""
-    (V0,) = solver._random_starts(3, 50, D.shape[:1], p)
-    out = []
-    for sign in (1.0, -1.0):
-        caplog.clear()
-        with pytest.MonkeyPatch.context() as mp, caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
-            calls = _whole_tensor_contractions(mp, D)
-            V = solver._ascend(D, V0, p, sign, symmetric)
-        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("projected ascent")]
-        iters, improved, moving, rows = map(int, re.findall(r"\d+", line)[:4])
-        assert improved <= rows and moving <= rows and rows == 50
-        out.append((V0, sign, V, len(calls), iters))
-    return out
+def _signed_ascent(caplog, S, p):
+    """(starts V0, result, whole-tensor contractions, iterations) of one ascent over [V0; V0], signs +1 then -1."""
+    (V0,) = solver._random_starts(3, 50, S.shape[:1], p)
+    caplog.clear()
+    with pytest.MonkeyPatch.context() as mp, caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        calls = _whole_tensor_contractions(mp, S)
+        V = solver._ascend(S, np.concatenate([V0, V0]), p, np.repeat([1.0, -1.0], 50))
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("projected ascent")]
+    iters, improved, moving, rows = map(int, re.findall(r"\d+", line)[:4])
+    assert improved <= rows and moving <= rows and rows == 100
+    return V0, V, len(calls), iters
 
 
-@pytest.mark.parametrize("shape, p", [((3, 3, 3), 2.0), ((4, 4, 4, 4), 2.0), ((5, 5, 5), 3.0)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4, 4), (5, 5, 5), (6, 6, 6), (2, 2, 2, 2, 2), (4, 4, 4)])
 def test_ascent_makes_one_contraction_per_iteration(shape, p, caplog):
-    S = random_tensor(shape, 6, symmetric=True).data
-    for V0, sign, V, contractions, iters in _ascent_runs(caplog, S, p, True):
+    # one signed ascent equals one ascent per sign, bit for bit; a non-symmetric
+    # tensor's ascent runs on its symmetric part, so both make the same contractions
+    for S in (random_tensor(shape, 6, symmetric=True).data, symmetrize(random_tensor(shape, 6)).data):
+        V0, V, contractions, iters = _signed_ascent(caplog, S, p)
         assert 1 <= iters <= 60 and contractions == iters + 1
-        assert V.tobytes() == _ref_ascend(S, V0, p, sign, True).tobytes()
-    T = random_tensor(shape, 6).data
-    for V0, sign, V, contractions, iters in _ascent_runs(caplog, T, p, False):
-        assert contractions == 2 * (iters + 1)
-        assert V.tobytes() == _ref_ascend(T, V0, p, sign, False).tobytes()
+        ref = np.concatenate([_ref_ascend(S, V0, p, 1.0), _ref_ascend(S, V0, p, -1.0)])
+        assert V.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_eigen_solve_runs_one_ascent_and_one_newton(symmetric, monkeypatch, caplog):
+    T = random_tensor((4, 4, 4), 9, symmetric=symmetric)
+    ascend, newton = solver._ascend, solver._damped_newton
+    ascents, newtons = [], []
+
+    def counted_ascend(S, V0, p, sign):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _whole_tensor_contractions(mp, S)
+            V = ascend(S, V0, p, sign)
+        m = len(V0) // 2
+        leaders = len(_leaders(V[:m], 1e-3)) + len(_leaders(V[m:], 1e-3))
+        ascents.append((len(V0), len(calls), leaders))
+        return V
+
+    def counted_newton(z0, *args, **kwargs):
+        newtons.append(len(z0))
+        return newton(z0, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_ascend", counted_ascend)
+    monkeypatch.setattr(solver, "_damped_newton", counted_newton)
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        assert mode_eigenpairs(T, 2, CFG)
+    (continuum,) = _continuum_lines(caplog)
+    assert _counts(continuum)[1] == 0  # no flagged point, so no witness Newton
+    (ascent,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("projected ascent")]
+    iters = int(re.findall(r"\d+", ascent)[0])
+    ((rows, contractions, leaders),) = ascents
+    # both signs in one batch, one contraction per iteration whatever the tensor
+    assert rows == 2 * CFG.restarts and contractions == iters + 1
+    # one polish: the leaders of both sign halves, then the raw starts
+    assert newtons == [leaders + CFG.restarts]
 
 
 @pytest.mark.parametrize("shape", [(4, 5, 6), (3, 3, 3), (2, 3, 4, 3), (3, 4), (5, 6)])
