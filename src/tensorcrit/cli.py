@@ -309,23 +309,23 @@ def build_parser():
     p_eval.add_argument("tensor")
     p_eval.add_argument("vectors", nargs="+", help="one vector file per mode")
 
-    p_eig = sub.add_parser("eig", help="find eigenpairs")
+    # the four SolverConfig settings, shared by eig and svd
+    search = argparse.ArgumentParser(add_help=False)
+    config = solver.SolverConfig
+    search.add_argument("--p", type=float, default=config.p)
+    search.add_argument("--seed", type=int, default=config.seed)
+    search.add_argument("--restarts", type=int, default=config.restarts)
+    search.add_argument("--tolerance", type=float, default=config.gradient_tolerance)
+
+    p_eig = sub.add_parser("eig", parents=[search], help="find eigenpairs")
     p_eig.add_argument("tensor")
     which = p_eig.add_mutually_exclusive_group(required=True)
     which.add_argument("--symmetric", action="store_true")
     which.add_argument("--mode", type=int)
-    p_eig.add_argument("--p", type=float, default=2.0)
-    p_eig.add_argument("--seed", type=int, default=0)
-    p_eig.add_argument("--restarts", type=int, default=solver.SolverConfig.restarts)
-    p_eig.add_argument("--tolerance", type=float, default=1e-10)
     p_eig.add_argument("--audit", action="store_true")
 
-    p_svd = sub.add_parser("svd", help="find singular tuples")
+    p_svd = sub.add_parser("svd", parents=[search], help="find singular tuples")
     p_svd.add_argument("tensor")
-    p_svd.add_argument("--p", type=float, default=2.0)
-    p_svd.add_argument("--seed", type=int, default=0)
-    p_svd.add_argument("--restarts", type=int, default=solver.SolverConfig.restarts)
-    p_svd.add_argument("--tolerance", type=float, default=1e-10)
 
     p_gen = sub.add_parser("gen", help="write a seeded random tensor file")
     p_gen.add_argument("--shape", required=True, help="comma-separated dimensions")

@@ -3,8 +3,9 @@
 These deliberately avoid the solver's code paths: eigenvalues come from
 hand-rolled cyclic Jacobi rotations, singular values from the Gram
 matrix, and the n=2 critical sets from sign-change bracketing plus
-bisection on the circle.  Only the elementary contraction primitives
-(evaluate, sym_gradient) are shared with the rest of the package.
+bisection on the circle, every evaluation batched through one grid
+evaluator.  Only ``evaluate`` and ``is_symmetric`` are shared with the
+rest of the package.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import evaluate, is_symmetric, sym_gradient
+from .core import evaluate, is_symmetric
 from .errors import DegenerateTensorError, ShapeError
 
 __all__ = [
@@ -161,7 +162,7 @@ def _require_symmetric_on(tensor, n):
 
 
 def _grid_restriction(data, thetas):
-    """Values and derivative of theta -> f(v(theta),...) on the whole grid."""
+    """Values and derivative of theta -> f(v(theta),...) at every theta."""
     k = data.ndim
     V = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     G = _batch_grad(data, V)
@@ -171,126 +172,102 @@ def _grid_restriction(data, thetas):
     return values, dg
 
 
-def _restriction(tensor, theta):
-    v = np.array([math.cos(theta), math.sin(theta)])
-    return evaluate(tensor, [v] * tensor.order)
+def _hidden_root(data, thetas, dg, h, tol):
+    """Whether dg may touch or cross zero between two nodes of its sign.
 
-
-def _restriction_derivative(tensor, theta):
-    v = np.array([math.cos(theta), math.sin(theta)])
-    g = sym_gradient(tensor, v)
-    return tensor.order * float(g @ np.array([-v[1], v[0]]))
-
-
-def _bisect_root(tensor, a, b, tol):
-    fa = _restriction_derivative(tensor, a)
-    fb = _restriction_derivative(tensor, b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0) == (fb > 0):
-        return None
-    mid = 0.5 * (a + b)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = _restriction_derivative(tensor, mid)
-        if abs(fm) <= tol or (b - a) <= 1e-15:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return mid
-
-
-def _check_resolution(resolution, finest):
-    """Raise ValueError unless finest <= resolution < inf.
-
-    ``finest`` is the resolution whose first grid has 2^20 points; a finer
-    one would start the search beyond its largest grid.
+    A double root, or two roots in one cell, leaves no sign change on the
+    grid.  Every node where |dg| is a local minimum and both neighbours
+    share its sign gets a golden-section search for the bottom of sign*dg
+    over its two cells; all nodes step together, one batch per step.
     """
-    if not finest <= resolution < math.inf:
-        raise ValueError(
-            f"resolution must be finite and at least {finest:.3g} "
-            f"(a first grid of at most 2^20 points), got {resolution!r}"
-        )
+    s, m = np.sign(dg), np.abs(dg)
+    same = (np.roll(s, 1) == s) & (np.roll(s, -1) == s)
+    nodes = np.flatnonzero(same & (m <= np.roll(m, 1)) & (m <= np.roll(m, -1)))
+    s, lo, hi = s[nodes], thetas[nodes] - h, thetas[nodes] + h
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    # within ~1e-8 of its bottom sign*dg is flat to rounding; finer steps add nothing
+    while nodes.size and np.max(hi - lo) > 1e-9:
+        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+        _, dcd = _grid_restriction(data, np.concatenate([c, d]))
+        fc, fd = np.split(np.tile(s, 2) * dcd, 2)
+        if np.any(np.minimum(fc, fd) <= tol):
+            return True
+        left = fc < fd
+        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
+    return False
 
 
-def _circle_scan(tensor, gridsize):
+def _bisect(data, a, b, sign_a, tol):
+    """Roots of dg in the brackets [a, b], all bisected together."""
+    live = np.ones(a.size, dtype=bool)
+    while live.any():
+        mid = 0.5 * (a + b)
+        _, fm = _grid_restriction(data, mid)
+        live &= (np.abs(fm) > tol) & (b - a > 1e-15)
+        up = live & (np.sign(fm) == sign_a)
+        a = np.where(up, mid, a)
+        b = np.where(live & ~up, mid, b)
+    return 0.5 * (a + b)
+
+
+def _circle_scan(data, gridsize):
     """One pass at a fixed grid; None means an unclassifiable point was hit."""
     h = 2.0 * math.pi / gridsize
     thetas = (np.arange(gridsize) + 0.5) * h
-    values, dg = _grid_restriction(tensor.data, thetas)
+    values, dg = _grid_restriction(data, thetas)
     dscale = float(np.max(np.abs(dg)))
-    if dscale <= 1e-13 * max(1.0, float(np.max(np.abs(values)))):
+    if dscale <= 1e-13 * float(np.max(np.abs(values))):
         raise DegenerateTensorError(
             "the restriction to the circle is constant; every point is critical"
         )
-    tol = 1e-13 * max(1.0, dscale)
-    roots = []
-    for i in range(gridsize):
-        j = (i + 1) % gridsize
-        a = thetas[i]
-        b = thetas[i] + h
-        if dg[i] == 0.0:
-            roots.append(a)
-            continue
-        if dg[j] == 0.0:
-            continue  # captured as the node of the next interval
-        if (dg[i] > 0) != (dg[j] > 0):
-            root = _bisect_root(tensor, a, b, tol)
-            if root is not None:
-                roots.append(root % (2.0 * math.pi))
-    if not roots:
+    tol = 1e-13 * dscale
+    if _hidden_root(data, thetas, dg, h, tol):
+        return None  # a double root or a pair inside one cell: refine
+    s = np.sign(dg)
+    brackets = np.flatnonzero((s != 0) & (np.roll(s, -1) == -s))
+    roots = np.sort(np.concatenate([
+        thetas[s == 0],
+        _bisect(data, thetas[brackets], thetas[brackets] + h, s[brackets], tol) % (2.0 * math.pi),
+    ]))
+    if roots.size == 0:
         return None
-    roots = sorted(roots)
-    merged = [roots[0]]
-    for r in roots[1:]:
-        if r - merged[-1] > 1e-9:
-            merged.append(r)
-    if len(merged) > 1 and (merged[0] + 2.0 * math.pi) - merged[-1] <= 1e-9:
-        merged.pop()
+    roots = roots[np.diff(roots, prepend=-1.0) > 1e-9]
+    if roots.size > 1 and (roots[0] + 2.0 * math.pi) - roots[-1] <= 1e-9:
+        roots = roots[:-1]
     fd = 1e-5
-    points = []
-    for theta in merged:
-        v = np.array([math.cos(theta), math.sin(theta)])
-        value = evaluate(tensor, [v] * tensor.order)
-        second = (
-            _restriction(tensor, theta + fd)
-            - 2.0 * value
-            + _restriction(tensor, theta - fd)
-        ) / fd**2
-        if abs(second) <= 1e-7 * max(1.0, dscale):
-            return None  # flat second derivative: refine or give up
-        points.append(CriticalPoint(vector=v, value=float(value), index=1 if second < 0 else 0))
-    return points
+    f, _ = _grid_restriction(data, np.concatenate([roots, roots + fd, roots - fd]))
+    value, plus, minus = np.split(f, 3)
+    second = (plus - 2.0 * value + minus) / fd**2
+    if np.any(np.abs(second) <= 1e-7 * dscale):
+        return None  # flat second derivative: refine or give up
+    return [
+        CriticalPoint(vector=np.array([math.cos(t), math.sin(t)]), value=float(v), index=int(d2 < 0))
+        for t, v, d2 in zip(roots, value, second)
+    ]
 
 
-def circle_critical_points(tensor, resolution=2e-3):
+def circle_critical_points(tensor):
     """Complete critical set of a symmetric tensor on R^2.
 
     Parametrizes the circle, brackets every sign change of the derivative
-    on a uniform grid, and bisects.  Completeness is certified a
-    posteriori: the minima and maxima must balance (index parity on the
-    circle); a failure doubles the grid, up to 2^20 points.  A resolution
-    that is not finite and positive, or finer than 2*pi / 2^20, raises
-    ValueError.
+    on a uniform grid of 4096 nodes, and bisects.  A node where the
+    derivative comes near zero without changing sign is searched for a
+    double root or a pair of roots inside one cell.  Completeness is
+    certified a posteriori: the minima and maxima must balance (index
+    parity on the circle).  A hidden root, a flat point or an unbalanced
+    set doubles the grid, up to 2^20 nodes; beyond that the tensor is
+    reported degenerate.  Every threshold is relative to the tensor's own
+    scale.  ``resolution`` in the result is the spacing of the grid that
+    certified the set.
     """
     _require_symmetric_on(tensor, 2)
-    _check_resolution(resolution, 2.0 * math.pi / 2**20)
-    gridsize = max(4096, int(math.ceil(2.0 * math.pi / resolution)))
+    gridsize = 4096
     while gridsize <= 2**20:
-        points = _circle_scan(tensor, gridsize)
+        points = _circle_scan(tensor.data, gridsize)
         if points is not None:
-            c0 = sum(1 for pt in points if pt.index == 0)
-            c1 = sum(1 for pt in points if pt.index == 1)
-            if c0 == c1 and c0 >= 1:
-                return CriticalSet(
-                    points=tuple(points),
-                    complete=True,
-                    resolution=2.0 * math.pi / gridsize,
-                )
+            maxima = sum(pt.index for pt in points)
+            if maxima >= 1 and 2 * maxima == len(points):
+                return CriticalSet(tuple(points), complete=True, resolution=2.0 * math.pi / gridsize)
         gridsize *= 2
     raise DegenerateTensorError(
         "no balanced critical set found after maximal grid refinement; the "
@@ -302,6 +279,9 @@ def circle_critical_points(tensor, resolution=2e-3):
 # heuristic high-recall search on the 2-sphere (n = 3)
 # ---------------------------------------------------------------------------
 
+_SPHERE_RESOLUTION = 0.15  # Fibonacci-grid spacing
+_SPHERE_TOL = 1e-10  # stationarity residual a kept point must reach
+
 
 def _fibonacci_sphere(count):
     i = np.arange(count) + 0.5
@@ -312,7 +292,7 @@ def _fibonacci_sphere(count):
     return np.stack([r * np.cos(th), r * np.sin(th), z], axis=1)
 
 
-def _polish_on_sphere(data, V0, tol, iters=25):
+def _polish_on_sphere(data, V0, iters=25):
     """Newton with a finite-difference Jacobian on the stationarity system."""
     k = data.ndim
     n = V0.shape[1]
@@ -329,7 +309,7 @@ def _polish_on_sphere(data, V0, tol, iters=25):
     F, Fn = state(V, lam)
     h = 1e-6
     for _ in range(iters):
-        active = np.flatnonzero(Fn > 0.1 * tol)
+        active = np.flatnonzero(Fn > 0.1 * _SPHERE_TOL)
         if active.size == 0:
             break
         Va = V[active]
@@ -397,28 +377,25 @@ def _geodesic_index(tensor, v, value, step=1e-4):
     return index, nondeg
 
 
-def sphere_grid_search(tensor, resolution=0.15, tol=1e-10):
+def sphere_grid_search(tensor):
     """Heuristic critical-point sweep on S^2 for symmetric tensors on R^3.
 
-    Seeds a Newton polish from every node of a spherical Fibonacci grid.
-    Recall is only heuristic, so ``complete`` is always False; the set is
-    meant to cross-check the main solver.  A resolution that is not finite
-    and positive, or finer than sqrt(4*pi / 2^20) (more than 2^20 nodes),
-    raises ValueError.
+    Seeds a Newton polish from every node of a spherical Fibonacci grid of
+    spacing 0.15 (559 nodes) and keeps the points whose stationarity
+    residual is at most 1e-10.  Recall is only heuristic, so ``complete``
+    is always False; the set is meant to cross-check the main solver.
     """
     _require_symmetric_on(tensor, 3)
-    _check_resolution(resolution, math.sqrt(4.0 * math.pi / 2**20))
-    count = max(int(math.ceil(4.0 * math.pi / resolution**2)), 200)
-    nodes = _fibonacci_sphere(count)
+    nodes = _fibonacci_sphere(int(math.ceil(4.0 * math.pi / _SPHERE_RESOLUTION**2)))
     data = tensor.data
-    V, lam = _polish_on_sphere(data, nodes, tol)
+    V, lam = _polish_on_sphere(data, nodes)
     nrm = np.linalg.norm(V, axis=1)
     good = np.isfinite(nrm) & (nrm > 1e-300)
     V = V[good] / nrm[good, None]
     G = _batch_grad(data, V)
     lam = np.sum(G * V, axis=1)
     resid = np.linalg.norm(G - lam[:, None] * V, axis=1)
-    keep = np.flatnonzero(np.isfinite(resid) & (resid <= tol))
+    keep = np.flatnonzero(np.isfinite(resid) & (resid <= _SPHERE_TOL))
     reps = []
     for i in keep:
         if reps and float(np.min(np.linalg.norm(np.array(reps) - V[i], axis=1))) <= 1e-6:
@@ -444,4 +421,4 @@ def sphere_grid_search(tensor, resolution=0.15, tol=1e-10):
             "most stationary points on the sphere classify as degenerate"
         )
     points.sort(key=lambda pt: (-pt.value, tuple(pt.vector.tolist())))
-    return CriticalSet(points=tuple(points), complete=False, resolution=resolution)
+    return CriticalSet(points=tuple(points), complete=False, resolution=_SPHERE_RESOLUTION)

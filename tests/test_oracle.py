@@ -159,6 +159,14 @@ def test_circle_identity_degenerate():
         circle_critical_points(DenseTensor(np.eye(2)))
 
 
+def _x3_minus_3eps_xy2(eps):
+    """x^3 - 3*eps*x*y^2 as a symmetric tensor on R^2."""
+    data = np.zeros((2, 2, 2))
+    data[0, 0, 0] = 1.0
+    data[0, 1, 1] = data[1, 0, 1] = data[1, 1, 0] = -eps
+    return DenseTensor(data)
+
+
 @pytest.mark.parametrize("seed,k", [(s, k) for s in range(6) for k in (3, 4, 5)])
 def test_circle_even_cardinality_and_parity(seed, k):
     T = random_tensor((2,) * k, 500 + seed, symmetric=True)
@@ -169,25 +177,43 @@ def test_circle_even_cardinality_and_parity(seed, k):
         counts[p.index] = counts.get(p.index, 0) + 1
     ok, s = euler_parity_check(IndexHistogram(n=2, counts=counts))
     assert ok and s == 0
+    scale = float(np.max(np.abs(T.data)))
+    for p in cs.points:
+        assert np.linalg.norm(sym_gradient(T, p.vector) - p.value * p.vector) <= 1e-12 * scale
+        assert evaluate(T, [p.vector] * k) == pytest.approx(p.value, abs=1e-12 * scale)
 
 
-@pytest.mark.parametrize("resolution", [0, 0.0, -1e-3, -np.inf, np.nan, np.inf, 5e-6, 1e-320])
-def test_circle_rejects_unusable_resolution(resolution):
-    T = random_tensor((2, 2, 2), 1, symmetric=True)
-    with pytest.raises(ValueError, match="resolution must be finite and at least 5.99e-06"):
-        circle_critical_points(T, resolution)
+def test_circle_double_root_is_degenerate():
+    # x^3: (0, +-1) are double roots of the derivative, with no sign change
+    with pytest.raises(DegenerateTensorError):
+        circle_critical_points(_x3_minus_3eps_xy2(0.0))
 
 
-def test_circle_finest_resolution_searches():
-    T = random_tensor((2, 2, 2), 1, symmetric=True)
-    finest = 2 * np.pi / 2**20
-    cs = circle_critical_points(T, finest)
-    assert cs.complete and cs.resolution == finest
-    want = circle_critical_points(T)
-    assert len(cs.points) == len(want.points) == 6
-    for p, q in zip(cs.points, want.points):
-        np.testing.assert_allclose(p.vector, q.vector, atol=1e-9)
-        assert p.index == q.index
+def test_circle_finds_two_roots_inside_one_cell():
+    # the pairs near (0, +-1) lie 5e-4 apart, inside one cell of the first grid
+    eps = 6.25e-8
+    cs = circle_critical_points(_x3_minus_3eps_xy2(eps))
+    assert cs.complete and len(cs.points) == 6
+    # df/dtheta = -3 sin(t) ((1 + 2 eps) cos(t)^2 - eps sin(t)^2)
+    c = np.sqrt(eps / (1 + 2 * eps))
+    want = [np.array([x, y]) / np.hypot(x, y) for x, y in [(1, 0), (-1, 0), (c, 1), (-c, 1), (c, -1), (-c, -1)]]
+    for w in want:
+        assert min(np.linalg.norm(p.vector - w) for p in cs.points) <= 1e-9
+    assert sorted(p.index for p in cs.points) == [0, 0, 0, 1, 1, 1]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_circle_is_scale_equivariant(k):
+    T = random_tensor((2,) * k, 500 + k, symmetric=True)
+    base = circle_critical_points(T)
+    for j in (-900, -300, -30, 30, 300, 900):
+        cs = circle_critical_points(DenseTensor(np.ldexp(T.data, j)))
+        assert cs.resolution == base.resolution
+        assert len(cs.points) == len(base.points)
+        for p, q in zip(cs.points, base.points):
+            assert np.array_equal(p.vector, q.vector)
+            assert p.index == q.index
+            assert p.value == np.ldexp(q.value, j)
 
 
 def test_circle_grid_evaluator_matches_primitives(cubic):
@@ -219,13 +245,6 @@ def test_grid_search_zero_tensor_degenerate():
         sphere_grid_search(DenseTensor(np.zeros((3, 3, 3))))
 
 
-@pytest.mark.parametrize("resolution", [0, -0.15, np.nan, np.inf, 1e-3, 1e-200])
-def test_grid_search_rejects_unusable_resolution(resolution):
-    T = random_tensor((3, 3, 3), 1, symmetric=True)
-    with pytest.raises(ValueError, match="resolution must be finite and at least 0.00346"):
-        sphere_grid_search(T, resolution)
-
-
 def test_grid_search_covers_solver_points():
     hits = 0
     total = 50
@@ -233,7 +252,7 @@ def test_grid_search_covers_solver_points():
         T = random_tensor((3, 3, 3), 600 + i, symmetric=True)
         try:
             pairs = symmetric_eigenpairs(T, SolverConfig(restarts=32, seed=i))
-            cs = sphere_grid_search(T, resolution=0.15)
+            cs = sphere_grid_search(T)
         except DegenerateTensorError:
             hits += 1  # both sides agree the instance is pathological
             continue
