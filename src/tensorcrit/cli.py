@@ -201,8 +201,11 @@ def cmd_gen(args):
         return _fail(str(exc))
     text = dumps_tensor(tensor)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _fail(f"cannot write {args.output}: {exc}")
     else:
         sys.stdout.write(text)
     return 0

@@ -139,10 +139,10 @@ def mode_gradient(tensor: DenseTensor, vectors: Sequence, mode: int) -> np.ndarr
     return out
 
 
-def _orbit_ids(shape) -> np.ndarray:
-    """Orbit number of every flat index; an orbit is a multiset of indices."""
+def _orbit_ids(shape, m=None) -> np.ndarray:
+    """Orbit number of every flat index; an orbit permutes its leading m indices (default all)."""
     idx = np.indices(shape).reshape(len(shape), -1)
-    idx.sort(axis=0)
+    idx[:m].sort(axis=0)
     _, ids = np.unique(np.ravel_multi_index(idx, shape), return_inverse=True)
     return ids
 
@@ -239,17 +239,21 @@ def symmetrize(tensor: DenseTensor) -> DenseTensor:
     """
     if max_asymmetry(tensor) == 0.0:
         return tensor
-    ids = _orbit_ids(tensor.shape)
+    out = DenseTensor(_orbit_mean(tensor.data, _orbit_ids(tensor.shape)))
+    out._asymmetry = 0.0
+    return out
+
+
+def _orbit_mean(data, ids):
+    """data with each entry replaced by the mean of its orbit; ids from _orbit_ids."""
+    flat = data.reshape(-1)
     # Sum each orbit scaled by a power of two near its largest |entry|, so the
     # sum cannot overflow; the scaling is exact for normal numbers.
     top = np.zeros(ids.max() + 1)
-    np.maximum.at(top, ids, np.abs(tensor.entries))
+    np.maximum.at(top, ids, np.abs(flat))
     _, exp = np.frexp(top)
-    sums = np.bincount(ids, weights=np.ldexp(tensor.entries, -exp[ids]))
-    means = np.ldexp(sums / np.bincount(ids), exp)
-    out = DenseTensor(means[ids].reshape(tensor.shape))
-    out._asymmetry = 0.0
-    return out
+    sums = np.bincount(ids, weights=np.ldexp(flat, -exp[ids]))
+    return np.ldexp(sums / np.bincount(ids), exp)[ids].reshape(data.shape)
 
 
 def random_tensor(shape, seed: int, symmetric: bool = False) -> DenseTensor:
@@ -299,7 +303,7 @@ def loads_tensor(text: str) -> DenseTensor:
         return DenseTensor.from_flat(shape, entries)
     except ShapeError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad tensor entries: {exc}") from exc
 
 

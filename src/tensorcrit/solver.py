@@ -18,7 +18,6 @@ then one residual-based acceptance and deduplication.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import numbers
@@ -29,9 +28,11 @@ import numpy as np
 from .core import (
     DenseTensor,
     _check_vectors,
+    _orbit_ids,
+    _orbit_mean,
     _require_square,
     _require_symmetric,
-    is_symmetric,
+    max_asymmetry,
     mode_gradient,
     symmetrize,
 )
@@ -94,7 +95,7 @@ class SolverConfig:
             raise ValueError("restarts must be an integer >= 1")
         if not _is_int(self.seed):
             raise ValueError("seed must be an integer")
-        if not 0 < self.gradient_tolerance < np.inf:
+        if isinstance(self.gradient_tolerance, bool) or not 0 < self.gradient_tolerance < np.inf:
             raise ValueError("gradient_tolerance must be finite and > 0")
         check_norm_param(self.p)
 
@@ -266,28 +267,14 @@ def _normalize_rows(V, p):
 
 
 def _random_starts(seed, restarts, dims, p):
-    """One unit start tuple per restart; stream r is derived from (seed, r).
+    """One unit start tuple per restart, as one array of rows per mode.
 
-    Returns a fresh list of read-only arrays that are shared with every
-    other call with the same arguments.
+    Row r is the r-th draw of sum(dims) normals from one stream of seed,
+    split per mode and normalized, so it is the same for every restarts > r.
     """
-    return list(_start_table(int(seed) & 0xFFFFFFFFFFFFFFFF, int(restarts), tuple(dims), float(p)))
-
-
-@functools.lru_cache(maxsize=64)
-def _start_table(seed_u, restarts, dims, p):
-    out = [np.empty((restarts, n)) for n in dims]
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([seed_u, r]))
-        for i, n in enumerate(dims):
-            v = rng.standard_normal(n)
-            while not np.any(v):
-                v = rng.standard_normal(n)
-            out[i][r] = v
-    starts = tuple(_normalize_rows(V, p) for V in out)
-    for V in starts:
-        V.flags.writeable = False
-    return starts
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF))
+    X = rng.standard_normal((restarts, sum(dims)))
+    return [_normalize_rows(V, p) for V in np.split(X, np.cumsum(dims)[:-1], axis=1)]
 
 
 def _leaders(X, tol):
@@ -415,12 +402,11 @@ def _eigen_state_fn(D, p):
     return state
 
 
-def _eigen_jac_fn(D, p, symmetric):
-    """Bordered Jacobian of _eigen_state_fn.
+def _eigen_jac_fn(D, p):
+    """Bordered Jacobian of _eigen_state_fn; D is symmetric in its leading k-1 modes.
 
-    The last-mode gradient's derivative sums the transposed (r, k-1) blocks
-    of _batch_pair_jacs, or is k-1 times D contracted in its leading k-2
-    modes when D is symmetric.
+    So the last-mode gradient's derivative is k-1 times D contracted in its
+    leading k-2 modes: one pass over the tensor.
     """
     k = D.ndim
     n = D.shape[0]
@@ -430,11 +416,7 @@ def _eigen_jac_fn(D, p, symmetric):
         V = z[:, :n]
         lam = z[:, n]
         with np.errstate(all="ignore"):
-            if symmetric:
-                J = (k - 1) * _contract_leading(D, [V] * (k - 2))
-            else:
-                blocks = _batch_pair_jacs(D, [V] * k)
-                J = sum(blocks[r, k - 1] for r in range(k - 1))
+            J = (k - 1) * _contract_leading(D, [V] * (k - 2))
             K = np.zeros((len(z), n + 1, n + 1))
             K[:, :n, :n] = np.swapaxes(J, 1, 2)
             K[:, diag, diag] -= lam[:, None] * _phi_slope_rows(V, p)
@@ -631,6 +613,11 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
         raise ShapeError("index classification needs dimension >= 2")
     vec = _check_vectors(tensor, [v] * tensor.order)[0]
     _check_unit(vec, 2.0)
+    # a NaN would pass the stationarity guard in _morse_rows unseen
+    if not math.isfinite(value):
+        raise ValueError(f"value must be finite, got {value}")
+    if not 0 <= residual_tolerance < np.inf:
+        raise ValueError(f"residual_tolerance must be finite and >= 0, got {residual_tolerance}")
     index, nondegenerate = _morse_rows(
         tensor.data, vec[None, :], np.array([float(value)]), residual_tolerance
     )
@@ -640,12 +627,13 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
 def _eigen_run(tensor, mode, config):
     """Eigenpairs in ``mode`` under config.p; mode 0 is the symmetric problem.
 
-    The symmetric problem under the 2-norm also gets Morse data.  Modes
-    1..k use the symmetric Jacobian iff the tensor is symmetric.
+    The symmetric problem under the 2-norm also gets Morse data.  The mode-i
+    problem sees T only through T(v, ..., v, .), so it runs on the mode-last
+    copy averaged over its leading k-1 modes, the basis-free object; an
+    exactly symmetric tensor is its own average.
     """
     k = tensor.order
     _check_eigen_args(tensor, mode)
-    symmetric = mode == 0 or is_symmetric(tensor)
     n = tensor.shape[0]
     if k < 2:
         raise ShapeError("eigenpair solvers need tensor order >= 2")
@@ -655,10 +643,15 @@ def _eigen_run(tensor, mode, config):
     gtol = config.gradient_tolerance
     # the mode-i eigenpairs of T are the last-mode eigenpairs of T with mode i moved last
     D = np.ascontiguousarray(np.moveaxis(tensor.data, max(mode - 1, 0), -1))
-    state, jac = _eigen_state_fn(D, p), _eigen_jac_fn(D, p, symmetric)
     # f(v) = D(v, ..., v) is the form of D's symmetric part, so the ascent climbs that;
-    # the first m rows maximize f and the last m minimize it
-    S = D if symmetric else symmetrize(DenseTensor(D)).data
+    # D(v, ..., v, .) does not change when D is averaged over its leading k-1 modes, and
+    # the Newton system and acceptance run on that average
+    S = D
+    if max_asymmetry(tensor) != 0.0:
+        S = symmetrize(DenseTensor(D)).data
+        D = _orbit_mean(D, _orbit_ids(D.shape, k - 1))
+    state, jac = _eigen_state_fn(D, p), _eigen_jac_fn(D, p)
+    # the first m rows of the ascent maximize f and the last m minimize it
     (V0,) = _random_starts(config.seed, config.restarts, (n,), p)
     m = len(V0)
     ends = _ascend(S, np.concatenate([V0, V0]), p, np.repeat([1.0, -1.0], m))
@@ -666,7 +659,6 @@ def _eigen_run(tensor, mode, config):
     V = np.concatenate([half[_leaders(half, 1e-3)] for half in (ends[:m], ends[m:])] + [V0])
     lam0 = _dot_rows(_contract_leading(D, [V] * (k - 1)), V)
     V = _damped_newton(np.concatenate([V, lam0[:, None]], axis=1), state, jac, gtol)[:, :n]
-    V = _accept_eigen(D, V, p, gtol)[0]
     # antipodal completion: -v is stationary with multiplier (-1)^k lam
     V, lam, resid = _accept_eigen(D, np.concatenate([V, -V]), p, gtol)
     flag_zero = p != 2.0
@@ -875,7 +867,7 @@ def singular_tuples(tensor, config=None):
     config = config or SolverConfig()
     k = tensor.order
     if k < 2:
-        raise ValueError("singular tuples need tensor order >= 2")
+        raise ShapeError("singular tuples need tensor order >= 2")
     p = check_norm_param(config.p)
     gtol = config.gradient_tolerance
     data = tensor.data

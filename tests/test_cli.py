@@ -51,6 +51,14 @@ def test_gen_symmetric_needs_square(capsys):
     assert "square" in err
 
 
+def test_gen_into_a_missing_directory_is_input_error(tmp_path, capsys):
+    # open() raised FileNotFoundError out of main, with a traceback
+    target = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, ["gen", "--shape", "2,2", "-o", str(target)])
+    assert code == 2
+    assert err.startswith("error: cannot write") and not target.exists()
+
+
 def test_gen_symmetric_output_is_symmetric(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert main(["gen", "--shape", "3,3,3", "--symmetric", "--seed", "1", "-o", str(out)]) == 0
@@ -306,6 +314,10 @@ def test_garbage_file_rejected(tmp_path, capsys):
     path.write_text("not a tensor")
     code, _, err = run(capsys, ["eig", str(path), "--symmetric"])
     assert code == 2
+    # an integer beyond binary64: its OverflowError escaped main
+    path.write_text('{"shape": [2], "entries": [1, 1%s]}' % ("0" * 400))
+    code, _, err = run(capsys, ["eig", str(path), "--mode", "1"])
+    assert code == 2 and "bad tensor entries" in err
 
 
 # --- report determinism ------------------------------------------------------

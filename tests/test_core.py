@@ -247,6 +247,21 @@ def test_symmetrize_bits_match_plain_orbit_mean(shape):
         assert np.array_equal(random_tensor(shape, seed, symmetric=True).entries, plain[ids])
 
 
+@pytest.mark.parametrize("shape, m", [((3, 3, 3), 2), ((3, 3, 3, 3), 3), ((2, 3, 3, 4), 1), ((3, 3, 2), 2)])
+def test_orbit_mean_of_leading_modes_is_their_permutation_mean(shape, m):
+    import itertools
+
+    from tensorcrit.core import _orbit_ids, _orbit_mean
+
+    T = random_tensor(shape, 9).data
+    perms = list(itertools.permutations(range(m)))
+    ref = sum(np.transpose(T, p + tuple(range(m, len(shape)))) for p in perms) / len(perms)
+    got = _orbit_mean(T, _orbit_ids(shape, m))
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+    for p in perms:
+        assert np.array_equal(np.transpose(got, p + tuple(range(m, len(shape)))), got)
+
+
 def test_symmetrize_rejects_rectangular():
     with pytest.raises(ShapeError):
         symmetrize(DenseTensor(np.ones((2, 3))))
@@ -320,6 +335,9 @@ def test_file_format_rejects_nonfinite():
         loads_tensor('{"shape": [1], "entries": [Infinity]}')
     with pytest.raises(ValueError):
         loads_tensor('{"shape": [1], "entries": [1e999]}')
+    # an integer literal loads as a Python int, whose float conversion raised OverflowError
+    with pytest.raises(ValueError, match="bad tensor entries"):
+        loads_tensor('{"shape": [2], "entries": [1, 1%s]}' % ("0" * 400))
 
 
 def test_file_format_rejects_garbage():

@@ -30,6 +30,7 @@ from tensorcrit import (
     symmetrize,
 )
 from tensorcrit import solver
+from tensorcrit.core import _orbit_ids, _orbit_mean
 from tensorcrit.solver import _leaders
 from conftest import geodesic_second_derivative, match_pair, tangent_basis
 
@@ -76,6 +77,7 @@ def test_config_has_exactly_the_four_settable_fields():
     [
         ("gradient_tolerance", math.nan),
         ("gradient_tolerance", math.inf),
+        ("gradient_tolerance", True),
         ("dedupe_tolerance", math.nan),
         ("dedupe_tolerance", math.inf),
         ("initial_step", math.nan),
@@ -255,6 +257,27 @@ def test_mode_out_of_range():
         mode_eigenpairs(DenseTensor(np.eye(2)), 3, CFG)
     with pytest.raises(ValueError):
         generalized_eigenpairs(DenseTensor(np.eye(2)), -1, CFG)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize(
+    "shape, mode, perm",
+    [((3, 3, 3), 2, (2, 1, 0)), ((3, 3, 3), 3, (1, 0, 2)), ((3, 3, 3, 3), 1, (0, 3, 1, 2)), ((3, 3, 3, 3), 4, (2, 0, 1, 3))],
+)
+def test_mode_pairs_do_not_see_the_order_of_the_contracted_modes(shape, mode, perm, p):
+    # the paper defines a mode-i pair through T(v, ..., v, .) alone, which is blind
+    # to how the other k-1 modes are ordered; perm keeps mode i in place
+    assert perm[mode - 1] == mode - 1
+    T = random_tensor(shape, 60 + mode)
+    U = DenseTensor(np.transpose(T.data, perm))
+    cfg = SolverConfig(restarts=60, p=p)
+    a, b = generalized_eigenpairs(T, mode, cfg), generalized_eigenpairs(U, mode, cfg)
+    assert len(a) == len(b) > 0
+    # v and -v share a value when k is even, so match as sets rather than in sorted order
+    za = np.array([np.append(pt.vector, pt.value) for pt in a])
+    zb = np.array([np.append(pt.vector, pt.value) for pt in b])
+    dist = np.max(np.abs(za[:, None] - zb[None]), axis=2)
+    assert np.all(dist.min(axis=1) <= 1e-12) and np.all(dist.min(axis=0) <= 1e-12)
 
 
 # --- one eigen body: mode 0 is the symmetric problem ------------------------
@@ -507,6 +530,12 @@ def test_classify_rejects_nonstationary(cubic):
     v = np.array([0.6, 0.8])
     with pytest.raises(ValueError):
         classify_index(cubic, v, evaluate(cubic, [v] * 3))
+    # a NaN value or tolerance passed the guard: e1 came out as (2, True) or (0, False)
+    T = random_tensor((3, 3, 3), 1, symmetric=True)
+    e1 = np.array([1.0, 0.0, 0.0])
+    for value, tol in [(5.0, math.nan), (math.nan, 1e-8), (math.inf, 1e-8), (5.0, math.inf), (5.0, -1e-8)]:
+        with pytest.raises(ValueError, match="value|residual_tolerance"):
+            classify_index(T, e1, value, residual_tolerance=tol)
 
 
 def test_classify_rejects_order_one():
@@ -756,20 +785,24 @@ def _form_values(data, vs):
     return solver._dot_rows(solver._contract_leading(data, vs[:-1]), vs[-1])
 
 
+def _leading_mean(D):
+    """D averaged over its leading k-1 modes, on which the solver runs a mode-last eigenproblem."""
+    return _orbit_mean(D, _orbit_ids(D.shape, D.ndim - 1))
+
+
 def _newton_systems(shape, p, seed):
     """(z0, state_fn, jac_fn) as the solver's polish builds them, on raw starts."""
     out = []
     if len(set(shape)) == 1:
         T = random_tensor(shape, seed)
         S = random_tensor(shape, seed, symmetric=True)
-        for data, i0, sym in ((S.data, 0, True), (T.data, 1, False)):
-            D = np.ascontiguousarray(np.moveaxis(data, i0, -1))
+        for D in (S.data, _leading_mean(np.moveaxis(T.data, 1, -1))):
             (V,) = solver._random_starts(seed, 24, shape[:1], p)
             lam = _form_values(D, [V] * len(shape))
             out.append((
                 np.concatenate([V, lam[:, None]], axis=1),
                 solver._eigen_state_fn(D, p),
-                solver._eigen_jac_fn(D, p, sym),
+                solver._eigen_jac_fn(D, p),
             ))
     data = random_tensor(shape, seed).data
     Ws = solver._random_starts(seed, 24, shape, p)
@@ -1021,34 +1054,32 @@ def test_singular_system_contracts_the_whole_tensor_twice_per_state_call(shape, 
 
 
 @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4, 4), (3, 3, 3, 3, 3)])
-def test_eigen_system_contracts_the_whole_tensor_three_times_per_jacobian(shape):
+def test_eigen_system_contracts_the_whole_tensor_once_per_jacobian(shape):
+    # symmetric or not: the solver hands the Jacobian a tensor symmetric in its leading modes
     n = shape[0]
     z = np.random.default_rng(2).standard_normal((5, n + 1))
-    for data, symmetric, jac_passes in (
-        (random_tensor(shape, 1).data, False, 3),
-        (random_tensor(shape, 1, symmetric=True).data, True, 1),
-    ):
-        state, jac = solver._eigen_state_fn(data, 2.0), solver._eigen_jac_fn(data, 2.0, symmetric)
+    for data in (_leading_mean(random_tensor(shape, 1).data), random_tensor(shape, 1, symmetric=True).data):
+        state, jac = solver._eigen_state_fn(data, 2.0), solver._eigen_jac_fn(data, 2.0)
         with pytest.MonkeyPatch.context() as mp:
             calls = _whole_tensor_contractions(mp, data)
             state(z)
             assert len(calls) == 1
             calls.clear()
             jac(z)
-            assert len(calls) == jac_passes
+            assert len(calls) == 1
 
 
-def test_random_starts_are_memoized_read_only():
-    args = (7, 30, (3, 4, 5), 3.0)
-    first = solver._random_starts(*args)
-    again = solver._random_starts(*args)
-    assert again is not first and all(a is b for a, b in zip(first, again))
-    fresh = solver._start_table.__wrapped__(7, 30, (3, 4, 5), 3.0)
-    for V, W in zip(first, fresh):
-        assert not V.flags.writeable
-        assert V.tobytes() == W.tobytes()
-        with pytest.raises(ValueError):
-            V[0, 0] = 1.0
+@pytest.mark.parametrize("dims", [(3,), (4, 5, 6), (2, 3, 4, 3)])
+@pytest.mark.parametrize("seed, p", [(7, 3.0), (-1, 2.0)])
+def test_random_starts_are_prefix_stable(dims, seed, p):
+    # restart r is the same row whatever the restart count, so a larger count extends the search
+    short = solver._random_starts(seed, 37, dims, p)
+    long = solver._random_starts(seed, 200, dims, p)
+    assert len(short) == len(long) == len(dims)
+    for V, W, n in zip(short, long, dims):
+        assert V.shape == (37, n) and W.shape == (200, n)
+        assert V.tobytes() == W[:37].tobytes()
+        np.testing.assert_allclose(np.sum(np.abs(W) ** p, axis=1), 1.0, rtol=1e-12)
 
 
 def test_matrix_pair_jacobian_is_a_broadcast_view():
@@ -1056,7 +1087,7 @@ def test_matrix_pair_jacobian_is_a_broadcast_view():
     _, vs = _row_blocks((3, 4), 5, seed=1)
     J = solver._batch_pair_jacs(M, vs)[0, 1]
     Jt = np.swapaxes(J, 1, 2)
-    lead = solver._contract_leading(M, [])  # the symmetric eigen Jacobian of a matrix
+    lead = solver._contract_leading(M, [])  # the eigen Jacobian of a matrix
     assert J.shape == (5, 3, 4) and Jt.shape == (5, 4, 3) and lead.shape == (1, 3, 4)
     assert np.shares_memory(J, M) and np.shares_memory(Jt, M) and np.shares_memory(lead, M)
     assert all(np.array_equal(J[z], M) and np.array_equal(Jt[z], M.T) for z in range(5))
@@ -1302,7 +1333,8 @@ def test_symmetric_eigenpair_gives_singular_tuple(cubic):
 
 
 def test_singular_rejects_order_one():
-    with pytest.raises(ValueError):
+    # a ShapeError, as from the eigen solvers; it is still a ValueError
+    with pytest.raises(ShapeError, match="order >= 2"):
         singular_tuples(DenseTensor(np.ones(3)), CFG)
 
 
