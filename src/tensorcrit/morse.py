@@ -11,6 +11,7 @@ provably missing points or comes from a degenerate function.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -25,6 +26,12 @@ __all__ = [
 ]
 
 
+def _check_dimension(n):
+    """Reject an ambient dimension n of S^(n-1) that is a bool or not an integer >= 2."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"ambient dimension n must be an integer >= 2, got {n!r}")
+
+
 @dataclass(frozen=True)
 class IndexHistogram:
     """Counts c_lam of critical points of index lam on S^(n-1)."""
@@ -33,8 +40,7 @@ class IndexHistogram:
     counts: dict
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("histogram needs ambient dimension n >= 2")
+        _check_dimension(self.n)
         clean = {}
         for lam, c in self.counts.items():
             lam = int(lam)
@@ -106,8 +112,7 @@ class MorseReport:
 
 def betti_sphere(n: int) -> list:
     """Betti numbers b_0..b_(n-1) of S^(n-1): 1 at bottom and top, else 0."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_dimension(n)
     b = [0] * n
     b[0] = 1
     b[n - 1] = 1

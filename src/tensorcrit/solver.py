@@ -1,19 +1,18 @@
 """Stationary-point solvers for tensor eigenpairs and singular tuples.
 
-An eigenpair (v, lam) of a square order-k tensor in mode i satisfies
-
-    mode_gradient(T, (v, ..., v), i) = lam * phi_{p-1}(v),   ||v||_p = 1,
-
-which makes lam the value f(v, ..., v) of the associated form (contract
-the left side with v).  A singular tuple (v_1, ..., v_k, sigma) satisfies
-the analogous equation in every mode simultaneously on the product of
-unit spheres.  No closed-form enumeration exists for k > 2, so the
+Both are critical points of the tensor's form f on unit p-spheres, and one
+bordered Lagrange system serves both: g_i(w) = s_i * phi_{p-1}(w_i) and
+||w_i||_p = 1 on every sphere i, where contracting g_i with w_i makes each
+multiplier s_i the value f(w).  A singular tuple solves it on the product of
+the spheres of T's k modes, with g_i = mode_gradient(T, (w_1, ..., w_k), i);
+a mode-i eigenpair (v, lam) is its one-sphere case, g = mode_gradient(T,
+(v, ..., v), i).  No closed-form enumeration exists for k > 2, so the
 solvers run a multi-start search, each stage once over all of its rows:
 an ascent seeds extrema (eigenpairs: projected gradient on the symmetric
 part, which carries the form, with a sign per row; tuples: alternating
-best responses), one damped Newton on the Lagrangian stationarity system
-polishes the ascent's leaders and the raw starts (which reach saddles),
-then one residual-based acceptance and deduplication.
+best responses), one damped Newton on the Lagrange system polishes the
+ascent's leaders and the raw starts (which reach saddles), then one
+residual-based acceptance and deduplication.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ _ARMIJO_SLOPE = 1e-4
 _MAX_BACKTRACKS = 25
 
 
-def _is_int(x):
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+def _is_a(x, kind):
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -90,14 +89,16 @@ class SolverConfig:
     p: float = 2.0
 
     def __post_init__(self):
-        # bool is an Integral; an int() cast would misread 1.5, "3" or None
-        if not (_is_int(self.restarts) and self.restarts >= 1):
+        # bool is an Integral; a cast would misread 1.5, "3" or None
+        if not (_is_a(self.restarts, numbers.Integral) and self.restarts >= 1):
             raise ValueError("restarts must be an integer >= 1")
-        if not _is_int(self.seed):
+        if not _is_a(self.seed, numbers.Integral):
             raise ValueError("seed must be an integer")
-        if isinstance(self.gradient_tolerance, bool) or not 0 < self.gradient_tolerance < np.inf:
+        if not (_is_a(self.gradient_tolerance, numbers.Real) and 0 < self.gradient_tolerance < np.inf):
             raise ValueError("gradient_tolerance must be finite and > 0")
-        check_norm_param(self.p)
+        if not _is_a(self.p, numbers.Real):
+            raise ValueError(f"p must be a real number, got {self.p!r}")
+        object.__setattr__(self, "p", check_norm_param(self.p))
 
 
 @dataclass(frozen=True)
@@ -384,61 +385,68 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
     return z
 
 
-def _eigen_state_fn(D, p):
-    """Stationarity residual of the last-mode eigenproblem of D, per row z = (v, lam)."""
-    k = D.ndim
-    n = D.shape[0]
+def _column_slices(dims):
+    """The columns of each mode's vector in a search row (w_1, ..., w_k, multipliers)."""
+    off = np.cumsum((0,) + tuple(dims)).tolist()
+    return [slice(a, b) for a, b in zip(off, off[1:])]
+
+
+def _lagrange_fns(dims, p, grads, blocks):
+    """State and bordered Jacobian of the Lagrange system on a product of unit p-spheres.
+
+    A row z = (w_1, ..., w_k, s_1, ..., s_k) solves it when every
+    g_i(w) = s_i * phi_{p-1}(w_i) and ||w_i||_p = 1.  ``grads(ws)`` gives the
+    g_i of the rows; ``blocks(ws)`` gives the pairs ((i, j), dg_i/dw_j) of
+    blocks that are not identically zero.  A singular tuple solves it on the
+    k spheres of a tensor's modes, an eigenpair on the one sphere (k = 1).
+    """
+    cols = _column_slices(dims)
+    starts = [c.start for c in cols]
+    total = cols[-1].stop
+    size = total + len(dims)
+    diag = np.arange(total)
+    border = total + np.repeat(np.arange(len(dims)), dims)  # the multiplier column of each row
 
     def state(z):
-        V = z[:, :n]
-        lam = z[:, n]
+        W = z[:, :total]
         with np.errstate(all="ignore"):
-            G = _contract_leading(D, [V] * (k - 1))
-            R = G - lam[:, None] * _phi_rows(V, p - 1.0)
-            c = (np.sum(np.abs(V) ** p, axis=1) - 1.0) / p
-            F = np.concatenate([R, c[:, None]], axis=1)
+            G = np.concatenate(grads([z[:, c] for c in cols]), axis=1)
+            cons = (np.add.reduceat(np.abs(W) ** p, starts, axis=1) - 1.0) / p
+            F = np.concatenate([G - z[:, border] * _phi_rows(W, p - 1.0), cons], axis=1)
             return F, np.linalg.norm(F, axis=1)
 
-    return state
-
-
-def _eigen_jac_fn(D, p):
-    """Bordered Jacobian of _eigen_state_fn; D is symmetric in its leading k-1 modes.
-
-    So the last-mode gradient's derivative is k-1 times D contracted in its
-    leading k-2 modes: one pass over the tensor.
-    """
-    k = D.ndim
-    n = D.shape[0]
-    diag = np.arange(n)
-
     def jac(z):
-        V = z[:, :n]
-        lam = z[:, n]
+        W = z[:, :total]
+        K = np.zeros((len(z), size, size))
         with np.errstate(all="ignore"):
-            J = (k - 1) * _contract_leading(D, [V] * (k - 2))
-            K = np.zeros((len(z), n + 1, n + 1))
-            K[:, :n, :n] = np.swapaxes(J, 1, 2)
-            K[:, diag, diag] -= lam[:, None] * _phi_slope_rows(V, p)
-            Phi = _phi_rows(V, p - 1.0)
-            K[:, :n, n] = -Phi
-            K[:, n, :n] = Phi
-            return K
+            for (i, j), B in blocks([z[:, c] for c in cols]):
+                K[:, cols[i], cols[j]] = B
+            K[:, diag, diag] -= z[:, border] * _phi_slope_rows(W, p)
+            Phi = _phi_rows(W, p - 1.0)
+            K[:, diag, border] = -Phi
+            K[:, border, diag] = Phi
+        return K
 
-    return jac
+    return state, jac
 
 
-def _accept_eigen(D, V, p, gtol):
-    """Renormalize, set the multiplier to the form value, filter by residual."""
+def _accept(grads, Ws, p, gtol):
+    """Renormalize each row's vectors, take the value <g_1, w_1>, keep the stationary rows.
+
+    A row is stationary when max_i ||g_i - value * phi_{p-1}(w_i)|| <= gtol.
+    Returns the kept rows' vectors, values, those residuals and the per-mode
+    multipliers <g_i, phi(w_i)> / <phi(w_i), phi(w_i)>.
+    """
     with np.errstate(all="ignore"):
-        nrm = _p_norm_rows(V, p)
-        good = np.isfinite(nrm) & (nrm > 1e-300)
-        V = V[good] / nrm[good, None]
-        G = _contract_leading(D, [V] * (D.ndim - 1))
-        lam = _dot_rows(G, V)  # f(v, ..., v) = <g, v> in every mode
-        resid = np.linalg.norm(G - lam[:, None] * _phi_rows(V, p - 1.0), axis=1)
+        nrms = [_p_norm_rows(W, p) for W in Ws]
+        good = np.all([np.isfinite(nrm) & (nrm > 1e-300) for nrm in nrms], axis=0)
+        Ws = [W[good] / nrm[good, None] for W, nrm in zip(Ws, nrms)]
+        terms = list(zip(grads(Ws), [_phi_rows(W, p - 1.0) for W in Ws]))
+        value = _dot_rows(terms[0][0], Ws[0])  # f(w_1, ..., w_k) = <g_i, w_i> in every mode
+        resid = np.max([np.linalg.norm(g - value[:, None] * f, axis=1) for g, f in terms], axis=0)
+        mults = np.stack([np.sum(g * f, axis=1) / np.sum(f * f, axis=1) for g, f in terms], 1)
     keep = np.isfinite(resid) & (resid <= gtol)
-    return V[keep], lam[keep], resid[keep]
+    return [W[keep] for W in Ws], value[keep], resid[keep], mults[keep]
 
 
 def _ascend(S, V0, p, sign):
@@ -547,9 +555,11 @@ def _check_unit(vec, p):
 
 
 def _check_eigen_args(tensor, mode):
-    """A square tensor and a mode in 0..k; mode 0 (symmetric) needs a symmetric tensor."""
+    """A square tensor and an integer mode in 0..k; mode 0 (symmetric) needs a symmetric tensor."""
     _require_square(tensor)
     k = tensor.order
+    if not _is_a(mode, numbers.Integral):
+        raise ValueError(f"mode must be an integer, got {mode!r}")
     if not 0 <= mode <= k:
         raise ValueError(f"mode must be in 0..{k} (0: symmetric), got {mode}")
     if mode == 0:
@@ -650,17 +660,25 @@ def _eigen_run(tensor, mode, config):
     if max_asymmetry(tensor) != 0.0:
         S = symmetrize(DenseTensor(D)).data
         D = _orbit_mean(D, _orbit_ids(D.shape, k - 1))
-    state, jac = _eigen_state_fn(D, p), _eigen_jac_fn(D, p)
+
+    def grads(Ws):
+        return [_contract_leading(D, Ws * (k - 1))]
+
+    def blocks(Ws):
+        # D is symmetric in its leading k-1 modes, so dg/dv is k-1 times D contracted in k-2
+        return [((0, 0), np.swapaxes((k - 1) * _contract_leading(D, Ws * (k - 2)), 1, 2))]
+
+    state, jac = _lagrange_fns((n,), p, grads, blocks)
     # the first m rows of the ascent maximize f and the last m minimize it
     (V0,) = _random_starts(config.seed, config.restarts, (n,), p)
     m = len(V0)
     ends = _ascend(S, np.concatenate([V0, V0]), p, np.repeat([1.0, -1.0], m))
     # Newton polishes the leaders of each sign half, and the raw starts to reach saddles
     V = np.concatenate([half[_leaders(half, 1e-3)] for half in (ends[:m], ends[m:])] + [V0])
-    lam0 = _dot_rows(_contract_leading(D, [V] * (k - 1)), V)
+    lam0 = _dot_rows(grads([V])[0], V)
     V = _damped_newton(np.concatenate([V, lam0[:, None]], axis=1), state, jac, gtol)[:, :n]
     # antipodal completion: -v is stationary with multiplier (-1)^k lam
-    V, lam, resid = _accept_eigen(D, np.concatenate([V, -V]), p, gtol)
+    (V,), lam, resid, _ = _accept(grads, [np.concatenate([V, -V])], p, gtol)
     flag_zero = p != 2.0
     pairs = [
         EigenPair(
@@ -753,55 +771,6 @@ def generalized_eigenpairs(tensor, mode, config=None):
 # ---------------------------------------------------------------------------
 
 
-def _singular_layout(dims):
-    off = np.concatenate([[0], np.cumsum(dims)])
-    return off, int(off[-1])
-
-
-def _split(z, dims, off):
-    return [z[:, off[i] : off[i + 1]] for i in range(len(dims))]
-
-
-def _singular_state_fn(data, p):
-    dims = data.shape
-    off, total = _singular_layout(dims)
-
-    def state(z):
-        W = z[:, :total]
-        s = np.repeat(z[:, total:], dims, axis=1)  # each multiplier over its block
-        with np.errstate(all="ignore"):
-            G = np.concatenate(_batch_mode_grads(data, _split(z, dims, off)), axis=1)
-            cons = (np.add.reduceat(np.abs(W) ** p, off[:-1], axis=1) - 1.0) / p
-            F = np.concatenate([G - s * _phi_rows(W, p - 1.0), cons], axis=1)
-            return F, np.linalg.norm(F, axis=1)
-
-    return state
-
-
-def _singular_jac_fn(data, p):
-    dims = data.shape
-    off, total = _singular_layout(dims)
-    size = total + len(dims)
-    diag = np.arange(total)
-    border = total + np.repeat(np.arange(len(dims)), dims)  # the multiplier column of each row
-
-    def jac(z):
-        W = z[:, :total]
-        K = np.zeros((z.shape[0], size, size))
-        with np.errstate(all="ignore"):
-            for (i, j), B in _batch_pair_jacs(data, _split(z, dims, off)).items():
-                ri, rj = slice(off[i], off[i + 1]), slice(off[j], off[j + 1])
-                K[:, ri, rj] = B
-                K[:, rj, ri] = np.swapaxes(B, 1, 2)
-            K[:, diag, diag] = -np.repeat(z[:, total:], dims, axis=1) * _phi_slope_rows(W, p)
-            Phi = _phi_rows(W, p - 1.0)
-            K[:, diag, border] = -Phi
-            K[:, border, diag] = Phi
-        return K
-
-    return jac
-
-
 def _alternating_ascent(data, Ws0, p):
     """Cyclic best-response updates; each solves its single-mode stationarity."""
     k = data.ndim
@@ -817,40 +786,6 @@ def _alternating_ascent(data, Ws0, p):
             ok = np.isfinite(nrm) & (nrm > 1e-300)
             Ws[i][ok] = U[ok] / nrm[ok, None]
     return Ws
-
-
-def _accept_singular(data, Ws, p, gtol, scale):
-    m = Ws[0].shape[0]
-    with np.errstate(all="ignore"):
-        nrms = [_p_norm_rows(W, p) for W in Ws]
-        good = np.ones(m, dtype=bool)
-        for nrm in nrms:
-            good &= np.isfinite(nrm) & (nrm > 1e-300)
-        Ws = [W[good] / nrm[good, None] for W, nrm in zip(Ws, nrms)]
-        grads = _batch_mode_grads(data, Ws)
-        raw = _dot_rows(grads[0], Ws[0])
-        # canonical sign: flip the first vector wherever the value is negative;
-        # that negates the value and every gradient but the first exactly
-        flip = raw < 0
-        Ws[0] = np.where(flip[:, None], -Ws[0], Ws[0])
-        sigma = np.where(flip, -raw, raw)
-        grads = grads[:1] + [np.where(flip[:, None], -g, g) for g in grads[1:]]
-        phis = [_phi_rows(W, p - 1.0) for W in Ws]
-        terms = list(zip(grads, phis))
-        resid = np.stack([np.linalg.norm(g - sigma[:, None] * f, axis=1) for g, f in terms], 1).max(1)
-        mults = np.stack([np.sum(g * f, axis=1) / np.sum(f * f, axis=1) for g, f in terms], 1)
-    keep = np.isfinite(resid) & (resid <= gtol)
-    return [
-        SingularTuple(
-            vectors=tuple(W[i] for W in Ws),
-            sigma=float(sigma[i]),
-            residual=float(resid[i]),
-            critical_value=float(raw[i]),
-            mode_multipliers=tuple(mults[i]),
-            degenerate=bool(abs(sigma[i]) <= 1e-8 * scale),
-        )
-        for i in np.flatnonzero(keep)
-    ]
 
 
 def singular_tuples(tensor, config=None):
@@ -872,18 +807,41 @@ def singular_tuples(tensor, config=None):
     gtol = config.gradient_tolerance
     data = tensor.data
     dims = tensor.shape
-    off, _ = _singular_layout(dims)
     scale = float(np.linalg.norm(data.reshape(-1)))
     Ws0 = _random_starts(config.seed, config.restarts, dims, p)
-    state = _singular_state_fn(data, p)
-    jacf = _singular_jac_fn(data, p)
+
+    def grads(Ws):
+        return _batch_mode_grads(data, Ws)
+
+    def blocks(Ws):
+        for (i, j), B in _batch_pair_jacs(data, Ws).items():
+            yield (i, j), B
+            yield (j, i), np.swapaxes(B, 1, 2)
+
+    state, jacf = _lagrange_fns(dims, p, grads, blocks)
     ends = _alternating_ascent(data, Ws0, p)
     # Newton polishes the ascent's leaders, and the raw starts to reach saddles
     lead = _leaders(np.concatenate(ends, axis=1), 1e-3)
     Ws = [np.concatenate([E[lead], W]) for E, W in zip(ends, Ws0)]
     s0 = np.repeat(_dot_rows(_contract_leading(data, Ws[:-1]), Ws[-1])[:, None], k, axis=1)
     z = _damped_newton(np.concatenate(Ws + [s0], axis=1), state, jacf, gtol)
-    found = dedupe(_accept_singular(data, _split(z, dims, off), p, gtol, scale), _DEDUPE_TOLERANCE)
+    Ws, raw, resid, mults = _accept(grads, [z[:, c] for c in _column_slices(dims)], p, gtol)
+    # canonical sign: negating w_1 where the value is negative negates the value, the
+    # multipliers and every gradient but the first exactly, so no residual changes
+    sign = np.where(raw < 0, -1.0, 1.0)
+    Ws[0] = sign[:, None] * Ws[0]
+    sigma, mults = sign * raw, sign[:, None] * mults
+    found = dedupe([
+        SingularTuple(
+            vectors=tuple(W[i] for W in Ws),
+            sigma=float(sigma[i]),
+            residual=float(resid[i]),
+            critical_value=float(raw[i]),
+            mode_multipliers=tuple(mults[i]),
+            degenerate=bool(abs(sigma[i]) <= 1e-8 * scale),
+        )
+        for i in range(len(raw))
+    ], _DEDUPE_TOLERANCE)
     if not found:
         log.info("no singular tuples found at this effort (restarts=%d)", config.restarts)
         return []

@@ -30,6 +30,15 @@ def test_betti_numbers():
 def test_betti_rejects_small_n():
     with pytest.raises(ValueError):
         betti_sphere(1)
+    # 2.5 used to pass the histogram and fail in betti_sphere with a TypeError
+    for n in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="integer >= 2"):
+            betti_sphere(n)
+        with pytest.raises(ValueError, match="integer >= 2"):
+            hist(n, {})
+        with pytest.raises(ValueError, match="integer >= 2"):
+            audit([], n)
+    assert betti_sphere(np.int64(3)) == [1, 0, 1]
 
 
 def test_histogram_rejects_out_of_range_index():

@@ -59,8 +59,10 @@ REMOVED_FIELDS = {
 
 
 def test_config_accepts_numpy_integers():
-    cfg = SolverConfig(restarts=np.int64(24), seed=np.int32(-3))
+    cfg = SolverConfig(restarts=np.int64(24), seed=np.int32(-3), p=np.int64(2))
     assert (cfg.restarts, cfg.seed) == (24, -3)
+    # p is stored as the float the norm check returns, so it reports and compares as one
+    assert type(cfg.p) is float and dataclasses.asdict(cfg)["p"] == 2.0
     assert symmetric_eigenpairs(random_tensor((3, 3, 3), 2, symmetric=True), cfg)
 
 
@@ -78,6 +80,8 @@ def test_config_has_exactly_the_four_settable_fields():
         ("gradient_tolerance", math.nan),
         ("gradient_tolerance", math.inf),
         ("gradient_tolerance", True),
+        ("gradient_tolerance", "1e-3"),
+        ("p", "3"),
         ("dedupe_tolerance", math.nan),
         ("dedupe_tolerance", math.inf),
         ("initial_step", math.nan),
@@ -164,6 +168,13 @@ def test_residual_mode_range_and_symmetry():
     for mode in (-1, 3):
         with pytest.raises(ValueError, match=r"mode must be in 0\.\.2"):
             residual_eigen(T, [1.0, 0.0], 0.0, mode)
+    # a bool used to run as mode 1; 1.5 and "1" failed with a TypeError
+    for mode in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="mode must be an integer"):
+            residual_eigen(T, [1.0, 0.0], 0.0, mode)
+        with pytest.raises(ValueError, match="mode must be an integer"):
+            generalized_eigenpairs(random_tensor((2, 2, 2), 1), mode, CFG)
+    assert residual_eigen(T, [1.0, 0.0], 0.0, np.int64(1)) == residual_eigen(T, [1.0, 0.0], 0.0, 1)
 
 
 # --- symmetric eigenpairs -------------------------------------------------
@@ -790,6 +801,28 @@ def _leading_mean(D):
     return _orbit_mean(D, _orbit_ids(D.shape, D.ndim - 1))
 
 
+def _eigen_system(D, p):
+    """(state_fn, jac_fn) of the last-mode eigenproblem of D, as _eigen_run builds them."""
+    k = D.ndim
+    return solver._lagrange_fns(
+        D.shape[:1],
+        p,
+        lambda Ws: [solver._contract_leading(D, Ws * (k - 1))],
+        lambda Ws: [((0, 0), np.swapaxes((k - 1) * solver._contract_leading(D, Ws * (k - 2)), 1, 2))],
+    )
+
+
+def _singular_system(data, p):
+    """(state_fn, jac_fn) of the singular tuples of data, as singular_tuples builds them."""
+
+    def blocks(Ws):
+        for (i, j), B in solver._batch_pair_jacs(data, Ws).items():
+            yield (i, j), B
+            yield (j, i), np.swapaxes(B, 1, 2)
+
+    return solver._lagrange_fns(data.shape, p, lambda Ws: solver._batch_mode_grads(data, Ws), blocks)
+
+
 def _newton_systems(shape, p, seed):
     """(z0, state_fn, jac_fn) as the solver's polish builds them, on raw starts."""
     out = []
@@ -799,20 +832,29 @@ def _newton_systems(shape, p, seed):
         for D in (S.data, _leading_mean(np.moveaxis(T.data, 1, -1))):
             (V,) = solver._random_starts(seed, 24, shape[:1], p)
             lam = _form_values(D, [V] * len(shape))
-            out.append((
-                np.concatenate([V, lam[:, None]], axis=1),
-                solver._eigen_state_fn(D, p),
-                solver._eigen_jac_fn(D, p),
-            ))
+            out.append((np.concatenate([V, lam[:, None]], axis=1),) + _eigen_system(D, p))
     data = random_tensor(shape, seed).data
     Ws = solver._random_starts(seed, 24, shape, p)
     s0 = np.repeat(_form_values(data, Ws)[:, None], len(shape), axis=1)
-    out.append((
-        np.concatenate(Ws + [s0], axis=1),
-        solver._singular_state_fn(data, p),
-        solver._singular_jac_fn(data, p),
-    ))
+    out.append((np.concatenate(Ws + [s0], axis=1),) + _singular_system(data, p))
     return out
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_test_systems_are_the_ones_the_solvers_build(p, monkeypatch):
+    # the line-search and contraction tests run _eigen_system and _singular_system
+    T = random_tensor((3, 3, 3), 4)
+    refs = [_eigen_system(_leading_mean(np.moveaxis(T.data, 1, -1)), p), _singular_system(T.data, p)]
+    built = []
+    lagrange = solver._lagrange_fns
+    monkeypatch.setattr(solver, "_lagrange_fns", lambda *args: built.append(lagrange(*args)) or built[-1])
+    generalized_eigenpairs(T, 2, SolverConfig(restarts=2, p=p))
+    singular_tuples(T, SolverConfig(restarts=2, p=p))
+    z = np.random.default_rng(1).standard_normal((7, 12))
+    assert len(built) == 2
+    for (state, jac), (ref_state, ref_jac), rows in zip(built, refs, (z[:, :4], z)):
+        assert state(rows)[0].tobytes() == ref_state(rows)[0].tobytes()
+        assert jac(rows).tobytes() == ref_jac(rows).tobytes()
 
 
 @pytest.mark.parametrize("p", [2.0, 1.5, 3.0])
@@ -891,7 +933,7 @@ def test_singular_jacobian_row_leaves_other_rows_alone():
     z0 = np.concatenate(Ws + [s0], axis=1)
     bad = z0[:1].copy()
     bad[:, :3] = 0.0
-    state, jac = solver._singular_state_fn(data, 2.0), solver._singular_jac_fn(data, 2.0)
+    state, jac = _singular_system(data, 2.0)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(jac(bad), np.ones((1, 12, 1)))
     alone = solver._damped_newton(z0, state, jac, CFG.gradient_tolerance)
@@ -908,11 +950,11 @@ def test_line_search_state_calls_per_newton_iteration(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    def counted_factory(factory, key):
-        return lambda *args: counted(factory(*args), key)
+    def counted_fns(*args, lagrange=solver._lagrange_fns):
+        state, jac = lagrange(*args)
+        return counted(state, "state"), counted(jac, "jac")
 
-    monkeypatch.setattr(solver, "_singular_state_fn", counted_factory(solver._singular_state_fn, "state"))
-    monkeypatch.setattr(solver, "_singular_jac_fn", counted_factory(solver._singular_jac_fn, "jac"))
+    monkeypatch.setattr(solver, "_lagrange_fns", counted_fns)
     monkeypatch.setattr(solver, "_damped_newton", counted(solver._damped_newton, "newton"))
     singular_tuples(random_tensor((4, 5, 6), 5))
     blocks = math.ceil(math.log2(solver._MAX_BACKTRACKS + 1))
@@ -1044,7 +1086,7 @@ def _whole_tensor_contractions(monkeypatch, data):
 def test_singular_system_contracts_the_whole_tensor_twice_per_state_call(shape, monkeypatch):
     data = random_tensor(shape, 1).data
     z, _ = _row_blocks(shape, 5, seed=2)
-    state, jac = solver._singular_state_fn(data, 2.0), solver._singular_jac_fn(data, 2.0)
+    state, jac = _singular_system(data, 2.0)
     calls = _whole_tensor_contractions(monkeypatch, data)
     state(z)
     assert len(calls) == 2
@@ -1059,7 +1101,7 @@ def test_eigen_system_contracts_the_whole_tensor_once_per_jacobian(shape):
     n = shape[0]
     z = np.random.default_rng(2).standard_normal((5, n + 1))
     for data in (_leading_mean(random_tensor(shape, 1).data), random_tensor(shape, 1, symmetric=True).data):
-        state, jac = solver._eigen_state_fn(data, 2.0), solver._eigen_jac_fn(data, 2.0)
+        state, jac = _eigen_system(data, 2.0)
         with pytest.MonkeyPatch.context() as mp:
             calls = _whole_tensor_contractions(mp, data)
             state(z)
