@@ -43,6 +43,9 @@ class IndexHistogram:
         _check_dimension(self.n)
         clean = {}
         for lam, c in self.counts.items():
+            # bool is an Integral; int() would silently truncate 1.5 or 2.7
+            if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (lam, c)):
+                raise ValueError(f"indices and counts must be integers, got {lam!r}: {c!r}")
             lam = int(lam)
             c = int(c)
             if not 0 <= lam <= self.n - 1:

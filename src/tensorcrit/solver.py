@@ -54,7 +54,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # Effort caps and step control of the search.  Newton steps are damped as
-# _damped_newton describes, with the Armijo fraction _ARMIJO_SLOPE * alpha.
+# _damped_newton describes, with the Armijo fraction _ARMIJO_SLOPE * alpha; a
+# row retires after _CREEP_ITERATIONS consecutive accepted steps of length at
+# most _CREEP_STEP.
 # Ascent steps start at _INITIAL_STEP, grow by _STEP_GROW after an improvement
 # and shrink by _STEP_SHRINK otherwise.  Points closer than _DEDUPE_TOLERANCE
 # count as one.
@@ -67,6 +69,8 @@ _STEP_GROW = 1.3
 _STEP_SHRINK = 0.4
 _ARMIJO_SLOPE = 1e-4
 _MAX_BACKTRACKS = 25
+_CREEP_STEP = 2.0**-6
+_CREEP_ITERATIONS = 5
 
 
 def _is_a(x, kind):
@@ -328,7 +332,10 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
     """Damped Newton on the square systems F(z) = 0, one per row of z0.
 
     At most _NEWTON_ITERATIONS iterations; a row is done when its residual
-    norm is at most 0.05 * gtol.
+    norm is at most 0.05 * gtol.  A row whose last _CREEP_ITERATIONS
+    accepted steps all had alpha <= _CREEP_STEP retires at its last accepted
+    point: such a row is not making good progress (the MINPACK hybrd test),
+    and rows that still converge take longer steps.
 
     Each row takes the longest step alpha * dz, alpha in 2^0, 2^-1, ...,
     2^-(_MAX_BACKTRACKS-1), that passes the Armijo test; a row with no such
@@ -346,8 +353,9 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
     F, Fn = state_fn(z)
     calls, trial_rows, newton_iters = 1, 0, 0
     stalled = ~np.isfinite(Fn)
+    creep = np.zeros(len(z), dtype=int)  # consecutive accepted steps with alpha <= _CREEP_STEP
     for _ in range(_NEWTON_ITERATIONS):
-        active = np.flatnonzero((Fn > target) & ~stalled)
+        active = np.flatnonzero((Fn > target) & ~stalled & (creep < _CREEP_ITERATIONS))
         if active.size == 0:
             break
         newton_iters += 1
@@ -374,13 +382,14 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
             F[rows] = Ft[hit, longest]
             Fn[rows] = Fnt[hit, longest]
             stalled[rows] = False
+            creep[rows] = np.where(alphas[longest] <= _CREEP_STEP, creep[rows] + 1, 0)
             searching = searching[~hit]
             first = last
     log.debug(
         "damped Newton: %d iterations, %d state calls, %d step-length rows; "
-        "%d of %d rows converged, %d stalled",
+        "%d of %d rows converged, %d stalled, %d retired",
         newton_iters, calls, trial_rows, np.count_nonzero(Fn <= target), Fn.size,
-        np.count_nonzero(stalled),
+        np.count_nonzero(stalled), np.count_nonzero((Fn > target) & (creep >= _CREEP_ITERATIONS)),
     )
     return z
 

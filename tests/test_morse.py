@@ -48,6 +48,11 @@ def test_histogram_rejects_out_of_range_index():
         hist(3, {-1: 1})
     with pytest.raises(ValueError):
         hist(3, {0: -2})
+    for counts in ({1.5: 1}, {0: 2.7}, {2: True}, {True: 1}):
+        with pytest.raises(ValueError):
+            hist(3, counts)
+    h = hist(3, {np.int64(1): np.int64(2)})
+    assert h.counts == {1: 2} and type(next(iter(h.counts))) is int
 
 
 def test_parity_circle():

@@ -741,7 +741,8 @@ def test_clusterer_unmergeable_set_without_square_temporaries():
 
 # --- damped Newton line search ---------------------------------------------
 # Brute-force copy of the sequential-halving loop that the blocked line search
-# replaced; the new code must return the same bits.
+# replaced, with the same retirement of creeping rows; the new code must
+# return the same bits.
 
 
 def _ref_damped_newton(z0, state_fn, jac_fn, gtol):
@@ -749,8 +750,9 @@ def _ref_damped_newton(z0, state_fn, jac_fn, gtol):
     z = z0.copy()
     F, Fn = state_fn(z)
     stalled = ~np.isfinite(Fn)
+    creep = np.zeros(len(z), dtype=int)
     for _ in range(solver._NEWTON_ITERATIONS):
-        active = np.flatnonzero((Fn > target) & ~stalled)
+        active = np.flatnonzero((Fn > target) & ~stalled & (creep < solver._CREEP_ITERATIONS))
         if active.size == 0:
             break
         za = z[active]
@@ -782,6 +784,8 @@ def _ref_damped_newton(z0, state_fn, jac_fn, gtol):
             improved[hit] = True
             alpha[todo[~ok]] *= 0.5
         stalled[active[~improved]] = True
+        for r in np.flatnonzero(improved):
+            creep[active[r]] = creep[active[r]] + 1 if alpha[r] <= solver._CREEP_STEP else 0
         z[active] = best_z
         F[active] = best_F
         Fn[active] = best_Fn
@@ -925,6 +929,68 @@ def test_line_search_edge_rows_match_sequential_halving(max_backtracks, singular
     assert moved.all() if max_backtracks >= 20 else not moved.all()
 
 
+def _creep_state(z):
+    """F = (x - 1/2, 0); z[:, 1] only picks the Jacobian."""
+    F = np.stack([z[:, 0] - 0.5, np.zeros(len(z))], axis=1)
+    return F, np.linalg.norm(F, axis=1)
+
+
+def _creep_jac(z):
+    """diag(s, 1) with s = z[:, 1], or, where z[:, 1] < 0, s by bands of r = |x - 1/2|.
+
+    A step of length alpha multiplies x - 1/2 by 1 - alpha / s.  With s = 0.01
+    the longest that passes the Armijo test is alpha = 2^-6 (factor -0.5625),
+    a creeping step; s = 2 takes alpha = 1 and halves r, and s = 1 lands on
+    1/2.  From r = 1 the bands give four creeping steps, a full one, four
+    creeping steps, a full one and the last step: 11 iterations.
+    """
+    r = np.abs(z[:, 0] - 0.5)
+    band = np.select([r <= 0.003, r <= 0.006, r <= 0.06, r <= 0.12], [1.0, 2.0, 0.01, 2.0], 0.01)
+    J = np.zeros((len(z), 2, 2))
+    J[:, 0, 0] = np.where(z[:, 1] < 0, band, z[:, 1])
+    J[:, 1, 1] = 1.0
+    return J
+
+
+def _newton_counts(caplog):
+    """The seven numbers of the one damped-Newton DEBUG line in caplog."""
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("damped Newton")]
+    return list(map(int, re.findall(r"\d+", line)))
+
+
+def _logged_newton(z0, caplog):
+    """_damped_newton on the creep system, with the numbers of its DEBUG line."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        z = solver._damped_newton(z0, _creep_state, _creep_jac, CFG.gradient_tolerance)
+    return z, _newton_counts(caplog)
+
+
+def test_creeping_rows_retire_and_leave_other_rows_alone(caplog):
+    assert (solver._CREEP_STEP, solver._CREEP_ITERATIONS) == (2.0**-6, 5)
+    # only alpha = 2^-6 passes: the row retires after five steps, at the fifth point
+    creeping = np.array([[1.5, 0.01]])
+    z, (iters, _, _, converged, _, stalled, retired) = _logged_newton(creeping, caplog)
+    assert (iters, converged, stalled, retired) == (5, 0, 0, 1)
+    want = creeping.copy()
+    for _ in range(5):
+        want = want + 2.0**-6 * solver._newton_steps(_creep_jac(want), _creep_state(want)[0])
+    assert z.tobytes() == want.tobytes()
+    # four creeping steps and a full one, twice: the count restarts and the row converges
+    banded = np.array([[1.5, -1.0]])
+    z, (iters, _, _, converged, _, stalled, retired) = _logged_newton(banded, caplog)
+    assert (iters, converged, stalled, retired) == (11, 1, 0, 0)
+    # s = 0.7 takes full steps and s = 0.3 half steps, so both outlive the creeping row
+    others = np.array([[0.5, 1.0], [1.5, -1.0], [-0.4, 0.7], [1.9, 0.7], [1.2, 0.3], [-1.0, 0.3]])
+    alone, counts = _logged_newton(others, caplog)
+    assert counts[0] > 5 and counts[-1] == 0
+    mixed = np.concatenate([others[:3], creeping, others[3:]])
+    got, counts = _logged_newton(mixed, caplog)
+    assert counts[-1] == 1
+    assert np.delete(got, 3, axis=0).tobytes() == alone.tobytes()
+    assert got.tobytes() == _ref_damped_newton(mixed, _creep_state, _creep_jac, CFG.gradient_tolerance).tobytes()
+
+
 def test_singular_jacobian_row_leaves_other_rows_alone():
     # a zero first vector zeroes that row's constraint row of the Jacobian
     data = random_tensor((3, 3, 3), 2).data
@@ -968,15 +1034,29 @@ def test_newton_effort_is_logged_at_debug(caplog):
     T = random_tensor((3, 4, 5), 2)
     with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
         singular_tuples(T, CFG)
-    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("damped Newton")]
-    iters, calls, trials, converged, rows, stalled = map(int, re.findall(r"\d+", line))
+    iters, calls, trials, converged, rows, stalled, retired = _newton_counts(caplog)
     assert 1 <= calls <= 5 * iters + 1
     assert calls - 1 <= trials
-    assert converged + stalled <= rows
+    assert converged + stalled + retired <= rows
     # one polish: the ascent's leaders, then the raw starts
     ends = solver._alternating_ascent(T.data, solver._random_starts(CFG.seed, CFG.restarts, T.shape, CFG.p), CFG.p)
     leaders = len(_leaders(np.concatenate(ends, axis=1), 1e-3))
     assert leaders >= 1 and rows == leaders + CFG.restarts and converged > 0
+
+
+@pytest.mark.parametrize(
+    "solve, tensor",
+    [
+        (singular_tuples, random_tensor((4, 5, 6), 5)),
+        (symmetric_eigenpairs, random_tensor((2, 2, 2, 2), 15, symmetric=True)),
+    ],
+)
+def test_newton_tail_ends_under_the_iteration_cap(solve, tensor, caplog):
+    # these polishes took 60 and 51 iterations before creeping rows retired
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        solve(tensor)
+    iters, *_, retired = _newton_counts(caplog)
+    assert iters <= solver._NEWTON_ITERATIONS // 2 and retired > 0
 
 
 # --- batch kernels ---------------------------------------------------------
