@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,11 +59,14 @@ log = logging.getLogger(__name__)
 # most _CREEP_STEP.
 # Ascent steps start at _INITIAL_STEP, grow by _STEP_GROW after an improvement
 # and shrink by _STEP_SHRINK otherwise.  Points closer than _DEDUPE_TOLERANCE
-# count as one.
+# count as one; Newton polishes one leader per _LEADER_RADIUS cluster of ascent
+# endpoints, and _leaders settles its greedy _LEADER_BLOCK rows at a time.
 _NEWTON_ITERATIONS = 60
 _ASCENT_ITERATIONS = 60
 _ALTERNATING_SWEEPS = 40
 _DEDUPE_TOLERANCE = 1e-6
+_LEADER_RADIUS = 1e-3
+_LEADER_BLOCK = 64
 _INITIAL_STEP = 0.25
 _STEP_GROW = 1.3
 _STEP_SHRINK = 0.4
@@ -286,17 +289,73 @@ def _leaders(X, tol):
     """Greedy cluster leaders among the finite rows of X, in row order.
 
     Rows come in priority order.  The first free row leads a cluster that
-    takes every later row within Euclidean distance tol of it, and the next
-    free row leads the next cluster.  Non-finite rows are never leaders.
+    takes every later row j with np.linalg.norm(X[j] - X[i]) <= tol from its
+    leader i, and the next free row leads the next cluster.  Non-finite rows
+    are never leaders.
+
+    Sort and sweep: two such rows differ by at most tol in their first
+    coordinate, so only rows within reach of each other there are tested;
+    twice tol covers the rounding of the norm, and sqrt(tiny) the squared
+    differences that underflow to zero.  Rows are taken in blocks of
+    _LEADER_BLOCK.  A block's rows are tested against the leaders found so
+    far, kept sorted by first coordinate; then the greedy inside the block is
+    settled in rounds, in which a row with no earlier live close row leads
+    and a row close to an earlier leader is taken.  That is the sequential
+    greedy exactly, chains included, and no temporary grows with the square
+    of the row count or of a cluster's size.
     """
-    free = np.all(np.isfinite(X), axis=1)
-    leaders = []
-    while free.any():
-        i = int(np.argmax(free))
-        leaders.append(i)
-        free[i] = False
-        free[i + 1 :] &= np.linalg.norm(X[i + 1 :] - X[i], axis=1) > tol
-    return np.array(leaders, dtype=int)
+    reach = 2.0 * tol + np.sqrt(np.finfo(float).tiny)
+    lead = np.empty(0, dtype=int)  # the leaders so far, sorted by first coordinate
+    lead_x = np.empty(0)
+    found = [lead]
+    rows = np.flatnonzero(np.all(np.isfinite(X), axis=1))
+    for start in range(0, len(rows), _LEADER_BLOCK):
+        block = rows[start : start + _LEADER_BLOCK]
+        x = X[block, 0]
+        # the candidate pairs (block row q, leader at sorted position pos) within reach
+        lo = np.searchsorted(lead_x, x - reach, side="left")
+        count = np.searchsorted(lead_x, x + reach, side="right") - lo
+        q = np.repeat(np.arange(len(block)), count)
+        pos = np.arange(len(q)) + np.repeat(lo - (np.cumsum(count) - count), count)
+        close = np.linalg.norm(X[block[q]] - X[lead[pos]], axis=1) <= tol
+        free = np.ones(len(block), dtype=bool)
+        free[q[close]] = False
+        block, x = block[free], x[free]
+        # C[a, b]: a before b in the block and close to it
+        C = np.triu(np.abs(x[:, None] - x) <= reach, 1)
+        a, b = np.nonzero(C)
+        C[a, b] = np.linalg.norm(X[block[b]] - X[block[a]], axis=1) <= tol
+        undecided = np.ones(len(block), dtype=bool)
+        leads = np.zeros(len(block), dtype=bool)
+        while undecided.any():
+            leads |= undecided & ~np.any(C & (undecided | leads)[:, None], axis=0)
+            undecided &= ~(leads | np.any(C & leads[:, None], axis=0))
+        found.append(block[leads])
+        lead = np.concatenate([lead, block[leads]])
+        lead = lead[np.argsort(X[lead, 0], kind="stable")]
+        lead_x = X[lead, 0]
+    return np.concatenate(found)
+
+
+def _lex_order(primary, keys):
+    """The row order by ascending primary, ties broken by the columns of keys in turn.
+
+    NaN sorts last; the sort is stable, so rows equal in all of it keep their order.
+    """
+    return np.lexsort(np.vstack([keys.T[::-1], primary]))
+
+
+def _dedupe_rows(keys, resid, tol):
+    """The rows dedupe keeps, as indices in input order: one per greedy cluster.
+
+    The rows with finite keys are ordered by ascending residual (NaN last),
+    ties broken by their key columns, and _leaders clusters them at distance
+    tol in that order.  Rows with a non-finite key are dropped before the
+    ordering, so they change nothing about which rows are kept.
+    """
+    rows = np.flatnonzero(np.all(np.isfinite(keys), axis=1))
+    order = rows[_lex_order(resid[rows], keys[rows])]
+    return np.sort(order[_leaders(keys[order], tol)])
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +600,10 @@ def dedupe(points, tol):
     """Greedy clustering at Euclidean distance tol on concatenated vectors.
 
     Keeps the lowest-residual representative of each cluster, in input
-    order; antipodal points are never merged (their distance is 2 on unit
-    spheres).  Points with non-finite vectors are dropped.
+    order; among equal residuals the smaller vector (compared entry by entry)
+    wins, and a NaN residual ranks last.  Antipodal points are never merged
+    (their distance is 2 on unit spheres).  Points with non-finite vectors
+    are dropped before ranking, so they never change which point is kept.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -551,10 +612,8 @@ def dedupe(points, tol):
     keys = np.array(
         [np.concatenate((pt.vector,) if isinstance(pt, EigenPair) else pt.vectors) for pt in points]
     )
-    order = np.array(
-        sorted(range(len(points)), key=lambda i: (points[i].residual, tuple(keys[i].tolist())))
-    )
-    return [points[i] for i in np.sort(order[_leaders(keys[order], tol)])]
+    resid = np.array([pt.residual for pt in points], dtype=float)
+    return [points[i] for i in _dedupe_rows(keys, resid, tol)]
 
 
 def _check_unit(vec, p):
@@ -683,22 +742,11 @@ def _eigen_run(tensor, mode, config):
     m = len(V0)
     ends = _ascend(S, np.concatenate([V0, V0]), p, np.repeat([1.0, -1.0], m))
     # Newton polishes the leaders of each sign half, and the raw starts to reach saddles
-    V = np.concatenate([half[_leaders(half, 1e-3)] for half in (ends[:m], ends[m:])] + [V0])
+    V = np.concatenate([half[_leaders(half, _LEADER_RADIUS)] for half in (ends[:m], ends[m:])] + [V0])
     lam0 = _dot_rows(grads([V])[0], V)
     V = _damped_newton(np.concatenate([V, lam0[:, None]], axis=1), state, jac, gtol)[:, :n]
     # antipodal completion: -v is stationary with multiplier (-1)^k lam
     (V,), lam, resid, _ = _accept(grads, [np.concatenate([V, -V])], p, gtol)
-    flag_zero = p != 2.0
-    pairs = [
-        EigenPair(
-            vector=V[i],
-            value=float(lam[i]),
-            mode=mode,
-            residual=float(resid[i]),
-            near_zero_coords=bool(flag_zero and np.min(np.abs(V[i])) < 1e-6),
-        )
-        for i in range(V.shape[0])
-    ]
     # For p != 2 the stationarity field can vanish to order k-1 across an
     # isolated solution (diagonal tensors with p = k), so everything inside a
     # radius ~ tol^(1/(k-1)) ball passes the residual test; widen the merge
@@ -706,30 +754,40 @@ def _eigen_run(tensor, mode, config):
     merge_tol = _DEDUPE_TOLERANCE
     if p != 2.0:
         merge_tol = max(merge_tol, 10.0 * config.gradient_tolerance ** (1.0 / (k - 1)))
-    pairs = dedupe(pairs, merge_tol)
+    kept = _dedupe_rows(V, resid, merge_tol)
+    V, lam, resid = V[kept], lam[kept], resid[kept]
     cap = 2 * (n if k == 2 else ((k - 1) ** n - 1) // (k - 2))  # antipodes included
-    if p == 2.0 and len(pairs) > cap:
+    if p == 2.0 and len(V) > cap:
         raise DegenerateTensorError(
-            f"count cap: {len(pairs)} stationary points survive deduplication, more than the "
+            f"count cap: {len(V)} stationary points survive deduplication, more than the "
             f"{cap} of the Cartwright-Sturmfels count (antipodes included); the set is not finite"
         )
-    if not pairs:
+    if not len(V):
         log.info(
             "no stationary points found at this effort (restarts=%d); "
             "the spectrum may be empty over the reals",
             config.restarts,
         )
         return []
-    z = np.array([np.append(pt.vector, pt.value) for pt in pairs])
+    z = np.concatenate([V, lam[:, None]], axis=1)
     _check_continuum(z, state, jac, merge_tol, gtol, "stationary point")
+    index = nondeg = [None] * len(V)
     if mode == 0 and p == 2.0:
         tol = max(1e-8, 10 * config.gradient_tolerance)
-        index, nondeg = _morse_rows(D, z[:, :n], z[:, n], tol)
-        pairs = [
-            replace(pt, index=int(i), nondegenerate=bool(d))
-            for pt, i, d in zip(pairs, index, nondeg)
-        ]
-    return sorted(pairs, key=lambda pt: (-pt.value, tuple(pt.vector.tolist())))
+        index, nondeg = (a.tolist() for a in _morse_rows(D, z[:, :n], z[:, n], tol))
+    flag_zero = p != 2.0
+    return [
+        EigenPair(
+            vector=V[i],
+            value=float(lam[i]),
+            mode=mode,
+            residual=float(resid[i]),
+            index=index[i],
+            nondegenerate=nondeg[i],
+            near_zero_coords=bool(flag_zero and np.min(np.abs(V[i])) < 1e-6),
+        )
+        for i in _lex_order(-lam, V)
+    ]
 
 
 def symmetric_eigenpairs(tensor, config=None):
@@ -830,7 +888,7 @@ def singular_tuples(tensor, config=None):
     state, jacf = _lagrange_fns(dims, p, grads, blocks)
     ends = _alternating_ascent(data, Ws0, p)
     # Newton polishes the ascent's leaders, and the raw starts to reach saddles
-    lead = _leaders(np.concatenate(ends, axis=1), 1e-3)
+    lead = _leaders(np.concatenate(ends, axis=1), _LEADER_RADIUS)
     Ws = [np.concatenate([E[lead], W]) for E, W in zip(ends, Ws0)]
     s0 = np.repeat(_dot_rows(_contract_leading(data, Ws[:-1]), Ws[-1])[:, None], k, axis=1)
     z = _damped_newton(np.concatenate(Ws + [s0], axis=1), state, jacf, gtol)
@@ -840,7 +898,14 @@ def singular_tuples(tensor, config=None):
     sign = np.where(raw < 0, -1.0, 1.0)
     Ws[0] = sign[:, None] * Ws[0]
     sigma, mults = sign * raw, sign[:, None] * mults
-    found = dedupe([
+    keys = np.concatenate(Ws, axis=1)
+    kept = _dedupe_rows(keys, resid, _DEDUPE_TOLERANCE)
+    if not kept.size:
+        log.info("no singular tuples found at this effort (restarts=%d)", config.restarts)
+        return []
+    z = np.concatenate([keys[kept], np.repeat(sigma[kept, None], k, axis=1)], axis=1)
+    _check_continuum(z, state, jacf, _DEDUPE_TOLERANCE, gtol, "singular tuple")
+    return [
         SingularTuple(
             vectors=tuple(W[i] for W in Ws),
             sigma=float(sigma[i]),
@@ -849,11 +914,5 @@ def singular_tuples(tensor, config=None):
             mode_multipliers=tuple(mults[i]),
             degenerate=bool(abs(sigma[i]) <= 1e-8 * scale),
         )
-        for i in range(len(raw))
-    ], _DEDUPE_TOLERANCE)
-    if not found:
-        log.info("no singular tuples found at this effort (restarts=%d)", config.restarts)
-        return []
-    z = np.array([np.append(np.concatenate(t.vectors), [t.sigma] * k) for t in found])
-    _check_continuum(z, state, jacf, _DEDUPE_TOLERANCE, gtol, "singular tuple")
-    return sorted(found, key=lambda t: (-t.sigma, tuple(np.concatenate(t.vectors).tolist())))
+        for i in kept[_lex_order(-sigma[kept], keys[kept])]
+    ]

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorcrit import (
     AsymmetricTensorError,
@@ -630,6 +632,24 @@ def test_dedupe_empty():
     assert dedupe([], 1e-6) == []
 
 
+def test_dedupe_choice_ignores_nonfinite_points():
+    # equal residuals: the smaller vector wins, whatever non-finite point sits between them
+    a, b = _pair([1.0, 0.0]), _pair([1.0, 1e-9])
+    for bad in ([np.nan, 0.0], [1.0, np.inf]):
+        assert [pt is a for pt in dedupe([b, _pair(bad), a], 1e-6)] == [True]
+    assert [pt is a for pt in dedupe([b, a], 1e-6)] == [True]
+
+
+def test_dedupe_ranks_a_nan_residual_last():
+    c = _pair([1.0, 0.0], residual=2e-12)
+    e = _pair([1.0, 1e-9], residual=math.nan)
+    d = _pair([1.0, 2e-9], residual=1e-12)
+    assert [pt is d for pt in dedupe([c, e, d], 1e-6)] == [True]
+    # alone in its cluster, a NaN-residual point is still kept
+    lone = _pair([0.0, 1.0], residual=math.nan)
+    assert [pt is lone for pt in dedupe([c, lone, d], 1e-6)] == [True, False]
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1e-6, -math.inf, math.inf])
 def test_dedupe_rejects_a_radius_that_is_not_finite_and_nonnegative(tol):
     # a NaN radius used to merge every point into one, a negative one to keep exact duplicates
@@ -655,8 +675,15 @@ def _ref_coarse_unique(V, tol):
 
 
 def _ref_dedupe(points, tol):
+    # non-finite points are dropped before ranking, and NaN residuals rank last
     keys = [np.concatenate([p.vector]) for p in points]
-    order = sorted(range(len(points)), key=lambda i: (points[i].residual, tuple(keys[i].tolist())))
+    finite = [i for i in range(len(points)) if np.all(np.isfinite(keys[i]))]
+
+    def rank(i):
+        r = points[i].residual
+        return (math.isnan(r), 0.0 if math.isnan(r) else r, tuple(keys[i].tolist()))
+
+    order = sorted(finite, key=rank)
     kept = []
     mat = None
     for i in order:
@@ -737,6 +764,65 @@ def test_clusterer_unmergeable_set_without_square_temporaries():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < m * m * 8 / 4  # an m x m float64 array would be 5 MB
+
+
+def test_clusterer_memory_stays_linear_on_a_crowded_first_coordinate():
+    # 4000 rows in 6 near-identical clusters at +-e_j; four of them share the
+    # first coordinate 0, so one flat list of every candidate pair would hold
+    # millions of pairs
+    import tracemalloc
+
+    m, n = 4000, 3
+    rng = np.random.default_rng(6)
+    X = np.concatenate([np.eye(n), -np.eye(n)])[rng.integers(2 * n, size=m)]
+    X += 1e-9 * rng.standard_normal((m, n))
+    tracemalloc.start()
+    lead = _leaders(X, 1e-6)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert np.array_equal(X[lead], _ref_coarse_unique(X, 1e-6)) and len(lead) == 2 * n
+    cluster = m // (2 * n)
+    assert peak < cluster * cluster  # bytes: one m x m float64 array would be 128 MB
+
+
+@st.composite
+def _hard_clouds(draw):
+    """Rows in priority order with a radius: copies, antipodes, +-e_j, chains and exact ties."""
+    m = draw(st.integers(0, 600))
+    n = draw(st.integers(1, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tol = draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.3]))
+    spread = draw(st.sampled_from([0.0, 0.3, 1.0, 3.0])) * tol / math.sqrt(n)
+    # +-e_j with j > 0 all have first coordinate 0
+    centres = np.concatenate([np.eye(n), -np.eye(n), rng.standard_normal((3, n))])
+    X = centres[rng.integers(len(centres), size=m)] + spread * rng.standard_normal((m, n))
+    if m and draw(st.booleans()):
+        # a chain of rows spaced near tol along one direction, in priority order
+        length = int(rng.integers(1, m + 1))
+        first = int(rng.integers(0, m - length + 1))
+        u = rng.standard_normal(n)
+        gaps = tol * (1.0 + rng.choice([-1e-12, 0.0, 1e-12], size=length))
+        X[first : first + length] = centres[0] + np.cumsum(gaps)[:, None] * u / np.linalg.norm(u)
+    if m:
+        X[rng.integers(m, size=m // 5)] = X[rng.integers(m, size=m // 5)]  # exact copies
+        X[rng.integers(m, size=m // 8)] = -X[rng.integers(m, size=m // 8)]  # antipodes
+    if m >= 2 and draw(st.booleans()):
+        i, j = rng.integers(m, size=2)
+        tol = float(np.linalg.norm(X[j] - X[i]))  # a tie at exactly tol
+    if m and draw(st.booleans()):
+        X[rng.integers(m, size=3), rng.integers(n, size=3)] = [np.nan, np.inf, -np.inf]
+    resid = rng.integers(0, 4, size=m) * 1e-12
+    resid[rng.random(m) < 0.05] = np.nan
+    return X, tol, resid
+
+
+@settings(max_examples=80, deadline=None)
+@given(_hard_clouds())
+def test_clusterer_property_matches_greedy_loops(cloud):
+    X, tol, resid = cloud
+    assert np.array_equal(X[_leaders(X, tol)], _ref_coarse_unique(X, tol))
+    pts = [_pair(x, residual=float(r)) for x, r in zip(X, resid)]
+    assert [id(p) for p in dedupe(pts, tol)] == [id(p) for p in _ref_dedupe(pts, tol)]
 
 
 # --- damped Newton line search ---------------------------------------------
@@ -1040,7 +1126,7 @@ def test_newton_effort_is_logged_at_debug(caplog):
     assert converged + stalled + retired <= rows
     # one polish: the ascent's leaders, then the raw starts
     ends = solver._alternating_ascent(T.data, solver._random_starts(CFG.seed, CFG.restarts, T.shape, CFG.p), CFG.p)
-    leaders = len(_leaders(np.concatenate(ends, axis=1), 1e-3))
+    leaders = len(_leaders(np.concatenate(ends, axis=1), solver._LEADER_RADIUS))
     assert leaders >= 1 and rows == leaders + CFG.restarts and converged > 0
 
 
@@ -1283,7 +1369,7 @@ def test_eigen_solve_runs_one_ascent_and_one_newton(symmetric, monkeypatch, capl
             calls = _whole_tensor_contractions(mp, S)
             V = ascend(S, V0, p, sign)
         m = len(V0) // 2
-        leaders = len(_leaders(V[:m], 1e-3)) + len(_leaders(V[m:], 1e-3))
+        leaders = len(_leaders(V[:m], solver._LEADER_RADIUS)) + len(_leaders(V[m:], solver._LEADER_RADIUS))
         ascents.append((len(V0), len(calls), leaders))
         return V
 
