@@ -6,13 +6,13 @@ bordered Lagrange system serves both: g_i(w) = s_i * phi_{p-1}(w_i) and
 multiplier s_i the value f(w).  A singular tuple solves it on the product of
 the spheres of T's k modes, with g_i = mode_gradient(T, (w_1, ..., w_k), i);
 a mode-i eigenpair (v, lam) is its one-sphere case, g = mode_gradient(T,
-(v, ..., v), i).  No closed-form enumeration exists for k > 2, so the
-solvers run a multi-start search, each stage once over all of its rows:
-an ascent seeds extrema (eigenpairs: projected gradient on the symmetric
-part, which carries the form, with a sign per row; tuples: alternating
-best responses), one damped Newton on the Lagrange system polishes the
-ascent's leaders and the raw starts (which reach saddles), then one
-residual-based acceptance and deduplication.
+(v, ..., v), i).  No closed-form enumeration exists for k > 2, so one
+driver, _search, runs both multi-start searches, each stage once over all
+its rows: an ascent (eigenpairs: projected gradient with a sign per row;
+tuples: alternating best responses), one damped Newton from the ascent's
+leaders and the raw starts (which reach saddles), one residual-based
+acceptance, the sign group (each eigenpair's antipode; sigma >= 0 for a
+tuple), deduplication, the count cap and the continuum check.
 """
 
 from __future__ import annotations
@@ -702,6 +702,43 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
     return int(index[0]), bool(nondegenerate[0])
 
 
+def _search(config, dims, grads, blocks, ascend, act, merge_tol, cap, noun):
+    """The multi-start search on the product of the unit p-spheres of dims.
+
+    ``ascend`` takes the starts, one array of rows per sphere, to endpoints.
+    ``act(Ws, value, resid, mults)`` applies the sign group to the accepted
+    rows and also returns ``found``, each row's value as accepted.  Returns
+    (Ws, value, resid, mults, found) of the rows kept by dedupe at merge_tol,
+    value descending; more than ``cap`` of them (None: no cap), or a
+    continuum, raises DegenerateTensorError naming a ``noun``.
+    """
+    p, gtol = config.p, config.gradient_tolerance
+    state, jac = _lagrange_fns(dims, p, grads, blocks)
+    starts = _random_starts(config.seed, config.restarts, dims, p)
+    ends = ascend(starts)
+    lead = _leaders(np.concatenate(ends, axis=1), _LEADER_RADIUS)
+    Ws = [np.concatenate([E[lead], W]) for E, W in zip(ends, starts)]
+    # every multiplier starts at the value f(w) = <g_k, w_k>
+    s0 = np.repeat(_dot_rows(grads(Ws)[-1], Ws[-1])[:, None], len(dims), axis=1)
+    z = _damped_newton(np.concatenate(Ws + [s0], axis=1), state, jac, gtol)
+    accepted = _accept(grads, [z[:, c] for c in _column_slices(dims)], p, gtol)
+    Ws, value, resid, mults, found = act(*accepted)
+    keys = np.concatenate(Ws, axis=1)
+    kept = _dedupe_rows(keys, resid, merge_tol)
+    if cap is not None and len(kept) > cap:
+        raise DegenerateTensorError(
+            f"count cap: {len(kept)} {noun}s survive deduplication, more than the "
+            f"{cap} of the Cartwright-Sturmfels count (antipodes included); the set is not finite"
+        )
+    if kept.size:
+        z = np.concatenate([keys[kept], np.repeat(value[kept, None], len(dims), axis=1)], axis=1)
+        _check_continuum(z, state, jac, merge_tol, gtol, noun)
+    else:
+        log.info("no %ss found at this effort (restarts=%d)", noun, config.restarts)
+    kept = kept[_lex_order(-value[kept], keys[kept])]
+    return [W[kept] for W in Ws], value[kept], resid[kept], mults[kept], found[kept]
+
+
 def _eigen_run(tensor, mode, config):
     """Eigenpairs in ``mode`` under config.p; mode 0 is the symmetric problem.
 
@@ -717,8 +754,7 @@ def _eigen_run(tensor, mode, config):
         raise ShapeError("eigenpair solvers need tensor order >= 2")
     if n < 2:
         raise ShapeError("eigenpair solvers need dimension >= 2")
-    p = check_norm_param(config.p)
-    gtol = config.gradient_tolerance
+    p = config.p
     # the mode-i eigenpairs of T are the last-mode eigenpairs of T with mode i moved last
     D = np.ascontiguousarray(np.moveaxis(tensor.data, max(mode - 1, 0), -1))
     # f(v) = D(v, ..., v) is the form of D's symmetric part, so the ascent climbs that;
@@ -736,57 +772,38 @@ def _eigen_run(tensor, mode, config):
         # D is symmetric in its leading k-1 modes, so dg/dv is k-1 times D contracted in k-2
         return [((0, 0), np.swapaxes((k - 1) * _contract_leading(D, Ws * (k - 2)), 1, 2))]
 
-    state, jac = _lagrange_fns((n,), p, grads, blocks)
-    # the first m rows of the ascent maximize f and the last m minimize it
-    (V0,) = _random_starts(config.seed, config.restarts, (n,), p)
-    m = len(V0)
-    ends = _ascend(S, np.concatenate([V0, V0]), p, np.repeat([1.0, -1.0], m))
-    # Newton polishes the leaders of each sign half, and the raw starts to reach saddles
-    V = np.concatenate([half[_leaders(half, _LEADER_RADIUS)] for half in (ends[:m], ends[m:])] + [V0])
-    lam0 = _dot_rows(grads([V])[0], V)
-    V = _damped_newton(np.concatenate([V, lam0[:, None]], axis=1), state, jac, gtol)[:, :n]
-    # antipodal completion: -v is stationary with multiplier (-1)^k lam
-    (V,), lam, resid, _ = _accept(grads, [np.concatenate([V, -V])], p, gtol)
+    def ascend(starts):
+        # the first m rows maximize f and the last m minimize it
+        return [_ascend(S, np.concatenate(starts * 2), p, np.repeat([1.0, -1.0], len(starts[0])))]
+
+    def act(Ws, lam, resid, mults):
+        # antipodal completion: -v is stationary with v's residual and multiplier (-1)^k lam,
+        # exactly, since negating v negates g (k - 1 times) and phi_{p-1}(v)
+        lam, mults = (np.concatenate([x, (-1.0) ** k * x]) for x in (lam, mults))
+        return [np.concatenate([Ws[0], -Ws[0]])], lam, np.tile(resid, 2), mults, lam
+
     # For p != 2 the stationarity field can vanish to order k-1 across an
     # isolated solution (diagonal tensors with p = k), so everything inside a
     # radius ~ tol^(1/(k-1)) ball passes the residual test; widen the merge
     # radius to that scale to report one point per solution.
-    merge_tol = _DEDUPE_TOLERANCE
+    merge_tol, cap = _DEDUPE_TOLERANCE, None
     if p != 2.0:
         merge_tol = max(merge_tol, 10.0 * config.gradient_tolerance ** (1.0 / (k - 1)))
-    kept = _dedupe_rows(V, resid, merge_tol)
-    V, lam, resid = V[kept], lam[kept], resid[kept]
-    cap = 2 * (n if k == 2 else ((k - 1) ** n - 1) // (k - 2))  # antipodes included
-    if p == 2.0 and len(V) > cap:
-        raise DegenerateTensorError(
-            f"count cap: {len(V)} stationary points survive deduplication, more than the "
-            f"{cap} of the Cartwright-Sturmfels count (antipodes included); the set is not finite"
-        )
-    if not len(V):
-        log.info(
-            "no stationary points found at this effort (restarts=%d); "
-            "the spectrum may be empty over the reals",
-            config.restarts,
-        )
-        return []
-    z = np.concatenate([V, lam[:, None]], axis=1)
-    _check_continuum(z, state, jac, merge_tol, gtol, "stationary point")
+    else:  # the Cartwright-Sturmfels count, antipodes included
+        cap = 2 * (n if k == 2 else ((k - 1) ** n - 1) // (k - 2))
+    (V,), lam, resid, _, _ = _search(
+        config, (n,), grads, blocks, ascend, act, merge_tol, cap, "stationary point"
+    )
     index = nondeg = [None] * len(V)
     if mode == 0 and p == 2.0:
         tol = max(1e-8, 10 * config.gradient_tolerance)
-        index, nondeg = (a.tolist() for a in _morse_rows(D, z[:, :n], z[:, n], tol))
-    flag_zero = p != 2.0
+        index, nondeg = (a.tolist() for a in _morse_rows(D, V, lam, tol))
     return [
         EigenPair(
-            vector=V[i],
-            value=float(lam[i]),
-            mode=mode,
-            residual=float(resid[i]),
-            index=index[i],
-            nondegenerate=nondeg[i],
-            near_zero_coords=bool(flag_zero and np.min(np.abs(V[i])) < 1e-6),
+            vector=v, value=float(value), mode=mode, residual=float(r), index=i, nondegenerate=nd,
+            near_zero_coords=bool(p != 2.0 and np.min(np.abs(v)) < 1e-6),
         )
-        for i in _lex_order(-lam, V)
+        for v, value, r, i, nd in zip(V, lam, resid, index, nondeg)
     ]
 
 
@@ -867,15 +884,10 @@ def singular_tuples(tensor, config=None):
     returned with degenerate=True.
     """
     config = config or SolverConfig()
-    k = tensor.order
-    if k < 2:
+    if tensor.order < 2:
         raise ShapeError("singular tuples need tensor order >= 2")
-    p = check_norm_param(config.p)
-    gtol = config.gradient_tolerance
     data = tensor.data
-    dims = tensor.shape
     scale = float(np.linalg.norm(data.reshape(-1)))
-    Ws0 = _random_starts(config.seed, config.restarts, dims, p)
 
     def grads(Ws):
         return _batch_mode_grads(data, Ws)
@@ -885,34 +897,21 @@ def singular_tuples(tensor, config=None):
             yield (i, j), B
             yield (j, i), np.swapaxes(B, 1, 2)
 
-    state, jacf = _lagrange_fns(dims, p, grads, blocks)
-    ends = _alternating_ascent(data, Ws0, p)
-    # Newton polishes the ascent's leaders, and the raw starts to reach saddles
-    lead = _leaders(np.concatenate(ends, axis=1), _LEADER_RADIUS)
-    Ws = [np.concatenate([E[lead], W]) for E, W in zip(ends, Ws0)]
-    s0 = np.repeat(_dot_rows(_contract_leading(data, Ws[:-1]), Ws[-1])[:, None], k, axis=1)
-    z = _damped_newton(np.concatenate(Ws + [s0], axis=1), state, jacf, gtol)
-    Ws, raw, resid, mults = _accept(grads, [z[:, c] for c in _column_slices(dims)], p, gtol)
-    # canonical sign: negating w_1 where the value is negative negates the value, the
-    # multipliers and every gradient but the first exactly, so no residual changes
-    sign = np.where(raw < 0, -1.0, 1.0)
-    Ws[0] = sign[:, None] * Ws[0]
-    sigma, mults = sign * raw, sign[:, None] * mults
-    keys = np.concatenate(Ws, axis=1)
-    kept = _dedupe_rows(keys, resid, _DEDUPE_TOLERANCE)
-    if not kept.size:
-        log.info("no singular tuples found at this effort (restarts=%d)", config.restarts)
-        return []
-    z = np.concatenate([keys[kept], np.repeat(sigma[kept, None], k, axis=1)], axis=1)
-    _check_continuum(z, state, jacf, _DEDUPE_TOLERANCE, gtol, "singular tuple")
+    def act(Ws, raw, resid, mults):
+        # canonical sign: negating w_1 where the value is negative negates the value, the
+        # multipliers and every gradient but the first exactly, so no residual changes
+        sign = np.where(raw < 0, -1.0, 1.0)
+        return [sign[:, None] * Ws[0]] + Ws[1:], sign * raw, resid, sign[:, None] * mults, raw
+
+    Ws, sigma, resid, mults, raw = _search(
+        config, tensor.shape, grads, blocks, lambda starts: _alternating_ascent(data, starts, config.p),
+        act, _DEDUPE_TOLERANCE, None, "singular tuple",
+    )
     return [
         SingularTuple(
-            vectors=tuple(W[i] for W in Ws),
-            sigma=float(sigma[i]),
-            residual=float(resid[i]),
-            critical_value=float(raw[i]),
-            mode_multipliers=tuple(mults[i]),
+            vectors=tuple(W[i] for W in Ws), sigma=float(sigma[i]), residual=float(resid[i]),
+            critical_value=float(raw[i]), mode_multipliers=tuple(mults[i]),
             degenerate=bool(abs(sigma[i]) <= 1e-8 * scale),
         )
-        for i in kept[_lex_order(-sigma[kept], keys[kept])]
+        for i in range(len(sigma))
     ]

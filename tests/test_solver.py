@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import logging
 import math
 import re
@@ -1368,9 +1370,7 @@ def test_eigen_solve_runs_one_ascent_and_one_newton(symmetric, monkeypatch, capl
         with pytest.MonkeyPatch.context() as mp:
             calls = _whole_tensor_contractions(mp, S)
             V = ascend(S, V0, p, sign)
-        m = len(V0) // 2
-        leaders = len(_leaders(V[:m], solver._LEADER_RADIUS)) + len(_leaders(V[m:], solver._LEADER_RADIUS))
-        ascents.append((len(V0), len(calls), leaders))
+        ascents.append((len(V0), len(calls), len(_leaders(V, solver._LEADER_RADIUS))))
         return V
 
     def counted_newton(z0, *args, **kwargs):
@@ -1388,7 +1388,7 @@ def test_eigen_solve_runs_one_ascent_and_one_newton(symmetric, monkeypatch, capl
     ((rows, contractions, leaders),) = ascents
     # both signs in one batch, one contraction per iteration whatever the tensor
     assert rows == 2 * CFG.restarts and contractions == iters + 1
-    # one polish: the leaders of both sign halves, then the raw starts
+    # one polish: the leaders of all endpoints, both signs in one pass, then the raw starts
     assert newtons == [leaders + CFG.restarts]
 
 
@@ -1406,6 +1406,62 @@ def test_singular_sign_flip_negates_the_value_exactly(shape):
     assert fresh[0].tobytes() == grads[0].tobytes()
     for g, h in zip(grads[1:], fresh[1:]):
         assert np.where(flip[:, None], -g, g).tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("p", [2.0, 3.0, 1.5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_antipodal_completion_after_acceptance_is_exact(k, p, symmetric):
+    # accepting [V; -V] is accepting V, then v -> -v and lam -> (-1)^k lam, byte for byte;
+    # the rows are raw, not unit: random ones and the stationary ones scaled by 2.5
+    n = 3 if k < 5 else 2
+    T = random_tensor((n,) * k, 20 + k, symmetric=symmetric)
+    D = T.data if symmetric else _orbit_mean(T.data, _orbit_ids(T.shape, k - 1))
+
+    def grads(Ws):
+        return [solver._contract_leading(D, Ws * (k - 1))]
+
+    found = generalized_eigenpairs(T, k, SolverConfig(restarts=20, p=p))
+    assert found
+    rng = np.random.default_rng(k)
+    V = np.concatenate([rng.standard_normal((40, n)), 2.5 * np.array([pt.vector for pt in found])])
+    loose = np.median(solver._accept(grads, [V], p, np.inf)[2])
+    sign = (-1.0) ** k
+    for gtol in (loose, SolverConfig().gradient_tolerance):
+        (W,), lam, resid, mults = solver._accept(grads, [V], p, gtol)
+        assert 0 < len(W) < len(V)
+        (W2,), lam2, resid2, mults2 = solver._accept(grads, [np.concatenate([V, -V])], p, gtol)
+        assert W2.tobytes() == np.concatenate([W, -W]).tobytes()
+        assert lam2.tobytes() == np.concatenate([lam, sign * lam]).tobytes()
+        assert resid2.tobytes() == np.concatenate([resid, resid]).tobytes()
+        assert mults2.tobytes() == np.concatenate([mults, sign * mults]).tobytes()
+
+
+def _top_level_callers(source, names):
+    """{name: the top-level functions of source whose bodies, nested ones included, call it}."""
+    callers = {name: set() for name in names}
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                    callers[node.func.id].add(fn.name)
+    return callers
+
+
+SEARCH_STAGES = ("_random_starts", "_lagrange_fns", "_accept", "_check_continuum")
+
+
+def test_one_search_driver_runs_both_problems():
+    source = inspect.getsource(solver)
+    assert _top_level_callers(source, SEARCH_STAGES) == {name: {"_search"} for name in SEARCH_STAGES}
+    # the problems hand the driver closures; no polish, acceptance, dedupe or check of their own
+    stages = _top_level_callers(source, ("_damped_newton", "_leaders", "_dedupe_rows") + SEARCH_STAGES)
+    assert not any({"_eigen_run", "singular_tuples"} & fns for fns in stages.values())
+
+
+def test_search_driver_guard_sees_calls_in_closures():
+    source = "def f():\n    _accept(1)\n\n\ndef g():\n    def h():\n        return _accept(2)\n"
+    assert _top_level_callers(source, ["_accept", "_leaders"]) == {"_accept": {"f", "g"}, "_leaders": set()}
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
