@@ -154,15 +154,15 @@ def lacunary_checks(h: IndexHistogram) -> list:
 
     An index lam with b_lam != c_lam forces a neighbor count c_(lam-1) or
     c_(lam+1) to be positive; counts outside 0..n-1 are identically zero,
-    which makes item (iii) trivially true.
+    which makes item (iii) trivially true.  Item (ii) runs over the middle
+    indices 2..n-2, where b_lam = 0 on S^(n-1).
     """
     n = h.n
     items = []
     items.append(("i", h.count(0) == 1 or h.count(1) > 0))
     for lam in range(2, n - 1):
-        if n >= 4 and betti_sphere(n)[lam] == 0:
-            ok = h.count(lam) == 0 or (h.count(lam - 1) + h.count(lam + 1)) > 0
-            items.append((f"ii:lambda={lam}", ok))
+        ok = h.count(lam) == 0 or (h.count(lam - 1) + h.count(lam + 1)) > 0
+        items.append((f"ii:lambda={lam}", ok))
     items.append(("iii", True))
     items.append(("iv", h.count(n - 1) == 1 or h.count(n - 2) > 0))
     return items

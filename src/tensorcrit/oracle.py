@@ -2,10 +2,9 @@
 
 These deliberately avoid the solver's code paths: eigenvalues come from
 hand-rolled cyclic Jacobi rotations, singular values from the Gram
-matrix, and the n=2 critical sets from sign-change bracketing plus
-bisection on the circle, every evaluation batched through one grid
-evaluator.  Only ``evaluate`` and ``is_symmetric`` are shared with the
-rest of the package.
+matrix, and the n=2 critical sets from the real roots of one binary
+form, the derivative of the form along the circle.  Only ``evaluate``
+and ``is_symmetric`` are shared with the rest of the package.
 """
 
 from __future__ import annotations
@@ -161,118 +160,75 @@ def _require_symmetric_on(tensor, n):
         raise ValueError("tensor must be symmetric")
 
 
-def _grid_restriction(data, thetas):
-    """Values and derivative of theta -> f(v(theta),...) at every theta."""
-    k = data.ndim
-    V = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    G = _batch_grad(data, V)
-    values = np.sum(G * V, axis=1)
-    tangent = np.stack([-V[:, 1], V[:, 0]], axis=1)
-    dg = k * np.sum(G * tangent, axis=1)
-    return values, dg
+def _binary_form(data):
+    """Coefficient a[m] of x^(k-m) y^m: the sum of the entries whose index holds m ones."""
+    return np.bincount(np.indices(data.shape).sum(0).ravel(), weights=data.ravel())
 
 
-def _hidden_root(data, thetas, dg, h, tol):
-    """Whether dg may touch or cross zero between two nodes of its sign.
-
-    A double root, or two roots in one cell, leaves no sign change on the
-    grid.  Every node where |dg| is a local minimum and both neighbours
-    share its sign gets a golden-section search for the bottom of sign*dg
-    over its two cells; all nodes step together, one batch per step.
-    """
-    s, m = np.sign(dg), np.abs(dg)
-    same = (np.roll(s, 1) == s) & (np.roll(s, -1) == s)
-    nodes = np.flatnonzero(same & (m <= np.roll(m, 1)) & (m <= np.roll(m, -1)))
-    s, lo, hi = s[nodes], thetas[nodes] - h, thetas[nodes] + h
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    # within ~1e-8 of its bottom sign*dg is flat to rounding; finer steps add nothing
-    while nodes.size and np.max(hi - lo) > 1e-9:
-        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
-        _, dcd = _grid_restriction(data, np.concatenate([c, d]))
-        fc, fd = np.split(np.tile(s, 2) * dcd, 2)
-        if np.any(np.minimum(fc, fd) <= tol):
-            return True
-        left = fc < fd
-        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
-    return False
+def _turn(c):
+    """x d/dy - y d/dx of the binary form c: its derivative d/dt along the circle."""
+    m = np.arange(len(c))
+    return (m + 1) * np.append(c[1:], 0.0) - (len(c) - m) * np.append(0.0, c[:-1])
 
 
-def _bisect(data, a, b, sign_a, tol):
-    """Roots of dg in the brackets [a, b], all bisected together."""
-    live = np.ones(a.size, dtype=bool)
-    while live.any():
-        mid = 0.5 * (a + b)
-        _, fm = _grid_restriction(data, mid)
-        live &= (np.abs(fm) > tol) & (b - a > 1e-15)
-        up = live & (np.sign(fm) == sign_a)
-        a = np.where(up, mid, a)
-        b = np.where(live & ~up, mid, b)
-    return 0.5 * (a + b)
-
-
-def _circle_scan(data, gridsize):
-    """One pass at a fixed grid; None means an unclassifiable point was hit."""
-    h = 2.0 * math.pi / gridsize
-    thetas = (np.arange(gridsize) + 0.5) * h
-    values, dg = _grid_restriction(data, thetas)
-    dscale = float(np.max(np.abs(dg)))
-    if dscale <= 1e-13 * float(np.max(np.abs(values))):
-        raise DegenerateTensorError(
-            "the restriction to the circle is constant; every point is critical"
-        )
-    tol = 1e-13 * dscale
-    if _hidden_root(data, thetas, dg, h, tol):
-        return None  # a double root or a pair inside one cell: refine
-    s = np.sign(dg)
-    brackets = np.flatnonzero((s != 0) & (np.roll(s, -1) == -s))
-    roots = np.sort(np.concatenate([
-        thetas[s == 0],
-        _bisect(data, thetas[brackets], thetas[brackets] + h, s[brackets], tol) % (2.0 * math.pi),
-    ]))
-    if roots.size == 0:
-        return None
-    roots = roots[np.diff(roots, prepend=-1.0) > 1e-9]
-    if roots.size > 1 and (roots[0] + 2.0 * math.pi) - roots[-1] <= 1e-9:
-        roots = roots[:-1]
-    fd = 1e-5
-    f, _ = _grid_restriction(data, np.concatenate([roots, roots + fd, roots - fd]))
-    value, plus, minus = np.split(f, 3)
-    second = (plus - 2.0 * value + minus) / fd**2
-    if np.any(np.abs(second) <= 1e-7 * dscale):
-        return None  # flat second derivative: refine or give up
-    return [
-        CriticalPoint(vector=np.array([math.cos(t), math.sin(t)]), value=float(v), index=int(d2 < 0))
-        for t, v, d2 in zip(roots, value, second)
-    ]
+def _on_circle(c, t):
+    """The binary form c at (cos t, sin t), for every angle in t."""
+    m = np.arange(len(c))
+    return (np.cos(t)[:, None] ** (len(c) - 1 - m) * np.sin(t)[:, None] ** m) @ c
 
 
 def circle_critical_points(tensor):
     """Complete critical set of a symmetric tensor on R^2.
 
-    Parametrizes the circle, brackets every sign change of the derivative
-    on a uniform grid of 4096 nodes, and bisects.  A node where the
-    derivative comes near zero without changing sign is searched for a
-    double root or a pair of roots inside one cell.  Completeness is
-    certified a posteriori: the minima and maxima must balance (index
-    parity on the circle).  A hidden root, a flat point or an unbalanced
-    set doubles the grid, up to 2^20 nodes; beyond that the tensor is
-    reported degenerate.  Every threshold is relative to the tensor's own
-    scale.  ``resolution`` in the result is the spacing of the grid that
-    certified the set.
+    On v = (cos t, sin t) the form is a binary form f of degree k, and so is
+    its derivative along the circle, h = x df/dy - y df/dx.  The critical
+    points are +-v for each real root direction of h, at most k of them:
+    ``np.roots`` in the chart tan t, three Newton steps, and the index from
+    the exact second derivative.  The tensor is reported degenerate when
+    the restriction is constant, when a root is multiple (second derivative
+    below 1e-6 of the scale of h, two points closer than 1e-9, or a root
+    Newton cannot polish) or when minima and maxima do not balance.  The
+    thresholds are relative to the form's scale, so 2^j T gives the same
+    points; ``resolution`` is the smallest angle between neighbouring points.
     """
     _require_symmetric_on(tensor, 2)
-    gridsize = 4096
-    while gridsize <= 2**20:
-        points = _circle_scan(tensor.data, gridsize)
-        if points is not None:
-            maxima = sum(pt.index for pt in points)
-            if maxima >= 1 and 2 * maxima == len(points):
-                return CriticalSet(tuple(points), complete=True, resolution=2.0 * math.pi / gridsize)
-        gridsize *= 2
-    raise DegenerateTensorError(
-        "no balanced critical set found after maximal grid refinement; the "
-        "tensor is degenerate or pathological on the circle"
+    # work on T / 2^e, exact, so that the sums of entries cannot overflow
+    e = math.frexp(float(np.max(np.abs(tensor.data))))[1]
+    a = _binary_form(np.ldexp(tensor.data, -e))
+    h = _turn(a)
+    h2 = _turn(h)
+    hscale = float(np.max(np.abs(h)))
+    if hscale <= 1e-13 * float(np.max(np.abs(a))):
+        raise DegenerateTensorError(
+            "the restriction to the circle is constant; every point is critical"
+        )
+    # h(cos t, sin t) = cos(t)^k h(1, tan t): a chart root u gives t = arctan u, and
+    # the chart loses degree exactly when (0, 1) is a root.  A double root may come
+    # back as a complex pair near the axis; it is kept and caught as multiple below.
+    u = np.roots(h[::-1])
+    t = np.arctan(u.real[np.abs(u.imag) <= 1e-7 * (1.0 + np.abs(u))])
+    if h[-1] == 0.0:
+        t = np.append(t, 0.5 * math.pi)
+    for _ in range(3):
+        d2 = _on_circle(h2, t)
+        t = t - np.divide(_on_circle(h, t), d2, out=np.zeros_like(t), where=d2 != 0.0)
+    t = np.sort(np.concatenate([t, t + math.pi]) % (2.0 * math.pi))
+    gaps = np.diff(t, append=t[:1] + 2.0 * math.pi)
+    second = _on_circle(h2, t)
+    # rounding moves an angle by about k eps hscale / |f''|, about 1e-9 at this bound
+    if (
+        np.any(np.abs(second) <= 1e-6 * hscale)
+        or np.any(gaps <= 1e-9)
+        or not np.all(np.abs(_on_circle(h, t)) <= 1e-9 * hscale)
+    ):
+        raise DegenerateTensorError("the derivative along the circle has a multiple root")
+    if t.size == 0 or 2 * np.sum(second < 0) != t.size:
+        raise DegenerateTensorError("the minima and maxima on the circle do not balance")
+    points = tuple(
+        CriticalPoint(vector=np.array([math.cos(s), math.sin(s)]), value=float(v), index=int(d < 0))
+        for s, v, d in zip(t, np.ldexp(_on_circle(a, t), e), second)
     )
+    return CriticalSet(points, complete=True, resolution=float(np.min(gaps)))
 
 
 # ---------------------------------------------------------------------------

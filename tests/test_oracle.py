@@ -20,7 +20,9 @@ from tensorcrit import (
 )
 from tensorcrit import oracle
 from tensorcrit.morse import IndexHistogram
-from tensorcrit.oracle import _grid_restriction
+from tensorcrit.oracle import _binary_form, _on_circle, _turn
+
+from conftest import geodesic_second_derivative
 
 # What the oracle may take from the package: the form (evaluate), the
 # symmetry test and the error types.  Sharing any other code path with the
@@ -168,11 +170,12 @@ def _x3_minus_3eps_xy2(eps):
     return DenseTensor(data)
 
 
-@pytest.mark.parametrize("seed,k", [(s, k) for s in range(6) for k in (3, 4, 5)])
+@pytest.mark.parametrize("seed,k", [(s, k) for s in range(6) for k in range(2, 9)])
 def test_circle_even_cardinality_and_parity(seed, k):
     T = random_tensor((2,) * k, 500 + seed, symmetric=True)
     cs = circle_critical_points(T)
-    assert len(cs.points) % 2 == 0
+    # +-v for each of at most k real root directions of the derivative
+    assert len(cs.points) % 2 == 0 and len(cs.points) <= 2 * k
     counts = {}
     for p in cs.points:
         counts[p.index] = counts.get(p.index, 0) + 1
@@ -190,10 +193,11 @@ def test_circle_double_root_is_degenerate():
         circle_critical_points(_x3_minus_3eps_xy2(0.0))
 
 
-def test_circle_finds_two_roots_inside_one_cell():
-    # the pairs near (0, +-1) lie 5e-4 apart, inside one cell of the first grid
-    eps = 6.25e-8
-    cs = circle_critical_points(_x3_minus_3eps_xy2(eps))
+@pytest.mark.parametrize("eps", [6.25e-8, 1e-10, 1e-12])
+def test_circle_finds_two_roots_inside_one_cell(eps):
+    # the pairs near (0, +-1) lie 2 sqrt(eps) apart: 5e-4 down to 2e-6
+    T = _x3_minus_3eps_xy2(eps)
+    cs = circle_critical_points(T)
     assert cs.complete and len(cs.points) == 6
     # df/dtheta = -3 sin(t) ((1 + 2 eps) cos(t)^2 - eps sin(t)^2)
     c = np.sqrt(eps / (1 + 2 * eps))
@@ -201,6 +205,8 @@ def test_circle_finds_two_roots_inside_one_cell():
     for w in want:
         assert min(np.linalg.norm(p.vector - w) for p in cs.points) <= 1e-9
     assert sorted(p.index for p in cs.points) == [0, 0, 0, 1, 1, 1]
+    for p in cs.points:
+        assert np.linalg.norm(sym_gradient(T, p.vector) - p.value * p.vector) <= 1e-14
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -217,15 +223,35 @@ def test_circle_is_scale_equivariant(k):
             assert p.value == np.ldexp(q.value, j)
 
 
-def test_circle_grid_evaluator_matches_primitives(cubic):
+@pytest.mark.parametrize("k", [pytest.param(None, id="cubic"), 3, 4, 5, 6])
+def test_circle_binary_form_matches_primitives(cubic, k):
+    T = cubic if k is None else random_tensor((2,) * k, 40 + k, symmetric=True)
+    k = T.order
+    a = _binary_form(T.data)
     thetas = np.array([0.3, 1.1, 2.9, 4.4])
-    values, dg = _grid_restriction(cubic.data, thetas)
+    values, first, second = (_on_circle(c, thetas) for c in (a, _turn(a), _turn(_turn(a))))
+    scale = float(np.max(np.abs(T.data)))
     for i, th in enumerate(thetas):
         v = np.array([np.cos(th), np.sin(th)])
-        assert values[i] == pytest.approx(evaluate(cubic, [v] * 3), abs=1e-14)
         tangent = np.array([-v[1], v[0]])
-        hand = 3 * float(sym_gradient(cubic, v) @ tangent)
-        assert dg[i] == pytest.approx(hand, abs=1e-13)
+        assert values[i] == pytest.approx(evaluate(T, [v] * k), abs=1e-14 * scale)
+        hand = k * float(sym_gradient(T, v) @ tangent)
+        assert first[i] == pytest.approx(hand, abs=1e-13 * scale)
+        fd = geodesic_second_derivative(T, v, tangent)
+        assert second[i] == pytest.approx(fd, abs=1e-6 * scale)
+
+
+def test_circle_counts_match_the_kostlan_expectation():
+    # A symmetric random_tensor on R^2 is a Kostlan binary form of degree k,
+    # whose mean number of critical points on the circle is 2 sqrt(3k - 2)
+    # (Kac-Rice).  The bound, 4 standard errors, was fixed before any run.
+    for k in (3, 4, 5, 6):
+        counts = np.array([
+            len(circle_critical_points(random_tensor((2,) * k, 80000 + 1000 * k + s, symmetric=True)).points)
+            for s in range(400)
+        ])
+        se = counts.std(ddof=1) / np.sqrt(counts.size)
+        assert abs(counts.mean() - 2 * np.sqrt(3 * k - 2)) <= 4 * se
 
 
 def test_grid_search_diagonal_matrix():
