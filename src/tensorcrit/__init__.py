@@ -33,7 +33,7 @@ from .oracle import (
     CriticalSet,
     circle_critical_points,
     jacobi_eigen,
-    sphere_grid_search,
+    sphere_critical_points,
     svd_small,
 )
 from .solver import (

@@ -30,6 +30,7 @@ from .core import (
     mode_gradient,
     random_tensor,
     read_tensor_file,
+    write_tensor_file,
 )
 from .errors import DegenerateTensorError
 from .norms import p_norm, p_norm_gradient
@@ -66,27 +67,16 @@ def _config_from_args(args):
     )
 
 
-def _pair_dict(pt):
-    return {
-        "vector": [float(x) for x in pt.vector],
-        "value": float(pt.value),
-        "mode": int(pt.mode),
-        "residual": float(pt.residual),
-        "index": None if pt.index is None else int(pt.index),
-        "nondegenerate": pt.nondegenerate,
-        "near_zero_coords": bool(pt.near_zero_coords),
-    }
+def _as_json(value):
+    """A dataclass field as JSON-ready Python: arrays and tuples become lists."""
+    if isinstance(value, tuple):
+        return [_as_json(v) for v in value]
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
-def _tuple_dict(t):
-    return {
-        "vectors": [[float(x) for x in v] for v in t.vectors],
-        "sigma": float(t.sigma),
-        "residual": float(t.residual),
-        "critical_value": float(t.critical_value),
-        "mode_multipliers": [float(s) for s in t.mode_multipliers],
-        "degenerate": bool(t.degenerate),
-    }
+def _record(obj):
+    """An eigenpair's or singular tuple's report entry, one key per dataclass field."""
+    return {f.name: _as_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
 def _emit(report):
@@ -161,7 +151,7 @@ def cmd_eig(args, parser):
         fields = {
             "symmetric": bool(args.symmetric),
             "mode": mode,
-            "pairs": [_pair_dict(pt) for pt in pairs],
+            "pairs": [_record(pt) for pt in pairs],
             "morse": None,
         }
         if not args.audit:
@@ -185,7 +175,7 @@ def cmd_eig(args, parser):
 def cmd_svd(args):
     def find(tensor, config):
         tuples = solver.singular_tuples(tensor, config)
-        return tuples, {"tuples": [_tuple_dict(t) for t in tuples]}, 0
+        return tuples, {"tuples": [_record(t) for t in tuples]}, 0
 
     return _search(args, "svd", find, "no singular tuples found at this effort (restarts={restarts})")
 
@@ -199,15 +189,13 @@ def cmd_gen(args):
         tensor = random_tensor(shape, args.seed, symmetric=args.symmetric)
     except ValueError as exc:
         return _fail(str(exc))
-    text = dumps_tensor(tensor)
     if args.output:
         try:
-            with open(args.output, "w", encoding="ascii") as fh:
-                fh.write(text)
+            write_tensor_file(tensor, args.output)
         except OSError as exc:
             return _fail(f"cannot write {args.output}: {exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps_tensor(tensor))
     return 0
 
 

@@ -2,19 +2,20 @@
 
 These deliberately avoid the solver's code paths: eigenvalues come from
 hand-rolled cyclic Jacobi rotations, singular values from the Gram
-matrix, and the n=2 critical sets from the real roots of one binary
-form, the derivative of the form along the circle.  Only ``evaluate``
-and ``is_symmetric`` are shared with the rest of the package.
+matrix, the n=2 critical sets from the real roots of one binary form and
+the n>=3 ones from a diagonal-start homotopy.  Only ``is_symmetric`` is
+shared with the rest of the package.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import evaluate, is_symmetric
+from .core import is_symmetric
 from .errors import DegenerateTensorError, ShapeError
 
 __all__ = [
@@ -23,7 +24,7 @@ __all__ = [
     "jacobi_eigen",
     "svd_small",
     "circle_critical_points",
-    "sphere_grid_search",
+    "sphere_critical_points",
 ]
 
 
@@ -37,19 +38,6 @@ class CriticalSet(NamedTuple):
     points: tuple
     complete: bool
     resolution: float
-
-
-def _batch_grad(data, V):
-    """First-mode gradient of the form at each row of V, in all other modes.
-
-    Contracts the last mode, then the others one at a time, so the order of
-    the tensor is not limited by a table of einsum labels.
-    """
-    n = V.shape[1]
-    G = V @ data.reshape(-1, n).T
-    for _ in range(data.ndim - 2):
-        G = np.einsum("Zxn,Zn->Zx", G.reshape(len(G), G.shape[1] // n, n), V)
-    return G
 
 
 def jacobi_eigen(A):
@@ -232,149 +220,139 @@ def circle_critical_points(tensor):
 
 
 # ---------------------------------------------------------------------------
-# heuristic high-recall search on the 2-sphere (n = 3)
+# complete critical sets on the sphere (n >= 3): a diagonal-start homotopy
 # ---------------------------------------------------------------------------
 
-_SPHERE_RESOLUTION = 0.15  # Fibonacci-grid spacing
-_SPHERE_TOL = 1e-10  # stationarity residual a kept point must reach
+
+def _contract(data, X, m):
+    """data contracted with each row of X in all but its first m modes: (rows,) + (n,) * m."""
+    out = np.broadcast_to(data.reshape(1, -1), (len(X), data.size))
+    for _ in range(data.ndim - m):
+        out = np.einsum("rin,rn->ri", out.reshape(len(X), -1, X.shape[1]), X)
+    return out.reshape((len(X),) + data.shape[:m])
 
 
-def _fibonacci_sphere(count):
-    i = np.arange(count) + 0.5
-    z = 1.0 - 2.0 * i / count
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    th = golden * i
-    return np.stack([r * np.cos(th), r * np.sin(th), z], axis=1)
+def _system(data, d, a, Z, t):
+    """F = [A(t) x^(k-1) - lam x ; a.x - 1] at rows z = (x, lam), its z-Jacobian and dF/dt."""
+    k, (r, n) = data.ndim, Z[:, :-1].shape
+    X, lam, s = Z[:, :-1], Z[:, -1:], t[:, None]
+    Tm = _contract(data, X, 2)
+    Tv = np.einsum("rij,rj->ri", Tm, X)
+    Dv = d * X ** (k - 1)  # A(t) = (1 - t) diag(d) + t data, diag(d) in closed form
+    F = np.concatenate([(1 - s) * Dv + s * Tv - lam * X, X @ a[:, None] - 1], axis=1)
+    J = np.zeros((r, n + 1, n + 1), dtype=complex)
+    J[:, :n, :n] = (k - 1) * s[..., None] * Tm
+    J[:, range(n), range(n)] += (k - 1) * (1 - s) * d * X ** (k - 2) - lam
+    J[:, :n, n] = -X
+    J[:, n, :n] = a
+    return F, J, np.concatenate([Tv - Dv, np.zeros((r, 1))], axis=1)
 
 
-def _polish_on_sphere(data, V0, iters=25):
-    """Newton with a finite-difference Jacobian on the stationarity system."""
-    k = data.ndim
-    n = V0.shape[1]
-    V = V0.copy()
-    lam = np.sum(_batch_grad(data, V) * V, axis=1)
+def _starts(d, a, k):
+    """Each eigenvector class of diag(d) as a row (x, lam) in the chart a.x = 1.
 
-    def state(V, lam):
-        G = _batch_grad(data, V)
-        R = G - lam[:, None] * V
-        c = (np.sum(V * V, axis=1) - 1.0) / 2.0
-        F = np.concatenate([R, c[:, None]], axis=1)
-        return F, np.linalg.norm(F, axis=1)
-
-    F, Fn = state(V, lam)
-    h = 1e-6
-    for _ in range(iters):
-        active = np.flatnonzero(Fn > 0.1 * _SPHERE_TOL)
-        if active.size == 0:
-            break
-        Va = V[active]
-        lama = lam[active]
-        JG = np.empty((active.size, n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            JG[:, :, j] = (_batch_grad(data, Va + e) - _batch_grad(data, Va - e)) / (2 * h)
-        K = np.zeros((active.size, n + 1, n + 1))
-        K[:, :n, :n] = JG
-        K[:, np.arange(n), np.arange(n)] -= lama[:, None]
-        K[:, :n, n] = -Va
-        K[:, n, :n] = Va
-        try:
-            dz = np.linalg.solve(K, -F[active][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            dz = -np.squeeze(np.linalg.pinv(K) @ F[active][..., None], axis=-1)
-        dz[~np.all(np.isfinite(dz), axis=1)] = 0.0
-        alpha = np.ones(active.size)
-        done = np.zeros(active.size, dtype=bool)
-        for _bt in range(20):
-            todo = np.flatnonzero(~done)
-            if todo.size == 0:
-                break
-            Vt = Va[todo] + alpha[todo, None] * dz[todo, :n]
-            lamt = lama[todo] + alpha[todo] * dz[todo, n]
-            Ft, Fnt = state(Vt, lamt)
-            ok = np.isfinite(Fnt) & (Fnt <= (1 - 1e-4 * alpha[todo]) * Fn[active][todo])
-            hit = todo[ok]
-            rows = active[hit]
-            V[rows] = Vt[ok]
-            lam[rows] = lamt[ok]
-            F[rows] = Ft[ok]
-            Fn[rows] = Fnt[ok]
-            done[hit] = True
-            alpha[todo[~ok]] *= 0.5
-    return V, lam
-
-
-def _geodesic_index(tensor, v, value, step=1e-4):
-    """(index, nondegenerate) from finite differences along tangent geodesics."""
-    n = v.size
-    k = tensor.order
-    seed = np.zeros(n)
-    seed[int(np.argmin(np.abs(v)))] = 1.0
-    w1 = seed - (seed @ v) * v
-    w1 /= np.linalg.norm(w1)
-    w2 = np.cross(v, w1)
-
-    def second(w):
-        plus = evaluate(tensor, [math.cos(step) * v + math.sin(step) * w] * k)
-        minus = evaluate(tensor, [math.cos(step) * v - math.sin(step) * w] * k)
-        return (plus - 2.0 * value + minus) / step**2
-
-    h11 = second(w1)
-    h22 = second(w2)
-    h12 = second((w1 + w2) / math.sqrt(2.0)) - (h11 + h22) / 2.0
-    mean = (h11 + h22) / 2.0
-    spread = math.sqrt(max(((h11 - h22) / 2.0) ** 2 + h12 * h12, 0.0))
-    eigs = (mean - spread, mean + spread)
-    eps = 1e-4 * max(1.0, abs(eigs[0]), abs(eigs[1]))
-    index = sum(1 for e in eigs if e < -eps)
-    nondeg = all(abs(e) > eps for e in eigs)
-    return index, nondeg
-
-
-def sphere_grid_search(tensor):
-    """Heuristic critical-point sweep on S^2 for symmetric tensors on R^3.
-
-    Seeds a Newton polish from every node of a spherical Fibonacci grid of
-    spacing 0.15 (559 nodes) and keeps the points whose stationarity
-    residual is at most 1e-10.  Recall is only heuristic, so ``complete``
-    is always False; the set is meant to cross-check the main solver.
+    On a support S with least element i: x_i = 1, lam = d_i, x_j^(k-2) = d_i / d_j for
+    each choice of roots.  A matrix (k = 2) has only the n singletons.
     """
-    _require_symmetric_on(tensor, 3)
-    nodes = _fibonacci_sphere(int(math.ceil(4.0 * math.pi / _SPHERE_RESOLUTION**2)))
-    data = tensor.data
-    V, lam = _polish_on_sphere(data, nodes)
-    nrm = np.linalg.norm(V, axis=1)
-    good = np.isfinite(nrm) & (nrm > 1e-300)
-    V = V[good] / nrm[good, None]
-    G = _batch_grad(data, V)
-    lam = np.sum(G * V, axis=1)
-    resid = np.linalg.norm(G - lam[:, None] * V, axis=1)
-    keep = np.flatnonzero(np.isfinite(resid) & (resid <= _SPHERE_TOL))
-    reps = []
-    for i in keep:
-        if reps and float(np.min(np.linalg.norm(np.array(reps) - V[i], axis=1))) <= 1e-6:
-            continue
-        reps.append(V[i])
-    k = tensor.order
-    cap = 2 * (3 if k == 2 else ((k - 1) ** 3 - 1) // (k - 2))
-    if len(reps) > cap:
-        raise DegenerateTensorError(
-            f"{len(reps)} isolated-looking stationary points on the sphere exceed "
-            f"the generic bound {cap}; the tensor is degenerate"
-        )
-    points = []
-    degenerate = 0
-    for v in reps:
-        value = evaluate(tensor, [v] * k)
-        index, nondeg = _geodesic_index(tensor, v, value)
-        if not nondeg:
-            degenerate += 1
-        points.append(CriticalPoint(vector=v, value=float(value), index=index))
-    if points and 2 * degenerate > len(points):
-        raise DegenerateTensorError(
-            "most stationary points on the sphere classify as degenerate"
-        )
-    points.sort(key=lambda pt: (-pt.value, tuple(pt.vector.tolist())))
-    return CriticalSet(points=tuple(points), complete=False, resolution=_SPHERE_RESOLUTION)
+    n = len(d)
+    rows = []
+    for size in range(1, n + 1 if k > 2 else 2):
+        for i, *rest in itertools.combinations(range(n), size):
+            for w in itertools.product(range(k - 2), repeat=len(rest)):
+                z = np.zeros(n + 1, dtype=complex)
+                z[i], z[n] = 1.0, d[i]
+                z[rest] = np.exp((np.log(d[i] / d[rest]) + 2j * np.pi * np.array(w)) / (k - 2))
+                rows.append(z)
+    Z = np.array(rows)
+    return Z / (Z[:, :n] @ a)[:, None] ** np.append(np.ones(n), k - 2)
+
+
+def _track(data, d, a, Z):
+    """Carry every row z from t = 0 to 1 in one batch, each with its own step.
+
+    RK4 on dz/dt = -J^-1 dF/dt, three Newton corrections, a retry at half length.
+    """
+    t = np.zeros(len(Z))
+    dt = np.full(len(Z), 0.05)
+
+    def velocity(z, s):
+        _, J, Ft = _system(data, d, a, z, s)
+        return -np.linalg.solve(J, Ft[..., None])[..., 0]
+
+    while np.any(t < 1):
+        live = np.flatnonzero(t < 1)
+        z, s = Z[live], t[live]
+        # the last step lands on t = 1 exactly: 1 - t near eps would stall the control
+        last = s + dt[live] >= 1
+        h = np.where(last, 1 - s, dt[live])
+        K = [velocity(z, s)]
+        for c in (0.5, 0.5, 1.0):
+            K.append(velocity(z + c * h[:, None] * K[-1], s + c * h))
+        z = z + h[:, None] / 6 * (K[0] + 2 * K[1] + 2 * K[2] + K[3])
+        s = np.where(last, 1.0, s + h)
+        steps = []
+        for _ in range(3):
+            F, J, _ = _system(data, d, a, z, s)
+            delta = np.linalg.solve(J, F[..., None])[..., 0]
+            z = z - delta
+            steps.append(np.linalg.norm(delta, axis=1))
+        u = 1 + np.linalg.norm(z, axis=1)
+        # a second correction at roundoff (a near-straight path) cannot halve
+        ok = (steps[2] <= 1e-9 * u) & ((steps[2] <= steps[1] / 2) | (steps[1] <= 1e-12 * u))
+        Z[live[ok]], t[live[ok]] = z[ok], s[ok]
+        dt[live] = np.where(ok, np.minimum(2 * dt[live], 0.2), dt[live] / 2)
+        if np.any(dt < 1e-10):
+            raise DegenerateTensorError("a homotopy path stalled: its step fell below 1e-10")
+    return Z
+
+
+def sphere_critical_points(tensor):
+    """Complete critical set of a symmetric tensor on R^n, n >= 3.
+
+    Tracks A(t) x^(k-1) = lam x with A(t) = (1 - t) diag(d) + t T / 2^e (Chen, Han & Zhou,
+    SIMAX 2016) from the eigenpairs of a fixed random complex d, one path per complex
+    eigenvector class: ((k-1)^n - 1)/(k-2), or n for a matrix (Cartwright & Sturmfels, LAA
+    2013); more than 1000 raise ValueError.  The tensor is degenerate when a path stalls,
+    an endpoint is singular (sigma_min <= 1e-8 sigma_max at unit x) or two paths end in one
+    class.  The points are +-v for each real endpoint; the index is the number of negative
+    eigenvalues, minus one, of [[(k-1) T v^(k-2) - f(v) I, v], [v^T, 0]] (Haynsworth
+    inertia).  ``resolution`` is the smallest angle between two points.
+    """
+    n, k = tensor.shape[0], tensor.order
+    if n < 3:
+        raise ShapeError(f"need n >= 3, got shape {tensor.shape}; on R^2 use circle_critical_points")
+    _require_symmetric_on(tensor, n)
+    count = n if k == 2 else ((k - 1) ** n - 1) // (k - 2)
+    if count > 1000:  # refused before any work, as jacobi_eigen refuses n > 32
+        raise ValueError(f"{count} eigenvector classes; the homotopy tracks at most 1000")
+    # T / 2^e is exact and of the start system's scale
+    data = np.ldexp(tensor.data, -math.frexp(float(np.max(np.abs(tensor.data))))[1])
+    rng = np.random.default_rng(2016)  # one fixed start system: every call is reproducible
+    d, a = rng.uniform(1.0, 2.0, (2, n)) * np.exp(2j * np.pi * rng.uniform(size=(2, n)))
+    try:
+        Z = _track(data, d, a, _starts(d, a, k))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateTensorError("a homotopy path met a singular Jacobian") from exc
+    # the chart can be far from x (|z| ~ 1e4): judge the endpoints at unit x
+    r = np.linalg.norm(Z[:, :n], axis=1)
+    U = Z[:, :n] / r[:, None]
+    _, J, _ = _system(data, d, a, np.column_stack([U, Z[:, n] / r ** (k - 2)]), np.ones(len(U)))
+    J[:, n, :n] = U.conj()
+    sigma = np.linalg.svd(J, compute_uv=False)
+    if np.any(sigma[:, -1] <= 1e-8 * sigma[:, 0]):
+        raise DegenerateTensorError("a homotopy endpoint is singular; the critical set is not finite")
+    if np.sum(np.abs(U.conj() @ U.T) >= 1 - 1e-12) > len(U):
+        raise DegenerateTensorError("two homotopy paths end in the same eigenvector class")
+    Y = U / U[np.arange(len(U)), np.argmax(np.abs(U), axis=1), None]
+    V = Y.real[np.max(np.abs(Y.imag), axis=1) <= 1e-8]
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    V = np.concatenate([V, -V])
+    values = _contract(tensor.data, V, 0)
+    B = np.zeros((len(V), n + 1, n + 1))
+    B[:, :n, :n] = (k - 1) * _contract(tensor.data, V, 2) - values[:, None, None] * np.eye(n)
+    B[:, :n, n] = B[:, n, :n] = V
+    index = np.sum(np.linalg.eigvalsh(B) < 0, axis=1) - 1
+    gaps = np.linalg.norm(V[:, None] - V[None], axis=2)[np.triu_indices(len(V), 1)]
+    order = np.lexsort((*V.T[::-1], -values))
+    points = tuple(CriticalPoint(V[i], float(values[i]), int(index[i])) for i in order)
+    return CriticalSet(points, complete=True, resolution=float(2 * np.arcsin(np.min(gaps) / 2)))

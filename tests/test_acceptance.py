@@ -25,7 +25,9 @@ from tensorcrit import (
     p_norm_gradient,
     random_tensor,
     singular_tuples,
+    sphere_critical_points,
     svd_small,
+    sym_gradient,
     symmetric_eigenpairs,
     symmetrize,
     write_tensor_file,
@@ -270,3 +272,30 @@ def test_criterion_12_determinism(tmp_path, capsys):
         for p, q in zip(pairs_a, pairs_b)
     )
     announce(12, "identical seeds give identical reports modulo timings")
+
+
+def _same_points(pairs, oracle_points):
+    """Each pair matched one to one to an oracle point within the dedupe radius, same index."""
+    for p in pairs:
+        hits = [q for q in oracle_points if np.linalg.norm(p.vector - q.vector) <= _DEDUPE_TOLERANCE]
+        if len(hits) != 1 or hits[0].index != p.index or abs(hits[0].value - p.value) > 1e-9:
+            return False
+    return True
+
+
+def test_criterion_13_sphere_completeness():
+    for shape in ((3, 3, 3), (3, 3, 3, 3), (4, 4, 4), (4, 4, 4, 4)):
+        for s in range(3):
+            T = random_tensor(shape, 130000 + s, symmetric=True)
+            k = len(shape)
+            oracle = sphere_critical_points(T)
+            assert oracle.complete
+            scale = float(np.max(np.abs(T.data)))
+            for pt in oracle.points:
+                assert pt.value == pytest.approx(evaluate(T, [pt.vector] * k), abs=1e-13 * scale)
+                assert np.linalg.norm(sym_gradient(T, pt.vector) - pt.value * pt.vector) <= 1e-10
+            full = symmetric_eigenpairs(T, SolverConfig(restarts=2000, seed=s))
+            assert len(full) == len(oracle.points), f"{shape} seed {s}: cardinality mismatch"
+            assert _same_points(full, oracle.points), f"{shape} seed {s}: sets differ"
+            assert _same_points(symmetric_eigenpairs(T, SolverConfig(restarts=32, seed=s)), oracle.points)
+    announce(13, "n>=3 solver sets equal the complete homotopy-oracle sets; default effort a subset")

@@ -8,6 +8,7 @@ modes permutes each tuple's vectors.  Gaussian starts are rotation-invariant
 only in distribution, so the transformed solve is an independent search and
 a mismatch means that one of the two sets is incomplete.  The cases here
 are complete at the effort they use; 6^3 and 4x5x6 are not at test effort.
+The sphere oracle returns complete sets, so its rotation cases take 6^3 too.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from tensorcrit import (
     SolverConfig,
     random_tensor,
     singular_tuples,
+    sphere_critical_points,
     symmetric_eigenpairs,
 )
 
@@ -86,6 +88,21 @@ def test_symmetric_pairs_rotate_with_the_tensor(shape, seed):
     match = _match(np.max(np.abs(A[:, None] - B[None]), axis=2))
     assert [pt.index for pt in pairs] == [turned[j].index for j in match]
     assert all(pt.nondegenerate for pt in pairs + turned)
+
+
+@pytest.mark.parametrize(
+    "shape, seed",
+    [((3, 3, 3), 84), ((4, 4, 4), 85), ((6, 6, 6), 86), ((3, 3, 3, 3), 87), ((4, 4, 4, 4), 88)],
+)
+def test_sphere_oracle_rotates_with_the_tensor(shape, seed):
+    T = random_tensor(shape, seed, symmetric=True)
+    Q = _orthogonal(np.random.default_rng(seed), shape[0])
+    points = sphere_critical_points(T).points
+    turned = sphere_critical_points(DenseTensor(_transform(T.data, [Q] * len(shape)))).points
+    A = np.array([np.append(Q @ pt.vector, pt.value) for pt in points])
+    B = np.array([np.append(pt.vector, pt.value) for pt in turned])
+    match = _match(np.max(np.abs(A[:, None] - B[None]), axis=2))
+    assert [pt.index for pt in points] == [turned[j].index for j in match]
 
 
 @pytest.mark.parametrize(

@@ -7,16 +7,16 @@ import pytest
 from tensorcrit import (
     DegenerateTensorError,
     DenseTensor,
-    SolverConfig,
+    ShapeError,
     circle_critical_points,
     euler_parity_check,
     evaluate,
     jacobi_eigen,
     random_tensor,
-    sphere_grid_search,
+    sphere_critical_points,
     svd_small,
     sym_gradient,
-    symmetric_eigenpairs,
+    symmetrize,
 )
 from tensorcrit import oracle
 from tensorcrit.morse import IndexHistogram
@@ -24,10 +24,10 @@ from tensorcrit.oracle import _binary_form, _on_circle, _turn
 
 from conftest import geodesic_second_derivative
 
-# What the oracle may take from the package: the form (evaluate), the
-# symmetry test and the error types.  Sharing any other code path with the
-# solver would make the acceptance tests one-sided.
-ORACLE_MAY_IMPORT = {"core": {"evaluate", "is_symmetric"}, "errors": None}
+# What the oracle may take from the package: the symmetry test and the error
+# types.  Sharing any other code path with the solver, the form included,
+# would make the acceptance tests one-sided.
+ORACLE_MAY_IMPORT = {"core": {"is_symmetric"}, "errors": None}
 
 
 def _package_imports_outside_the_allowed(source):
@@ -56,6 +56,7 @@ def test_oracle_imports_only_the_contraction_primitives_and_errors():
     [
         "from .solver import dedupe",
         "from .core import symmetrize",
+        "from .core import evaluate",
         "from . import solver",
         "from .core import evaluate, mode_gradient",
         "from .core import sym_gradient",
@@ -254,38 +255,70 @@ def test_circle_counts_match_the_kostlan_expectation():
         assert abs(counts.mean() - 2 * np.sqrt(3 * k - 2)) <= 4 * se
 
 
-def test_grid_search_diagonal_matrix():
-    cs = sphere_grid_search(DenseTensor(np.diag([1.0, 2.0, 3.0])))
-    assert not cs.complete
+def test_sphere_diagonal_matrix():
+    cs = sphere_critical_points(DenseTensor(np.diag([1.0, 2.0, 3.0])))
+    assert cs.complete
     assert len(cs.points) == 6
-    by_value = {}
+    assert sorted((round(p.value, 12), p.index) for p in cs.points) == [
+        (1.0, 0), (1.0, 0), (2.0, 1), (2.0, 1), (3.0, 2), (3.0, 2)
+    ]
     for p in cs.points:
-        by_value.setdefault(round(p.value, 6), []).append(p)
-    assert sorted(by_value) == [1.0, 2.0, 3.0]
-    assert all(p.index == 0 for p in by_value[1.0])
-    assert all(p.index == 1 for p in by_value[2.0])
-    assert all(p.index == 2 for p in by_value[3.0])
+        assert np.abs(np.abs(p.vector) - np.eye(3)[round(p.value) - 1]).max() <= 1e-15
+    assert cs.resolution == pytest.approx(np.pi / 2, abs=1e-12)
 
 
-def test_grid_search_zero_tensor_degenerate():
+@pytest.mark.parametrize("k, count", [(3, 14), (4, 26)])
+def test_sphere_diagonal_tensor_has_every_class_real(k, count):
+    # diag(1, 2, 3): the x with x_i^(k-2) = lam / d_i on each support are all real
+    data = np.zeros((3,) * k)
+    for j, value in enumerate([1.0, 2.0, 3.0]):
+        data[(j,) * k] = value
+    T = DenseTensor(data)
+    cs = sphere_critical_points(T)
+    assert cs.complete and len(cs.points) == count
+    for p in cs.points:
+        assert np.linalg.norm(sym_gradient(T, p.vector) - p.value * p.vector) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [
+        pytest.param(DenseTensor(np.zeros((3, 3, 3))), id="zero"),
+        pytest.param(DenseTensor(np.eye(3)), id="identity"),
+        pytest.param(DenseTensor(np.einsum("i,j,k->ijk", *[np.eye(3)[0]] * 3)), id="x^3"),
+        # (x . x)^2: constant on the sphere
+        pytest.param(symmetrize(DenseTensor(np.einsum("ij,kl->ijkl", np.eye(3), np.eye(3)))), id="sym(I@I)"),
+    ],
+)
+def test_sphere_degenerate_tensors_raise(tensor):
     with pytest.raises(DegenerateTensorError):
-        sphere_grid_search(DenseTensor(np.zeros((3, 3, 3))))
+        sphere_critical_points(tensor)
 
 
-def test_grid_search_covers_solver_points():
-    hits = 0
-    total = 50
-    for i in range(total):
-        T = random_tensor((3, 3, 3), 600 + i, symmetric=True)
-        try:
-            pairs = symmetric_eigenpairs(T, SolverConfig(restarts=32, seed=i))
-            cs = sphere_grid_search(T)
-        except DegenerateTensorError:
-            hits += 1  # both sides agree the instance is pathological
-            continue
-        if all(
-            any(np.linalg.norm(p.vector - q.vector) <= 1e-6 for q in cs.points)
-            for p in pairs
-        ):
-            hits += 1
-    assert hits >= int(0.95 * total)
+def test_sphere_refuses_too_many_classes_at_once(monkeypatch):
+    # 2^13 - 1 = 8191 eigenvector classes: refused before any start is made
+    monkeypatch.setattr(oracle, "_starts", lambda *args: pytest.fail("starts were enumerated"))
+    with pytest.raises(ValueError, match="8191"):
+        sphere_critical_points(random_tensor((13,) * 3, 0, symmetric=True))
+
+
+def test_sphere_rejects_the_circle_and_asymmetric_tensors():
+    with pytest.raises(ShapeError, match="circle_critical_points"):
+        sphere_critical_points(random_tensor((2, 2, 2), 1, symmetric=True))
+    with pytest.raises(ValueError, match="symmetric"):
+        sphere_critical_points(random_tensor((3, 3, 3), 1))
+
+
+def test_sphere_counts_match_the_kac_rice_expectation():
+    # A symmetric random_tensor is a Kostlan form; on S^2 the mean number of
+    # critical points of a degree-k Kostlan form is
+    # 2 (1 + 4 (k - 1) / (3k - 2) sqrt((3k - 2)(k - 1))), 10.55 for k = 3 (Kac-Rice).
+    # The bound, 4 standard errors, was fixed before any run.
+    k = 3
+    counts = np.array([
+        len(sphere_critical_points(random_tensor((3,) * k, 110000 + s, symmetric=True)).points)
+        for s in range(150)
+    ])
+    expected = 2 * (1 + 4 * (k - 1) / (3 * k - 2) * np.sqrt((3 * k - 2) * (k - 1)))
+    se = counts.std(ddof=1) / np.sqrt(counts.size)
+    assert abs(counts.mean() - expected) <= 4 * se
