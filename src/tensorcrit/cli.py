@@ -297,6 +297,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate the multilinear form")
+    p_eval.set_defaults(run=cmd_eval)
     p_eval.add_argument("tensor")
     p_eval.add_argument("vectors", nargs="+", help="one vector file per mode")
 
@@ -306,9 +307,11 @@ def build_parser():
     search.add_argument("--p", type=float, default=config.p)
     search.add_argument("--seed", type=int, default=config.seed)
     search.add_argument("--restarts", type=int, default=config.restarts)
-    search.add_argument("--tolerance", type=float, default=config.gradient_tolerance)
+    tolerance = "absolute residual bound, in the tensor's units: c * T needs c times the tolerance"
+    search.add_argument("--tolerance", type=float, default=config.gradient_tolerance, help=tolerance)
 
     p_eig = sub.add_parser("eig", parents=[search], help="find eigenpairs")
+    p_eig.set_defaults(run=lambda args: cmd_eig(args, parser))
     p_eig.add_argument("tensor")
     which = p_eig.add_mutually_exclusive_group(required=True)
     which.add_argument("--symmetric", action="store_true")
@@ -316,15 +319,18 @@ def build_parser():
     p_eig.add_argument("--audit", action="store_true")
 
     p_svd = sub.add_parser("svd", parents=[search], help="find singular tuples")
+    p_svd.set_defaults(run=cmd_svd)
     p_svd.add_argument("tensor")
 
     p_gen = sub.add_parser("gen", help="write a seeded random tensor file")
+    p_gen.set_defaults(run=cmd_gen)
     p_gen.add_argument("--shape", required=True, help="comma-separated dimensions")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--symmetric", action="store_true")
     p_gen.add_argument("--output", "-o", default=None)
 
     p_check = sub.add_parser("check", help="run identity checks on a tensor file")
+    p_check.set_defaults(run=cmd_check)
     p_check.add_argument("tensor")
     p_check.add_argument("--seed", type=int, default=0)
 
@@ -335,19 +341,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.subcommand == "eval":
-            return cmd_eval(args)
-        if args.subcommand == "eig":
-            return cmd_eig(args, parser)
-        if args.subcommand == "svd":
-            return cmd_svd(args)
-        if args.subcommand == "gen":
-            return cmd_gen(args)
-        if args.subcommand == "check":
-            return cmd_check(args)
+        return args.run(args)
     except _InputError as exc:
         return _fail(str(exc))
-    parser.error(f"unknown subcommand {args.subcommand}")
 
 
 if __name__ == "__main__":

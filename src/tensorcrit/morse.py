@@ -12,7 +12,7 @@ provably missing points or comes from a degenerate function.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "IndexHistogram",
@@ -97,20 +97,12 @@ class MorseReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "parity_sum": self.parity_sum,
-            "expected_parity": self.expected_parity,
-            "betti": list(self.betti),
-            "parity_ok": self.parity_ok,
-            "weak_ok": self.weak_ok,
-            "strong_ok": self.strong_ok,
-            "lacunary_ok": self.lacunary_ok,
-            "top_index_ok": self.top_index_ok,
-            "consistent": self.consistent,
-            "violations": list(self.violations),
-        }
+        """One key per field plus ``consistent``; counts keyed by index string, tuples as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["counts"] = {str(k): v for k, v in sorted(self.counts.items())}
+        out["betti"], out["violations"] = list(self.betti), list(self.violations)
+        out["consistent"] = self.consistent
+        return out
 
 
 def betti_sphere(n: int) -> list:

@@ -12,7 +12,9 @@ its rows: an ascent (eigenpairs: projected gradient with a sign per row;
 tuples: alternating best responses), one damped Newton from the ascent's
 leaders and the raw starts (which reach saddles), one residual-based
 acceptance, the sign group (each eigenpair's antipode; sigma >= 0 for a
-tuple), deduplication, the count cap and the continuum check.
+tuple), deduplication, the count cap and the continuum check.  A mode
+problem on a non-symmetric tensor has no form whose critical points are its
+pairs, so it has no ascent and polishes its raw starts alone.
 """
 
 from __future__ import annotations
@@ -25,15 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DenseTensor,
     _check_vectors,
     _orbit_ids,
     _orbit_mean,
     _require_square,
     _require_symmetric,
+    is_symmetric,
     max_asymmetry,
     mode_gradient,
-    symmetrize,
 )
 from .errors import DegenerateTensorError, ShapeError
 from .norms import check_norm_param, phi
@@ -86,8 +87,10 @@ class SolverConfig:
 
     The search runs from ``restarts`` random starts drawn from ``seed``, and
     accepts a point whose stationarity residual is at most
-    ``gradient_tolerance`` under the p-norm constraint.  Step control and
-    iteration caps are the module constants above.
+    ``gradient_tolerance`` under the p-norm constraint.  The bound is
+    absolute: residuals are in the tensor's units, so c * T needs c times
+    the tolerance to accept the same points.  Step control and iteration
+    caps are the module constants above.
     """
 
     restarts: int = 200
@@ -520,11 +523,12 @@ def _accept(grads, Ws, p, gtol):
 def _ascend(S, V0, p, sign):
     """Projected gradient on the unit p-sphere, maximizing sign[r] * f on row r.
 
-    S is symmetric, so with g = S contracted with v in its leading k-1
-    modes, f(v) = S(v, ..., v) is <g, v> and its gradient is k * g: one
-    contraction chain per iteration.  ``sign`` holds +1 or -1 per row.  An
-    accepted trial point carries its gradient into the next iteration, and
-    row independence makes that bit-identical to a fresh one.
+    S is symmetric (an eigen solve climbs only then), so with g = S
+    contracted with v in its leading k-1 modes, f(v) = S(v, ..., v) is
+    <g, v> and its gradient is k * g: one contraction chain per iteration.
+    ``sign`` holds +1 or -1 per row.  An accepted trial point carries its
+    gradient into the next iteration, and row independence makes that
+    bit-identical to a fresh one.
     """
     k = S.ndim
 
@@ -745,7 +749,9 @@ def _eigen_run(tensor, mode, config):
     The symmetric problem under the 2-norm also gets Morse data.  The mode-i
     problem sees T only through T(v, ..., v, .), so it runs on the mode-last
     copy averaged over its leading k-1 modes, the basis-free object; an
-    exactly symmetric tensor is its own average.
+    exactly symmetric tensor is its own average.  Only a tensor that passes
+    is_symmetric makes the pairs the critical points of f(v) = T(v, ..., v),
+    so only then does the ascent run.
     """
     k = tensor.order
     _check_eigen_args(tensor, mode)
@@ -757,12 +763,9 @@ def _eigen_run(tensor, mode, config):
     p = config.p
     # the mode-i eigenpairs of T are the last-mode eigenpairs of T with mode i moved last
     D = np.ascontiguousarray(np.moveaxis(tensor.data, max(mode - 1, 0), -1))
-    # f(v) = D(v, ..., v) is the form of D's symmetric part, so the ascent climbs that;
     # D(v, ..., v, .) does not change when D is averaged over its leading k-1 modes, and
-    # the Newton system and acceptance run on that average
-    S = D
+    # every stage runs on that average
     if max_asymmetry(tensor) != 0.0:
-        S = symmetrize(DenseTensor(D)).data
         D = _orbit_mean(D, _orbit_ids(D.shape, k - 1))
 
     def grads(Ws):
@@ -773,8 +776,10 @@ def _eigen_run(tensor, mode, config):
         return [((0, 0), np.swapaxes((k - 1) * _contract_leading(D, Ws * (k - 2)), 1, 2))]
 
     def ascend(starts):
+        if not is_symmetric(tensor):  # no endpoints: Newton polishes the raw starts alone
+            return [starts[0][:0]]
         # the first m rows maximize f and the last m minimize it
-        return [_ascend(S, np.concatenate(starts * 2), p, np.repeat([1.0, -1.0], len(starts[0])))]
+        return [_ascend(D, np.concatenate(starts * 2), p, np.repeat([1.0, -1.0], len(starts[0])))]
 
     def act(Ws, lam, resid, mults):
         # antipodal completion: -v is stationary with v's residual and multiplier (-1)^k lam,

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,12 @@ def test_random_n3_consistency(seed):
     report = audit(pairs, 3)
     if report.parity_sum == 2:
         assert report.consistent
+
+
+def test_report_dict_lists_every_field_and_orders_counts_numerically():
+    report = audit(_pairs_from_counts({0: 1, 2: 1, 10: 1, 11: 1}), 12)
+    out = report.to_dict()
+    assert set(out) == {f.name for f in fields(report)} | {"consistent"}
+    assert list(out["counts"]) == ["0", "2", "10", "11"]
+    assert out["betti"] == list(report.betti) and out["violations"] == list(report.violations)
+    assert out["violations"] and out["consistent"] is False

@@ -1,7 +1,10 @@
-"""The README's python quick tour runs as written, so renamed APIs cannot go stale there."""
+"""The README's python quick tour runs and its CLI lines parse, so renamed APIs and flags cannot go stale there."""
 
 import pathlib
 import re
+import shlex
+
+from tensorcrit import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +15,14 @@ def test_readme_quick_tour_runs(capsys):
     code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
     exec(compile(code, "README.md quick tour", "exec"), {})
     assert capsys.readouterr().out.rstrip().endswith("True True")
+
+
+def test_readme_cli_lines_parse():
+    # parsing only: a stale flag or subcommand exits 2 through argparse
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```\n(.*?)```", text[text.index("## CLI"):], re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("tensorcrit ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

@@ -34,7 +34,7 @@ from tensorcrit import (
     symmetrize,
 )
 from tensorcrit import solver
-from tensorcrit.core import _orbit_ids, _orbit_mean
+from tensorcrit.core import _orbit_ids, _orbit_mean, is_symmetric, max_asymmetry
 from tensorcrit.solver import _leaders
 from conftest import geodesic_second_derivative, match_pair, tangent_basis
 
@@ -1351,8 +1351,7 @@ def _signed_ascent(caplog, S, p):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4, 4), (5, 5, 5), (6, 6, 6), (2, 2, 2, 2, 2), (4, 4, 4)])
 def test_ascent_makes_one_contraction_per_iteration(shape, p, caplog):
-    # one signed ascent equals one ascent per sign, bit for bit; a non-symmetric
-    # tensor's ascent runs on its symmetric part, so both make the same contractions
+    # one signed ascent equals one ascent per sign, bit for bit
     for S in (random_tensor(shape, 6, symmetric=True).data, symmetrize(random_tensor(shape, 6)).data):
         V0, V, contractions, iters = _signed_ascent(caplog, S, p)
         assert 1 <= iters <= 60 and contractions == iters + 1
@@ -1360,9 +1359,8 @@ def test_ascent_makes_one_contraction_per_iteration(shape, p, caplog):
         assert V.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_eigen_solve_runs_one_ascent_and_one_newton(symmetric, monkeypatch, caplog):
-    T = random_tensor((4, 4, 4), 9, symmetric=symmetric)
+def _eigen_stages(T, monkeypatch, caplog):
+    """Of a mode-2 solve: (rows, whole-tensor contractions, leaders, iterations) per ascent, rows per Newton."""
     ascend, newton = solver._ascend, solver._damped_newton
     ascents, newtons = [], []
 
@@ -1383,13 +1381,37 @@ def test_eigen_solve_runs_one_ascent_and_one_newton(symmetric, monkeypatch, capl
         assert mode_eigenpairs(T, 2, CFG)
     (continuum,) = _continuum_lines(caplog)
     assert _counts(continuum)[1] == 0  # no flagged point, so no witness Newton
-    (ascent,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("projected ascent")]
-    iters = int(re.findall(r"\d+", ascent)[0])
-    ((rows, contractions, leaders),) = ascents
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("projected ascent")]
+    iters = [int(re.findall(r"\d+", line)[0]) for line in lines]
+    return [a + (i,) for a, i in zip(ascents, iters, strict=True)], newtons
+
+
+def _assert_one_ascent_and_one_newton(stages):
+    ((rows, contractions, leaders, iters),), newtons = stages
     # both signs in one batch, one contraction per iteration whatever the tensor
     assert rows == 2 * CFG.restarts and contractions == iters + 1
     # one polish: the leaders of all endpoints, both signs in one pass, then the raw starts
     assert newtons == [leaders + CFG.restarts]
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_eigen_solve_runs_one_ascent_and_one_newton(symmetric, monkeypatch, caplog):
+    stages = _eigen_stages(random_tensor((4, 4, 4), 9, symmetric=symmetric), monkeypatch, caplog)
+    if symmetric:
+        _assert_one_ascent_and_one_newton(stages)
+    else:
+        # no form has the mode pairs of a non-symmetric tensor as its critical points,
+        # so there is no ascent and the one Newton polishes the raw starts alone
+        assert stages == ([], [CFG.restarts])
+
+
+def test_nearly_symmetric_tensor_still_climbs(monkeypatch, caplog):
+    # the switch is is_symmetric's tolerance, not exact symmetry
+    data = random_tensor((4, 4, 4), 9, symmetric=True).data.copy()
+    data[0, 1, 2] += 1e-13
+    T = DenseTensor(data)
+    assert is_symmetric(T) and max_asymmetry(T) > 0.0
+    _assert_one_ascent_and_one_newton(_eigen_stages(T, monkeypatch, caplog))
 
 
 @pytest.mark.parametrize("shape", [(4, 5, 6), (3, 3, 3), (2, 3, 4, 3), (3, 4), (5, 6)])
