@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -199,17 +200,26 @@ def cmd_gen(args):
     return 0
 
 
-def _fd_gradient(tensor, vectors, mode, step=1e-5):
-    base = [np.array(v, dtype=float) for v in vectors]
-    n = tensor.shape[mode - 1]
-    out = np.empty(n)
-    for j in range(n):
-        plus = [v.copy() for v in base]
-        minus = [v.copy() for v in base]
-        plus[mode - 1][j] += step
-        minus[mode - 1][j] -= step
-        out[j] = (evaluate(tensor, plus) - evaluate(tensor, minus)) / (2 * step)
+def _central_differences(fn, x, step):
+    """Central differences of the scalar function fn at x, one coordinate at a time."""
+    out = np.empty(x.size)
+    for j in range(x.size):
+        plus, minus = x.copy(), x.copy()
+        plus[j] += step
+        minus[j] -= step
+        out[j] = (fn(plus) - fn(minus)) / (2 * step)
     return out
+
+
+def _within(err, bound):
+    """err is finite and not above bound; the finiteness test keeps inf <= inf out."""
+    return bool(np.isfinite(err) and not err > bound)
+
+
+def _matches_differences(grad, fn, x, step):
+    """grad equals the central differences of fn at x up to 1e-6 * max(1, |grad|)."""
+    err = np.linalg.norm(grad - _central_differences(fn, x, step))
+    return _within(err, 1e-6 * max(1.0, float(np.linalg.norm(grad))))
 
 
 # Overflow in a check shows as a non-finite result, which fails the check.
@@ -217,76 +227,46 @@ def _fd_gradient(tensor, vectors, mode, step=1e-5):
 def cmd_check(args):
     tensor = _load(args.tensor)
     rng = np.random.default_rng(args.seed)
-    k = tensor.order
-    failures = 0
+    k, dim = tensor.order, tensor.shape[0]
 
-    def report(name, status):
-        print(f"{name}: {status}")
+    # Each check draws all its random inputs before it tests any, so that a
+    # failed trial leaves the stream of the later checks as it is.
+    def draws(count, shape=tensor.shape):
+        return [[rng.standard_normal(n) for n in shape] for _ in range(count)]
 
-    # mode gradients against central finite differences
-    ok = True
-    for _trial in range(3):
-        vectors = [rng.standard_normal(n) for n in tensor.shape]
-        for mode in range(1, k + 1):
-            grad = mode_gradient(tensor, vectors, mode)
-            fd = _fd_gradient(tensor, vectors, mode)
-            err = float(np.linalg.norm(grad - fd))
-            if not np.isfinite(err) or err > 1e-6 * max(1.0, float(np.linalg.norm(grad))):
-                ok = False
-    report("gradient-finite-difference", "pass" if ok else "FAIL")
-    failures += not ok
+    def differentiates(vs, m):
+        # mode gradient m + 1 against differences of the form in slot m
+        def form(u):
+            return evaluate(tensor, [*vs[:m], u, *vs[m + 1 :]])
 
-    # contraction identity: v_i . grad_i equals the form value
-    ok = True
-    for _trial in range(5):
-        vectors = [rng.standard_normal(n) for n in tensor.shape]
-        value = evaluate(tensor, vectors)
-        if not np.isfinite(value):
-            ok = False
-            continue
-        for mode in range(1, k + 1):
-            grad = mode_gradient(tensor, vectors, mode)
-            lhs = float(vectors[mode - 1] @ grad)
-            if not np.isfinite(lhs) or abs(lhs - value) > 1e-12 * (abs(value) + 1.0):
-                ok = False
-    report("contraction-identity", "pass" if ok else "FAIL")
-    failures += not ok
+        return _matches_differences(mode_gradient(tensor, vs, m + 1), form, vs[m], 1e-5)
 
-    # degree-k homogeneity (symmetric square tensors only)
-    if tensor.is_square and is_symmetric(tensor):
-        ok = True
-        for _trial in range(5):
-            v = rng.standard_normal(tensor.shape[0])
-            value = evaluate(tensor, [v] * k)
-            res = euler_residual(tensor, v)
-            if not np.isfinite(res) or res > 1e-12 * (k * abs(value) + 1.0):
-                ok = False
-        report("euler-homogeneity", "pass" if ok else "FAIL")
-        failures += not ok
-    else:
-        report("euler-homogeneity", "skipped (tensor not symmetric)")
+    def contracts(vs):
+        # contraction identity: v_i . grad_i equals the form value
+        value = evaluate(tensor, vs)
+        bound = 1e-12 * (abs(value) + 1.0)
+        lhs = (float(v @ mode_gradient(tensor, vs, m + 1)) for m, v in enumerate(vs))
+        return bool(np.isfinite(value)) and all(_within(abs(x - value), bound) for x in lhs)
 
-    # p-norm gradients against finite differences
+    def homogeneous(v):
+        # degree-k homogeneity, checked on symmetric square tensors only
+        return _within(euler_residual(tensor, v), 1e-12 * (k * abs(evaluate(tensor, [v] * k)) + 1.0))
+
+    symmetric = tensor.is_square and is_symmetric(tensor)
+    results = [
+        ("gradient-finite-difference", all(differentiates(vs, m) for vs in draws(3) for m in range(k))),
+        ("contraction-identity", all(contracts(vs) for vs in draws(5))),
+        ("euler-homogeneity", all(homogeneous(v) for [v] in draws(5, [dim])) if symmetric else None),
+    ]
     for p in (1.5, 2.0, 3.0):
-        ok = True
-        dim = tensor.shape[0]
-        for _trial in range(5):
-            x = rng.uniform(0.1, 1.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
-            grad = p_norm_gradient(x, p)
-            step = 1e-6
-            fd = np.empty(dim)
-            for j in range(dim):
-                xp = x.copy()
-                xm = x.copy()
-                xp[j] += step
-                xm[j] -= step
-                fd[j] = (p_norm(xp, p) - p_norm(xm, p)) / (2 * step)
-            if float(np.linalg.norm(grad - fd)) > 1e-6 * max(1.0, float(np.linalg.norm(grad))):
-                ok = False
-        report(f"p-norm-gradient[p={p}]", "pass" if ok else "FAIL")
-        failures += not ok
+        xs = [rng.uniform(0.1, 1.0, size=dim) * rng.choice([-1.0, 1.0], size=dim) for _ in range(5)]
+        ok = all(_matches_differences(p_norm_gradient(x, p), partial(p_norm, p=p), x, 1e-6) for x in xs)
+        results.append((f"p-norm-gradient[p={p}]", ok))
 
-    return 1 if failures else 0
+    status = {True: "pass", False: "FAIL", None: "skipped (tensor not symmetric)"}
+    for name, verdict in results:
+        print(f"{name}: {status[verdict]}")
+    return 1 if any(verdict is False for _, verdict in results) else 0
 
 
 def build_parser():

@@ -88,13 +88,8 @@ class MorseReport:
 
     @property
     def consistent(self) -> bool:
-        return (
-            self.parity_ok
-            and self.weak_ok
-            and self.strong_ok
-            and self.lacunary_ok
-            and self.top_index_ok
-        )
+        """Every rule holds; audit records one violation for each false flag."""
+        return not self.violations
 
     def to_dict(self) -> dict:
         """One key per field plus ``consistent``; counts keyed by index string, tuples as lists."""
@@ -133,9 +128,11 @@ def weak_morse_check(h: IndexHistogram) -> bool:
 def strong_morse_check(h: IndexHistogram) -> bool:
     """Alternating partial sums of b dominated by those of c, each lam."""
     b = betti_sphere(h.n)
+    lhs = rhs = 0
     for lam in range(h.n):
-        lhs = sum((-1) ** (lam - j) * b[j] for j in range(lam + 1))
-        rhs = sum((-1) ** (lam - j) * h.count(j) for j in range(lam + 1))
+        # the partial sum up to lam is the term at lam minus the sum up to lam - 1
+        lhs = b[lam] - lhs
+        rhs = h.count(lam) - rhs
         if lhs > rhs:
             return False
     return True
@@ -175,39 +172,30 @@ def audit(pairs, n: int) -> MorseReport:
                 "degenerate or unclassified pairs cannot be audited"
             )
     h = IndexHistogram.from_pairs(pairs, n)
-    betti = tuple(betti_sphere(n))
     parity_ok, parity_sum = euler_parity_check(h)
     expected = 0 if n % 2 == 0 else 2
     weak_ok = weak_morse_check(h)
     strong_ok = strong_morse_check(h)
     lac = lacunary_checks(h)
-    lacunary_ok = all(ok for _, ok in lac)
     top_index_ok = h.count(n - 1) >= 1
-    violations = []
-    if not parity_ok:
-        violations.append(
-            f"alternating index sum is {parity_sum}, expected {expected}: "
-            f"critical-point set is provably incomplete or tensor is degenerate"
-        )
-    if not weak_ok:
-        violations.append("weak Morse inequality violated: some c_lam < b_lam")
-    if not strong_ok:
-        violations.append("strong Morse inequality violated")
-    for name, ok in lac:
-        if not ok:
-            violations.append(f"lacunary constraint {name} violated")
-    if not top_index_ok:
-        violations.append(f"no critical point of top index {n - 1}")
+    incomplete = "critical-point set is provably incomplete or tensor is degenerate"
+    rules = [
+        (parity_ok, f"alternating index sum is {parity_sum}, expected {expected}: {incomplete}"),
+        (weak_ok, "weak Morse inequality violated: some c_lam < b_lam"),
+        (strong_ok, "strong Morse inequality violated"),
+        *[(ok, f"lacunary constraint {name} violated") for name, ok in lac],
+        (top_index_ok, f"no critical point of top index {n - 1}"),
+    ]
     return MorseReport(
         n=n,
         counts=dict(h.counts),
         parity_sum=parity_sum,
         expected_parity=expected,
-        betti=betti,
+        betti=tuple(betti_sphere(n)),
         parity_ok=parity_ok,
         weak_ok=weak_ok,
         strong_ok=strong_ok,
-        lacunary_ok=lacunary_ok,
+        lacunary_ok=all(ok for _, ok in lac),
         top_index_ok=top_index_ok,
-        violations=tuple(violations),
+        violations=tuple(message for ok, message in rules if not ok),
     )

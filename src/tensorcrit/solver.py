@@ -647,6 +647,9 @@ def residual_eigen(tensor, v, value, mode, p=2.0):
     p = check_norm_param(p)
     vec = np.asarray(v, dtype=float)
     _check_unit(vec, p)
+    # an unchecked nan or inf value would come back as a nan residual, not an error
+    if not math.isfinite(value):
+        raise ValueError(f"value must be finite, got {value}")
     k = tensor.order
     grad = mode_gradient(tensor, [vec] * k, max(mode, 1))
     return float(np.linalg.norm(grad - value * phi(vec, p - 1.0)))

@@ -4,7 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from tensorcrit import DenseTensor, random_tensor, write_tensor_file
+from tensorcrit import (
+    DenseTensor,
+    SolverConfig,
+    random_tensor,
+    symmetric_eigenpairs,
+    symmetrize,
+    write_tensor_file,
+)
 from tensorcrit.cli import main
 
 
@@ -59,6 +66,20 @@ def test_gen_into_a_missing_directory_is_input_error(tmp_path, capsys):
     assert err.startswith("error: cannot write") and not target.exists()
 
 
+def test_gen_unparsable_shape_is_input_error(capsys):
+    code, out, err = run(capsys, ["gen", "--shape", "3,x"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse shape '3,x'")
+
+
+def test_gen_to_stdout_writes_the_file_bytes(tmp_path, capsys):
+    target = tmp_path / "t.json"
+    argv = ["gen", "--shape", "2,3", "--seed", "4"]
+    assert main(argv + ["-o", str(target)]) == 0
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out == target.read_text()
+
+
 def test_gen_symmetric_output_is_symmetric(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert main(["gen", "--shape", "3,3,3", "--symmetric", "--seed", "1", "-o", str(out)]) == 0
@@ -91,6 +112,13 @@ def test_eval_wrong_length_vector(tmp_path, capsys):
     v = write(tmp_path, "v3.json", np.array([1.0, 0.0, 0.0]))
     code, _, err = run(capsys, ["eval", t, v, v])
     assert code == 2
+
+
+def test_eval_matrix_as_vector_is_input_error(tmp_path, capsys):
+    t = write(tmp_path, "eye.json", np.eye(2))
+    code, out, err = run(capsys, ["eval", t, t, t])
+    assert (code, out) == (2, "")
+    assert err == f"error: {t} is not a vector (order-1 tensor)\n"
 
 
 # --- eig --------------------------------------------------------------------
@@ -147,6 +175,36 @@ def test_eig_audit_with_mode_is_usage_error(cubic_file):
     with pytest.raises(SystemExit) as exc:
         main(["eig", cubic_file, "--mode", "1", "--audit"])
     assert exc.value.code == 2
+
+
+def test_eig_audit_at_p_other_than_two_is_usage_error(cubic_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eig", cubic_file, "--symmetric", "--audit", "--p", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tensorcrit ")
+    assert "tensorcrit: error: --audit requires --p 2 " in err
+
+
+def test_eig_missing_file_is_input_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, ["eig", missing, "--symmetric"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_eig_audit_of_degenerate_pairs_exits_4(tmp_path, capsys):
+    # x1^2 x2 + x1 x3^2: the solve returns pairs, some with nondegenerate=False
+    data = np.zeros((3, 3, 3))
+    data[0, 0, 1] = data[0, 2, 2] = 1.0
+    T = symmetrize(DenseTensor(data))
+    pairs = symmetric_eigenpairs(T, SolverConfig(restarts=24, seed=0))
+    assert len(pairs) == 14 and sum(not pt.nondegenerate for pt in pairs) == 6
+    t = write(tmp_path, "deg.json", T.data)
+    argv = ["eig", t, "--symmetric", "--audit", "--restarts", "24", "--seed", "0"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("degenerate: audit needs classified pairs")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -300,6 +358,35 @@ def test_check_overflowing_entries_fail(tmp_path, capsys):
     code, out, _ = run(capsys, ["check", t])
     assert code == 1
     assert "FAIL" in out
+
+
+CHECK_LINES = [
+    "gradient-finite-difference: {}",
+    "contraction-identity: pass",
+    "euler-homogeneity: {}",
+    "p-norm-gradient[p=1.5]: pass",
+    "p-norm-gradient[p=2.0]: pass",
+    "p-norm-gradient[p=3.0]: pass",
+]
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize(
+    "array, gradient, euler, exit_code",
+    [
+        pytest.param(random_tensor((3, 3, 3), 3, symmetric=True).data, "pass", "pass", 0, id="sym"),
+        pytest.param(
+            random_tensor((2, 3, 4), 5).data, "pass", "skipped (tensor not symmetric)", 0, id="2x3x4"
+        ),
+        pytest.param(np.full((2, 2, 2), 1e300), "FAIL", "pass", 1, id="1e300"),
+    ],
+)
+def test_check_report_is_pinned(tmp_path, capsys, seed, array, gradient, euler, exit_code):
+    # the whole report: one line per check in a fixed order, exit 1 on any FAIL
+    t = write(tmp_path, "t.json", array)
+    code, out, err = run(capsys, ["check", t, "--seed", seed])
+    assert (code, err) == (exit_code, "")
+    assert out == "\n".join(CHECK_LINES).format(gradient, euler) + "\n"
 
 
 def test_check_nonfinite_file_rejected(tmp_path, capsys):

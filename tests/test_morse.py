@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -82,6 +83,23 @@ def test_strong_morse():
     assert strong_morse_check(hist(3, {0: 1, 1: 0, 2: 1}))
     assert not strong_morse_check(hist(3, {0: 2, 1: 0, 2: 2}))
     assert strong_morse_check(hist(2, {0: 3, 1: 3}))
+
+
+def test_strong_morse_matches_the_partial_sums_by_definition():
+    # the check runs the partial sums as a recurrence; this sums each one afresh
+    def reference(h):
+        b = betti_sphere(h.n)
+        for lam in range(h.n):
+            lhs = sum((-1) ** (lam - j) * b[j] for j in range(lam + 1))
+            rhs = sum((-1) ** (lam - j) * h.count(j) for j in range(lam + 1))
+            if lhs > rhs:
+                return False
+        return True
+
+    for n in range(2, 6):
+        for counts in itertools.product(range(3), repeat=n):
+            h = hist(n, dict(enumerate(counts)))
+            assert strong_morse_check(h) == reference(h)
 
 
 def test_lacunary_circle():
@@ -188,3 +206,23 @@ def test_report_dict_lists_every_field_and_orders_counts_numerically():
     assert list(out["counts"]) == ["0", "2", "10", "11"]
     assert out["betti"] == list(report.betti) and out["violations"] == list(report.violations)
     assert out["violations"] and out["consistent"] is False
+
+
+# every histogram used above: audit adds one violation per failed rule
+@pytest.mark.parametrize(
+    "n, counts",
+    [
+        (2, {0: 3, 1: 3}),
+        (3, {0: 1, 1: 0, 2: 1}),
+        (2, {0: 2, 1: 1}),
+        (3, {0: 1, 1: 1, 2: 0}),
+        (3, {0: 2, 1: 0, 2: 2}),
+        (5, {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}),
+        (3, {0: 3, 1: 2, 2: 1}),
+        (2, {0: 2}),
+        (12, {0: 1, 2: 1, 10: 1, 11: 1}),
+    ],
+)
+def test_consistent_means_no_violations(n, counts):
+    report = audit(_pairs_from_counts(counts), n)
+    assert report.consistent == (not report.violations)

@@ -1,4 +1,5 @@
 import ast
+import functools
 import inspect
 
 import numpy as np
@@ -280,18 +281,31 @@ def test_sphere_diagonal_tensor_has_every_class_real(k, count):
         assert np.linalg.norm(sym_gradient(T, p.vector) - p.value * p.vector) <= 1e-13
 
 
+def _monomial(*factors):
+    """The symmetrized tensor of the monomial x_i x_j ... on R^3, one factor per index."""
+    return symmetrize(DenseTensor(functools.reduce(np.multiply.outer, [np.eye(3)[i] for i in factors])))
+
+
 @pytest.mark.parametrize(
-    "tensor",
+    "tensor, message",
     [
-        pytest.param(DenseTensor(np.zeros((3, 3, 3))), id="zero"),
-        pytest.param(DenseTensor(np.eye(3)), id="identity"),
-        pytest.param(DenseTensor(np.einsum("i,j,k->ijk", *[np.eye(3)[0]] * 3)), id="x^3"),
+        pytest.param(DenseTensor(np.zeros((3, 3, 3))), "singular Jacobian", id="zero"),
+        pytest.param(DenseTensor(np.eye(3)), "singular Jacobian", id="identity"),
+        pytest.param(_monomial(0, 0, 0), "singular Jacobian", id="x^3"),
         # (x . x)^2: constant on the sphere
-        pytest.param(symmetrize(DenseTensor(np.einsum("ij,kl->ijkl", np.eye(3), np.eye(3)))), id="sym(I@I)"),
+        pytest.param(
+            symmetrize(DenseTensor(np.einsum("ij,kl->ijkl", np.eye(3), np.eye(3)))),
+            "singular Jacobian",
+            id="sym(I@I)",
+        ),
+        # every point of the circle x1 = 0 is critical
+        pytest.param(_monomial(0, 0, 1), "homotopy endpoint is singular", id="x1^2x2"),
+        # and here every point of x1 = 0 and of x2 = 0
+        pytest.param(_monomial(0, 0, 1, 1), "path stalled", id="x1^2x2^2"),
     ],
 )
-def test_sphere_degenerate_tensors_raise(tensor):
-    with pytest.raises(DegenerateTensorError):
+def test_sphere_degenerate_tensors_raise(tensor, message):
+    with pytest.raises(DegenerateTensorError, match=message):
         sphere_critical_points(tensor)
 
 

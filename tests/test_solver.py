@@ -153,6 +153,14 @@ def test_residual_requires_unit_vector():
         residual_eigen(T, [2.0, 0.0], 1.0, 1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_residual_rejects_nonfinite_value(value):
+    # nan came back as the residual, and inf as nan with a RuntimeWarning
+    T = DenseTensor(np.diag([1.0, 2.0]))
+    with pytest.raises(ValueError, match="value must be finite"):
+        residual_eigen(T, [1.0, 0.0], value, 1)
+
+
 @pytest.mark.parametrize("p", [2.0, 1.5])
 def test_residual_accepts_mode_zero_pairs(p):
     # mode 0 is the symmetric problem, as in generalized_eigenpairs
