@@ -1,12 +1,12 @@
 """Consistency checks for the index histogram of a critical-point set.
 
-A nondegenerate critical-point set of a smooth function on the sphere
-S^(n-1) is constrained by the sphere's homology: the count c_lam of
-points with Morse index lam must dominate the Betti numbers (weak and
-strong Morse inequalities), the alternating sum must equal the Euler
-characteristic (0 for n even, 2 for n odd), and isolated index gaps are
-impossible (lacunary principle).  A histogram failing any of these is
-provably missing points or comes from a degenerate function.
+The counts c_lam of nondegenerate critical points of Morse index lam obey
+the Betti numbers b_lam (Milnor, Morse Theory, 1963): weak and strong Morse
+inequalities, Euler parity, and c_lam = b_lam wherever both neighbor counts
+c_(lam-1), c_(lam+1) are 0 (lacunary principle).  The rules read the topology
+from b alone, which ``betti_sphere`` gives for S^(n-1).  ``audit`` adds one
+violation per failed rule; parity and the strong inequalities decide, the
+other rules follow.  A failing set is provably incomplete or degenerate.
 """
 
 from __future__ import annotations
@@ -74,6 +74,14 @@ class IndexHistogram:
 
 @dataclass(frozen=True)
 class MorseReport:
+    """The counts c (``counts``, by index) of S^(n-1) against its ``betti`` b.
+
+    ``parity_sum`` and ``expected_parity`` are the alternating sums of c and
+    b.  ``parity_ok`` and ``strong_ok`` decide ``consistent``; ``weak_ok``,
+    ``lacunary_ok`` and ``top_index_ok`` (the weak rule at lam = n - 1) are
+    implied diagnostics.  ``violations``: one message per failed rule.
+    """
+
     n: int
     counts: dict
     parity_sum: int
@@ -88,7 +96,7 @@ class MorseReport:
 
     @property
     def consistent(self) -> bool:
-        """Every rule holds; audit records one violation for each false flag."""
+        """Every rule holds; audit records one violation for each failed rule."""
         return not self.violations
 
     def to_dict(self) -> dict:
@@ -103,26 +111,28 @@ class MorseReport:
 def betti_sphere(n: int) -> list:
     """Betti numbers b_0..b_(n-1) of S^(n-1): 1 at bottom and top, else 0."""
     _check_dimension(n)
-    b = [0] * n
-    b[0] = 1
-    b[n - 1] = 1
-    return b
+    return [1] + [0] * (n - 2) + [1]
+
+
+def _alternating_sum(values) -> int:
+    """Sum of (-1)^lam values[lam]; of Betti numbers, the Euler characteristic."""
+    return sum((-1) ** lam * v for lam, v in enumerate(values))
+
+
+def _weak_shortfall(h: IndexHistogram, b: list) -> list:
+    """The indices lam with c_lam < b_lam."""
+    return [lam for lam in range(h.n) if h.count(lam) < b[lam]]
 
 
 def euler_parity_check(h: IndexHistogram):
-    """Alternating sum against the sphere's Euler characteristic.
-
-    Returns (passed, parity_sum); the target is 0 for even n, 2 for odd n.
-    """
-    s = sum((-1) ** lam * c for lam, c in h.counts.items())
-    expected = 0 if h.n % 2 == 0 else 2
-    return s == expected, s
+    """(passed, parity_sum): the counts' alternating sum against the Betti numbers'."""
+    s = _alternating_sum(h.count(lam) for lam in range(h.n))
+    return s == _alternating_sum(betti_sphere(h.n)), s
 
 
 def weak_morse_check(h: IndexHistogram) -> bool:
-    """c_lam >= b_lam for every lam; forces a minimum and a maximum."""
-    b = betti_sphere(h.n)
-    return all(h.count(lam) >= b[lam] for lam in range(h.n))
+    """c_lam >= b_lam for every lam; on a sphere, forces a minimum and a maximum."""
+    return not _weak_shortfall(h, betti_sphere(h.n))
 
 
 def strong_morse_check(h: IndexHistogram) -> bool:
@@ -139,22 +149,12 @@ def strong_morse_check(h: IndexHistogram) -> bool:
 
 
 def lacunary_checks(h: IndexHistogram) -> list:
-    """Per-item results of the no-isolated-gap constraints.
-
-    An index lam with b_lam != c_lam forces a neighbor count c_(lam-1) or
-    c_(lam+1) to be positive; counts outside 0..n-1 are identically zero,
-    which makes item (iii) trivially true.  Item (ii) runs over the middle
-    indices 2..n-2, where b_lam = 0 on S^(n-1).
-    """
-    n = h.n
-    items = []
-    items.append(("i", h.count(0) == 1 or h.count(1) > 0))
-    for lam in range(2, n - 1):
-        ok = h.count(lam) == 0 or (h.count(lam - 1) + h.count(lam + 1)) > 0
-        items.append((f"ii:lambda={lam}", ok))
-    items.append(("iii", True))
-    items.append(("iv", h.count(n - 1) == 1 or h.count(n - 2) > 0))
-    return items
+    """``("lambda=<lam>", ok)`` per index: c_lam = b_lam or a neighbor count is positive."""
+    b = betti_sphere(h.n)
+    return [
+        (f"lambda={lam}", h.count(lam) == b[lam] or h.count(lam - 1) + h.count(lam + 1) > 0)
+        for lam in range(h.n)
+    ]
 
 
 def audit(pairs, n: int) -> MorseReport:
@@ -172,30 +172,29 @@ def audit(pairs, n: int) -> MorseReport:
                 "degenerate or unclassified pairs cannot be audited"
             )
     h = IndexHistogram.from_pairs(pairs, n)
+    b = betti_sphere(n)
     parity_ok, parity_sum = euler_parity_check(h)
-    expected = 0 if n % 2 == 0 else 2
-    weak_ok = weak_morse_check(h)
+    expected = _alternating_sum(b)
+    short = _weak_shortfall(h, b)
     strong_ok = strong_morse_check(h)
     lac = lacunary_checks(h)
-    top_index_ok = h.count(n - 1) >= 1
     incomplete = "critical-point set is provably incomplete or tensor is degenerate"
     rules = [
         (parity_ok, f"alternating index sum is {parity_sum}, expected {expected}: {incomplete}"),
-        (weak_ok, "weak Morse inequality violated: some c_lam < b_lam"),
+        (not short, f"weak Morse inequality violated: c_lam < b_lam at lam in {short}"),
         (strong_ok, "strong Morse inequality violated"),
         *[(ok, f"lacunary constraint {name} violated") for name, ok in lac],
-        (top_index_ok, f"no critical point of top index {n - 1}"),
     ]
     return MorseReport(
         n=n,
         counts=dict(h.counts),
         parity_sum=parity_sum,
         expected_parity=expected,
-        betti=tuple(betti_sphere(n)),
+        betti=tuple(b),
         parity_ok=parity_ok,
-        weak_ok=weak_ok,
+        weak_ok=not short,
         strong_ok=strong_ok,
         lacunary_ok=all(ok for _, ok in lac),
-        top_index_ok=top_index_ok,
+        top_index_ok=n - 1 not in short,
         violations=tuple(message for ok, message in rules if not ok),
     )

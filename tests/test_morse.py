@@ -103,13 +103,37 @@ def test_strong_morse_matches_the_partial_sums_by_definition():
 
 
 def test_lacunary_circle():
-    items = dict(lacunary_checks(hist(2, {0: 3, 1: 3})))
-    assert items["i"] and items["iv"] and items["iii"]
+    items = lacunary_checks(hist(2, {0: 3, 1: 3}))
+    assert [name for name, _ in items] == ["lambda=0", "lambda=1"]
+    assert all(ok for _, ok in items)
 
 
 def test_lacunary_gap_violation():
     items = dict(lacunary_checks(hist(5, {0: 1, 1: 0, 2: 1, 3: 0, 4: 1})))
-    assert items["ii:lambda=2"] is False
+    assert items["lambda=2"] is False
+
+
+def test_lacunary_gap_at_index_one():
+    # the rule holds at every index, the one next to the minimum included
+    items = dict(lacunary_checks(hist(3, {1: 1})))
+    assert items["lambda=1"] is False
+    report = audit(_pairs_from_counts({1: 1}), 3)
+    assert report.lacunary_ok is False
+    assert "lacunary constraint lambda=1 violated" in report.violations
+
+
+def test_lacunary_matches_the_rule_by_definition():
+    # c_lam = b_lam whenever both neighbor counts are zero, at every lam
+    for n in range(2, 6):
+        b = betti_sphere(n)
+        for counts in itertools.product(range(3), repeat=n):
+            h = hist(n, dict(enumerate(counts)))
+            padded = (0, *counts, 0)
+            expected = [
+                (f"lambda={lam}", not (padded[lam] == padded[lam + 2] == 0 and counts[lam] != b[lam]))
+                for lam in range(n)
+            ]
+            assert lacunary_checks(h) == expected
 
 
 def test_lacunary_two_sphere_all_pass():
@@ -176,6 +200,18 @@ def test_audit_rejects_degenerate_pair():
 def test_audit_never_passes_missing_top_index():
     report = audit(_pairs_from_counts({0: 2}), 2)
     assert not report.consistent and not report.top_index_ok
+    assert "weak Morse inequality violated: c_lam < b_lam at lam in [1]" in report.violations
+
+
+def test_parity_and_strong_decide_and_the_other_rules_follow():
+    # M(t) - P(t) = (1 + t) Q(t) with Q >= 0: weak, lacunary and top index are implied
+    for n in range(2, 7):
+        for counts in itertools.product(range(4), repeat=n):
+            report = audit(_pairs_from_counts(dict(enumerate(counts))), n)
+            assert report.consistent == (report.parity_ok and report.strong_ok)
+            assert not report.strong_ok or report.weak_ok
+            assert not report.weak_ok or report.top_index_ok
+            assert not report.consistent or report.lacunary_ok
 
 
 def test_deleting_any_pair_breaks_parity():

@@ -19,7 +19,7 @@ from tensorcrit import (
     sym_gradient,
     symmetrize,
 )
-from tensorcrit import oracle
+from tensorcrit import morse, oracle
 from tensorcrit.morse import IndexHistogram
 from tensorcrit.oracle import _binary_form, _on_circle, _turn
 
@@ -31,8 +31,8 @@ from conftest import geodesic_second_derivative
 ORACLE_MAY_IMPORT = {"core": {"is_symmetric"}, "errors": None}
 
 
-def _package_imports_outside_the_allowed(source):
-    """(module, name) of every package import in source beyond ORACLE_MAY_IMPORT."""
+def _package_imports_outside_the_allowed(source, may_import=ORACLE_MAY_IMPORT):
+    """(module, name) of every package import in source beyond may_import."""
     bad = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -43,13 +43,19 @@ def _package_imports_outside_the_allowed(source):
                 if module.split(".")[0] != "tensorcrit":
                     continue
                 module = module.partition(".")[2]
-            allowed = ORACLE_MAY_IMPORT.get(module, set())
+            allowed = may_import.get(module, set())
             bad += [(module, a.name) for a in node.names if allowed is not None and a.name not in allowed]
     return bad
 
 
 def test_oracle_imports_only_the_contraction_primitives_and_errors():
     assert _package_imports_outside_the_allowed(inspect.getsource(oracle)) == []
+
+
+def test_morse_imports_nothing_from_the_package():
+    # the audit reads index counts alone, so it stays independent of the solver
+    assert _package_imports_outside_the_allowed(inspect.getsource(morse), {}) == []
+    assert _package_imports_outside_the_allowed("from .errors import DegenerateTensorError", {})
 
 
 @pytest.mark.parametrize(
