@@ -35,11 +35,23 @@ def _as_vector(x) -> np.ndarray:
     return arr
 
 
+def _scaled_norm(arr: np.ndarray, p: float):
+    """(||y||_p, y, e) for y = arr / 2^e, the exact scaling that brings max|y| into [2^-1/2, 2^1/2).
+
+    The powers |y_j|^p then neither overflow nor underflow for p up to about
+    2000.  Scaling by 2^e is exact, so at p = 2 the results are bit for bit
+    those of the unscaled formulas wherever those stay in range.
+    """
+    e = math.frexp(float(np.max(np.abs(arr))) * math.sqrt(0.5))[1]
+    y = np.ldexp(arr, -e)
+    return float(np.sum(np.abs(y) ** p) ** (1.0 / p)), y, e
+
+
 def p_norm(x, p: float) -> float:
     """(sum |x_j|^p)^(1/p); zero only for the zero vector."""
     p = check_norm_param(p)
-    arr = _as_vector(x)
-    return float(np.sum(np.abs(arr) ** p) ** (1.0 / p))
+    norm, _, e = _scaled_norm(_as_vector(x), p)
+    return float(np.ldexp(norm, e))
 
 
 def phi(x, p: float) -> np.ndarray:
@@ -56,7 +68,8 @@ def p_norm_gradient(x, p: float) -> np.ndarray:
     arr = _as_vector(x)
     if not np.any(arr):
         raise ValueError("p-norm has no gradient at the origin")
-    return phi(arr, p - 1.0) / p_norm(arr, p) ** (p - 1.0)
+    norm, y, _ = _scaled_norm(arr, p)  # the gradient is homogeneous of degree 0
+    return phi(y, p - 1.0) / norm ** (p - 1.0)
 
 
 def unit_normalize(x, p: float) -> np.ndarray:
@@ -65,4 +78,5 @@ def unit_normalize(x, p: float) -> np.ndarray:
     arr = _as_vector(x)
     if not np.any(arr):
         raise ValueError("cannot normalize the zero vector")
-    return arr / p_norm(arr, p)
+    norm, y, _ = _scaled_norm(arr, p)
+    return y / norm

@@ -8,11 +8,12 @@ the spheres of T's k modes, with g_i = mode_gradient(T, (w_1, ..., w_k), i);
 a mode-i eigenpair (v, lam) is its one-sphere case, g = mode_gradient(T,
 (v, ..., v), i).  No closed-form enumeration exists for k > 2, so one
 driver, _search, runs both multi-start searches, each stage once over all
-its rows: an ascent (eigenpairs: projected gradient with a sign per row;
-tuples: alternating best responses), one damped Newton from the ascent's
-leaders and the raw starts (which reach saddles), one residual-based
-acceptance, the sign group (each eigenpair's antipode; sigma >= 0 for a
-tuple), deduplication, the count cap and the continuum check.  A mode
+its rows: an ascent from the first _ASCENT_STARTS starts (eigenpairs:
+projected gradient with a sign per row; tuples: alternating best responses),
+which seeds the extrema, one damped Newton from the ascent's leaders and all
+the raw starts (which reach saddles), one residual-based acceptance, the
+sign group (each eigenpair's antipode; sigma >= 0 for a tuple),
+deduplication, the count cap and the continuum check.  A mode
 problem on a non-symmetric tensor has no form whose critical points are its
 pairs, so it has no ascent and polishes its raw starts alone.
 """
@@ -58,12 +59,16 @@ log = logging.getLogger(__name__)
 # _damped_newton describes, with the Armijo fraction _ARMIJO_SLOPE * alpha; a
 # row retires after _CREEP_ITERATIONS consecutive accepted steps of length at
 # most _CREEP_STEP.
-# Ascent steps start at _INITIAL_STEP, grow by _STEP_GROW after an improvement
-# and shrink by _STEP_SHRINK otherwise.  Points closer than _DEDUPE_TOLERANCE
-# count as one; Newton polishes one leader per _LEADER_RADIUS cluster of ascent
-# endpoints, and _leaders settles its greedy _LEADER_BLOCK rows at a time.
+# An ascent climbs from the first _ASCENT_STARTS starts only: gradient flow
+# reaches the extrema it seeds from almost every start, and Newton polishes all
+# the starts.  Ascent steps start at _INITIAL_STEP, grow by _STEP_GROW after an
+# improvement and shrink by _STEP_SHRINK otherwise.  Points closer than
+# _DEDUPE_TOLERANCE count as one; Newton polishes one leader per _LEADER_RADIUS
+# cluster of ascent endpoints, and _leaders settles its greedy _LEADER_BLOCK
+# rows at a time.
 _NEWTON_ITERATIONS = 60
 _ASCENT_ITERATIONS = 60
+_ASCENT_STARTS = 64
 _ALTERNATING_SWEEPS = 40
 _DEDUPE_TOLERANCE = 1e-6
 _LEADER_RADIUS = 1e-3
@@ -712,7 +717,10 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
 def _search(config, dims, grads, blocks, ascend, act, merge_tol, cap, noun):
     """The multi-start search on the product of the unit p-spheres of dims.
 
-    ``ascend`` takes the starts, one array of rows per sphere, to endpoints.
+    ``ascend`` takes the first _ASCENT_STARTS starts, one array of rows per
+    sphere, to endpoints; Newton polishes their leaders and every start.  The
+    starts are prefix-stable, so above _ASCENT_STARTS restarts the leaders do
+    not depend on the restart count.
     ``act(Ws, value, resid, mults)`` applies the sign group to the accepted
     rows and also returns ``found``, each row's value as accepted.  Returns
     (Ws, value, resid, mults, found) of the rows kept by dedupe at merge_tol,
@@ -722,7 +730,7 @@ def _search(config, dims, grads, blocks, ascend, act, merge_tol, cap, noun):
     p, gtol = config.p, config.gradient_tolerance
     state, jac = _lagrange_fns(dims, p, grads, blocks)
     starts = _random_starts(config.seed, config.restarts, dims, p)
-    ends = ascend(starts)
+    ends = ascend([S[:_ASCENT_STARTS] for S in starts])
     lead = _leaders(np.concatenate(ends, axis=1), _LEADER_RADIUS)
     Ws = [np.concatenate([E[lead], W]) for E, W in zip(ends, starts)]
     # every multiplier starts at the value f(w) = <g_k, w_k>

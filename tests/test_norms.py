@@ -103,6 +103,31 @@ def test_gradient_p2_reduces_exactly():
     assert np.array_equal(p_norm_gradient(x, 2), x / p_norm(x, 2))
 
 
+def test_p_norm_neither_overflows_nor_underflows():
+    assert p_norm([1e200, 1e200], 2) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    # zero only for the zero vector
+    assert p_norm([1e-200, 1e-200], 2) == pytest.approx(np.sqrt(2.0) * 1e-200, rel=1e-15)
+
+
+def test_unit_normalize_tiny_vector():
+    np.testing.assert_allclose(unit_normalize([1e-200, 1e-200], 2), [np.sqrt(0.5)] * 2, rtol=1e-15)
+
+
+def test_gradient_at_large_p():
+    # 10^400 overflows: the unscaled quotient was inf / inf
+    np.testing.assert_allclose(p_norm_gradient([10.0, 1.0], 400), [1.0, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 400.0])
+def test_norms_scale_exactly_by_powers_of_two(p):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(5)
+    for e in (-900, 900):
+        assert p_norm(np.ldexp(x, e), p) == np.ldexp(p_norm(x, p), e)
+        assert np.array_equal(p_norm_gradient(np.ldexp(x, e), p), p_norm_gradient(x, p))
+        assert np.array_equal(unit_normalize(np.ldexp(x, e), p), unit_normalize(x, p))
+
+
 def test_unit_normalize():
     np.testing.assert_allclose(unit_normalize([3.0, 4.0], 2), [0.6, 0.8])
     np.testing.assert_allclose(

@@ -4,7 +4,7 @@ import pathlib
 import re
 import shlex
 
-from tensorcrit import cli
+from tensorcrit import cli, solver
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +26,18 @@ def test_readme_cli_lines_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_states_the_fixed_search_constants():
+    # a retune of the solver's private constants must update the README's "fixed" sentence
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    (sentence,) = re.findall(r"The step controls, .*? are fixed\.", text)
+    stated = {
+        "_NEWTON_ITERATIONS": r"(\d+) Newton iterations",
+        "_ASCENT_ITERATIONS": r"(\d+) ascent iterations",
+        "_ALTERNATING_SWEEPS": r"(\d+) alternating sweeps",
+        "_ASCENT_STARTS": r"(\d+) ascent starts",
+        "_DEDUPE_TOLERANCE": r"dedupe radius (\S+) ",
+    }
+    for name, pattern in stated.items():
+        assert float(re.search(pattern, sentence).group(1)) == getattr(solver, name), name

@@ -35,6 +35,7 @@ from tensorcrit import (
 )
 from tensorcrit import solver
 from tensorcrit.core import _orbit_ids, _orbit_mean, is_symmetric, max_asymmetry
+from tensorcrit.oracle import sphere_critical_points
 from tensorcrit.solver import _leaders
 from conftest import geodesic_second_derivative, match_pair, tangent_basis
 
@@ -1134,8 +1135,9 @@ def test_newton_effort_is_logged_at_debug(caplog):
     assert 1 <= calls <= 5 * iters + 1
     assert calls - 1 <= trials
     assert converged + stalled + retired <= rows
-    # one polish: the ascent's leaders, then the raw starts
-    ends = solver._alternating_ascent(T.data, solver._random_starts(CFG.seed, CFG.restarts, T.shape, CFG.p), CFG.p)
+    # one polish: the leaders of the ascent from the first starts, then all the raw starts
+    starts = solver._random_starts(CFG.seed, CFG.restarts, T.shape, CFG.p)
+    ends = solver._alternating_ascent(T.data, [S[: solver._ASCENT_STARTS] for S in starts], CFG.p)
     leaders = len(_leaders(np.concatenate(ends, axis=1), solver._LEADER_RADIUS))
     assert leaders >= 1 and rows == leaders + CFG.restarts and converged > 0
 
@@ -1420,6 +1422,75 @@ def test_nearly_symmetric_tensor_still_climbs(monkeypatch, caplog):
     T = DenseTensor(data)
     assert is_symmetric(T) and max_asymmetry(T) > 0.0
     _assert_one_ascent_and_one_newton(_eigen_stages(T, monkeypatch, caplog))
+
+
+class _Polish(Exception):
+    """Raised in place of the polish, with the rows it would start from."""
+
+
+def _capped_stages(solve, T, ascent, restarts, monkeypatch):
+    """Of one solve stopped before Newton: (rows per sphere the ascent climbed, its leaders, Newton's start rows)."""
+    climb = getattr(solver, ascent)
+    climbed = []
+
+    def rows(X):  # the eigen ascent takes one array, the alternating one a list per sphere
+        return np.concatenate(X, axis=1) if isinstance(X, list) else X
+
+    def recorded(data, V0, *args):
+        ends = climb(data, V0, *args)
+        climbed.append((len(rows(V0)), rows(ends)))
+        return ends
+
+    def stop(z0, *args, **kwargs):
+        raise _Polish(z0)
+
+    monkeypatch.setattr(solver, ascent, recorded)
+    monkeypatch.setattr(solver, "_damped_newton", stop)
+    with pytest.raises(_Polish) as polish:
+        solve(T, SolverConfig(restarts=restarts))
+    ((climbed_rows, ends),) = climbed
+    return climbed_rows, len(_leaders(ends, solver._LEADER_RADIUS)), polish.value.args[0]
+
+
+@pytest.mark.parametrize(
+    "solve, T, ascent, signs",
+    [
+        (symmetric_eigenpairs, random_tensor((4, 4, 4), 9, symmetric=True), "_ascend", 2),
+        (singular_tuples, random_tensor((3, 4, 5), 2), "_alternating_ascent", 1),
+    ],
+)
+def test_ascent_climbs_only_the_first_starts(solve, T, ascent, signs, monkeypatch):
+    dims = T.shape[:1] if signs == 2 else T.shape
+    polished = {}
+    for restarts in (64, 200, 800):
+        rows, leaders, z0 = _capped_stages(solve, T, ascent, restarts, monkeypatch)
+        assert rows == signs * solver._ASCENT_STARTS
+        # Newton polishes the leaders, then every raw start
+        assert len(z0) == leaders + restarts
+        starts = np.concatenate(solver._random_starts(0, restarts, dims, 2.0), axis=1)
+        assert z0[leaders:, : starts.shape[1]].tobytes() == starts.tobytes()
+        polished[restarts] = z0[:leaders].tobytes()
+    # the starts are prefix-stable, so more restarts only add raw starts
+    assert polished[64] == polished[200] == polished[800]
+
+
+# Seeds used nowhere else; at the default config the solvers found both extreme
+# values of all 150 symmetric tensors 160000 + s (s < 30, these five shapes) and
+# the largest sigma of all 30 tensors 161000 + s of shape 4x5x6.
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4), (6, 6, 6), (3, 3, 3, 3), (4, 4, 4, 4)])
+def test_default_effort_finds_the_extreme_values(shape):
+    for seed in (140000, 140001):
+        T = random_tensor(shape, seed, symmetric=True)
+        values = [pt.value for pt in sphere_critical_points(T).points]
+        found = [pair.value for pair in symmetric_eigenpairs(T)]
+        assert max(found) == pytest.approx(max(values), abs=1e-9)
+        assert min(found) == pytest.approx(min(values), abs=1e-9)
+
+
+def test_default_effort_finds_the_largest_singular_value():
+    T = random_tensor((4, 5, 6), 141000)
+    best = singular_tuples(T, SolverConfig(restarts=3200))[0].sigma
+    assert singular_tuples(T)[0].sigma == pytest.approx(best, abs=1e-9)
 
 
 @pytest.mark.parametrize("shape", [(4, 5, 6), (3, 3, 3), (2, 3, 4, 3), (3, 4), (5, 6)])
