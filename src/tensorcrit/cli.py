@@ -28,9 +28,9 @@ from .core import (
     euler_residual,
     evaluate,
     is_symmetric,
+    loads_tensor,
     mode_gradient,
     random_tensor,
-    read_tensor_file,
     write_tensor_file,
 )
 from .errors import DegenerateTensorError
@@ -41,10 +41,14 @@ class _InputError(Exception):
 
 
 def _load(path):
+    """(tensor, sha256 hex digest) of the file at path, both from the same bytes."""
     try:
-        return read_tensor_file(path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}")
+    try:
+        return loads_tensor(raw.decode("ascii")), hashlib.sha256(raw).hexdigest()
     except ValueError as exc:
         raise _InputError(f"bad tensor file {path}: {exc}")
 
@@ -52,11 +56,6 @@ def _load(path):
 def _fail(message):
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _digest(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _config_from_args(args):
@@ -85,10 +84,10 @@ def _emit(report):
 
 
 def cmd_eval(args):
-    tensor = _load(args.tensor)
+    tensor, _ = _load(args.tensor)
     vectors = []
     for path in args.vectors:
-        vt = _load(path)
+        vt, _ = _load(path)
         if vt.order != 1:
             return _fail(f"{path} is not a vector (order-1 tensor)")
         vectors.append(vt.entries)
@@ -108,7 +107,7 @@ def _search(args, command, find, empty_note):
     run with exit 4 and no report.  ``empty_note`` is formatted with the
     restarts when nothing is found.
     """
-    tensor = _load(args.tensor)
+    tensor, digest = _load(args.tensor)
     try:
         config = _config_from_args(args)
     except ValueError as exc:
@@ -126,7 +125,7 @@ def _search(args, command, find, empty_note):
         "command": command,
         "input": {
             "path": args.tensor,
-            "sha256": _digest(args.tensor),
+            "sha256": digest,
             "shape": list(tensor.shape),
         },
         "config": dataclasses.asdict(config),
@@ -225,7 +224,7 @@ def _matches_differences(grad, fn, x, step):
 # Overflow in a check shows as a non-finite result, which fails the check.
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_check(args):
-    tensor = _load(args.tensor)
+    tensor, _ = _load(args.tensor)
     rng = np.random.default_rng(args.seed)
     k, dim = tensor.order, tensor.shape[0]
 

@@ -38,7 +38,7 @@ from .core import (
     mode_gradient,
 )
 from .errors import DegenerateTensorError, ShapeError
-from .norms import check_norm_param, phi
+from .norms import check_norm_param, p_norm, phi
 
 __all__ = [
     "SolverConfig",
@@ -274,12 +274,24 @@ def _phi_slope_rows(V, p):
     return (p - 1.0) * a ** (p - 2.0)
 
 
-def _p_norm_rows(V, p):
-    return np.sum(np.abs(V) ** p, axis=1) ** (1.0 / p)
+def _unit_rows(V, p):
+    """(U, ok): the rows of V scaled to unit p-norm, and which were neither zero nor non-finite.
 
-
-def _normalize_rows(V, p):
-    return V / _p_norm_rows(V, p)[:, None]
+    A row whose sum of |v|^p is not a finite normal number is redone on v / 2^e
+    as in norms._scaled_norm; every other row is bit for bit v / ||v||_p.
+    """
+    with np.errstate(all="ignore"):
+        s = np.sum(np.abs(V) ** p, axis=1)
+        ok = np.isfinite(s) & (s >= np.finfo(float).tiny)
+        U = V / (s ** (1.0 / p))[:, None]
+        if not ok.all():
+            redo = ~ok
+            e = np.frexp(np.max(np.abs(V[redo]), axis=1) * math.sqrt(0.5))[1]
+            Y = np.ldexp(V[redo], -e[:, None])
+            s[redo] = np.sum(np.abs(Y) ** p, axis=1)
+            U[redo] = Y / (s[redo] ** (1.0 / p))[:, None]
+            ok = np.isfinite(s) & (s > 0)
+    return U, ok
 
 
 def _random_starts(seed, restarts, dims, p):
@@ -290,7 +302,7 @@ def _random_starts(seed, restarts, dims, p):
     """
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF))
     X = rng.standard_normal((restarts, sum(dims)))
-    return [_normalize_rows(V, p) for V in np.split(X, np.cumsum(dims)[:-1], axis=1)]
+    return [_unit_rows(V, p)[0] for V in np.split(X, np.cumsum(dims)[:-1], axis=1)]
 
 
 def _leaders(X, tol):
@@ -513,10 +525,10 @@ def _accept(grads, Ws, p, gtol):
     Returns the kept rows' vectors, values, those residuals and the per-mode
     multipliers <g_i, phi(w_i)> / <phi(w_i), phi(w_i)>.
     """
+    units = [_unit_rows(W, p) for W in Ws]
+    good = np.all([ok for _, ok in units], axis=0)
+    Ws = [U[good] for U, _ in units]
     with np.errstate(all="ignore"):
-        nrms = [_p_norm_rows(W, p) for W in Ws]
-        good = np.all([np.isfinite(nrm) & (nrm > 1e-300) for nrm in nrms], axis=0)
-        Ws = [W[good] / nrm[good, None] for W, nrm in zip(Ws, nrms)]
         terms = list(zip(grads(Ws), [_phi_rows(W, p - 1.0) for W in Ws]))
         value = _dot_rows(terms[0][0], Ws[0])  # f(w_1, ..., w_k) = <g_i, w_i> in every mode
         resid = np.max([np.linalg.norm(g - value[:, None] * f, axis=1) for g, f in terms], axis=0)
@@ -545,10 +557,7 @@ def _ascend(S, V0, p, sign):
     step = np.full(V.shape[0], _INITIAL_STEP)
     G, f = gradient_and_value(V)
     for iterations in range(1, _ASCENT_ITERATIONS + 1):
-        W = V + (sign * step)[:, None] * G
-        nrm = _p_norm_rows(W, p)
-        ok = np.isfinite(nrm) & (nrm > 1e-300)
-        W[ok] /= nrm[ok, None]
+        W, ok = _unit_rows(V + (sign * step)[:, None] * G, p)
         W[~ok] = V[~ok]
         GW, fW = gradient_and_value(W)
         better = fW > f + 1e-15
@@ -567,18 +576,17 @@ def _ascend(S, V0, p, sign):
     return V
 
 
-def _check_continuum(z, state_fn, jac_fn, merge_tol, gtol, noun):
+def _check_continuum(z, J, state_fn, jac_fn, merge_tol, gtol, noun):
     """Raise DegenerateTensorError if the rows of z lie on a positive-dimensional set.
 
     Local dimension test (Bates, Hauenstein, Peterson & Sommese, SINUM 2009)
-    on rows z = (point, multipliers), critical value last.  A row whose bordered
-    Jacobian has sigma_min <= sqrt(gtol) * sigma_max is stepped h = max(1e-3,
+    on rows z = (point, multipliers), critical value last, with Jacobians J.
+    A row with sigma_min <= sqrt(gtol) * sigma_max is stepped h = max(1e-3,
     10 * merge_tol) along its null vector and corrected by damped Newton with
     minimum-norm steps, which move across a continuum rather than along it; a
     stationary result with the same value at a distance in (merge_tol, 2h]
     witnesses a continuum.  Newton returns to isolated degenerate points.
     """
-    J = jac_fn(z)
     with np.errstate(all="ignore"):
         s = np.linalg.svd(J, compute_uv=False)
         rel = s[:, -1] / s[:, 0]
@@ -626,7 +634,7 @@ def dedupe(points, tol):
 
 
 def _check_unit(vec, p):
-    nrm = float(np.sum(np.abs(vec) ** p) ** (1.0 / p))
+    nrm = p_norm(vec, p)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"v must be a unit vector in the p-norm, got ||v||_p = {nrm}")
 
@@ -660,57 +668,49 @@ def residual_eigen(tensor, v, value, mode, p=2.0):
     return float(np.linalg.norm(grad - value * phi(vec, p - 1.0)))
 
 
-def _morse_rows(data, V, values, residual_tolerance):
-    """classify_index of the eigenpairs (V[i], values[i]), as two arrays.
+def _morse_rows(H, V):
+    """classify_index's (index, nondegenerate) of the unit eigenvectors V, as two arrays.
 
-    Raises ValueError for the first row whose stationarity residual
-    exceeds residual_tolerance.
+    H[r] is k times the bordered Jacobian's vector block at (V[r], value).
     """
-    k = data.ndim
-    n = data.shape[0]
-    resid = np.linalg.norm(_contract_leading(data, [V] * (k - 1)) - values[:, None] * V, axis=1)
-    over = np.flatnonzero(resid > residual_tolerance)
-    if over.size:
-        raise ValueError(
-            f"(v, value) is not stationary enough to classify: residual {resid[over[0]]:.3e} "
-            f"exceeds {residual_tolerance:.3e}"
-        )
-    H = k * (k - 1) * _contract_leading(data, [V] * (k - 2))
-    H = (H + np.swapaxes(H, 1, 2)) / 2 - k * values[:, None, None] * np.eye(n)
-    _, _, vt = np.linalg.svd(V[:, None, :])
-    Bt = vt[:, 1:]  # rows: an orthonormal basis of the tangent space
-    HR = Bt @ H @ np.swapaxes(Bt, 1, 2)
-    HR = (HR + np.swapaxes(HR, 1, 2)) / 2
-    eig = np.linalg.eigvalsh(HR)
+    P = np.eye(V.shape[1]) - V[:, :, None] * V[:, None, :]
+    PHP = P @ H @ P
+    eig = np.linalg.eigvalsh((PHP + np.swapaxes(PHP, 1, 2)) / 2)
     eps = 1e-8 * np.maximum(1.0, np.max(np.abs(eig), axis=1))[:, None]
-    return np.sum(eig < -eps, axis=1), np.all(np.abs(eig) > eps, axis=1)
+    return np.sum(eig < -eps, axis=1), np.sum(np.abs(eig) <= eps, axis=1) == 1
 
 
 def classify_index(tensor, v, value, residual_tolerance=1e-8):
-    """Morse data of a symmetric eigenpair under the 2-norm.
+    """Morse data (index, nondegenerate) of a symmetric eigenpair under the 2-norm.
 
-    Restricts the second variation of f(x, ..., x) at v to the tangent
-    space of the sphere: H_R = B^T (hessian - k * value * I) B for an
-    orthonormal tangent basis B.  Returns (index, nondegenerate) where
-    index counts the eigenvalues of H_R below the degeneracy threshold
-    1e-8 * max(1, ||H_R||).
+    P = I - v v^T projects the second variation of f(x, ..., x) at v, H =
+    k (k - 1) T(v, ..., v, ., .) - k * value * I, on the sphere's tangent
+    space.  index counts the eigenvalues of P H P below -eps, eps = 1e-8 *
+    max(1, ||P H P||_2), and the pair is nondegenerate when only the zero
+    along v lies within eps: the solver's rule for every pair it finds.
+    Raises ValueError when ||T(v, ..., v, .) - value * v|| > residual_tolerance.
     """
     _require_symmetric(tensor)
-    n = tensor.shape[0]
-    if tensor.order < 2:
+    k, n = tensor.order, tensor.shape[0]
+    if k < 2:
         raise ShapeError("index classification needs tensor order >= 2")
     if n < 2:
         raise ShapeError("index classification needs dimension >= 2")
-    vec = _check_vectors(tensor, [v] * tensor.order)[0]
+    vec = _check_vectors(tensor, [v] * k)[0]
     _check_unit(vec, 2.0)
-    # a NaN would pass the stationarity guard in _morse_rows unseen
+    # a NaN would pass the stationarity guard unseen
     if not math.isfinite(value):
         raise ValueError(f"value must be finite, got {value}")
     if not 0 <= residual_tolerance < np.inf:
         raise ValueError(f"residual_tolerance must be finite and >= 0, got {residual_tolerance}")
-    index, nondegenerate = _morse_rows(
-        tensor.data, vec[None, :], np.array([float(value)]), residual_tolerance
-    )
+    C = _contract_leading(tensor.data, [vec[None, :]] * (k - 2))[0]  # T(v, ..., v, ., .)
+    resid = float(np.linalg.norm(vec @ C - value * vec))
+    if resid > residual_tolerance:
+        raise ValueError(
+            f"(v, value) is not stationary enough to classify: residual {resid:.3e} "
+            f"exceeds {residual_tolerance:.3e}"
+        )
+    index, nondegenerate = _morse_rows(k * ((k - 1) * C.T - value * np.eye(n))[None], vec[None, :])
     return int(index[0]), bool(nondegenerate[0])
 
 
@@ -723,9 +723,9 @@ def _search(config, dims, grads, blocks, ascend, act, merge_tol, cap, noun):
     not depend on the restart count.
     ``act(Ws, value, resid, mults)`` applies the sign group to the accepted
     rows and also returns ``found``, each row's value as accepted.  Returns
-    (Ws, value, resid, mults, found) of the rows kept by dedupe at merge_tol,
-    value descending; more than ``cap`` of them (None: no cap), or a
-    continuum, raises DegenerateTensorError naming a ``noun``.
+    (Ws, value, resid, mults, found, J), J the bordered Jacobians, of the rows
+    kept by dedupe at merge_tol, value descending; more than ``cap`` of them
+    (None: no cap), or a continuum, raises DegenerateTensorError naming a ``noun``.
     """
     p, gtol = config.p, config.gradient_tolerance
     state, jac = _lagrange_fns(dims, p, grads, blocks)
@@ -745,24 +745,26 @@ def _search(config, dims, grads, blocks, ascend, act, merge_tol, cap, noun):
             f"count cap: {len(kept)} {noun}s survive deduplication, more than the "
             f"{cap} of the Cartwright-Sturmfels count (antipodes included); the set is not finite"
         )
+    z = np.concatenate([keys[kept], np.repeat(value[kept, None], len(dims), axis=1)], axis=1)
+    J = jac(z)
     if kept.size:
-        z = np.concatenate([keys[kept], np.repeat(value[kept, None], len(dims), axis=1)], axis=1)
-        _check_continuum(z, state, jac, merge_tol, gtol, noun)
+        _check_continuum(z, J, state, jac, merge_tol, gtol, noun)
     else:
         log.info("no %ss found at this effort (restarts=%d)", noun, config.restarts)
-    kept = kept[_lex_order(-value[kept], keys[kept])]
-    return [W[kept] for W in Ws], value[kept], resid[kept], mults[kept], found[kept]
+    order = _lex_order(-value[kept], keys[kept])
+    kept = kept[order]
+    return [W[kept] for W in Ws], value[kept], resid[kept], mults[kept], found[kept], J[order]
 
 
 def _eigen_run(tensor, mode, config):
     """Eigenpairs in ``mode`` under config.p; mode 0 is the symmetric problem.
 
-    The symmetric problem under the 2-norm also gets Morse data.  The mode-i
-    problem sees T only through T(v, ..., v, .), so it runs on the mode-last
-    copy averaged over its leading k-1 modes, the basis-free object; an
-    exactly symmetric tensor is its own average.  Only a tensor that passes
-    is_symmetric makes the pairs the critical points of f(v) = T(v, ..., v),
-    so only then does the ascent run.
+    The symmetric problem under the 2-norm also gets Morse data, from the
+    search's Jacobians.  The mode-i problem sees T only through T(v, ..., v,
+    .), so it runs on the mode-last copy averaged over its leading k-1 modes,
+    the basis-free object; an exactly symmetric tensor is its own average.
+    Only a tensor that passes is_symmetric makes the pairs the critical
+    points of f(v) = T(v, ..., v), so only then does the ascent run.
     """
     k = tensor.order
     _check_eigen_args(tensor, mode)
@@ -807,13 +809,12 @@ def _eigen_run(tensor, mode, config):
         merge_tol = max(merge_tol, 10.0 * config.gradient_tolerance ** (1.0 / (k - 1)))
     else:  # the Cartwright-Sturmfels count, antipodes included
         cap = 2 * (n if k == 2 else ((k - 1) ** n - 1) // (k - 2))
-    (V,), lam, resid, _, _ = _search(
+    (V,), lam, resid, _, _, J = _search(
         config, (n,), grads, blocks, ascend, act, merge_tol, cap, "stationary point"
     )
     index = nondeg = [None] * len(V)
     if mode == 0 and p == 2.0:
-        tol = max(1e-8, 10 * config.gradient_tolerance)
-        index, nondeg = (a.tolist() for a in _morse_rows(D, V, lam, tol))
+        index, nondeg = (a.tolist() for a in _morse_rows(k * J[:, :n, :n], V))
     return [
         EigenPair(
             vector=v, value=float(value), mode=mode, residual=float(r), index=i, nondegenerate=nd,
@@ -881,10 +882,8 @@ def _alternating_ascent(data, Ws0, p):
         for i in range(k):
             G = _contract_leading(Ds[i], Ws[:i] + Ws[i + 1 :])
             with np.errstate(all="ignore"):
-                U = _phi_rows(G, q)
-                nrm = _p_norm_rows(U, p)
-            ok = np.isfinite(nrm) & (nrm > 1e-300)
-            Ws[i][ok] = U[ok] / nrm[ok, None]
+                U, ok = _unit_rows(_phi_rows(G, q), p)
+            Ws[i][ok] = U[ok]
     return Ws
 
 
@@ -919,7 +918,7 @@ def singular_tuples(tensor, config=None):
         sign = np.where(raw < 0, -1.0, 1.0)
         return [sign[:, None] * Ws[0]] + Ws[1:], sign * raw, resid, sign[:, None] * mults, raw
 
-    Ws, sigma, resid, mults, raw = _search(
+    Ws, sigma, resid, mults, raw, _ = _search(
         config, tensor.shape, grads, blocks, lambda starts: _alternating_ascent(data, starts, config.p),
         act, _DEDUPE_TOLERANCE, None, "singular tuple",
     )

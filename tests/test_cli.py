@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from tensorcrit import (
     symmetrize,
     write_tensor_file,
 )
+from tensorcrit import solver
 from tensorcrit.cli import main
 
 
@@ -191,6 +194,23 @@ def test_eig_missing_file_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, ["eig", missing, "--symmetric"])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_report_digests_the_bytes_it_parsed(cubic_file, capsys, monkeypatch):
+    # the digest used to re-read the file after the solve, so it named bytes never parsed
+    original = Path(cubic_file).read_bytes()
+    solve = solver.generalized_eigenpairs
+
+    def overwriting_solve(*args, **kwargs):
+        Path(cubic_file).write_text('{"shape": [2, 2], "entries": [1, 0, 0, 1]}\n')
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "generalized_eigenpairs", overwriting_solve)
+    code, out, _ = run(capsys, ["eig", cubic_file, "--symmetric", "--restarts", "4"])
+    assert code == 0 and Path(cubic_file).read_bytes() != original
+    report = json.loads(out)
+    assert report["input"]["sha256"] == hashlib.sha256(original).hexdigest()
+    assert report["input"]["shape"] == [2, 2, 2]
 
 
 def test_eig_audit_of_degenerate_pairs_exits_4(tmp_path, capsys):

@@ -25,6 +25,7 @@ from tensorcrit import (
     jacobi_eigen,
     mode_eigenpairs,
     mode_gradient,
+    p_norm,
     random_tensor,
     residual_eigen,
     singular_tuples,
@@ -552,8 +553,9 @@ def test_classify_identity_degenerate():
 
 def test_classify_rejects_nonstationary(cubic):
     v = np.array([0.6, 0.8])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         classify_index(cubic, v, evaluate(cubic, [v] * 3))
+    assert str(err.value).startswith("(v, value) is not stationary enough to classify: residual ")
     # a NaN value or tolerance passed the guard: e1 came out as (2, True) or (0, False)
     T = random_tensor((3, 3, 3), 1, symmetric=True)
     e1 = np.array([1.0, 0.0, 0.0])
@@ -580,43 +582,108 @@ def _ref_classify(tensor, v, value):
     return int(np.sum(eig < -eps)), bool(np.all(np.abs(eig) > eps))
 
 
-@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4), (5, 5, 5), (6, 6, 6), (4, 4, 4, 4)])
-def test_batched_classification_matches_per_pair_reference(shape, monkeypatch):
+def _second_variations(tensor, V, values):
+    """k times the bordered Jacobian's vector block at each (v, value), from core's Hessian."""
+    k, n = tensor.order, tensor.shape[0]
+    return np.array([sym_hessian(tensor, v) - k * lam * np.eye(n) for v, lam in zip(V, values)])
+
+
+def _solve_with_morse_inputs(T, cfg, monkeypatch):
+    """The pairs of a symmetric solve and the (H, V) the solve handed _morse_rows."""
+
     def per_pair_call(*args, **kwargs):
         raise AssertionError("the solver classifies all pairs in one batch")
 
+    seen = []
+    morse_rows = solver._morse_rows
     monkeypatch.setattr(solver, "classify_index", per_pair_call)
+    monkeypatch.setattr(solver, "_morse_rows", lambda H, V: seen.append((H, V)) or morse_rows(H, V))
+    pairs = symmetric_eigenpairs(T, cfg)
+    ((H, V),) = seen
+    return pairs, H, V
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4), (5, 5, 5), (6, 6, 6), (4, 4, 4, 4)])
+def test_batched_classification_matches_per_pair_reference(shape, monkeypatch):
     for seed in range(2):
         T = random_tensor(shape, 60 + seed, symmetric=True)
-        pairs = symmetric_eigenpairs(T, SolverConfig(restarts=60, seed=seed))
-        assert pairs
-        V = np.array([pt.vector for pt in pairs])
+        pairs, H, V = _solve_with_morse_inputs(T, SolverConfig(restarts=60, seed=seed), monkeypatch)
+        assert pairs and V.tobytes() == np.array([pt.vector for pt in pairs]).tobytes()
         lam = np.array([pt.value for pt in pairs])
-        index, nondeg = solver._morse_rows(T.data, V, lam, 1e-8)
+        np.testing.assert_allclose(H, _second_variations(T, V, lam), rtol=0, atol=1e-12 * np.max(np.abs(H)))
+        index, nondeg = solver._morse_rows(_second_variations(T, V, lam), V)
         for pt, i, d in zip(pairs, index, nondeg):
             assert (pt.index, pt.nondegenerate) == (i, d) == _ref_classify(T, pt.vector, pt.value)
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e3, 1e5])
+def test_classification_of_scaled_tensors(c, monkeypatch):
+    # bordered-Hessian inertia gives the right index, but its two border eigenvalues multiply
+    # to -1, so at large values one of them falls under the threshold and every pair of
+    # 1e5 * T reads as degenerate; the tangent projection is scale-free
+    T = DenseTensor(c * random_tensor((4, 4, 4), 5, symmetric=True).data)
+    pairs, _, _ = _solve_with_morse_inputs(T, SolverConfig(gradient_tolerance=1e-10 * c), monkeypatch)
+    assert len(pairs) >= 14 and all(pt.nondegenerate for pt in pairs)
+    for pt in pairs:
+        assert (pt.index, pt.nondegenerate) == _ref_classify(T, pt.vector, pt.value)
+        assert (pt.index, pt.nondegenerate) == classify_index(T, pt.vector, pt.value, 1e-9 * c)
+
+
+def test_classification_in_a_solve_contracts_nothing(monkeypatch):
+    # the Morse data come from the Jacobian the search already built: no contraction,
+    # SVD or Jacobian of its own, and one Jacobian per solve outside the Newton runs
+    calls = []
+    morse_rows, lagrange, newton = solver._morse_rows, solver._lagrange_fns, solver._damped_newton
+    in_newton = []
+
+    def guarded(H, V):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "einsum", lambda *args, **kwargs: calls.append("einsum"))
+            mp.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append("svd"))
+            return morse_rows(H, V)
+
+    def counted_fns(*args):
+        state, jac = lagrange(*args)
+
+        def counted_jac(z):
+            if not in_newton:
+                calls.append("jac")
+            return jac(z)
+
+        return state, counted_jac
+
+    def flagged_newton(*args, **kwargs):
+        in_newton.append(True)
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            in_newton.pop()
+
+    monkeypatch.setattr(solver, "_morse_rows", guarded)
+    monkeypatch.setattr(solver, "_lagrange_fns", counted_fns)
+    monkeypatch.setattr(solver, "_damped_newton", flagged_newton)
+    pairs = symmetric_eigenpairs(random_tensor((4, 4, 4), 3, symmetric=True), CFG)
+    assert pairs and all(pt.index is not None for pt in pairs)
+    assert calls == ["jac"]
 
 
 def test_batched_classification_of_degenerate_points():
     T = DenseTensor(np.eye(3))
     V = np.random.default_rng(4).standard_normal((9, 3))
     V /= np.linalg.norm(V, axis=1)[:, None]
-    index, nondeg = solver._morse_rows(T.data, V, np.ones(9), 1e-8)
+    index, nondeg = solver._morse_rows(_second_variations(T, V, np.ones(9)), V)
     assert [(int(i), bool(d)) for i, d in zip(index, nondeg)] == [_ref_classify(T, v, 1.0) for v in V]
     assert not nondeg.any()
 
 
-def test_batched_classification_rejects_nonstationary_row(cubic):
-    good = np.array([[1.0, 0.0], [0.0, 1.0]])
-    bad = np.array([0.6, 0.8])
-    V = np.array([good[0], bad, good[1]])
-    lam = np.array([1.0, evaluate(cubic, [bad] * 3), 1.0])
-    with pytest.raises(ValueError) as batched:
-        solver._morse_rows(cubic.data, V, lam, 1e-8)
-    with pytest.raises(ValueError) as single:
-        classify_index(cubic, bad, lam[1])
-    assert str(batched.value) == str(single.value)
-    assert str(single.value).startswith("(v, value) is not stationary enough to classify: residual ")
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_unit_check_names_the_true_norm(scale):
+    # the plain sum of squares overflowed to a RuntimeWarning at 1e200 and read 0.0 at 1e-200
+    T = random_tensor((3, 3, 3), 1, symmetric=True)
+    v = [scale, 0.0, 0.0]
+    for check in (lambda: residual_eigen(T, v, 1.0, 1), lambda: classify_index(T, v, 1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"||v||_p = {scale}")):
+            check()
 
 
 # --- dedupe ---------------------------------------------------------------
@@ -1302,6 +1369,43 @@ def test_random_starts_are_prefix_stable(dims, seed, p):
         np.testing.assert_allclose(np.sum(np.abs(W) ** p, axis=1), 1.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("p", [200.0, 600.0, 1000.0])
+def test_random_starts_are_unit_rows_at_large_p(p):
+    # the plain sum of |v|^p overflowed or underflowed: 3 of 200 rows were zero or NaN at
+    # p = 600 and 26 at p = 1000
+    (V,) = solver._random_starts(0, 200, (3,), p)
+    assert np.all(np.isfinite(V)) and np.all(np.any(V != 0, axis=1))
+    np.testing.assert_allclose([p_norm(v, p) for v in V], 1.0, rtol=1e-12)
+
+
+def test_unit_rows_keep_in_range_rows_bit_for_bit():
+    V = np.random.default_rng(5).standard_normal((40, 4))
+    V[:5] *= 1e200
+    V[5:10] *= 1e-200
+    V[10] = 0.0
+    V[11, 2] = np.nan
+    V[12, 0] = np.inf
+    bad = np.arange(40) >= 10
+    bad[13:] = False
+    for p in (1.5, 2.0, 3.0, 200.0):
+        U, ok = solver._unit_rows(V, p)
+        assert np.array_equal(ok, ~bad)
+        np.testing.assert_allclose([p_norm(u, p) for u in U[ok]], 1.0, rtol=1e-12)
+        with np.errstate(all="ignore"):
+            s = np.sum(np.abs(V) ** p, axis=1)
+        plain = np.isfinite(s) & (s >= np.finfo(float).tiny)
+        assert plain[13:].all()
+        assert U[plain].tobytes() == (V[plain] / (s[plain] ** (1.0 / p))[:, None]).tobytes()
+
+
+def test_symmetric_solve_at_large_p_warns_nothing():
+    # the ascent's plain p-norm raised "overflow encountered in power" under warnings as errors
+    pairs = generalized_eigenpairs(random_tensor((4, 4, 4), 1, symmetric=True), 0, SolverConfig(p=200.0))
+    assert pairs
+    for pt in pairs:
+        assert abs(p_norm(pt.vector, 200.0) - 1.0) <= 1e-12
+
+
 def test_matrix_pair_jacobian_is_a_broadcast_view():
     M = random_tensor((3, 4), 8).data
     _, vs = _row_blocks((3, 4), 5, seed=1)
@@ -1330,7 +1434,7 @@ def _ref_ascend(S, V0, p, sign):
     for _ in range(solver._ASCENT_ITERATIONS):
         G = gradient(V)
         W = V + sign * step[:, None] * G
-        nrm = solver._p_norm_rows(W, p)
+        nrm = np.sum(np.abs(W) ** p, axis=1) ** (1.0 / p)
         ok = np.isfinite(nrm) & (nrm > 1e-300)
         W[ok] /= nrm[ok, None]
         W[~ok] = V[~ok]
