@@ -667,6 +667,31 @@ def test_classification_in_a_solve_contracts_nothing(monkeypatch):
     assert calls == ["jac"]
 
 
+def test_batched_classification_rejects_nonstationary_row(cubic, monkeypatch):
+    # the batch is classified without a residual check of its own: a row the Newton
+    # runs leave nonstationary must be dropped at acceptance, before _morse_rows sees it
+    bad = np.array([0.6, 0.8])
+    lam = evaluate(cubic, [bad] * 3)
+    newton = solver._damped_newton
+    injected = []
+
+    def with_bad_row(z0, *args, **kwargs):
+        z = newton(z0, *args, **kwargs)
+        if not injected:  # the search's Newton run; the continuum check may run its own
+            injected.append(True)
+            z = np.concatenate([z, [[*bad, lam]]])
+        return z
+
+    monkeypatch.setattr(solver, "_damped_newton", with_bad_row)
+    pairs, _, V = _solve_with_morse_inputs(cubic, CFG, monkeypatch)
+    assert injected and pairs
+    assert np.min(np.linalg.norm(V - bad, axis=1)) > 1e-3
+    assert all(pt.residual <= CFG.gradient_tolerance for pt in pairs)
+    with pytest.raises(ValueError) as single:
+        classify_index(cubic, bad, lam)
+    assert str(single.value).startswith("(v, value) is not stationary enough to classify: residual ")
+
+
 def test_batched_classification_of_degenerate_points():
     T = DenseTensor(np.eye(3))
     V = np.random.default_rng(4).standard_normal((9, 3))
