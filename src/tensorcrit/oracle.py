@@ -102,7 +102,7 @@ def svd_small(A):
     """Singular values (descending) and vectors via the Gram matrix.
 
     Uses jacobi_eigen on A^T A; left vectors are A v / sigma, completed by
-    Gram-Schmidt when sigma is numerically zero.
+    Gram-Schmidt when sigma is numerically zero relative to the scale of A.
     """
     A = np.array(A, dtype=float)
     if A.ndim != 2:
@@ -110,6 +110,9 @@ def svd_small(A):
     m, n = A.shape
     if max(m, n) > 32:
         raise ValueError("svd_small is meant for m, n <= 32")
+    # work on A / 2^e, exact, so that the zero test is relative and A^T A cannot overflow
+    e = math.frexp(float(np.max(np.abs(A), initial=0.0)))[1]
+    A = np.ldexp(A, -e)
     G = A.T @ A
     w, V = jacobi_eigen((G + G.T) / 2)
     order = np.argsort(w, kind="stable")[::-1]
@@ -133,7 +136,7 @@ def svd_small(A):
                 if nn > best_norm:
                     best, best_norm = cand, nn
             U[:, j] = best / best_norm
-    return sigma, U, V
+    return np.ldexp(sigma, e), U, V
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,17 @@ def test_svd_reconstruction(seed):
     )
 
 
+@pytest.mark.parametrize("c", [1e-14, 1e-20, 1e150])
+def test_svd_is_scale_equivariant(c):
+    # the zero test is relative: tiny singular values keep their true left vectors
+    A = random_tensor((3, 4), 1).data
+    s1, _, _ = svd_small(A)
+    s, U, V = svd_small(c * A)
+    np.testing.assert_allclose(s, c * s1, rtol=1e-12)
+    assert np.linalg.norm((c * A) @ V - U * s) <= 1e-12 * s[0]
+    np.testing.assert_allclose(U.T @ U, np.eye(3), atol=1e-12)
+
+
 def test_circle_cubic_complete_set(cubic):
     cs = circle_critical_points(cubic)
     assert cs.complete

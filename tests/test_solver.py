@@ -1469,8 +1469,6 @@ def _ref_ascend(S, V0, p, sign):
         f[better] = fW[better]
         step[better] = np.minimum(step[better] * solver._STEP_GROW, 10.0)
         step[~better] *= solver._STEP_SHRINK
-        if np.all(step < 1e-12):
-            break
     return V
 
 
@@ -1493,9 +1491,34 @@ def test_ascent_makes_one_contraction_per_iteration(shape, p, caplog):
     # one signed ascent equals one ascent per sign, bit for bit
     for S in (random_tensor(shape, 6, symmetric=True).data, symmetrize(random_tensor(shape, 6)).data):
         V0, V, contractions, iters = _signed_ascent(caplog, S, p)
-        assert 1 <= iters <= 60 and contractions == iters + 1
+        assert iters == solver._ASCENT_ITERATIONS and contractions == iters + 1
         ref = np.concatenate([_ref_ascend(S, V0, p, 1.0), _ref_ascend(S, V0, p, -1.0)])
         assert V.tobytes() == ref.tobytes()
+
+
+def _alternating_line(caplog, data, starts, p):
+    """(endpoints, sweeps, rows moved in the last sweep, radius, rows) of one logged alternating ascent."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        ends = solver._alternating_ascent(data, starts, p)
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("alternating ascent")]
+    pattern = r"alternating ascent: (\d+) sweeps, (\d+) rows moved more than (\S+) in the last, (\d+) rows"
+    m = re.fullmatch(pattern, line)
+    return ends, int(m[1]), int(m[2]), float(m[3]), int(m[4])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("shape", [(4, 5, 6), (3, 3, 3), (2, 3, 4, 3), (5, 6)])
+def test_alternating_ascent_logs_its_last_sweep(shape, p, caplog, monkeypatch):
+    data = random_tensor(shape, 8).data
+    starts = solver._random_starts(3, 50, shape, p)
+    ends, sweeps, moved, radius, rows = _alternating_line(caplog, data, starts, p)
+    assert (sweeps, radius, rows) == (solver._ALTERNATING_SWEEPS, solver._LEADER_RADIUS, 50)
+    # the rows that moved are those whose tuple one sweep fewer lies farther than the radius
+    monkeypatch.setattr(solver, "_ALTERNATING_SWEEPS", sweeps - 1)
+    before, *_ = _alternating_line(caplog, data, starts, p)
+    step = np.linalg.norm(np.concatenate(ends, axis=1) - np.concatenate(before, axis=1), axis=1)
+    assert moved == np.count_nonzero(step > radius)
 
 
 def _eigen_stages(T, monkeypatch, caplog):
@@ -1618,6 +1641,13 @@ def test_default_effort_finds_the_extreme_values(shape):
 
 def test_default_effort_finds_the_largest_singular_value():
     T = random_tensor((4, 5, 6), 141000)
+    best = singular_tuples(T, SolverConfig(restarts=3200))[0].sigma
+    assert singular_tuples(T)[0].sigma == pytest.approx(best, abs=1e-9)
+
+
+def test_short_alternating_ascent_keeps_the_largest_singular_value():
+    # a seed first tried after the sweeps were cut from 40 to 10
+    T = random_tensor((4, 5, 6), 142000)
     best = singular_tuples(T, SolverConfig(restarts=3200))[0].sigma
     assert singular_tuples(T)[0].sigma == pytest.approx(best, abs=1e-9)
 
@@ -1797,6 +1827,14 @@ def test_singular_rank_one_matrix():
     assert sigmas == [0.0, 2.0]
     for t in tuples:
         assert t.degenerate == (t.sigma <= 1e-6)
+
+
+def test_singular_degenerate_flag_at_large_entries():
+    # the flag compares sigma with the tensor's 2-norm, which must not overflow to inf
+    data = 1e160 * random_tensor((3, 3), 1).data
+    tuples = singular_tuples(DenseTensor(data), SolverConfig(restarts=8, gradient_tolerance=1e152))
+    assert tuples and tuples[0].sigma == pytest.approx(np.linalg.svd(data, compute_uv=False)[0], rel=1e-9)
+    assert not any(t.degenerate for t in tuples)
 
 
 def test_singular_tuple_contracts():
