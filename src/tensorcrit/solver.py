@@ -56,8 +56,12 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # Effort caps and step control of the search.  Newton steps are damped as
-# _damped_newton describes, with the Armijo fraction _ARMIJO_SLOPE * alpha; a
-# row retires after _CREEP_ITERATIONS consecutive accepted steps of length at
+# _damped_newton describes, with the Armijo fraction _ARMIJO_SLOPE * alpha, over
+# the _MAX_BACKTRACKS step lengths 2^0..2^-24.  About one row in ten whose full
+# step fails needs a step below 2^-15 (near singular Jacobians), so those steps
+# get a call of their own rather than nine more trial rows on every such row;
+# dropping them loses critical points.
+# A row retires after _CREEP_ITERATIONS consecutive accepted steps of length at
 # most _CREEP_STEP.
 # An ascent climbs from the first _ASCENT_STARTS starts only: gradient flow
 # reaches the extrema it seeds from almost every start, and Newton polishes all
@@ -422,14 +426,14 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
 
     Each row takes the longest step alpha * dz, alpha in 2^0, 2^-1, ...,
     2^-(_MAX_BACKTRACKS-1), that passes the Armijo test; a row with no such
-    alpha, or a non-finite Newton step, stalls.  The step lengths are tried
-    in doubling blocks (2^0; 2^-1..2^-2; 2^-3..2^-6; ...), one state_fn call
-    per block on every row still searching, so an iteration makes at most
-    ceil(log2(_MAX_BACKTRACKS + 1)) calls.  The alphas are exact powers of
-    two and state_fn works row by row, so the outcome is bit-identical to
-    trying the halvings one at a time.  ``steps(J, F)`` gives the Newton
-    steps of the active rows: _newton_steps, or _min_norm_steps where a
-    solution set may be positive-dimensional.
+    alpha, or a non-finite Newton step, stalls.  An iteration makes at most
+    three state_fn calls, each stacking its step lengths on the rows for which
+    no longer step passed: the full step on every active row, then
+    2^-1..2^-15, then the rest down to the floor.  The alphas are exact powers
+    of two and state_fn works row by row, so the outcome is bit-identical to
+    trying the halvings one at a time.  ``steps(J, F)`` gives the Newton steps
+    of the active rows: _newton_steps, or _min_norm_steps where a solution set
+    may be positive-dimensional.
     """
     target = 0.05 * gtol
     z = z0.copy()
@@ -437,6 +441,7 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
     calls, trial_rows, newton_iters = 1, 0, 0
     stalled = ~np.isfinite(Fn)
     creep = np.zeros(len(z), dtype=int)  # consecutive accepted steps with alpha <= _CREEP_STEP
+    batches = np.split(np.ldexp(1.0, -np.arange(_MAX_BACKTRACKS)), [1, 16])
     for _ in range(_NEWTON_ITERATIONS):
         active = np.flatnonzero((Fn > target) & ~stalled & (creep < _CREEP_ITERATIONS))
         if active.size == 0:
@@ -447,10 +452,9 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
         dz = steps(jac_fn(za), F[active])
         searching = np.flatnonzero(np.all(np.isfinite(dz), axis=1))
         stalled[active] = True  # until one of its step lengths passes
-        first = 0
-        while searching.size and first < _MAX_BACKTRACKS:
-            last = min(2 * first + 1, _MAX_BACKTRACKS)
-            alphas = np.ldexp(1.0, -np.arange(first, last))
+        for alphas in batches:
+            if not (searching.size and alphas.size):
+                break
             zt = za[searching, None] + alphas[:, None] * dz[searching, None]
             Ft, Fnt = state_fn(zt.reshape(-1, za.shape[1]))
             calls += 1
@@ -467,7 +471,6 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
             stalled[rows] = False
             creep[rows] = np.where(alphas[longest] <= _CREEP_STEP, creep[rows] + 1, 0)
             searching = searching[~hit]
-            first = last
     log.debug(
         "damped Newton: %d iterations, %d state calls, %d step-length rows; "
         "%d of %d rows converged, %d stalled, %d retired",

@@ -34,6 +34,7 @@ def test_readme_states_the_fixed_search_constants():
     (sentence,) = re.findall(r"The step controls, .*? are fixed\.", text)
     stated = {
         "_NEWTON_ITERATIONS": r"(\d+) Newton iterations",
+        "_MAX_BACKTRACKS": r"(\d+) step lengths",
         "_ASCENT_ITERATIONS": r"(\d+) ascent iterations",
         "_ALTERNATING_SWEEPS": r"(\d+) alternating sweeps",
         "_ASCENT_STARTS": r"(\d+) ascent starts",

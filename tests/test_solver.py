@@ -929,9 +929,9 @@ def test_clusterer_property_matches_greedy_loops(cloud):
 
 
 # --- damped Newton line search ---------------------------------------------
-# Brute-force copy of the sequential-halving loop that the blocked line search
-# replaced, with the same retirement of creeping rows; the new code must
-# return the same bits.
+# Brute-force copy of the sequential-halving loop that the batched line
+# search replaced, with the same retirement of creeping rows; the new code
+# must return the same bits.
 
 
 def _ref_damped_newton(z0, state_fn, jac_fn, gtol):
@@ -981,7 +981,10 @@ def _ref_damped_newton(z0, state_fn, jac_fn, gtol):
     return z
 
 
-BACKTRACKS = [0, 1, 2, 3, 7, 8, 25, 26]  # both sides of every block edge
+# no step (0); the full step alone, so the other batches are empty (1); a
+# second batch cut short by the floor (2, 3, 7, 8); the edge between the second
+# and third batches (15, 16, 17); both sides of the shipped floor (25, 26)
+BACKTRACKS = [0, 1, 2, 3, 7, 8, 15, 16, 17, 25, 26]
 
 
 def _form_values(data, vs):
@@ -1085,6 +1088,14 @@ def _toy_jac(z):
     return J
 
 
+def _longest_step_row(e):
+    """A _toy_state row whose longest passing alpha is 2^e.
+
+    From x = 3/2, alpha / s = 4/3 passes and alpha / s = 8/3 fails.
+    """
+    return [1.5, 0.5, 3 * 2.0 ** (e - 2)]
+
+
 def _toy_rows(singular):
     rng = np.random.default_rng(5)
     rows = [
@@ -1096,10 +1107,13 @@ def _toy_rows(singular):
         [0.6, 0.5, -0.3],
     ]
     # s << 1 overshoots into the non-finite region, so the accepted alpha
-    # falls in every block, down to about 2^-19 for s = 1e-6
+    # ranges over the step lengths, down to about 2^-19 for s = 1e-6
     for s in (1.0, 0.7, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6):
         for x in rng.uniform(-1.9, 1.9, size=(3, 2)):
             rows.append([x[0], x[1], s])
+    # the ends of the second and third batches of step lengths at the shipped
+    # floor, and one step length beyond it
+    rows += [_longest_step_row(e) for e in (-15, -16, -24, -25)]
     if singular:
         rows.append([1.2, 0.1, 0.0])  # a singular Jacobian sends the batch to pinv
     return np.array(rows)
@@ -1116,6 +1130,15 @@ def test_line_search_edge_rows_match_sequential_halving(max_backtracks, singular
     assert np.array_equal(got[:6], z0[:6])  # converged, non-finite, bad step, uphill
     moved = np.any(got[6:39] != z0[6:39], axis=1)
     assert moved.all() if max_backtracks >= 20 else not moved.all()
+
+
+def test_line_search_floor_is_two_to_the_minus_24():
+    z0 = _toy_rows(singular=False)
+    args = (_toy_state, _toy_jac, CFG.gradient_tolerance)
+    got = solver._damped_newton(z0, *args)
+    assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
+    # longest passing step lengths 2^-15, 2^-16 and 2^-24 move; 2^-25 does not
+    assert np.all(got[-4:-1, 0] != z0[-4:-1, 0]) and np.array_equal(got[-1], z0[-1])
 
 
 def _creep_state(z):
@@ -1212,11 +1235,10 @@ def test_line_search_state_calls_per_newton_iteration(monkeypatch):
     monkeypatch.setattr(solver, "_lagrange_fns", counted_fns)
     monkeypatch.setattr(solver, "_damped_newton", counted(solver._damped_newton, "newton"))
     singular_tuples(random_tensor((4, 5, 6), 5))
-    blocks = math.ceil(math.log2(solver._MAX_BACKTRACKS + 1))
-    assert blocks == 5
-    # one polish; one Jacobian per Newton iteration and one initial state call
+    # one polish; one Jacobian per Newton iteration, at most three state calls
+    # (one per batch of step lengths) and one initial state call
     assert counts["newton"] == 1 and counts["jac"] > 0
-    assert counts["state"] <= blocks * counts["jac"] + counts["newton"]
+    assert counts["state"] <= 3 * counts["jac"] + counts["newton"]
 
 
 def test_newton_effort_is_logged_at_debug(caplog):
@@ -1224,7 +1246,7 @@ def test_newton_effort_is_logged_at_debug(caplog):
     with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
         singular_tuples(T, CFG)
     iters, calls, trials, converged, rows, stalled, retired = _newton_counts(caplog)
-    assert 1 <= calls <= 5 * iters + 1
+    assert 1 <= calls <= 3 * iters + 1
     assert calls - 1 <= trials
     assert converged + stalled + retired <= rows
     # one polish: the leaders of the ascent from the first starts, then all the raw starts
