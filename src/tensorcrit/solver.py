@@ -10,7 +10,7 @@ a mode-i eigenpair (v, lam) is its one-sphere case, g = mode_gradient(T,
 driver, _search, runs both multi-start searches, each stage once over all
 its rows: an ascent from the first _ASCENT_STARTS starts (eigenpairs:
 projected gradient with a sign per row; tuples: alternating best responses),
-which seeds the extrema, one damped Newton from the ascent's leaders and all
+which seeds the extrema, one damped Newton from the ascent's endpoints and all
 the raw starts (which reach saddles), one residual-based acceptance, the
 sign group (each eigenpair's antipode; sigma >= 0 for a tuple),
 deduplication, the count cap and the continuum check.  A mode
@@ -64,22 +64,21 @@ log = logging.getLogger(__name__)
 # A row retires after _CREEP_ITERATIONS consecutive accepted steps of length at
 # most _CREEP_STEP.
 # An ascent climbs from the first _ASCENT_STARTS starts only: gradient flow
-# reaches the extrema it seeds from almost every start, and Newton polishes all
-# the starts.  Its endpoints only seed Newton, so each ascent runs a fixed
-# _ASCENT_ITERATIONS projected-gradient iterations (_ALTERNATING_SWEEPS sweeps
-# for singular tuples): on fresh tensors 60 iterations found no more oracle
-# points than 15, nor 40 sweeps a larger sigma than 10.
+# reaches the extrema it seeds from almost every start, and Newton polishes
+# every endpoint and every start.  The endpoints only seed Newton, so each
+# ascent runs a fixed _ASCENT_ITERATIONS projected-gradient iterations
+# (_ALTERNATING_SWEEPS sweeps for singular tuples): on fresh tensors 60
+# iterations found no more oracle points than 15, nor 40 sweeps a larger sigma
+# than 10.
 # Ascent steps start at _INITIAL_STEP, grow by _STEP_GROW after an
 # improvement and shrink by _STEP_SHRINK otherwise.  Points closer than
-# _DEDUPE_TOLERANCE count as one; Newton polishes one leader per _LEADER_RADIUS
-# cluster of ascent endpoints, and _leaders settles its greedy _LEADER_BLOCK
-# rows at a time.
+# _DEDUPE_TOLERANCE count as one, and _leaders settles dedupe's greedy
+# _LEADER_BLOCK rows at a time.
 _NEWTON_ITERATIONS = 60
 _ASCENT_ITERATIONS = 15
 _ASCENT_STARTS = 64
 _ALTERNATING_SWEEPS = 10
 _DEDUPE_TOLERANCE = 1e-6
-_LEADER_RADIUS = 1e-3
 _LEADER_BLOCK = 64
 _INITIAL_STEP = 0.25
 _STEP_GROW = 1.3
@@ -723,9 +722,9 @@ def _search(config, dims, grads, blocks, ascend, act, merge_tol, cap, noun):
     """The multi-start search on the product of the unit p-spheres of dims.
 
     ``ascend`` takes the first _ASCENT_STARTS starts, one array of rows per
-    sphere, to endpoints; Newton polishes their leaders and every start.  The
-    starts are prefix-stable, so above _ASCENT_STARTS restarts the leaders do
-    not depend on the restart count.
+    sphere, to endpoints; Newton polishes every endpoint, then every start.
+    The starts are prefix-stable, so above _ASCENT_STARTS restarts the
+    endpoints do not depend on the restart count.
     ``act(Ws, value, resid, mults)`` applies the sign group to the accepted
     rows and also returns ``found``, each row's value as accepted.  Returns
     (Ws, value, resid, mults, found, J), J the bordered Jacobians, of the rows
@@ -736,8 +735,7 @@ def _search(config, dims, grads, blocks, ascend, act, merge_tol, cap, noun):
     state, jac = _lagrange_fns(dims, p, grads, blocks)
     starts = _random_starts(config.seed, config.restarts, dims, p)
     ends = ascend([S[:_ASCENT_STARTS] for S in starts])
-    lead = _leaders(np.concatenate(ends, axis=1), _LEADER_RADIUS)
-    Ws = [np.concatenate([E[lead], W]) for E, W in zip(ends, starts)]
+    Ws = [np.concatenate([E, W]) for E, W in zip(ends, starts)]
     # every multiplier starts at the value f(w) = <g_k, w_k>
     s0 = np.repeat(_dot_rows(grads(Ws)[-1], Ws[-1])[:, None], len(dims), axis=1)
     z = _damped_newton(np.concatenate(Ws + [s0], axis=1), state, jac, gtol)
@@ -890,10 +888,10 @@ def _alternating_ascent(data, Ws0, p):
             with np.errstate(all="ignore"):
                 U, ok = _unit_rows(_phi_rows(G, q), p)
             Ws[i][ok] = U[ok]
-    moved = np.linalg.norm(np.concatenate(Ws, axis=1) - before, axis=1) > _LEADER_RADIUS
+    moved = np.linalg.norm(np.concatenate(Ws, axis=1) - before, axis=1)
     log.debug(
-        "alternating ascent: %d sweeps, %d rows moved more than %g in the last, %d rows",
-        _ALTERNATING_SWEEPS, np.count_nonzero(moved), _LEADER_RADIUS, len(moved),
+        "alternating ascent: %d sweeps, largest move %.3g in the last, %d rows",
+        _ALTERNATING_SWEEPS, np.max(moved), len(moved),
     )
     return Ws
 

@@ -2,13 +2,17 @@
 
 The paper defines eigenpairs and singular tuples without a basis.  So under
 the 2-norm the pairs of T.(Q, ..., Q), for an orthogonal Q, are the (Qv, lam)
-of the pairs (v, lam) of T, with the same Morse indices; the tuples of
-T.(Q_1, ..., Q_k) are the (Q_1 v_1, ..., Q_k v_k, sigma); and permuting T's
-modes permutes each tuple's vectors.  Gaussian starts are rotation-invariant
-only in distribution, so the transformed solve is an independent search and
-a mismatch means that one of the two sets is incomplete.  The cases here
-are complete at the effort they use; 6^3 and 4x5x6 are not at test effort.
-The sphere oracle returns complete sets, so its rotation cases take 6^3 too.
+of the pairs (v, lam) of T, in every mode, with the same Morse indices in the
+symmetric one; the tuples of T.(Q_1, ..., Q_k) are the (Q_1 v_1, ..., Q_k v_k,
+sigma); and permuting T's modes permutes each tuple's vectors.  A p-norm with
+p != 2 is kept only by the signed permutations, so under it they still map the
+pairs onto each other, while a generic rotation changes the values: the basis
+dependence of the p-norm that the paper points at.  Gaussian starts are
+rotation-invariant only in distribution, so the transformed solve is an
+independent search and a mismatch means that one of the two sets is
+incomplete.  The cases here are complete at the effort they use; 6^3 and
+4x5x6 are not at test effort.  The sphere oracle returns complete sets, so
+its rotation cases take 6^3 too.
 """
 
 import numpy as np
@@ -17,6 +21,8 @@ import pytest
 from tensorcrit import (
     DenseTensor,
     SolverConfig,
+    generalized_eigenpairs,
+    mode_eigenpairs,
     random_tensor,
     singular_tuples,
     sphere_critical_points,
@@ -38,12 +44,24 @@ def _transform(data, Qs):
     return data
 
 
+def _signed_permutation(rng, n):
+    return rng.permutation(np.eye(n)) * rng.choice([-1.0, 1.0], n)
+
+
 def _match(dist):
     """The column within TOL of each row; asserts that rows and columns pair off one to one."""
     close = dist <= TOL
     assert close.shape[0] == close.shape[1], f"{close.shape[0]} points against {close.shape[1]}"
     assert np.all(close.sum(axis=1) == 1) and np.all(close.sum(axis=0) == 1)
     return np.argmax(close, axis=1)
+
+
+def _match_pairs(pairs, turned, Q):
+    """Pairs each (Qv, lam) of pairs with one (v, lam) of turned; returns the match."""
+    assert pairs and turned
+    A = np.array([np.append(Q @ pt.vector, pt.value) for pt in pairs])
+    B = np.array([np.append(pt.vector, pt.value) for pt in turned])
+    return _match(np.max(np.abs(A[:, None] - B[None]), axis=2))
 
 
 def _class_distance(A, B):
@@ -74,7 +92,15 @@ def _classes(tuples, order=None):
 
 
 @pytest.mark.parametrize(
-    "shape, seed", [((3, 3, 3), 70), ((3, 3, 3), 71), ((4, 4, 4), 72), ((4, 4, 4), 73), ((3, 3, 3, 3), 74)]
+    "shape, seed",
+    [
+        ((3, 3, 3), 70),
+        ((3, 3, 3), 71),
+        ((4, 4, 4), 72),
+        ((4, 4, 4), 73),
+        ((3, 3, 3, 3), 74),
+        ((2, 2, 2, 2, 2), 89),
+    ],
 )
 def test_symmetric_pairs_rotate_with_the_tensor(shape, seed):
     T = random_tensor(shape, seed, symmetric=True)
@@ -82,12 +108,36 @@ def test_symmetric_pairs_rotate_with_the_tensor(shape, seed):
     cfg = SolverConfig(restarts=800, seed=seed)
     pairs = symmetric_eigenpairs(T, cfg)
     turned = symmetric_eigenpairs(DenseTensor(_transform(T.data, [Q] * len(shape))), cfg)
-    assert pairs and turned
-    A = np.array([np.append(Q @ pt.vector, pt.value) for pt in pairs])
-    B = np.array([np.append(pt.vector, pt.value) for pt in turned])
-    match = _match(np.max(np.abs(A[:, None] - B[None]), axis=2))
+    match = _match_pairs(pairs, turned, Q)
     assert [pt.index for pt in pairs] == [turned[j].index for j in match]
     assert all(pt.nondegenerate for pt in pairs + turned)
+
+
+@pytest.mark.parametrize(
+    "shape, mode, seed", [((3, 3, 3), 1, 90), ((3, 3, 3), 2, 91), ((4, 4, 4), 3, 92), ((3, 3, 3, 3), 2, 93)]
+)
+def test_mode_pairs_rotate_with_the_tensor(shape, mode, seed):
+    T = random_tensor(shape, seed)
+    Q = _orthogonal(np.random.default_rng(seed), shape[0])
+    cfg = SolverConfig(restarts=800, seed=seed)
+    pairs = mode_eigenpairs(T, mode, cfg)
+    turned = mode_eigenpairs(DenseTensor(_transform(T.data, [Q] * len(shape))), mode, cfg)
+    _match_pairs(pairs, turned, Q)
+
+
+@pytest.mark.parametrize("shape, seed", [((3, 3, 3), 94), ((3, 3, 3, 3), 95), ((4, 4, 4), 96)])
+def test_p_norm_pairs_move_with_signed_permutations_only(shape, seed):
+    T = random_tensor(shape, seed, symmetric=True)
+    rng = np.random.default_rng(seed)
+    cfg = SolverConfig(restarts=800, seed=seed, p=3.0)
+    pairs = generalized_eigenpairs(T, 0, cfg)
+    P = _signed_permutation(rng, shape[0])
+    _match_pairs(pairs, generalized_eigenpairs(DenseTensor(_transform(T.data, [P] * len(shape))), 0, cfg), P)
+    Q = _orthogonal(rng, shape[0])
+    turned = generalized_eigenpairs(DenseTensor(_transform(T.data, [Q] * len(shape))), 0, cfg)
+    values, rotated = (np.array([pt.value for pt in found]) for found in (pairs, turned))
+    # the extreme values alone already move: the 3-norm ball is not round
+    assert abs(values.max() - rotated.max()) > 1e-3 and abs(values.min() - rotated.min()) > 1e-3
 
 
 @pytest.mark.parametrize(

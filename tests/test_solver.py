@@ -1241,19 +1241,32 @@ def test_line_search_state_calls_per_newton_iteration(monkeypatch):
     assert counts["state"] <= 3 * counts["jac"] + counts["newton"]
 
 
-def test_newton_effort_is_logged_at_debug(caplog):
+def test_newton_effort_is_logged_at_debug(caplog, monkeypatch):
     T = random_tensor((3, 4, 5), 2)
+    climb, newton = solver._alternating_ascent, solver._damped_newton
+    ends, z0s = [], []
+
+    def recorded_climb(*args):
+        Ws = climb(*args)
+        ends.append(np.concatenate(Ws, axis=1))
+        return Ws
+
+    def recorded_newton(z0, *args, **kwargs):
+        z0s.append(z0)
+        return newton(z0, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_alternating_ascent", recorded_climb)
+    monkeypatch.setattr(solver, "_damped_newton", recorded_newton)
     with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
         singular_tuples(T, CFG)
     iters, calls, trials, converged, rows, stalled, retired = _newton_counts(caplog)
     assert 1 <= calls <= 3 * iters + 1
     assert calls - 1 <= trials
     assert converged + stalled + retired <= rows
-    # one polish: the leaders of the ascent from the first starts, then all the raw starts
-    starts = solver._random_starts(CFG.seed, CFG.restarts, T.shape, CFG.p)
-    ends = solver._alternating_ascent(T.data, [S[: solver._ASCENT_STARTS] for S in starts], CFG.p)
-    leaders = len(_leaders(np.concatenate(ends, axis=1), solver._LEADER_RADIUS))
-    assert leaders >= 1 and rows == leaders + CFG.restarts and converged > 0
+    # one polish: every endpoint of the ascent from the first starts, then all the raw starts
+    ((E,), (z0,)) = ends, z0s
+    assert rows == len(z0) and converged > 0
+    _assert_newton_input(z0, E, CFG.restarts, 1)
 
 
 @pytest.mark.parametrize(
@@ -1519,14 +1532,14 @@ def test_ascent_makes_one_contraction_per_iteration(shape, p, caplog):
 
 
 def _alternating_line(caplog, data, starts, p):
-    """(endpoints, sweeps, rows moved in the last sweep, radius, rows) of one logged alternating ascent."""
+    """(endpoints, sweeps, the largest move of the last sweep as logged, rows) of one logged alternating ascent."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
         ends = solver._alternating_ascent(data, starts, p)
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("alternating ascent")]
-    pattern = r"alternating ascent: (\d+) sweeps, (\d+) rows moved more than (\S+) in the last, (\d+) rows"
+    pattern = r"alternating ascent: (\d+) sweeps, largest move (\S+) in the last, (\d+) rows"
     m = re.fullmatch(pattern, line)
-    return ends, int(m[1]), int(m[2]), float(m[3]), int(m[4])
+    return ends, int(m[1]), m[2], int(m[3])
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -1534,17 +1547,17 @@ def _alternating_line(caplog, data, starts, p):
 def test_alternating_ascent_logs_its_last_sweep(shape, p, caplog, monkeypatch):
     data = random_tensor(shape, 8).data
     starts = solver._random_starts(3, 50, shape, p)
-    ends, sweeps, moved, radius, rows = _alternating_line(caplog, data, starts, p)
-    assert (sweeps, radius, rows) == (solver._ALTERNATING_SWEEPS, solver._LEADER_RADIUS, 50)
-    # the rows that moved are those whose tuple one sweep fewer lies farther than the radius
+    ends, sweeps, largest, rows = _alternating_line(caplog, data, starts, p)
+    assert (sweeps, rows) == (solver._ALTERNATING_SWEEPS, 50)
+    # the largest move is the farthest any tuple lies from where it was one sweep fewer
     monkeypatch.setattr(solver, "_ALTERNATING_SWEEPS", sweeps - 1)
     before, *_ = _alternating_line(caplog, data, starts, p)
     step = np.linalg.norm(np.concatenate(ends, axis=1) - np.concatenate(before, axis=1), axis=1)
-    assert moved == np.count_nonzero(step > radius)
+    assert largest == f"{np.max(step):.3g}"
 
 
 def _eigen_stages(T, monkeypatch, caplog):
-    """Of a mode-2 solve: (rows, whole-tensor contractions, leaders, iterations) per ascent, rows per Newton."""
+    """Of a mode-2 solve: (rows, whole-tensor contractions, endpoints, iterations) per ascent, start rows per Newton."""
     ascend, newton = solver._ascend, solver._damped_newton
     ascents, newtons = [], []
 
@@ -1552,11 +1565,11 @@ def _eigen_stages(T, monkeypatch, caplog):
         with pytest.MonkeyPatch.context() as mp:
             calls = _whole_tensor_contractions(mp, S)
             V = ascend(S, V0, p, sign)
-        ascents.append((len(V0), len(calls), len(_leaders(V, solver._LEADER_RADIUS))))
+        ascents.append((len(V0), len(calls), V))
         return V
 
     def counted_newton(z0, *args, **kwargs):
-        newtons.append(len(z0))
+        newtons.append(z0)
         return newton(z0, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_ascend", counted_ascend)
@@ -1570,12 +1583,19 @@ def _eigen_stages(T, monkeypatch, caplog):
     return [a + (i,) for a, i in zip(ascents, iters, strict=True)], newtons
 
 
+def _assert_newton_input(z0, ends, restarts, signs):
+    """Newton starts from every endpoint of the ascent over the first starts, as it left them, then every start."""
+    climbed = signs * min(restarts, solver._ASCENT_STARTS)
+    assert len(ends) == climbed and len(z0) == climbed + restarts
+    assert z0[:climbed, : ends.shape[1]].tobytes() == ends.tobytes()
+
+
 def _assert_one_ascent_and_one_newton(stages):
-    ((rows, contractions, leaders, iters),), newtons = stages
+    ((rows, contractions, ends, iters),), (z0,) = stages
     # both signs in one batch, one contraction per iteration whatever the tensor
     assert rows == 2 * CFG.restarts and contractions == iters + 1
-    # one polish: the leaders of all endpoints, both signs in one pass, then the raw starts
-    assert newtons == [leaders + CFG.restarts]
+    # one polish: all the endpoints, both signs in one pass, then the raw starts
+    _assert_newton_input(z0, ends, CFG.restarts, 2)
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -1586,7 +1606,8 @@ def test_eigen_solve_runs_one_ascent_and_one_newton(symmetric, monkeypatch, capl
     else:
         # no form has the mode pairs of a non-symmetric tensor as its critical points,
         # so there is no ascent and the one Newton polishes the raw starts alone
-        assert stages == ([], [CFG.restarts])
+        ascents, newtons = stages
+        assert ascents == [] and [len(z0) for z0 in newtons] == [CFG.restarts]
 
 
 def test_nearly_symmetric_tensor_still_climbs(monkeypatch, caplog):
@@ -1603,7 +1624,7 @@ class _Polish(Exception):
 
 
 def _capped_stages(solve, T, ascent, restarts, monkeypatch):
-    """Of one solve stopped before Newton: (rows per sphere the ascent climbed, its leaders, Newton's start rows)."""
+    """Of one solve stopped before Newton: (rows the ascent climbed, its endpoint rows, Newton's start rows)."""
     climb = getattr(solver, ascent)
     climbed = []
 
@@ -1623,7 +1644,7 @@ def _capped_stages(solve, T, ascent, restarts, monkeypatch):
     with pytest.raises(_Polish) as polish:
         solve(T, SolverConfig(restarts=restarts))
     ((climbed_rows, ends),) = climbed
-    return climbed_rows, len(_leaders(ends, solver._LEADER_RADIUS)), polish.value.args[0]
+    return climbed_rows, ends, polish.value.args[0]
 
 
 @pytest.mark.parametrize(
@@ -1637,13 +1658,13 @@ def test_ascent_climbs_only_the_first_starts(solve, T, ascent, signs, monkeypatc
     dims = T.shape[:1] if signs == 2 else T.shape
     polished = {}
     for restarts in (64, 200, 800):
-        rows, leaders, z0 = _capped_stages(solve, T, ascent, restarts, monkeypatch)
+        rows, ends, z0 = _capped_stages(solve, T, ascent, restarts, monkeypatch)
         assert rows == signs * solver._ASCENT_STARTS
-        # Newton polishes the leaders, then every raw start
-        assert len(z0) == leaders + restarts
+        # Newton polishes every endpoint as the ascent left it, then every raw start
+        _assert_newton_input(z0, ends, restarts, signs)
         starts = np.concatenate(solver._random_starts(0, restarts, dims, 2.0), axis=1)
-        assert z0[leaders:, : starts.shape[1]].tobytes() == starts.tobytes()
-        polished[restarts] = z0[:leaders].tobytes()
+        assert z0[rows:, : starts.shape[1]].tobytes() == starts.tobytes()
+        polished[restarts] = z0[:rows].tobytes()
     # the starts are prefix-stable, so more restarts only add raw starts
     assert polished[64] == polished[200] == polished[800]
 
@@ -1739,6 +1760,8 @@ def test_one_search_driver_runs_both_problems():
     # the problems hand the driver closures; no polish, acceptance, dedupe or check of their own
     stages = _top_level_callers(source, ("_damped_newton", "_leaders", "_dedupe_rows") + SEARCH_STAGES)
     assert not any({"_eigen_run", "singular_tuples"} & fns for fns in stages.values())
+    # one clusterer with one job: the search clusters nothing before Newton
+    assert stages["_leaders"] == {"_dedupe_rows"}
 
 
 def test_search_driver_guard_sees_calls_in_closures():
