@@ -295,9 +295,11 @@ def loads_tensor(text: str) -> DenseTensor:
     shape = doc["shape"]
     entries = doc["entries"]
     # JSON true/false load as bool, a subclass of int: reject them in both lists.
+    # Entries are JSON numbers only: float() would parse "1.5", and null or a
+    # nested list would fail later under a misleading message.
     if not isinstance(shape, list) or not all(type(d) is int for d in shape):
         raise ValueError('"shape" must be a list of integers')
-    if not isinstance(entries, list) or any(isinstance(x, bool) for x in entries):
+    if not isinstance(entries, list) or not all(type(x) in (int, float) for x in entries):
         raise ValueError('"entries" must be a list of numbers')
     try:
         return DenseTensor.from_flat(shape, entries)

@@ -55,9 +55,10 @@ def p_norm(x, p: float) -> float:
 
 
 def phi(x, p: float) -> np.ndarray:
-    """Componentwise signed power sgn(x_j)|x_j|^p, any p >= 0."""
-    if p < 0:
-        raise ValueError(f"signed power map needs p >= 0, got {p}")
+    """Componentwise signed power sgn(x_j)|x_j|^p, any finite p >= 0."""
+    # a NaN p fails p >= 0; an infinite one would map |x_j| > 1 to inf
+    if not (p >= 0 and math.isfinite(p)):
+        raise ValueError(f"signed power map needs a finite p >= 0, got {p}")
     arr = _as_vector(x)
     return np.sign(arr) * np.abs(arr) ** p
 

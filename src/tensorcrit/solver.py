@@ -72,8 +72,9 @@ log = logging.getLogger(__name__)
 # than 10.
 # Ascent steps start at _INITIAL_STEP, grow by _STEP_GROW after an
 # improvement and shrink by _STEP_SHRINK otherwise.  Points closer than
-# _DEDUPE_TOLERANCE count as one, and _leaders settles dedupe's greedy
-# _LEADER_BLOCK rows at a time.
+# _DEDUPE_TOLERANCE count as one.  _leaders settles dedupe's greedy
+# _LEADER_BLOCK free rows at a time, and each block's leaders take the later
+# rows close to them in chunks of at most _LEADER_BLOCK**2 // 4 candidate pairs.
 _NEWTON_ITERATIONS = 60
 _ASCENT_ITERATIONS = 15
 _ASCENT_STARTS = 64
@@ -265,6 +266,11 @@ def _dot_rows(A, B):
     return np.einsum("Za,Za->Z", A, B)
 
 
+def _row_dist(D):
+    """np.linalg.norm(D, axis=1) without its wrapper, bit for bit."""
+    return np.sqrt(np.add.reduce(D * D, axis=1))
+
+
 def _phi_rows(V, q):
     if q == 1.0:
         return V
@@ -320,47 +326,56 @@ def _leaders(X, tol):
     leader i, and the next free row leads the next cluster.  Non-finite rows
     are never leaders.
 
-    Sort and sweep: two such rows differ by at most tol in their first
-    coordinate, so only rows within reach of each other there are tested;
-    twice tol covers the rounding of the norm, and sqrt(tiny) the squared
-    differences that underflow to zero.  Rows are taken in blocks of
-    _LEADER_BLOCK.  A block's rows are tested against the leaders found so
-    far, kept sorted by first coordinate; then the greedy inside the block is
-    settled in rounds, in which a row with no earlier live close row leads
-    and a row close to an earlier leader is taken.  That is the sequential
-    greedy exactly, chains included, and no temporary grows with the square
-    of the row count or of a cluster's size.
+    Leader first: the greedy is settled _LEADER_BLOCK free rows at a time,
+    in rounds, in which a row with no earlier live close row leads and a row
+    close to an earlier leader is taken.  The block's new leaders then take
+    every later row close to them in one pass, so the next block is drawn
+    from rows no earlier leader can take; on tight clusters one or two
+    blocks settle every row.  That is the sequential greedy exactly, chains
+    included.  Sort and sweep: two close rows differ by at most tol in
+    their first coordinate, so only rows within reach of each other there
+    are tested; twice tol covers the rounding of the norm, and sqrt(tiny)
+    the squared differences that underflow to zero.  The pass runs in
+    chunks of at most _LEADER_BLOCK**2 / 4 candidate pairs, so no temporary
+    grows with the square of the row count or of a cluster's size.
     """
     reach = 2.0 * tol + np.sqrt(np.finfo(float).tiny)
-    lead = np.empty(0, dtype=int)  # the leaders so far, sorted by first coordinate
-    lead_x = np.empty(0)
-    found = [lead]
-    rows = np.flatnonzero(np.all(np.isfinite(X), axis=1))
-    for start in range(0, len(rows), _LEADER_BLOCK):
-        block = rows[start : start + _LEADER_BLOCK]
+    found = [np.empty(0, dtype=int)]
+    free = np.flatnonzero(np.all(np.isfinite(X), axis=1))
+    while free.size:
+        block, free = free[:_LEADER_BLOCK], free[_LEADER_BLOCK:]
         x = X[block, 0]
-        # the candidate pairs (block row q, leader at sorted position pos) within reach
-        lo = np.searchsorted(lead_x, x - reach, side="left")
-        count = np.searchsorted(lead_x, x + reach, side="right") - lo
-        q = np.repeat(np.arange(len(block)), count)
-        pos = np.arange(len(q)) + np.repeat(lo - (np.cumsum(count) - count), count)
-        close = np.linalg.norm(X[block[q]] - X[lead[pos]], axis=1) <= tol
-        free = np.ones(len(block), dtype=bool)
-        free[q[close]] = False
-        block, x = block[free], x[free]
         # C[a, b]: a before b in the block and close to it
         C = np.triu(np.abs(x[:, None] - x) <= reach, 1)
         a, b = np.nonzero(C)
-        C[a, b] = np.linalg.norm(X[block[b]] - X[block[a]], axis=1) <= tol
+        C[a, b] = _row_dist(X[block[b]] - X[block[a]]) <= tol
         undecided = np.ones(len(block), dtype=bool)
         leads = np.zeros(len(block), dtype=bool)
         while undecided.any():
             leads |= undecided & ~np.any(C & (undecided | leads)[:, None], axis=0)
             undecided &= ~(leads | np.any(C & leads[:, None], axis=0))
-        found.append(block[leads])
-        lead = np.concatenate([lead, block[leads]])
-        lead = lead[np.argsort(X[lead, 0], kind="stable")]
-        lead_x = X[lead, 0]
+        new = block[leads]
+        found.append(new)
+        if not free.size:
+            break
+        # the candidate pairs (free row, new leader at sorted position) within reach
+        new = new[np.argsort(X[new, 0], kind="stable")]
+        lead_x, free_x = X[new, 0], X[free, 0]
+        lo = np.searchsorted(lead_x, free_x - reach, side="left")
+        count = np.searchsorted(lead_x, free_x + reach, side="right") - lo
+        ends = np.cumsum(count)
+        taken = np.zeros(len(free), dtype=bool)
+        # in chunks of whole rows with at most _LEADER_BLOCK**2 // 4 pairs in all; one row
+        # has at most _LEADER_BLOCK, one per new leader
+        start, done = 0, 0  # the first row of the chunk, and the pairs before it
+        while start < len(free):
+            stop = np.searchsorted(ends, done + _LEADER_BLOCK**2 // 4, side="right")
+            c = count[start:stop]
+            q = np.repeat(np.arange(start, stop), c)
+            pos = np.arange(len(q)) + np.repeat(lo[start:stop] - (ends[start:stop] - c - done), c)
+            taken[q[_row_dist(X[free[q]] - X[new[pos]]) <= tol]] = True
+            start, done = stop, ends[stop - 1]
+        free = free[~taken]
     return np.concatenate(found)
 
 
@@ -426,31 +441,51 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
     Each row takes the longest step alpha * dz, alpha in 2^0, 2^-1, ...,
     2^-(_MAX_BACKTRACKS-1), that passes the Armijo test; a row with no such
     alpha, or a non-finite Newton step, stalls.  An iteration makes at most
-    three state_fn calls, each stacking its step lengths on the rows for which
-    no longer step passed: the full step on every active row, then
-    2^-1..2^-15, then the rest down to the floor.  The alphas are exact powers
-    of two and state_fn works row by row, so the outcome is bit-identical to
-    trying the halvings one at a time.  ``steps(J, F)`` gives the Newton steps
-    of the active rows: _newton_steps, or _min_norm_steps where a solution set
-    may be positive-dimensional.
+    three state_fn calls, each on the rows for which no longer step passed:
+    the full step z + dz on every active row, checked by one comparison per
+    row, then 2^-1..2^-15 stacked on the rows whose full step failed, then
+    the rest down to the floor (when some row's step is not finite, the
+    others take the full step in the stacked form too).  The alphas are exact
+    powers of two, 1.0 * dz is dz, and state_fn works row by row, so the
+    outcome is bit-identical to trying the halvings one at a time.
+    ``steps(J, F)`` gives the Newton steps of the active rows: _newton_steps,
+    or _min_norm_steps where a solution set may be positive-dimensional.
+
+    Rows only ever leave the active set, so its points, residuals, norms and
+    creep counts are carried compacted from one iteration to the next; a row
+    is written back to the full arrays when it leaves (converged, stalled or
+    retired) and the rest once at the end.
     """
     target = 0.05 * gtol
     z = z0.copy()
     F, Fn = state_fn(z)
     calls, trial_rows, newton_iters = 1, 0, 0
-    stalled = ~np.isfinite(Fn)
     creep = np.zeros(len(z), dtype=int)  # consecutive accepted steps with alpha <= _CREEP_STEP
-    batches = np.split(np.ldexp(1.0, -np.arange(_MAX_BACKTRACKS)), [1, 16])
+    rows = np.flatnonzero((Fn > target) & np.isfinite(Fn))  # the active rows; the rest never move
+    za, Fa, fa, ca = z[rows], F[rows], Fn[rows], creep[rows]
+    full, *shorter = np.split(np.ldexp(1.0, -np.arange(_MAX_BACKTRACKS)), [1, 16])
     for _ in range(_NEWTON_ITERATIONS):
-        active = np.flatnonzero((Fn > target) & ~stalled & (creep < _CREEP_ITERATIONS))
-        if active.size == 0:
+        if rows.size == 0:
             break
         newton_iters += 1
-        za = z[active]
-        Fa = Fn[active]
-        dz = steps(jac_fn(za), F[active])
-        searching = np.flatnonzero(np.all(np.isfinite(dz), axis=1))
-        stalled[active] = True  # until one of its step lengths passes
+        dz = steps(jac_fn(za), Fa)
+        finite = np.all(np.isfinite(dz), axis=1)  # a row with a non-finite step stalls
+        # every active norm fa is finite, so a non-finite trial norm fails each Armijo test
+        if full.size and finite.all():
+            # the usual case: 1.0 * dz is exact, so the full step is za + dz, one test per row
+            zt = za + dz
+            Ft, Fnt = state_fn(zt)
+            calls += 1
+            trial_rows += Fnt.size
+            moved = Fnt <= (1.0 - _ARMIJO_SLOPE) * fa
+            np.copyto(za, zt, where=moved[:, None])
+            np.copyto(Fa, Ft, where=moved[:, None])
+            np.copyto(fa, Fnt, where=moved)
+            ca[moved] = 0  # a full step never creeps
+            searching, batches = np.flatnonzero(~moved), shorter
+        else:
+            moved = np.zeros(rows.size, dtype=bool)
+            searching, batches = np.flatnonzero(finite), [full] + shorter
         for alphas in batches:
             if not (searching.size and alphas.size):
                 break
@@ -460,21 +495,28 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
             trial_rows += Fnt.size
             Ft = Ft.reshape(zt.shape[:2] + Ft.shape[1:])
             Fnt = Fnt.reshape(zt.shape[:2])
-            ok = np.isfinite(Fnt) & (Fnt <= (1.0 - _ARMIJO_SLOPE * alphas) * Fa[searching, None])
+            ok = Fnt <= (1.0 - _ARMIJO_SLOPE * alphas) * fa[searching, None]
             hit = ok.any(axis=1)
             longest = np.argmax(ok[hit], axis=1)
-            rows = active[searching[hit]]
-            z[rows] = zt[hit, longest]
-            F[rows] = Ft[hit, longest]
-            Fn[rows] = Fnt[hit, longest]
-            stalled[rows] = False
-            creep[rows] = np.where(alphas[longest] <= _CREEP_STEP, creep[rows] + 1, 0)
+            took = searching[hit]
+            za[took], Fa[took], fa[took] = zt[hit, longest], Ft[hit, longest], Fnt[hit, longest]
+            ca[took] = np.where(alphas[longest] <= _CREEP_STEP, ca[took] + 1, 0)
+            moved[took] = True
             searching = searching[~hit]
+        keep = moved & (fa > target) & (ca < _CREEP_ITERATIONS)
+        if not keep.all():
+            out = ~keep
+            left = rows[out]
+            z[left], Fn[left], creep[left] = za[out], fa[out], ca[out]
+            rows, za, Fa, fa, ca = rows[keep], za[keep], Fa[keep], fa[keep], ca[keep]
+    z[rows], Fn[rows], creep[rows] = za, fa, ca
+    converged = np.count_nonzero(Fn <= target)
+    retired = np.count_nonzero((Fn > target) & (creep >= _CREEP_ITERATIONS))
     log.debug(
         "damped Newton: %d iterations, %d state calls, %d step-length rows; "
         "%d of %d rows converged, %d stalled, %d retired",
-        newton_iters, calls, trial_rows, np.count_nonzero(Fn <= target), Fn.size,
-        np.count_nonzero(stalled), np.count_nonzero((Fn > target) & (creep >= _CREEP_ITERATIONS)),
+        newton_iters, calls, trial_rows, converged, Fn.size,
+        Fn.size - converged - retired - rows.size, retired,  # a row still active at the cap is none of these
     )
     return z
 
@@ -503,11 +545,13 @@ def _lagrange_fns(dims, p, grads, blocks):
 
     def state(z):
         W = z[:, :total]
+        F = np.empty((len(z), size))
         with np.errstate(all="ignore"):
-            G = np.concatenate(grads([z[:, c] for c in cols]), axis=1)
-            cons = (np.add.reduceat(np.abs(W) ** p, starts, axis=1) - 1.0) / p
-            F = np.concatenate([G - z[:, border] * _phi_rows(W, p - 1.0), cons], axis=1)
-            return F, np.linalg.norm(F, axis=1)
+            Phi = _phi_rows(W, p - 1.0)
+            for i, (c, g) in enumerate(zip(cols, grads([z[:, c] for c in cols]))):
+                np.subtract(g, z[:, total + i, None] * Phi[:, c], out=F[:, c])  # g_i - s_i * phi(w_i)
+            np.divide(np.add.reduceat(np.abs(W) ** p, starts, axis=1) - 1.0, p, out=F[:, total:])
+            return F, _row_dist(F)
 
     def jac(z):
         W = z[:, :total]
@@ -551,7 +595,10 @@ def _ascend(S, V0, p, sign):
     <g, v> and its gradient is k * g: one contraction chain per iteration.
     ``sign`` holds +1 or -1 per row.  An accepted trial point carries its
     gradient into the next iteration, and row independence makes that
-    bit-identical to a fresh one.
+    bit-identical to a fresh one.  The rows that improved take their trial
+    point, value and gradient in place, and every step size grows or
+    shrinks in one pass; a trial point that does not normalize (a zero or
+    non-finite row) is the row's current point.
     """
     k = S.ndim
 
@@ -564,14 +611,15 @@ def _ascend(S, V0, p, sign):
     G, f = gradient_and_value(V)
     for _ in range(_ASCENT_ITERATIONS):
         W, ok = _unit_rows(V + (sign * step)[:, None] * G, p)
-        W[~ok] = V[~ok]
+        if not ok.all():
+            W[~ok] = V[~ok]
         GW, fW = gradient_and_value(W)
         better = fW > f + 1e-15
-        V[better] = W[better]
-        f[better] = fW[better]
-        G[better] = GW[better]
-        step[better] = np.minimum(step[better] * _STEP_GROW, 10.0)
-        step[~better] *= _STEP_SHRINK
+        mask = better[:, None]
+        np.copyto(V, W, where=mask)
+        np.copyto(f, fW, where=better)
+        np.copyto(G, GW, where=mask)
+        step = np.where(better, np.minimum(step * _STEP_GROW, 10.0), step * _STEP_SHRINK)
     log.debug(
         "projected ascent: %d iterations, %d rows improved in the last, "
         "%d of %d rows with step >= 1e-6",

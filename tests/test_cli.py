@@ -426,6 +426,12 @@ def test_garbage_file_rejected(tmp_path, capsys):
     path.write_text('{"shape": [2], "entries": [1, 1%s]}' % ("0" * 400))
     code, _, err = run(capsys, ["eig", str(path), "--mode", "1"])
     assert code == 2 and "bad tensor entries" in err
+    # entries that are not JSON numbers: strings loaded as their numbers, and null and
+    # nested lists failed on later checks under other messages
+    for entries in ('["1.5", " 2e3 "]', "[null, 1]", "[[1, 2]]"):
+        path.write_text('{"shape": [2], "entries": %s}' % entries)
+        code, out, err = run(capsys, ["eig", str(path), "--mode", "1"])
+        assert code == 2 and out == "" and '"entries" must be a list of numbers' in err
 
 
 # --- report determinism ------------------------------------------------------

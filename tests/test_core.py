@@ -358,3 +358,7 @@ def test_file_format_rejects_booleans():
         loads_tensor('{"shape": [2], "entries": [true, 0.5]}')
     with pytest.raises(ValueError, match="entries"):
         loads_tensor('{"shape": [1], "entries": [false]}')
+    # only JSON numbers: strings are not parsed, null and nested lists name the list
+    for entries in ('["1.5", " 2e3 "]', '[1, "2"]', "[null, 1]", "[[1, 2]]"):
+        with pytest.raises(ValueError, match='"entries" must be a list of numbers'):
+            loads_tensor('{"shape": [2], "entries": %s}' % entries)

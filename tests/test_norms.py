@@ -54,8 +54,10 @@ def test_phi_preserves_negative_sign_under_even_power():
 
 
 def test_phi_rejects_negative_power():
-    with pytest.raises(ValueError):
-        phi([1.0], -1.0)
+    # a NaN or infinite power gave [1, nan] and [1, -inf] silently
+    for p in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite p >= 0"):
+            phi([1.0, -2.0], p)
 
 
 def test_gradient_euclidean():

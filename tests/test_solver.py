@@ -811,8 +811,10 @@ def _cloud(seed, m, n, spread):
 @pytest.mark.parametrize("seed", range(8))
 def test_clusterer_matches_greedy_loops(seed):
     n = 2 + seed % 4
-    for spread, tol in ((1e-3, 1e-3), (1e-7, 1e-6), (1e-2, 1e-2), (0.3, 0.5)):
-        X = _cloud(seed, 120, n, spread)
+    # the last is the solver's shape: hundreds of rows in tight clusters, so that a
+    # block's leaders take most later rows in one pass
+    for spread, tol, m in ((1e-3, 1e-3, 120), (1e-7, 1e-6, 120), (1e-2, 1e-2, 120), (0.3, 0.5, 120), (1e-12, 1e-6, 650)):
+        X = _cloud(seed, m, n, spread)
         assert np.array_equal(X[_leaders(X, tol)], _ref_coarse_unique(X, tol))
         rng = np.random.default_rng(seed)
         pts = [_pair(x, residual=float(r)) for x, r in zip(X, rng.integers(0, 4, len(X)) * 1e-12)]
@@ -1049,7 +1051,9 @@ def test_test_systems_are_the_ones_the_solvers_build(p, monkeypatch):
     z = np.random.default_rng(1).standard_normal((7, 12))
     assert len(built) == 2
     for (state, jac), (ref_state, ref_jac), rows in zip(built, refs, (z[:, :4], z)):
-        assert state(rows)[0].tobytes() == ref_state(rows)[0].tobytes()
+        F, Fn = state(rows)
+        assert F.tobytes() == ref_state(rows)[0].tobytes()
+        assert Fn.tobytes() == np.linalg.norm(F, axis=1).tobytes()
         assert jac(rows).tobytes() == ref_jac(rows).tobytes()
 
 
@@ -1201,6 +1205,34 @@ def test_creeping_rows_retire_and_leave_other_rows_alone(caplog):
     assert counts[-1] == 1
     assert np.delete(got, 3, axis=0).tobytes() == alone.tobytes()
     assert got.tobytes() == _ref_damped_newton(mixed, _creep_state, _creep_jac, CFG.gradient_tolerance).tobytes()
+
+
+def test_rows_leave_the_active_set_by_every_route_in_one_batch(caplog):
+    # Newton carries only its active rows; here each row leaves it by another route
+    z0 = np.array([
+        [1.5, 0.5, 1.0],  # the full step lands on 1/2: converged
+        [1.5, 0.5, 0.5],  # the full step overshoots to -1/2; 2^-1, in the second call, lands on 1/2
+        [1.5, 0.5, 2.0**-16],  # only 2^-16, in the third call, passes, and lands on 1/2
+        [1.0, 0.2, 1e-320],  # the Newton step overflows: stalled
+        [1.5, -1.0, -1.0],  # the step points uphill: no step length passes, stalled
+        [1.5, 0.5, 0.01],  # 2^-6 passes five times, in the second call: retired
+    ])
+    args = (_toy_state, _toy_jac, CFG.gradient_tolerance)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        got = solver._damped_newton(z0, *args)
+    assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
+    assert np.all(got[:3, :2] == 0.5) and np.array_equal(got[3:5], z0[3:5])
+    assert got[5, 0] - 0.5 == pytest.approx(-(0.5625**5), rel=1e-12)  # five steps, each scaling by -0.5625
+    # iteration 1: the full step on the 5 rows with a finite step, 2^-1..2^-15 on the 4 it
+    # failed, 2^-16..2^-24 on the 2 still failing; iterations 2-5: the creeping row alone,
+    # in two calls; each left row is tried no more
+    iters, calls, trials, converged, rows, stalled, retired = _newton_counts(caplog)
+    assert (iters, calls, trials) == (5, 1 + 3 + 4 * 2, 5 + 4 * 15 + 2 * 9 + 4 * (1 + 15))
+    assert (converged, rows, stalled, retired) == (3, 6, 2, 1)
+    # a row's result does not depend on the rows that left the batch before it
+    for r in range(len(z0)):
+        assert solver._damped_newton(z0[r : r + 1], *args).tobytes() == got[r].tobytes()
 
 
 def test_singular_jacobian_row_leaves_other_rows_alone():
@@ -1529,6 +1561,18 @@ def test_ascent_makes_one_contraction_per_iteration(shape, p, caplog):
         assert iters == solver._ASCENT_ITERATIONS and contractions == iters + 1
         ref = np.concatenate([_ref_ascend(S, V0, p, 1.0), _ref_ascend(S, V0, p, -1.0)])
         assert V.tobytes() == ref.tobytes()
+
+
+def test_ascent_keeps_rows_that_do_not_normalize():
+    # a zero row's trial point is zero: it stays put while the other rows climb, in place
+    S = random_tensor((3, 3, 3), 2, symmetric=True).data
+    (V0,) = solver._random_starts(4, 6, (3,), 2.0)
+    V0[[1, 4]] = 0.0
+    sign = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    V = solver._ascend(S, V0, 2.0, sign)
+    ref = np.concatenate([_ref_ascend(S, V0[:3], 2.0, 1.0), _ref_ascend(S, V0[3:], 2.0, -1.0)])
+    assert V.tobytes() == ref.tobytes()
+    assert not V[[1, 4]].any() and np.all(V[[0, 2, 3, 5]] != V0[[0, 2, 3, 5]])
 
 
 def _alternating_line(caplog, data, starts, p):
