@@ -330,8 +330,9 @@ def _leaders(X, tol):
     in rounds, in which a row with no earlier live close row leads and a row
     close to an earlier leader is taken.  The block's new leaders then take
     every later row close to them in one pass, so the next block is drawn
-    from rows no earlier leader can take; on tight clusters one or two
-    blocks settle every row.  That is the sequential greedy exactly, chains
+    from rows no earlier leader can take; a block settles at most
+    _LEADER_BLOCK new leaders, so c clusters take at least c / _LEADER_BLOCK
+    blocks, and about that many when they are tight.  That is the sequential greedy exactly, chains
     included.  Sort and sweep: two close rows differ by at most tol in
     their first coordinate, so only rows within reach of each other there
     are tested; twice tol covers the rounding of the norm, and sqrt(tiny)
@@ -442,10 +443,9 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
     2^-(_MAX_BACKTRACKS-1), that passes the Armijo test; a row with no such
     alpha, or a non-finite Newton step, stalls.  An iteration makes at most
     three state_fn calls, each on the rows for which no longer step passed:
-    the full step z + dz on every active row, checked by one comparison per
-    row, then 2^-1..2^-15 stacked on the rows whose full step failed, then
-    the rest down to the floor (when some row's step is not finite, the
-    others take the full step in the stacked form too).  The alphas are exact
+    the full step z + dz on every active row with a finite step, checked by
+    one comparison per row, then 2^-1..2^-15 stacked on the rows whose full
+    step failed, then the rest down to the floor.  The alphas are exact
     powers of two, 1.0 * dz is dz, and state_fn works row by row, so the
     outcome is bit-identical to trying the halvings one at a time.
     ``steps(J, F)`` gives the Newton steps of the active rows: _newton_steps,
@@ -454,7 +454,8 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
     Rows only ever leave the active set, so its points, residuals, norms and
     creep counts are carried compacted from one iteration to the next; a row
     is written back to the full arrays when it leaves (converged, stalled or
-    retired) and the rest once at the end.
+    retired; a row with a non-finite step leaves before the line search) and
+    the rest once at the end.
     """
     target = 0.05 * gtol
     z = z0.copy()
@@ -469,10 +470,15 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
             break
         newton_iters += 1
         dz = steps(jac_fn(za), Fa)
-        finite = np.all(np.isfinite(dz), axis=1)  # a row with a non-finite step stalls
+        finite = np.all(np.isfinite(dz), axis=1)
+        if not finite.all():  # a row with a non-finite step stalls: it leaves before any trial
+            left = rows[~finite]
+            z[left], Fn[left], creep[left] = za[~finite], fa[~finite], ca[~finite]
+            rows, za, Fa, fa, ca, dz = rows[finite], za[finite], Fa[finite], fa[finite], ca[finite], dz[finite]
+        moved = np.zeros(rows.size, dtype=bool)
         # every active norm fa is finite, so a non-finite trial norm fails each Armijo test
-        if full.size and finite.all():
-            # the usual case: 1.0 * dz is exact, so the full step is za + dz, one test per row
+        if full.size and rows.size:
+            # 1.0 * dz is exact, so the full step is za + dz, one test per row
             zt = za + dz
             Ft, Fnt = state_fn(zt)
             calls += 1
@@ -482,11 +488,8 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
             np.copyto(Fa, Ft, where=moved[:, None])
             np.copyto(fa, Fnt, where=moved)
             ca[moved] = 0  # a full step never creeps
-            searching, batches = np.flatnonzero(~moved), shorter
-        else:
-            moved = np.zeros(rows.size, dtype=bool)
-            searching, batches = np.flatnonzero(finite), [full] + shorter
-        for alphas in batches:
+        searching = np.flatnonzero(~moved)
+        for alphas in shorter:
             if not (searching.size and alphas.size):
                 break
             zt = za[searching, None] + alphas[:, None] * dz[searching, None]

@@ -1235,6 +1235,29 @@ def test_rows_leave_the_active_set_by_every_route_in_one_batch(caplog):
         assert solver._damped_newton(z0[r : r + 1], *args).tobytes() == got[r].tobytes()
 
 
+def _toy_jac_flat_near_one(z):
+    """diag(j, j, 1) with j = 1e-320 within 1/4 of x = 1, else 2: the step there overflows."""
+    J = np.zeros((len(z), 3, 3))
+    J[:, 0, 0] = J[:, 1, 1] = np.where(np.abs(z[:, 0] - 1.0) < 0.25, 1e-320, 2.0)
+    J[:, 2, 2] = 1.0
+    return J
+
+
+def test_row_that_moved_stalls_on_a_non_finite_step_where_it_got_to(caplog):
+    z0 = np.array([
+        [1.5, 0.5, 1.0],  # the full step lands on x = 1, where the next step overflows
+        [-1.5, 0.5, 1.0],  # halves its distance to 1/2 every iteration and converges
+    ])
+    args = (_toy_state, _toy_jac_flat_near_one, CFG.gradient_tolerance)
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        got = solver._damped_newton(z0, *args)
+    assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
+    assert got[0].tolist() == [1.0, 0.5, 1.0]
+    assert abs(got[1, 0] - 0.5) <= 0.05 * CFG.gradient_tolerance
+    converged, rows, stalled, retired = _newton_counts(caplog)[3:]
+    assert (converged, rows, stalled, retired) == (1, 2, 1, 0)
+
+
 def test_singular_jacobian_row_leaves_other_rows_alone():
     # a zero first vector zeroes that row's constraint row of the Jacobian
     data = random_tensor((3, 3, 3), 2).data
