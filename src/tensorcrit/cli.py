@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -316,9 +316,12 @@ def build_parser():
     return parser
 
 
+# parse_args leaves no state in a parser, so one per process serves every main call
+_parser = cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except _InputError as exc:

@@ -278,9 +278,7 @@ def _phi_rows(V, q):
 
 
 def _phi_slope_rows(V, p):
-    """Diagonal of d(phi_{p-1})/dv; clamped near zero when p < 2."""
-    if p == 2.0:
-        return np.ones_like(V)
+    """Diagonal of d(phi_{p-1})/dv for p != 2 (at p = 2 it is all ones); clamped near zero when p < 2."""
     a = np.abs(V)
     if p < 2.0:
         a = np.maximum(a, 1e-8)
@@ -465,13 +463,15 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
     rows = np.flatnonzero((Fn > target) & np.isfinite(Fn))  # the active rows; the rest never move
     za, Fa, fa, ca = z[rows], F[rows], Fn[rows], creep[rows]
     full, *shorter = np.split(np.ldexp(1.0, -np.arange(_MAX_BACKTRACKS)), [1, 16])
+    # each nonempty batch of shorter step lengths: (alphas, Armijo factors, creep flags)
+    batches = [(a, 1.0 - _ARMIJO_SLOPE * a, a <= _CREEP_STEP) for a in shorter if a.size]
     for _ in range(_NEWTON_ITERATIONS):
         if rows.size == 0:
             break
         newton_iters += 1
         dz = steps(jac_fn(za), Fa)
-        finite = np.all(np.isfinite(dz), axis=1)
-        if not finite.all():  # a row with a non-finite step stalls: it leaves before any trial
+        if not np.isfinite(dz).all():  # a row with a non-finite step stalls: it leaves before any trial
+            finite = np.all(np.isfinite(dz), axis=1)
             left = rows[~finite]
             z[left], Fn[left], creep[left] = za[~finite], fa[~finite], ca[~finite]
             rows, za, Fa, fa, ca, dz = rows[finite], za[finite], Fa[finite], fa[finite], ca[finite], dz[finite]
@@ -489,21 +489,22 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
             np.copyto(fa, Fnt, where=moved)
             ca[moved] = 0  # a full step never creeps
         searching = np.flatnonzero(~moved)
-        for alphas in shorter:
-            if not (searching.size and alphas.size):
+        for alphas, armijo, creeps in batches:
+            if not searching.size:
                 break
-            zt = za[searching, None] + alphas[:, None] * dz[searching, None]
-            Ft, Fnt = state_fn(zt.reshape(-1, za.shape[1]))
+            # trial row r * m + t is searching row r at step length alphas[t]
+            m = alphas.size
+            zt = (za[searching, None] + alphas[:, None] * dz[searching, None]).reshape(-1, za.shape[1])
+            Ft, Fnt = state_fn(zt)
             calls += 1
             trial_rows += Fnt.size
-            Ft = Ft.reshape(zt.shape[:2] + Ft.shape[1:])
-            Fnt = Fnt.reshape(zt.shape[:2])
-            ok = Fnt <= (1.0 - _ARMIJO_SLOPE * alphas) * fa[searching, None]
-            hit = ok.any(axis=1)
-            longest = np.argmax(ok[hit], axis=1)
-            took = searching[hit]
-            za[took], Fa[took], fa[took] = zt[hit, longest], Ft[hit, longest], Fnt[hit, longest]
-            ca[took] = np.where(alphas[longest] <= _CREEP_STEP, ca[took] + 1, 0)
+            ok = Fnt.reshape(-1, m) <= armijo * fa[searching, None]
+            longest = np.argmax(ok, axis=1)  # the first passing step length, or 0 where none passes
+            pick = np.arange(0, Fnt.size, m) + longest
+            hit = ok.reshape(-1)[pick]
+            pick, took = pick[hit], searching[hit]
+            za[took], Fa[took], fa[took] = zt[pick], Ft[pick], Fnt[pick]
+            ca[took] = np.where(creeps[longest[hit]], ca[took] + 1, 0)
             moved[took] = True
             searching = searching[~hit]
         keep = moved & (fa > target) & (ca < _CREEP_ITERATIONS)
@@ -545,6 +546,8 @@ def _lagrange_fns(dims, p, grads, blocks):
     size = total + len(dims)
     diag = np.arange(total)
     border = total + np.repeat(np.arange(len(dims)), dims)  # the multiplier column of each row
+    # the flat positions of (diag, diag), (diag, border) and (border, diag) in a size x size block
+    on_diag, on_border, under_border = diag * (size + 1), diag * size + border, border * size + diag
 
     def state(z):
         W = z[:, :total]
@@ -557,15 +560,17 @@ def _lagrange_fns(dims, p, grads, blocks):
             return F, _row_dist(F)
 
     def jac(z):
-        W = z[:, :total]
+        W, S = z[:, :total], z[:, border]
         K = np.zeros((len(z), size, size))
+        Kf = K.reshape(len(z), size * size)  # a view; reshape(len(z), -1) fails on zero rows
         with np.errstate(all="ignore"):
             for (i, j), B in blocks([z[:, c] for c in cols]):
                 K[:, cols[i], cols[j]] = B
-            K[:, diag, diag] -= z[:, border] * _phi_slope_rows(W, p)
+            # at p = 2 phi_1 has slope 1, and s * 1.0 is s exactly
+            Kf[:, on_diag] -= S if p == 2.0 else S * _phi_slope_rows(W, p)
             Phi = _phi_rows(W, p - 1.0)
-            K[:, diag, border] = -Phi
-            K[:, border, diag] = Phi
+            Kf[:, on_border] = -Phi
+            Kf[:, under_border] = Phi
         return K
 
     return state, jac

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from tensorcrit import (
     write_tensor_file,
 )
 from tensorcrit import solver
-from tensorcrit.cli import main
+from tensorcrit.cli import build_parser, main
 
 
 def write(tmp_path, name, array):
@@ -450,6 +451,42 @@ def test_svd_report_deterministic(tmp_path, capsys):
     _, out1, _ = run(capsys, args)
     _, out2, _ = run(capsys, args)
     assert strip_timings(out1) == strip_timings(out2)
+
+
+def _exit_and_output(capsys, call):
+    """(exit code, stdout, stderr) of call(), a SystemExit included."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _main_with_a_fresh_parser(argv):
+    args = build_parser().parse_args(argv)
+    return args.run(args)
+
+
+def test_consecutive_main_calls_are_independent(tmp_path, capsys):
+    sym = write(tmp_path, "s.json", random_tensor((3, 3, 3), 8, symmetric=True).data)
+    gen = write(tmp_path, "g.json", random_tensor((3, 3, 3), 9).data)
+    rect = write(tmp_path, "r.json", random_tensor((3, 4, 5), 10).data)
+    argvs = [
+        ["eig", sym, "--symmetric", "--audit", "--restarts", "24"],
+        ["eig", gen, "--mode", "2", "--restarts", "24"],
+        ["eig", gen, "--mode", "0"],
+        ["svd", rect, "--restarts", "24"],
+    ]
+    # main reuses one parser, so each of these runs on a parser that parsed the ones before
+    results = [_exit_and_output(capsys, partial(main, argv)) for argv in argvs]
+    fresh = [_exit_and_output(capsys, partial(_main_with_a_fresh_parser, argv)) for argv in argvs]
+    assert [code for code, _, _ in results] == [0, 0, 2, 0]
+    for (code, out, err), (code_f, out_f, err_f) in zip(results, fresh):
+        assert (code, err) == (code_f, err_f)
+        assert out == out_f == "" or strip_timings(out) == strip_timings(out_f)
+    assert json.loads(results[1][1])["morse"] is None
+    assert json.loads(results[0][1])["morse"] is not None
 
 
 @pytest.mark.parametrize("sub", ["eig", "svd"])

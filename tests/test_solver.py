@@ -999,26 +999,37 @@ def _leading_mean(D):
     return _orbit_mean(D, _orbit_ids(D.shape, D.ndim - 1))
 
 
-def _eigen_system(D, p):
-    """(state_fn, jac_fn) of the last-mode eigenproblem of D, as _eigen_run builds them."""
+def _eigen_parts(D):
+    """(dims, grads, blocks) of the last-mode eigenproblem of D, as _eigen_run builds them."""
     k = D.ndim
-    return solver._lagrange_fns(
+    return (
         D.shape[:1],
-        p,
         lambda Ws: [solver._contract_leading(D, Ws * (k - 1))],
         lambda Ws: [((0, 0), np.swapaxes((k - 1) * solver._contract_leading(D, Ws * (k - 2)), 1, 2))],
     )
 
 
-def _singular_system(data, p):
-    """(state_fn, jac_fn) of the singular tuples of data, as singular_tuples builds them."""
+def _singular_parts(data):
+    """(dims, grads, blocks) of the singular tuples of data, as singular_tuples builds them."""
 
     def blocks(Ws):
         for (i, j), B in solver._batch_pair_jacs(data, Ws).items():
             yield (i, j), B
             yield (j, i), np.swapaxes(B, 1, 2)
 
-    return solver._lagrange_fns(data.shape, p, lambda Ws: solver._batch_mode_grads(data, Ws), blocks)
+    return data.shape, lambda Ws: solver._batch_mode_grads(data, Ws), blocks
+
+
+def _eigen_system(D, p):
+    """(state_fn, jac_fn) of the last-mode eigenproblem of D."""
+    dims, grads, blocks = _eigen_parts(D)
+    return solver._lagrange_fns(dims, p, grads, blocks)
+
+
+def _singular_system(data, p):
+    """(state_fn, jac_fn) of the singular tuples of data."""
+    dims, grads, blocks = _singular_parts(data)
+    return solver._lagrange_fns(dims, p, grads, blocks)
 
 
 def _newton_systems(shape, p, seed):
@@ -1055,6 +1066,57 @@ def test_test_systems_are_the_ones_the_solvers_build(p, monkeypatch):
         assert F.tobytes() == ref_state(rows)[0].tobytes()
         assert Fn.tobytes() == np.linalg.norm(F, axis=1).tobytes()
         assert jac(rows).tobytes() == ref_jac(rows).tobytes()
+
+
+def _ref_bordered_jacobian(dims, p, blocks, z):
+    """The bordered Jacobian of _lagrange_fns at the rows z, assembled one entry at a time.
+
+    Entry (a, b) of block (i, j) is dg_i/dw_j; each vector entry c of sphere i
+    has s_i * phi'_{p-1}(w_c) taken off the diagonal, -phi_{p-1}(w_c) in the
+    multiplier column of sphere i and phi_{p-1}(w_c) in its multiplier row.
+    """
+    k, total = len(dims), sum(dims)
+    off = np.cumsum((0,) + tuple(dims))
+    W = z[:, :total]
+    with np.errstate(all="ignore"):
+        # phi_1 is the identity; below p = 2 the slope (p-1) |w|^(p-2) is clamped at |w| = 1e-8
+        phi = W if p == 2.0 else np.sign(W) * np.abs(W) ** (p - 1.0)
+        mag = np.maximum(np.abs(W), 1e-8) if p < 2.0 else np.abs(W)
+        slope = np.ones_like(W) if p == 2.0 else (p - 1.0) * mag ** (p - 2.0)
+        found = list(blocks([z[:, off[i] : off[i + 1]] for i in range(k)]))
+        K = np.zeros((len(z), total + k, total + k))
+        for r in range(len(z)):
+            for (i, j), B in found:
+                for a in range(dims[i]):
+                    for b in range(dims[j]):
+                        K[r, off[i] + a, off[j] + b] = B[r, a, b]
+            for i in range(k):
+                s = z[r, total + i]
+                for c in range(off[i], off[i + 1]):
+                    K[r, c, c] -= s * slope[r, c]
+                    K[r, c, total + i] = -phi[r, c]
+                    K[r, total + i, c] = phi[r, c]
+    return K
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 4, 5), (2, 3, 4, 3)])
+def test_bordered_jacobian_matches_an_entry_by_entry_assembly(shape, p):
+    if len(set(shape)) == 1:  # one sphere: the symmetric eigenproblem
+        dims, grads, blocks = _eigen_parts(random_tensor(shape, 21, symmetric=True).data)
+    else:
+        dims, grads, blocks = _singular_parts(random_tensor(shape, 21).data)
+    state, jac = solver._lagrange_fns(dims, p, grads, blocks)
+    k, total = len(dims), sum(dims)
+    z = np.random.default_rng(22).standard_normal((6, total + k))
+    z[1, [0, total - 1]] = 0.0  # zero vector entries, and a negative zero
+    z[1, 1] = -0.0
+    z[2, total] = 0.0  # a zero multiplier
+    z[3, total:] = -0.0
+    for rows in (z, z[:0]):  # the zero-row call _search makes when dedupe keeps no point
+        got = jac(rows)
+        assert got.shape == (len(rows), total + k, total + k)
+        assert got.tobytes() == _ref_bordered_jacobian(dims, p, blocks, rows).tobytes()
 
 
 @pytest.mark.parametrize("p", [2.0, 1.5, 3.0])
@@ -1233,6 +1295,23 @@ def test_rows_leave_the_active_set_by_every_route_in_one_batch(caplog):
     # a row's result does not depend on the rows that left the batch before it
     for r in range(len(z0)):
         assert solver._damped_newton(z0[r : r + 1], *args).tobytes() == got[r].tobytes()
+
+
+def test_batch_whose_every_first_step_is_non_finite_tries_no_step(caplog):
+    z0 = np.array([
+        [0.5, 0.5, 1.0],  # converged at entry: never active
+        [1.0, 0.2, 1e-320],  # each active row's Newton step overflows
+        [-1.0, 0.3, 1e-315],
+        [1.5, 0.5, 1e-310],
+    ])
+    args = (_toy_state, _toy_jac, CFG.gradient_tolerance)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        got = solver._damped_newton(z0, *args)
+    assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
+    assert np.array_equal(got, z0)
+    # one iteration, the entry state call alone and no step-length row; three rows stalled
+    assert _newton_counts(caplog) == [1, 1, 0, 1, 4, 3, 0]
 
 
 def _toy_jac_flat_near_one(z):
