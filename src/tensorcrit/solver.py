@@ -65,20 +65,20 @@ log = logging.getLogger(__name__)
 # most _CREEP_STEP.
 # An ascent climbs from the first _ASCENT_STARTS starts only: gradient flow
 # reaches the extrema it seeds from almost every start, and Newton polishes
-# every endpoint and every start.  The endpoints only seed Newton, so both
-# ascents run _ASCENT_ITERATIONS steps (projected gradient for eigenpairs,
-# alternating sweeps for tuples): on 296 fresh tensors 10 found more oracle
-# points than 15 (15 as many as 60) and missed 1 extremum pair 15 found, and
-# 10 sweeps found as large a sigma as 40.
-# Ascent steps start at _INITIAL_STEP, grow by _STEP_GROW after an improvement
-# and shrink by _STEP_SHRINK otherwise, so they stay within 2.6e-5..2.65.
-# Points closer than _DEDUPE_TOLERANCE count as one.  _leaders settles
-# dedupe's greedy _LEADER_BLOCK free rows at a time, and each block's leaders
-# take the later rows close to them in chunks of at most _LEADER_BLOCK**2 // 4
-# candidate pairs.
+# every endpoint and every start.  The endpoints only seed Newton, so each
+# ascent runs a fixed _ASCENT_ITERATIONS projected-gradient iterations
+# (_ALTERNATING_SWEEPS sweeps for singular tuples): on fresh tensors 60
+# iterations found no more oracle points than 15 and 10 lost extrema 15 found,
+# while 40 sweeps found no larger sigma than 10.  Ascent steps start at
+# _INITIAL_STEP, grow by _STEP_GROW after an improvement and shrink by
+# _STEP_SHRINK otherwise, so no trial step exceeds 0.25 * 1.3^14.  Points closer than
+# _DEDUPE_TOLERANCE count as one.  _leaders settles dedupe's greedy
+# _LEADER_BLOCK free rows at a time, and each block's leaders take the later
+# rows close to them in chunks of at most _LEADER_BLOCK**2 // 4 candidate pairs.
 _NEWTON_ITERATIONS = 60
-_ASCENT_ITERATIONS = 10
+_ASCENT_ITERATIONS = 15
 _ASCENT_STARTS = 64
+_ALTERNATING_SWEEPS = 10
 _DEDUPE_TOLERANCE = 1e-6
 _LEADER_BLOCK = 64
 _INITIAL_STEP = 0.25
@@ -629,8 +629,9 @@ def _ascend(S, V0, p, sign):
         np.copyto(G, GW, where=mask)
         step *= np.where(better, _STEP_GROW, _STEP_SHRINK)
     log.debug(
-        "projected ascent: %d iterations, %d of %d rows improved in the last",
-        _ASCENT_ITERATIONS, np.count_nonzero(better), V.shape[0],
+        "projected ascent: %d iterations, %d rows improved in the last, "
+        "%d of %d rows with step >= 1e-6",
+        _ASCENT_ITERATIONS, np.count_nonzero(better), np.count_nonzero(step >= 1e-6), V.shape[0],
     )
     return V
 
@@ -936,7 +937,7 @@ def _alternating_ascent(data, Ws0, p):
     Ds = [np.ascontiguousarray(np.moveaxis(data, i, -1)) for i in range(k)]  # mode i last
     Ws = [W.copy() for W in Ws0]
     q = 1.0 / (p - 1.0)
-    for _ in range(_ASCENT_ITERATIONS):
+    for _ in range(_ALTERNATING_SWEEPS):
         before = np.concatenate(Ws, axis=1)
         for i in range(k):
             G = _contract_leading(Ds[i], Ws[:i] + Ws[i + 1 :])
@@ -946,7 +947,7 @@ def _alternating_ascent(data, Ws0, p):
     moved = np.linalg.norm(np.concatenate(Ws, axis=1) - before, axis=1)
     log.debug(
         "alternating ascent: %d sweeps, largest move %.3g in the last, %d rows",
-        _ASCENT_ITERATIONS, np.max(moved), len(moved),
+        _ALTERNATING_SWEEPS, np.max(moved), len(moved),
     )
     return Ws
 

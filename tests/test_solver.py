@@ -1615,7 +1615,7 @@ def test_matrix_pair_jacobian_is_a_broadcast_view():
 def _ref_ascend(S, V0, p, sign):
     """The ascent before it carried gradients or stacked signs: one sign, a fresh gradient every iteration.
 
-    It still caps the step at 10, which _ASCENT_ITERATIONS iterations of growth never reach.
+    It still caps the step at 10, which no trial step of _ASCENT_ITERATIONS iterations reaches.
     """
     k = S.ndim
 
@@ -1652,9 +1652,8 @@ def _signed_ascent(caplog, S, p):
         calls = _whole_tensor_contractions(mp, S)
         V = solver._ascend(S, np.concatenate([V0, V0]), p, np.repeat([1.0, -1.0], 50))
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("projected ascent")]
-    m = re.fullmatch(r"projected ascent: (\d+) iterations, (\d+) of (\d+) rows improved in the last", line)
-    iters, improved, rows = map(int, m.groups())
-    assert improved <= rows and rows == 100
+    iters, improved, moving, rows = map(int, re.findall(r"\d+", line)[:4])
+    assert improved <= rows and moving <= rows and rows == 100
     return V0, V, len(calls), iters
 
 
@@ -1698,9 +1697,9 @@ def test_alternating_ascent_logs_its_last_sweep(shape, p, caplog, monkeypatch):
     data = random_tensor(shape, 8).data
     starts = solver._random_starts(3, 50, shape, p)
     ends, sweeps, largest, rows = _alternating_line(caplog, data, starts, p)
-    assert (sweeps, rows) == (solver._ASCENT_ITERATIONS, 50)
+    assert (sweeps, rows) == (solver._ALTERNATING_SWEEPS, 50)
     # the largest move is the farthest any tuple lies from where it was one sweep fewer
-    monkeypatch.setattr(solver, "_ASCENT_ITERATIONS", sweeps - 1)
+    monkeypatch.setattr(solver, "_ALTERNATING_SWEEPS", sweeps - 1)
     before, *_ = _alternating_line(caplog, data, starts, p)
     step = np.linalg.norm(np.concatenate(ends, axis=1) - np.concatenate(before, axis=1), axis=1)
     assert largest == f"{np.max(step):.3g}"
