@@ -11,6 +11,7 @@ f(x, ..., x).  Everything here is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Sequence
@@ -139,11 +140,17 @@ def mode_gradient(tensor: DenseTensor, vectors: Sequence, mode: int) -> np.ndarr
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def _orbit_ids(shape, m=None) -> np.ndarray:
-    """Orbit number of every flat index; an orbit permutes its leading m indices (default all)."""
+    """Orbit number of every flat index; an orbit permutes its leading m indices (default all).
+
+    Cached per (shape, m), since symmetrizing and averaging ask for the same
+    few shapes over and over; the array is read-only.
+    """
     idx = np.indices(shape).reshape(len(shape), -1)
     idx[:m].sort(axis=0)
     _, ids = np.unique(np.ravel_multi_index(idx, shape), return_inverse=True)
+    ids.flags.writeable = False
     return ids
 
 

@@ -72,15 +72,12 @@ log = logging.getLogger(__name__)
 # while 40 sweeps found no larger sigma than 10.  Ascent steps start at
 # _INITIAL_STEP, grow by _STEP_GROW after an improvement and shrink by
 # _STEP_SHRINK otherwise, so no trial step exceeds 0.25 * 1.3^14.  Points closer than
-# _DEDUPE_TOLERANCE count as one.  _leaders settles dedupe's greedy
-# _LEADER_BLOCK free rows at a time, and each block's leaders take the later
-# rows close to them in chunks of at most _LEADER_BLOCK**2 // 4 candidate pairs.
+# _DEDUPE_TOLERANCE count as one.
 _NEWTON_ITERATIONS = 60
 _ASCENT_ITERATIONS = 15
 _ASCENT_STARTS = 64
 _ALTERNATING_SWEEPS = 10
 _DEDUPE_TOLERANCE = 1e-6
-_LEADER_BLOCK = 64
 _INITIAL_STEP = 0.25
 _STEP_GROW = 1.3
 _STEP_SHRINK = 0.4
@@ -267,8 +264,18 @@ def _dot_rows(A, B):
 
 
 def _row_dist(D):
-    """np.linalg.norm(D, axis=1) without its wrapper, bit for bit."""
-    return np.sqrt(np.add.reduce(D * D, axis=1))
+    """np.linalg.norm(D, axis=1) without its wrapper, bit for bit, where that is finite.
+
+    A finite row whose sum of squares overflows (|D| beyond about 1.3e154)
+    is redone on D / 2^e, as in _unit_rows, so its norm is finite too.
+    """
+    d = np.sqrt(np.add.reduce(D * D, axis=1))
+    if np.isinf(d).any():
+        redo = np.isinf(d) & np.all(np.isfinite(D), axis=1)
+        e = np.frexp(np.max(np.abs(D[redo]), axis=1))[1]
+        Y = np.ldexp(D[redo], -e[:, None])
+        d[redo] = np.ldexp(np.sqrt(np.add.reduce(Y * Y, axis=1)), e)
+    return d
 
 
 def _phi_rows(V, q):
@@ -324,58 +331,37 @@ def _leaders(X, tol):
     leader i, and the next free row leads the next cluster.  Non-finite rows
     are never leaders.
 
-    Leader first: the greedy is settled _LEADER_BLOCK free rows at a time,
-    in rounds, in which a row with no earlier live close row leads and a row
-    close to an earlier leader is taken.  The block's new leaders then take
-    every later row close to them in one pass, so the next block is drawn
-    from rows no earlier leader can take; a block settles at most
-    _LEADER_BLOCK new leaders, so c clusters take at least c / _LEADER_BLOCK
-    blocks, and about that many when they are tight.  That is the sequential greedy exactly, chains
-    included.  Sort and sweep: two close rows differ by at most tol in
-    their first coordinate, so only rows within reach of each other there
-    are tested; twice tol covers the rounding of the norm, and sqrt(tiny)
-    the squared differences that underflow to zero.  The pass runs in
-    chunks of at most _LEADER_BLOCK**2 / 4 candidate pairs, so no temporary
-    grows with the square of the row count or of a cluster's size.
+    In rounds over runs: the live rows are sorted by one coordinate and cut
+    into runs wherever two neighbours differ by more than reach there.  Twice
+    tol covers the rounding of the norm, and sqrt(tiny) the squared
+    differences that underflow to zero, so no row is within tol of a row of
+    another run.  The lowest-index live row of a run therefore leads (every
+    earlier row of its run is settled, and no other run can take it), and it
+    takes every live row of its run within tol.  That is the sequential
+    greedy exactly, chains and ties at tol included.  Each round re-cuts the
+    runs still alive by the next coordinate, so clusters that share one
+    coordinate fall apart in another; each round is one pass over the live rows.
     """
     reach = 2.0 * tol + np.sqrt(np.finfo(float).tiny)
+    live = np.flatnonzero(np.all(np.isfinite(X), axis=1))
+    run = np.zeros(len(live), dtype=int)
     found = [np.empty(0, dtype=int)]
-    free = np.flatnonzero(np.all(np.isfinite(X), axis=1))
-    while free.size:
-        block, free = free[:_LEADER_BLOCK], free[_LEADER_BLOCK:]
-        x = X[block, 0]
-        # C[a, b]: a before b in the block and close to it
-        C = np.triu(np.abs(x[:, None] - x) <= reach, 1)
-        a, b = np.nonzero(C)
-        C[a, b] = _row_dist(X[block[b]] - X[block[a]]) <= tol
-        undecided = np.ones(len(block), dtype=bool)
-        leads = np.zeros(len(block), dtype=bool)
-        while undecided.any():
-            leads |= undecided & ~np.any(C & (undecided | leads)[:, None], axis=0)
-            undecided &= ~(leads | np.any(C & leads[:, None], axis=0))
-        new = block[leads]
-        found.append(new)
-        if not free.size:
-            break
-        # the candidate pairs (free row, new leader at sorted position) within reach
-        new = new[np.argsort(X[new, 0], kind="stable")]
-        lead_x, free_x = X[new, 0], X[free, 0]
-        lo = np.searchsorted(lead_x, free_x - reach, side="left")
-        count = np.searchsorted(lead_x, free_x + reach, side="right") - lo
-        ends = np.cumsum(count)
-        taken = np.zeros(len(free), dtype=bool)
-        # in chunks of whole rows with at most _LEADER_BLOCK**2 // 4 pairs in all; one row
-        # has at most _LEADER_BLOCK, one per new leader
-        start, done = 0, 0  # the first row of the chunk, and the pairs before it
-        while start < len(free):
-            stop = np.searchsorted(ends, done + _LEADER_BLOCK**2 // 4, side="right")
-            c = count[start:stop]
-            q = np.repeat(np.arange(start, stop), c)
-            pos = np.arange(len(q)) + np.repeat(lo[start:stop] - (ends[start:stop] - c - done), c)
-            taken[q[_row_dist(X[free[q]] - X[new[pos]]) <= tol]] = True
-            start, done = stop, ends[stop - 1]
-        free = free[~taken]
-    return np.concatenate(found)
+    c = 0
+    while live.size:
+        # take, not fancy indexing: a fraction of the cost on a few hundred rows
+        x = X[:, c].take(live)
+        order = np.lexsort((x, run))
+        live, x, run = live.take(order), x.take(order), run.take(order)
+        first = np.concatenate(([True], (run[1:] != run[:-1]) | (x[1:] - x[:-1] > reach)))
+        leads = np.minimum.reduceat(live, np.flatnonzero(first))
+        found.append(leads)
+        run = np.cumsum(first) - 1
+        D = X.take(live, axis=0)
+        D -= X.take(leads[run], axis=0)
+        left = _row_dist(D) > tol
+        live, run = live[left], run[left]
+        c = (c + 1) % X.shape[1]
+    return np.sort(np.concatenate(found))
 
 
 def _lex_order(primary, keys):
@@ -646,17 +632,23 @@ def _check_continuum(z, J, state_fn, jac_fn, merge_tol, gtol, noun):
     minimum-norm steps, which move across a continuum rather than along it; a
     stationary result with the same value at a distance in (merge_tol, 2h]
     witnesses a continuum.  Newton returns to isolated degenerate points.
+    The error names the first witness in flagged order, so the flagged rows
+    are tried in batches of 1, 2, 4, ... rows, in order, up to the first
+    batch with a witness; rows are independent, so each comes out as it
+    would in one batch of all of them.
     """
     with np.errstate(all="ignore"):
         s = np.linalg.svd(J, compute_uv=False)
         rel = s[:, -1] / s[:, 0]
     flagged = np.flatnonzero(rel <= np.sqrt(gtol))
-    witness = []
-    if flagged.size:
-        h = max(1e-3, 10.0 * merge_tol)
-        z0 = z[flagged]
+    h = max(1e-3, 10.0 * merge_tol)
+    witness, start, size = [], 0, 1
+    while start < flagged.size and not len(witness):
+        rows = flagged[start : start + size]
+        start, size = start + size, 2 * size
+        z0 = z[rows]
         z1 = _damped_newton(
-            z0 + h * np.linalg.svd(J[flagged])[2][:, -1], state_fn, jac_fn, gtol, steps=_min_norm_steps
+            z0 + h * np.linalg.svd(J[rows])[2][:, -1], state_fn, jac_fn, gtol, steps=_min_norm_steps
         )
         dist = np.linalg.norm(z1 - z0, axis=1)
         same = (state_fn(z1)[1] <= gtol) & (np.abs(z1[:, -1] - z0[:, -1]) <= gtol)

@@ -262,6 +262,24 @@ def test_orbit_mean_of_leading_modes_is_their_permutation_mean(shape, m):
         assert np.array_equal(np.transpose(got, p + tuple(range(m, len(shape)))), got)
 
 
+@pytest.mark.parametrize("shape", [(2,) * 5, (3,) * 4, (4,) * 3])
+def test_orbit_ids_are_cached_read_only_and_unchanged(shape):
+    from tensorcrit.core import _orbit_ids, _orbit_mean
+
+    ids = _orbit_ids(shape)
+    assert _orbit_ids(shape) is ids and not ids.flags.writeable
+    with pytest.raises(ValueError):
+        ids[0] = 1
+    fresh = _orbit_ids.__wrapped__(shape)
+    assert np.array_equal(ids, fresh)
+    for seed in range(3):
+        T = random_tensor(shape, 40 + seed)
+        assert np.array_equal(symmetrize(T).data, _orbit_mean(T.data, fresh))
+        lo = np.full(fresh.max() + 1, np.inf)
+        np.minimum.at(lo, fresh, T.entries)
+        assert max_asymmetry(T) == float(np.max(T.entries - lo[fresh]))
+
+
 def test_symmetrize_rejects_rectangular():
     with pytest.raises(ShapeError):
         symmetrize(DenseTensor(np.ones((2, 3))))

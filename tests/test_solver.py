@@ -469,6 +469,26 @@ def test_continuum_witness_names_value_and_distance(case, noun, distance, caplog
     assert points >= flagged >= witnesses >= 1
 
 
+def test_continuum_check_stops_at_its_first_witness(caplog):
+    # 312 of the diagonal's points are flagged and 309 are witnesses; the first
+    # flagged one is an isolated root, so the witness Newton tries it, then the
+    # next two, and names the first witness as a run over all 312 did
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        with pytest.raises(DegenerateTensorError) as err:
+            generalized_eigenpairs(_diag([1.0, 1.0, 1.0], 3), 1, SolverConfig(p=3.0))
+    assert str(err.value) == (
+        "continuum witness: the stationary point with critical value -1 continues to another at "
+        "distance 0.001 with the same value; the critical set is positive-dimensional"
+    )
+    lines = [r.getMessage() for r in caplog.records]
+    check = next(i for i, line in enumerate(lines) if line.startswith("continuum check"))
+    assert _counts(lines[check])[:2] == [312, 312]
+    # the Newton runs after the search's own: one per batch of flagged rows
+    witness_runs = [line for line in lines[:check] if line.startswith("damped Newton")][1:]
+    rows = [int(re.search(r"of (\d+) rows", line).group(1)) for line in witness_runs]
+    assert rows == [1, 2]
+
+
 @pytest.mark.parametrize("restarts", EFFORTS)
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_isolated_multiple_roots_are_returned(k, restarts, caplog):
@@ -888,6 +908,80 @@ def test_clusterer_memory_stays_linear_on_a_crowded_first_coordinate():
     assert np.array_equal(X[lead], _ref_coarse_unique(X, 1e-6)) and len(lead) == 2 * n
     cluster = m // (2 * n)
     assert peak < cluster * cluster  # bytes: one m x m float64 array would be 128 MB
+
+
+def _assert_clusters_as_greedy_loops(X, tol, seed=0):
+    assert np.array_equal(X[_leaders(X, tol)], _ref_coarse_unique(X, tol))
+    resid = np.random.default_rng(seed).integers(0, 4, len(X)) * 1e-12
+    pts = [_pair(x, residual=float(r)) for x, r in zip(X, resid)]
+    assert [id(p) for p in dedupe(pts, tol)] == [id(p) for p in _ref_dedupe(pts, tol)]
+
+
+def test_clusterer_on_a_great_circle_sharing_the_first_coordinate():
+    # 1000 clusters whose rows all have first coordinate 0: the runs of the
+    # first coordinate hold them all, and the later coordinates split them
+    rng = np.random.default_rng(11)
+    t = rng.uniform(0.0, 2.0 * math.pi, 1000)
+    centres = np.stack([np.zeros_like(t), np.cos(t), np.sin(t)], axis=1)
+    X = centres[rng.integers(1000, size=4000)]
+    X[:, 1:] += 1e-8 * rng.standard_normal((4000, 2))
+    _assert_clusters_as_greedy_loops(X, 1e-6)
+
+
+def test_clusterer_on_rows_equal_but_in_the_last_coordinate():
+    rng = np.random.default_rng(12)
+    tol = 1e-6
+    X = np.tile(rng.standard_normal(4), (2000, 1))
+    X[:, -1] += rng.permutation(2000) * 0.7 * tol + rng.uniform(0.0, 0.1 * tol, 2000)
+    assert len(np.unique(X, axis=0)) == 2000
+    _assert_clusters_as_greedy_loops(X, tol)
+
+
+def test_clusterer_on_the_diagonal_p3_continuum(monkeypatch):
+    # the 3x3x3 diagonal's mode-1 pairs under the 3-norm fill curves, so dedupe
+    # gets hundreds of rows at the widened radius 10 * gtol^(1/2) = 1e-4
+    calls = []
+    dedupe_rows = solver._dedupe_rows
+    monkeypatch.setattr(solver, "_dedupe_rows", lambda *a: calls.append(a) or dedupe_rows(*a))
+    with pytest.raises(DegenerateTensorError, match="continuum witness"):
+        generalized_eigenpairs(_diag([1.0, 1.0, 1.0], 3), 1, SolverConfig(p=3.0))
+    ((keys, resid, tol),) = calls
+    assert tol == pytest.approx(1e-4) and len(keys) > 600
+    order = solver._lex_order(resid, keys)
+    assert len(_leaders(keys[order], tol)) > 300
+    _assert_clusters_as_greedy_loops(keys[order], tol)
+    pts = [_pair(x, residual=float(r)) for x, r in zip(keys, resid)]
+    assert [id(p) for p in dedupe(pts, tol)] == [id(p) for p in _ref_dedupe(pts, tol)]
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_clusterer_on_a_chain(shuffle):
+    # rows 0.9 tol apart on a line: in chain order every leader takes only its
+    # successor, the most sequential input the greedy has
+    rng = np.random.default_rng(13)
+    tol = 1e-6
+    u = rng.standard_normal(3)
+    X = np.arange(600)[:, None] * (0.9 * tol) * (u / np.linalg.norm(u))
+    if shuffle:
+        X = X[rng.permutation(600)]
+    lead = _leaders(X, tol)
+    if not shuffle:
+        assert lead.tolist() == list(range(0, 600, 2))
+    _assert_clusters_as_greedy_loops(X, tol)
+
+
+def test_clusterer_merges_differences_that_square_to_zero():
+    # 1e-170 squared underflows, so these rows are at distance 0 even at tol 0
+    X = np.array([[1e-170, 0.0], [2e-170, 0.0], [1.0, 0.0], [1.0, 3e-170]])
+    assert _leaders(X, 0.0).tolist() == [0, 2]
+    _assert_clusters_as_greedy_loops(X, 0.0)
+
+
+def test_clusterer_on_one_coordinate():
+    rng = np.random.default_rng(14)
+    X = rng.choice(rng.uniform(-1.0, 1.0, 40), size=(500, 1)) + 1e-4 * rng.standard_normal((500, 1))
+    for tol in (0.0, 1e-4, 1e-3, 0.3):
+        _assert_clusters_as_greedy_loops(X, tol)
 
 
 @st.composite
@@ -2044,6 +2138,28 @@ def test_singular_degenerate_flag_at_large_entries():
     tuples = singular_tuples(DenseTensor(data), SolverConfig(restarts=8, gradient_tolerance=1e152))
     assert tuples and tuples[0].sigma == pytest.approx(np.linalg.svd(data, compute_uv=False)[0], rel=1e-9)
     assert not any(t.degenerate for t in tuples)
+
+
+@pytest.mark.parametrize("sweeps", [10, 3, 1])
+def test_newton_moves_rows_whose_squared_norm_overflows(sweeps, monkeypatch):
+    # residual rows of 1e160 square past the largest float; Newton must still
+    # polish them, however little the ascent did first
+    monkeypatch.setattr(solver, "_ALTERNATING_SWEEPS", sweeps)
+    data = 1e160 * random_tensor((3, 3), 1).data
+    tuples = singular_tuples(DenseTensor(data), SolverConfig(restarts=8, gradient_tolerance=1e152))
+    sigmas = sorted({float(f"{t.sigma:.9g}") for t in tuples}, reverse=True)
+    np.testing.assert_allclose(sigmas, svd_small(data)[0], rtol=1e-8)
+
+
+def test_row_norms_redo_only_the_rows_that_overflow():
+    D = np.array([[3.0, 4.0], [3e200, 4e200], [np.inf, 1.0], [np.nan, 1.0], [1e-200, 0.0]])
+    with np.errstate(over="ignore"):
+        d, norm = solver._row_dist(D), np.linalg.norm(D, axis=1)
+    # the non-finite rows and the underflowing one come out as np.linalg.norm's
+    np.testing.assert_array_equal(np.delete(d, 1), np.delete(norm, 1))
+    assert norm[1] == np.inf and d[1] == pytest.approx(5e200, rel=1e-15)
+    E = np.random.default_rng(3).standard_normal((50, 4))
+    assert np.array_equal(solver._row_dist(E), np.linalg.norm(E, axis=1))
 
 
 def test_singular_tuple_contracts():
