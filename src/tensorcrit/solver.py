@@ -58,9 +58,11 @@ log = logging.getLogger(__name__)
 # Effort caps and step control of the search.  Newton steps are damped as
 # _damped_newton describes, with the Armijo fraction _ARMIJO_SLOPE * alpha, over
 # the _MAX_BACKTRACKS step lengths 2^0..2^-24.  About one row in ten whose full
-# step fails needs a step below 2^-15 (near singular Jacobians), so those steps
-# get a call of their own rather than nine more trial rows on every such row;
-# dropping them loses critical points.
+# step fails needs a step below 2^-15 (near singular Jacobians), so the scan
+# gives those steps a call of their own rather than nine more trial rows on
+# every such row; dropping them loses critical points.  At p = 2 and order
+# k <= 4 the residual is a polynomial along each Newton step, and its
+# step length is read off that polynomial rather than scanned.
 # A row retires after _CREEP_ITERATIONS consecutive accepted steps of length at
 # most _CREEP_STEP.
 # An ascent climbs from the first _ASCENT_STARTS starts only: gradient flow
@@ -329,7 +331,7 @@ def _leaders(X, tol):
     Rows come in priority order.  The first free row leads a cluster that
     takes every later row j with np.linalg.norm(X[j] - X[i]) <= tol from its
     leader i, and the next free row leads the next cluster.  Non-finite rows
-    are never leaders.
+    are never leaders, so a caller need not filter them out.
 
     In rounds over runs: the live rows are sorted by one coordinate and cut
     into runs wherever two neighbours differ by more than reach there.  Twice
@@ -343,7 +345,8 @@ def _leaders(X, tol):
     coordinate fall apart in another; each round is one pass over the live rows.
     """
     reach = 2.0 * tol + np.sqrt(np.finfo(float).tiny)
-    live = np.flatnonzero(np.all(np.isfinite(X), axis=1))
+    # logical_and over the columns of the transposed mask: a fraction of np.all(..., axis=1)
+    live = np.flatnonzero(np.logical_and.reduce(np.isfinite(X).T))
     run = np.zeros(len(live), dtype=int)
     found = [np.empty(0, dtype=int)]
     c = 0
@@ -375,13 +378,13 @@ def _lex_order(primary, keys):
 def _dedupe_rows(keys, resid, tol):
     """The rows dedupe keeps, as indices in input order: one per greedy cluster.
 
-    The rows with finite keys are ordered by ascending residual (NaN last),
-    ties broken by their key columns, and _leaders clusters them at distance
-    tol in that order.  Rows with a non-finite key are dropped before the
-    ordering, so they change nothing about which rows are kept.
+    The rows are ordered by ascending residual (NaN last), ties broken by
+    their key columns, and _leaders clusters them at distance tol in that
+    order.  _leaders skips the rows with a non-finite key, and the stable
+    sort keeps the relative order of the others, so those rows change nothing
+    about which rows are kept.
     """
-    rows = np.flatnonzero(np.all(np.isfinite(keys), axis=1))
-    order = rows[_lex_order(resid[rows], keys[rows])]
+    order = _lex_order(resid, keys)
     return np.sort(order[_leaders(keys[order], tol)])
 
 
@@ -401,12 +404,15 @@ def _newton_steps(J, F):
     The batched solve raises if any J is exactly singular.  The rows whose
     LU factorization meets a zero pivot are exactly those where slogdet has
     sign 0, so those rows take the pinv step and the others are solved
-    apart from them: a singular row changes no other row's step.
+    apart from them: a singular row changes no other row's step.  The log of
+    a zero determinant is -inf and may be NaN next to huge entries; only the
+    sign is read, so slogdet runs with those warnings off.
     """
     try:
         return np.linalg.solve(J, -F[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        singular = np.linalg.slogdet(J)[0] == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            singular = np.linalg.slogdet(J)[0] == 0
     dz = np.empty_like(F)
     ok = ~singular
     dz[ok] = np.linalg.solve(J[ok], -F[ok][..., None])[..., 0]
@@ -414,7 +420,36 @@ def _newton_steps(J, F):
     return dz
 
 
-def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
+def _ray_excess(C, J, limit, powers):
+    """(excess, margin): ||F(alpha)||^2 - limit^2 for F(alpha) = sum_i C[i] alpha^i, and its rounding.
+
+    C[i] holds the coefficients of degree i of the rows of F, one row per
+    search row; J holds the rows' Jacobians, powers[i, t] = alpha_t^i and
+    limit[r, t] the bound at alpha_t.  ||F(alpha)||^2 is the Gram matrix of
+    the coefficients summed against the powers.  margin bounds how far the
+    excess may be from that of the state at z + alpha * dz: err * (2 b + err),
+    with b = sum_i ||C_i|| alpha^i >= ||F(alpha)|| and err, a bound on the
+    rounding of ||F(alpha)||, the sum of
+      - the state's rounding, which is absolute near a solution: 4 eps times
+        the row's largest Jacobian entry times its width (its longest sum);
+      - the polynomial's: 1e-12 of b;
+      - that of the coefficients above C_1, which come from states of size
+        up to sum_i ||C_i||: 64 eps of that, times alpha^2.
+    A polynomial that overflows gives NaN.
+    """
+    eps = np.finfo(float).eps
+    gram_powers = (powers[:, None] * powers).reshape(-1, powers.shape[1])  # alpha^(i + j)
+    with np.errstate(all="ignore"):
+        G = np.einsum("izs,jzs->zij", C, C)
+        norms = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
+        bound = norms @ powers
+        err = 4.0 * eps * C.shape[2] * np.abs(J).max(axis=(1, 2))[:, None] + 1e-12 * bound
+        err += 64.0 * eps * norms.sum(axis=1)[:, None] * powers[2]
+        excess = G.reshape(len(G), len(gram_powers)) @ gram_powers - np.square(limit)
+        return excess, err * (2.0 * bound + err)
+
+
+def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps):
     """Damped Newton on the square systems F(z) = 0, one per row of z0.
 
     At most _NEWTON_ITERATIONS iterations; a row is done when its residual
@@ -425,13 +460,27 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
 
     Each row takes the longest step alpha * dz, alpha in 2^0, 2^-1, ...,
     2^-(_MAX_BACKTRACKS-1), that passes the Armijo test; a row with no such
-    alpha, or a non-finite Newton step, stalls.  An iteration makes at most
-    three state_fn calls, each on the rows for which no longer step passed:
-    the full step z + dz on every active row with a finite step, checked by
-    one comparison per row, then 2^-1..2^-15 stacked on the rows whose full
-    step failed, then the rest down to the floor.  The alphas are exact
-    powers of two, 1.0 * dz is dz, and state_fn works row by row, so the
-    outcome is bit-identical to trying the halvings one at a time.
+    alpha, or a non-finite Newton step, stalls.  The full step z + dz goes
+    first, on every active row with a finite step, checked by one
+    comparison per row; each later state_fn call is on the rows for which
+    no longer step passed.  Then, with no ``degree``, the scan stacks
+    2^-1..2^-15 on the rows whose full step failed, and the rest down to the
+    floor on the rows still failing.  The alphas are exact powers of two,
+    1.0 * dz is dz, and state_fn works row by row, so the outcome is
+    bit-identical to trying the halvings one at a time.
+
+    ``degree`` d (2 or 3) says that every row of F is a polynomial of degree
+    d along the ray z + alpha * dz.  Its coefficients are F(z), J dz (from
+    the Jacobian as built, so that they hold for any steps) and the rest,
+    from the full step's F(z + dz) and, at d = 3, F(z + dz / 2), which the
+    full step's call evaluates beside it (a row whose full step fails takes
+    1/2 where that passes).  An alpha is ruled out where ||F(alpha)||
+    exceeds the Armijo bound by more than its rounding (_ray_excess).  Each
+    row then tries, in one call, the longest alpha not ruled out, with the
+    real test on the bits the scan would build; a row ruled out at every
+    alpha stalls with no call.  The rows that fail the real test get every
+    shorter alpha stacked in one call.  So an iteration makes at most three
+    calls, and the outcome is the scan's wherever the rounding bound holds.
     ``steps(J, F)`` gives the Newton steps of the active rows: _newton_steps,
     or _min_norm_steps where a solution set may be positive-dimensional.
 
@@ -448,51 +497,85 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, steps=_newton_steps):
     creep = np.zeros(len(z), dtype=int)  # consecutive accepted steps with alpha <= _CREEP_STEP
     rows = np.flatnonzero((Fn > target) & np.isfinite(Fn))  # the active rows; the rest never move
     za, Fa, fa, ca = z[rows], F[rows], Fn[rows], creep[rows]
-    full, *shorter = np.split(np.ldexp(1.0, -np.arange(_MAX_BACKTRACKS)), [1, 16])
-    # each nonempty batch of shorter step lengths: (alphas, Armijo factors, creep flags)
-    batches = [(a, 1.0 - _ARMIJO_SLOPE * a, a <= _CREEP_STEP) for a in shorter if a.size]
+    alphas = np.ldexp(1.0, -np.arange(_MAX_BACKTRACKS))
+    armijo, creeps = 1.0 - _ARMIJO_SLOPE * alphas, alphas <= _CREEP_STEP
+    # the batches of shorter step lengths the scan stacks, as indices into alphas
+    scan = [t for t in np.split(np.arange(1, alphas.size), [15]) if t.size]
+    if degree is not None and degree > alphas.size:
+        degree = None  # no step length left for the polynomial to pick
+    lead = 1  # the step lengths every active row tries first, in one call
+    if degree is not None:
+        lead = degree - 1  # 1/2 too at d = 3: the polynomial needs the state there
+        powers = np.ldexp(1.0, -np.outer(np.arange(degree + 1), np.arange(lead, alphas.size)))
+        scan = [np.arange(lead, alphas.size)]  # the fallback's one batch
+
+    def tries(searching, t):
+        """Row searching[r] tries alphas[t[r]] (t[0] if t has one row), longest first, in one state call.
+
+        It takes the first that passes the Armijo test; returns the rows none passed.
+        """
+        nonlocal calls, trial_rows
+        if not searching.size:
+            return searching
+        m = t.shape[1]
+        zt = za.take(searching, 0)[:, None] + alphas[t][..., None] * dz.take(searching, 0)[:, None]
+        Ft, Fnt = state_fn(zt.reshape(-1, za.shape[1]))
+        calls += 1
+        trial_rows += Fnt.size
+        ok = Fnt.reshape(-1, m) <= armijo[t] * fa.take(searching)[:, None]
+        first = np.argmax(ok, axis=1)  # the first passing step length, or 0 where none passes
+        pick = np.arange(0, Fnt.size, m) + first
+        hit = ok.reshape(-1)[pick]
+        pick, took = pick[hit], searching[hit]
+        za[took], Fa[took], fa[took] = zt.reshape(-1, za.shape[1])[pick], Ft[pick], Fnt[pick]
+        ca[took] = np.where((ok & creeps[t]).reshape(-1)[pick], ca[took] + 1, 0)
+        moved[took] = True
+        return searching[~hit]
+
     for _ in range(_NEWTON_ITERATIONS):
         if rows.size == 0:
             break
         newton_iters += 1
-        dz = steps(jac_fn(za), Fa)
+        J = jac_fn(za)
+        dz = steps(J, Fa)
         if not np.isfinite(dz).all():  # a row with a non-finite step stalls: it leaves before any trial
             finite = np.all(np.isfinite(dz), axis=1)
             left = rows[~finite]
             z[left], Fn[left], creep[left] = za[~finite], fa[~finite], ca[~finite]
-            rows, za, Fa, fa, ca, dz = rows[finite], za[finite], Fa[finite], fa[finite], ca[finite], dz[finite]
+            rows, za, Fa, fa, ca, dz, J = (x[finite] for x in (rows, za, Fa, fa, ca, dz, J))
         moved = np.zeros(rows.size, dtype=bool)
         # every active norm fa is finite, so a non-finite trial norm fails each Armijo test
-        if full.size and rows.size:
-            # 1.0 * dz is exact, so the full step is za + dz, one test per row
-            zt = za + dz
-            Ft, Fnt = state_fn(zt)
+        if alphas.size and rows.size:
+            # 1.0 * dz is exact, so the full step is za + dz; one test per row and step length
+            zt = za + alphas[:lead, None, None] * dz
+            Ft, Fnt = state_fn(zt.reshape(-1, za.shape[1]))
             calls += 1
             trial_rows += Fnt.size
-            moved = Fnt <= (1.0 - _ARMIJO_SLOPE) * fa
-            np.copyto(za, zt, where=moved[:, None])
-            np.copyto(Fa, Ft, where=moved[:, None])
-            np.copyto(fa, Fnt, where=moved)
-            ca[moved] = 0  # a full step never creeps
+            Ft, Fnt = Ft.reshape(lead, rows.size, -1), Fnt.reshape(lead, rows.size)
+            for a in range(lead):
+                took = ~moved & (Fnt[a] <= armijo[a] * fa)
+                np.copyto(za, zt[a], where=took[:, None])
+                np.copyto(Fa, Ft[a], where=took[:, None])
+                np.copyto(fa, Fnt[a], where=took)
+                moved |= took
+            ca[moved] = 0  # neither 1 nor 1/2 creeps
         searching = np.flatnonzero(~moved)
-        for alphas, armijo, creeps in batches:
-            if not searching.size:
-                break
-            # trial row r * m + t is searching row r at step length alphas[t]
-            m = alphas.size
-            zt = (za[searching, None] + alphas[:, None] * dz[searching, None]).reshape(-1, za.shape[1])
-            Ft, Fnt = state_fn(zt)
-            calls += 1
-            trial_rows += Fnt.size
-            ok = Fnt.reshape(-1, m) <= armijo * fa[searching, None]
-            longest = np.argmax(ok, axis=1)  # the first passing step length, or 0 where none passes
-            pick = np.arange(0, Fnt.size, m) + longest
-            hit = ok.reshape(-1)[pick]
-            pick, took = pick[hit], searching[hit]
-            za[took], Fa[took], fa[took] = zt[pick], Ft[pick], Fnt[pick]
-            ca[took] = np.where(creeps[longest[hit]], ca[took] + 1, 0)
-            moved[took] = True
-            searching = searching[~hit]
+        if degree is not None and searching.size:
+            s = searching
+            Js, F0 = J.take(s, 0), Fa.take(s, 0)
+            with np.errstate(all="ignore"):  # rows that overflow give a NaN polynomial
+                F1 = np.einsum("zij,zj->zi", Js, dz.take(s, 0))
+                R = Ft[0].take(s, 0) - F0 - F1  # F2 + ... + Fd
+                coef = (F0, F1, R)
+                if degree == 3:
+                    F2 = 8.0 * (Ft[1].take(s, 0) - F0 - 0.5 * F1) - R
+                    coef = (F0, F1, F2, R - F2)
+            excess, margin = _ray_excess(np.stack(coef), Js, armijo[lead:] * fa.take(s)[:, None], powers)
+            fails = excess > margin  # sure to fail the Armijo test; NaN (an overflow) is not sure
+            pick = ~fails.all(axis=1)  # a row ruled out at every alpha stalls
+            searching = tries(s[pick], lead + np.argmin(fails[pick], axis=1)[:, None])
+        for t in scan:
+            searching = tries(searching, t[None])
         keep = moved & (fa > target) & (ca < _CREEP_ITERATIONS)
         if not keep.all():
             out = ~keep
@@ -622,14 +705,15 @@ def _ascend(S, V0, p, sign):
     return V
 
 
-def _check_continuum(z, J, state_fn, jac_fn, merge_tol, gtol, noun):
+def _check_continuum(z, J, state_fn, jac_fn, degree, merge_tol, gtol, noun):
     """Raise DegenerateTensorError if the rows of z lie on a positive-dimensional set.
 
     Local dimension test (Bates, Hauenstein, Peterson & Sommese, SINUM 2009)
     on rows z = (point, multipliers), critical value last, with Jacobians J.
     A row with sigma_min <= sqrt(gtol) * sigma_max is stepped h = max(1e-3,
     10 * merge_tol) along its null vector and corrected by damped Newton with
-    minimum-norm steps, which move across a continuum rather than along it; a
+    minimum-norm steps (and ``degree`` as in _damped_newton), which move
+    across a continuum rather than along it; a
     stationary result with the same value at a distance in (merge_tol, 2h]
     witnesses a continuum.  Newton returns to isolated degenerate points.
     The error names the first witness in flagged order, so the flagged rows
@@ -648,7 +732,7 @@ def _check_continuum(z, J, state_fn, jac_fn, merge_tol, gtol, noun):
         start, size = start + size, 2 * size
         z0 = z[rows]
         z1 = _damped_newton(
-            z0 + h * np.linalg.svd(J[rows])[2][:, -1], state_fn, jac_fn, gtol, steps=_min_norm_steps
+            z0 + h * np.linalg.svd(J[rows])[2][:, -1], state_fn, jac_fn, gtol, degree, _min_norm_steps
         )
         dist = np.linalg.norm(z1 - z0, axis=1)
         same = (state_fn(z1)[1] <= gtol) & (np.abs(z1[:, -1] - z0[:, -1]) <= gtol)
@@ -766,8 +850,12 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
     return int(index[0]), bool(nondegenerate[0])
 
 
-def _search(config, dims, grads, blocks, ascend, act, merge_tol, cap, noun):
+def _search(config, dims, degree, grads, blocks, ascend, act, merge_tol, cap, noun):
     """The multi-start search on the product of the unit p-spheres of dims.
+
+    ``degree`` is the degree of the g_i in w.  At p = 2 the Lagrange system
+    is then a polynomial of degree d = max(degree, 2), which Newton's line
+    search reads off up to d = 3.
 
     ``ascend`` takes the first _ASCENT_STARTS starts, one array of rows per
     sphere, to endpoints; Newton polishes every endpoint, then every start.
@@ -781,12 +869,13 @@ def _search(config, dims, grads, blocks, ascend, act, merge_tol, cap, noun):
     """
     p, gtol = config.p, config.gradient_tolerance
     state, jac = _lagrange_fns(dims, p, grads, blocks)
+    d = max(degree, 2) if p == 2.0 and degree <= 3 else None
     starts = _random_starts(config.seed, config.restarts, dims, p)
     ends = ascend([S[:_ASCENT_STARTS] for S in starts])
     Ws = [np.concatenate([E, W]) for E, W in zip(ends, starts)]
     # every multiplier starts at the value f(w) = <g_k, w_k>
     s0 = np.repeat(_dot_rows(grads(Ws)[-1], Ws[-1])[:, None], len(dims), axis=1)
-    z = _damped_newton(np.concatenate(Ws + [s0], axis=1), state, jac, gtol)
+    z = _damped_newton(np.concatenate(Ws + [s0], axis=1), state, jac, gtol, d)
     accepted = _accept(grads, [z[:, c] for c in _column_slices(dims)], p, gtol)
     Ws, value, resid, mults, found = act(*accepted)
     keys = np.concatenate(Ws, axis=1)
@@ -799,7 +888,7 @@ def _search(config, dims, grads, blocks, ascend, act, merge_tol, cap, noun):
     z = np.concatenate([keys[kept], np.repeat(value[kept, None], len(dims), axis=1)], axis=1)
     J = jac(z)
     if kept.size:
-        _check_continuum(z, J, state, jac, merge_tol, gtol, noun)
+        _check_continuum(z, J, state, jac, d, merge_tol, gtol, noun)
     else:
         log.info("no %ss found at this effort (restarts=%d)", noun, config.restarts)
     order = _lex_order(-value[kept], keys[kept])
@@ -861,7 +950,7 @@ def _eigen_run(tensor, mode, config):
     else:  # the Cartwright-Sturmfels count, antipodes included
         cap = 2 * (n if k == 2 else ((k - 1) ** n - 1) // (k - 2))
     (V,), lam, resid, _, _, J = _search(
-        config, (n,), grads, blocks, ascend, act, merge_tol, cap, "stationary point"
+        config, (n,), k - 1, grads, blocks, ascend, act, merge_tol, cap, "stationary point"
     )
     index = nondeg = [None] * len(V)
     if mode == 0 and p == 2.0:
@@ -976,7 +1065,8 @@ def singular_tuples(tensor, config=None):
         return [sign[:, None] * Ws[0]] + Ws[1:], sign * raw, resid, sign[:, None] * mults, raw
 
     Ws, sigma, resid, mults, raw, _ = _search(
-        config, tensor.shape, grads, blocks, lambda starts: _alternating_ascent(data, starts, config.p),
+        config, tensor.shape, tensor.order - 1, grads, blocks,
+        lambda starts: _alternating_ascent(data, starts, config.p),
         act, _DEDUPE_TOLERANCE, None, "singular tuple",
     )
     return [

@@ -1114,30 +1114,39 @@ def _singular_parts(data):
     return data.shape, lambda Ws: solver._batch_mode_grads(data, Ws), blocks
 
 
+def _ray_degree(k, p):
+    """The degree of an order-k Lagrange system along a Newton ray, where the line search reads it.
+
+    At p = 2 the g_i have degree k - 1 and the rest of the system degree 2;
+    the polynomial line search takes degrees 2 and 3.
+    """
+    return max(k - 1, 2) if p == 2.0 and k <= 4 else None
+
+
 def _eigen_system(D, p):
-    """(state_fn, jac_fn) of the last-mode eigenproblem of D."""
+    """(state_fn, jac_fn, degree) of the last-mode eigenproblem of D."""
     dims, grads, blocks = _eigen_parts(D)
-    return solver._lagrange_fns(dims, p, grads, blocks)
+    return solver._lagrange_fns(dims, p, grads, blocks) + (_ray_degree(D.ndim, p),)
 
 
 def _singular_system(data, p):
-    """(state_fn, jac_fn) of the singular tuples of data."""
+    """(state_fn, jac_fn, degree) of the singular tuples of data."""
     dims, grads, blocks = _singular_parts(data)
-    return solver._lagrange_fns(dims, p, grads, blocks)
+    return solver._lagrange_fns(dims, p, grads, blocks) + (_ray_degree(data.ndim, p),)
 
 
-def _newton_systems(shape, p, seed):
-    """(z0, state_fn, jac_fn) as the solver's polish builds them, on raw starts."""
+def _newton_systems(shape, p, seed, restarts=24):
+    """(z0, state_fn, jac_fn, degree) as the solver's polish builds them, on raw starts."""
     out = []
     if len(set(shape)) == 1:
         T = random_tensor(shape, seed)
         S = random_tensor(shape, seed, symmetric=True)
         for D in (S.data, _leading_mean(np.moveaxis(T.data, 1, -1))):
-            (V,) = solver._random_starts(seed, 24, shape[:1], p)
+            (V,) = solver._random_starts(seed, restarts, shape[:1], p)
             lam = _form_values(D, [V] * len(shape))
             out.append((np.concatenate([V, lam[:, None]], axis=1),) + _eigen_system(D, p))
     data = random_tensor(shape, seed).data
-    Ws = solver._random_starts(seed, 24, shape, p)
+    Ws = solver._random_starts(seed, restarts, shape, p)
     s0 = np.repeat(_form_values(data, Ws)[:, None], len(shape), axis=1)
     out.append((np.concatenate(Ws + [s0], axis=1),) + _singular_system(data, p))
     return out
@@ -1145,21 +1154,34 @@ def _newton_systems(shape, p, seed):
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_test_systems_are_the_ones_the_solvers_build(p, monkeypatch):
-    # the line-search and contraction tests run _eigen_system and _singular_system
-    T = random_tensor((3, 3, 3), 4)
-    refs = [_eigen_system(_leading_mean(np.moveaxis(T.data, 1, -1)), p), _singular_system(T.data, p)]
-    built = []
-    lagrange = solver._lagrange_fns
-    monkeypatch.setattr(solver, "_lagrange_fns", lambda *args: built.append(lagrange(*args)) or built[-1])
-    generalized_eigenpairs(T, 2, SolverConfig(restarts=2, p=p))
-    singular_tuples(T, SolverConfig(restarts=2, p=p))
-    z = np.random.default_rng(1).standard_normal((7, 12))
-    assert len(built) == 2
-    for (state, jac), (ref_state, ref_jac), rows in zip(built, refs, (z[:, :4], z)):
-        F, Fn = state(rows)
-        assert F.tobytes() == ref_state(rows)[0].tobytes()
-        assert Fn.tobytes() == np.linalg.norm(F, axis=1).tobytes()
-        assert jac(rows).tobytes() == ref_jac(rows).tobytes()
+    # the line-search and contraction tests run _eigen_system and _singular_system,
+    # with the degree the solvers hand to Newton (None at p != 2 and at k = 5)
+    for shape in [(3, 3, 3), (2, 2, 2, 2), (2, 2, 2, 2, 2)]:
+        T = random_tensor(shape, 4)
+        refs = [_eigen_system(_leading_mean(np.moveaxis(T.data, 1, -1)), p), _singular_system(T.data, p)]
+        built, degrees = [], []
+        with monkeypatch.context() as mp:
+            lagrange, newton = solver._lagrange_fns, solver._damped_newton
+            mp.setattr(solver, "_lagrange_fns", lambda *args: built.append(lagrange(*args)) or built[-1])
+
+            def recorded_newton(z0, state_fn, jac_fn, gtol, degree=None, *args):
+                degrees.append(degree)
+                return newton(z0, state_fn, jac_fn, gtol, degree, *args)
+
+            mp.setattr(solver, "_damped_newton", recorded_newton)
+            generalized_eigenpairs(T, 2, SolverConfig(restarts=2, p=p))
+            n_eigen = len(degrees)
+            singular_tuples(T, SolverConfig(restarts=2, p=p))
+        # the polish, and the continuum check's Newton if it runs, get the degree of the helpers
+        assert set(degrees[:n_eigen]) == {refs[0][2]} and set(degrees[n_eigen:]) == {refs[1][2]}
+        n, k = shape[0], len(shape)
+        z = np.random.default_rng(1).standard_normal((7, (n + 1) * k))
+        assert len(built) == 2
+        for (state, jac), (ref_state, ref_jac, _), rows in zip(built, refs, (z[:, : n + 1], z)):
+            F, Fn = state(rows)
+            assert F.tobytes() == ref_state(rows)[0].tobytes()
+            assert Fn.tobytes() == np.linalg.norm(F, axis=1).tobytes()
+            assert jac(rows).tobytes() == ref_jac(rows).tobytes()
 
 
 def _ref_bordered_jacobian(dims, p, blocks, z):
@@ -1216,20 +1238,211 @@ def test_bordered_jacobian_matches_an_entry_by_entry_assembly(shape, p):
 @pytest.mark.parametrize("p", [2.0, 1.5, 3.0])
 @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4, 4), (4, 5, 6), (2, 3, 4, 3)])
 def test_line_search_matches_sequential_halving(shape, p, monkeypatch):
+    # at p = 2 the step lengths come from the polynomial (degree 2 at k = 3, 3 at k = 4)
     for max_backtracks in (25,) if len(shape) == 4 else (2, 25):
         monkeypatch.setattr(solver, "_MAX_BACKTRACKS", max_backtracks)
-        for z0, state, jac in _newton_systems(shape, p, seed=len(shape) + int(2 * p)):
+        for z0, state, jac, degree in _newton_systems(shape, p, seed=len(shape) + int(2 * p)):
             args = (state, jac, CFG.gradient_tolerance)
-            got = solver._damped_newton(z0, *args)
+            got = solver._damped_newton(z0, *args, degree)
             assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
 
 
 @pytest.mark.parametrize("max_backtracks", BACKTRACKS)
 def test_line_search_matches_sequential_halving_at_block_edges(max_backtracks, monkeypatch):
     monkeypatch.setattr(solver, "_MAX_BACKTRACKS", max_backtracks)
-    for z0, state, jac in _newton_systems((3, 3, 3), 2.0, seed=11) + _newton_systems((2, 3, 4), 3.0, seed=12):
+    systems = _newton_systems((3, 3, 3), 2.0, seed=11) + _newton_systems((2, 3, 4), 3.0, seed=12)
+    for z0, state, jac, degree in systems + _newton_systems((2, 2, 2, 2), 2.0, seed=13):
         args = (state, jac, CFG.gradient_tolerance)
-        assert solver._damped_newton(z0, *args).tobytes() == _ref_damped_newton(z0, *args).tobytes()
+        assert solver._damped_newton(z0, *args, degree).tobytes() == _ref_damped_newton(z0, *args).tobytes()
+
+
+@pytest.mark.parametrize("shape, seed", [((3, 3), 1), ((3, 3, 3), 3), ((2, 2, 2, 2), 4)])
+def test_line_search_matches_sequential_halving_where_squares_overflow(shape, seed):
+    # residual rows of 1e160 square past the largest float: the polynomial is NaN
+    # there and rules no step length out, so each row tries the longest for real
+    data = 1e160 * random_tensor(shape, seed).data
+    state, jac, degree = _singular_system(data, 2.0)
+    Ws = solver._random_starts(seed, 24, shape, 2.0)
+    z0 = np.concatenate(Ws + [np.repeat(_form_values(data, Ws)[:, None], len(shape), axis=1)], axis=1)
+    args = (state, jac, 1e152)
+    assert solver._damped_newton(z0, *args, degree).tobytes() == _ref_damped_newton(z0, *args).tobytes()
+
+
+def _longest_step(state, jac, z):
+    """The index of the longest step length the scan takes from row z in one iteration, or -1."""
+    F, Fn = state(z[None])
+    dz = solver._newton_steps(jac(z[None]), F)[0]
+    alphas = np.ldexp(1.0, -np.arange(solver._MAX_BACKTRACKS))
+    ok = state(z + alphas[:, None] * dz)[1] <= (1.0 - solver._ARMIJO_SLOPE * alphas) * Fn[0]
+    return int(np.argmax(ok)) if ok.any() else -1
+
+
+def _boundary_rows(state, jac, pairs):
+    """Two rows a rounding error apart on the segment between two rows whose longest steps differ.
+
+    Bisection keeps the longest steps at the ends different, so one Armijo
+    decision of the first iteration flips between the two rows it ends on.
+    """
+    out = []
+    for za, zb in pairs:
+        lo, hi, t_lo = 0.0, 1.0, _longest_step(state, jac, za)
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if _longest_step(state, jac, (1.0 - mid) * za + mid * zb) == t_lo:
+                lo = mid
+            else:
+                hi = mid
+        out += [(1.0 - lo) * za + lo * zb, (1.0 - hi) * za + hi * zb]
+    return np.array(out)
+
+
+def _one_iteration_calls(z0, state, jac, degree, monkeypatch):
+    """The row counts of the state calls of one Newton iteration from z0."""
+    sizes = []
+
+    def counted(z):
+        sizes.append(len(z))
+        return state(z)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_NEWTON_ITERATIONS", 1)
+        solver._damped_newton(z0, counted, jac, CFG.gradient_tolerance, degree)
+    return sizes
+
+
+@pytest.mark.parametrize("shape, seed", [((3, 3, 3), 11), ((3, 3, 3, 3), 12)])
+def test_polynomial_line_search_at_the_armijo_boundary(shape, seed, monkeypatch):
+    # rows on both sides of an Armijo decision that only rounding settles: the
+    # polynomial cannot rule that step length out, so on the side where it
+    # fails the real test the fallback stacks every shorter step length
+    D = random_tensor(shape, seed, symmetric=True).data
+    state, jac, degree = _eigen_system(D, 2.0)
+    (V,) = solver._random_starts(seed, 24, shape[:1], 2.0)
+    z0 = np.concatenate([V, _form_values(D, [V] * len(shape))[:, None]], axis=1)
+    t = [_longest_step(state, jac, z) for z in z0]
+    # neighbouring rows whose full steps fail and whose longest steps differ
+    pairs = [(z0[r], z0[r + 1]) for r in range(len(z0) - 1) if 1 <= min(t[r], t[r + 1]) < max(t[r], t[r + 1])]
+    rows = _boundary_rows(state, jac, pairs[:3])
+    assert len(rows) == 6
+    args = (state, jac, CFG.gradient_tolerance)
+    assert solver._damped_newton(rows, *args, degree).tobytes() == _ref_damped_newton(rows, *args).tobytes()
+    fallbacks = 0
+    for a, b in zip(rows[::2], rows[1::2]):
+        assert _longest_step(state, jac, a) != _longest_step(state, jac, b)
+        for r in (a[None], b[None]):
+            assert solver._damped_newton(r, *args, degree).tobytes() == _ref_damped_newton(r, *args).tobytes()
+            # the entry state, the full step (and 1/2 at d = 3), the pick and the fallback
+            # stacking every shorter step length
+            sizes = _one_iteration_calls(r, state, jac, degree, monkeypatch)
+            assert sizes[:2] == [1, degree - 1] and sizes[2:3] in ([], [1])
+            assert sizes[3:] in ([], [solver._MAX_BACKTRACKS + 1 - degree])
+            fallbacks += len(sizes) == 4
+    # at d = 3 a flip at 1/2 is settled by the call there
+    assert fallbacks == 3 if degree == 2 else fallbacks >= 1
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 3, 3, 3)])
+def test_polynomial_line_search_near_convergence(shape, monkeypatch):
+    # residuals within 10x the target on a tensor scaled by 2^16, whose state
+    # rounds at about the target: full steps fail, the rounding bound decides
+    # which step lengths are ruled out, and picks that fail the real test fall back
+    T = random_tensor(shape, 31, symmetric=True)
+    state, jac, degree = _eigen_system(2.0**16 * T.data, 2.0)
+    rng = np.random.default_rng(5)
+    z0 = np.array([
+        np.concatenate([pt.vector + 10.0**e * rng.standard_normal(len(pt.vector)), [2.0**16 * pt.value]])
+        for pt in symmetric_eigenpairs(T) for e in np.linspace(-17, -14, 7)
+    ])
+    Fn = state(z0)[1]
+    target = 0.05 * CFG.gradient_tolerance
+    z0 = z0[(Fn > target) & (Fn <= 10 * target)]
+    assert len(z0) >= 20
+    args = (state, jac, CFG.gradient_tolerance)
+    assert solver._damped_newton(z0, *args, degree).tobytes() == _ref_damped_newton(z0, *args).tobytes()
+    # the entry state, the full step (and 1/2 at d = 3), the picks and one call stacking
+    # every shorter step length (lengths 2^-1.. at d = 2, 2^-2.. at d = 3) on the rest
+    sizes = _one_iteration_calls(z0, state, jac, degree, monkeypatch)
+    assert len(sizes) == 4 and sizes[1] == (degree - 1) * len(z0)
+    assert sizes[3] % (solver._MAX_BACKTRACKS + 1 - degree) == 0
+
+
+@pytest.mark.parametrize(
+    "solve, tensor, config, polynomial",
+    [
+        (symmetric_eigenpairs, random_tensor((3, 3, 3), 7, symmetric=True), CFG, True),
+        (singular_tuples, random_tensor((2, 3, 2, 2), 7), CFG, True),
+        (symmetric_eigenpairs, random_tensor((2,) * 5, 7, symmetric=True), CFG, False),
+        (singular_tuples, random_tensor((2, 2, 2, 2, 2), 7), CFG, False),
+        (lambda T, c: generalized_eigenpairs(T, 1, c), random_tensor((3, 3, 3), 7), replace(CFG, p=3.0), False),
+        (singular_tuples, random_tensor((3, 4), 7), replace(CFG, p=1.5), False),
+    ],
+)
+def test_line_search_reads_a_polynomial_at_p_two_up_to_order_four(solve, tensor, config, polynomial, monkeypatch):
+    # at p != 2 the system is not polynomial, and at k >= 5 its degree is above 3: both scan
+    calls = []
+    ray_excess = solver._ray_excess
+    monkeypatch.setattr(solver, "_ray_excess", lambda *args: calls.append(len(args[0])) or ray_excess(*args))
+    solve(tensor, config)
+    assert bool(calls) == polynomial
+
+
+def _ray_coefficients(state, jac, z, degree):
+    """The coefficients of F along each row's Newton ray, from their definition; also J and dz."""
+    F0, J = state(z)[0], jac(z)
+    dz = solver._newton_steps(J, F0)
+    F1 = np.einsum("zij,zj->zi", J, dz)
+    R = state(z + dz)[0] - F0 - F1
+    if degree == 2:
+        return np.stack([F0, F1, R]), J, dz
+    F2 = 8.0 * (state(z + 0.5 * dz)[0] - F0 - 0.5 * F1) - R
+    return np.stack([F0, F1, F2, R - F2]), J, dz
+
+
+@pytest.mark.parametrize(
+    "shape, seed, singular", [((3, 3, 3), 6, True), ((3, 4, 5), 7, False), ((2, 2, 2, 2), 8, False), ((2, 3, 4, 3), 9, False)]
+)
+def test_newton_reads_the_ray_polynomial_of_its_searching_rows(shape, seed, singular, monkeypatch):
+    # the coefficients of the first iteration are F(z), J dz and the rest, on the rows
+    # whose full step failed; J dz, not -F(z), also where a singular J takes the pinv step
+    z0, state, jac, degree = _newton_systems(shape, 2.0, seed)[-1]
+    if singular:
+        z0[-1, : shape[0]] = 0.0  # a zero first vector: its sphere's constraint row of J is zero
+    seen = []
+    ray_excess = solver._ray_excess
+    monkeypatch.setattr(solver, "_ray_excess", lambda *args: seen.append(args) or ray_excess(*args))
+    _one_iteration_calls(z0, state, jac, degree, monkeypatch)
+    ((C, J, limit, powers),) = seen
+    F, Fn = state(z0)
+    dz = solver._newton_steps(jac(z0), F)
+    searching = ~(state(z0 + dz)[1] <= (1.0 - solver._ARMIJO_SLOPE) * Fn)
+    if degree == 3:  # a row whose full step fails takes 1/2 where that passes
+        searching &= ~(state(z0 + 0.5 * dz)[1] <= (1.0 - 0.5 * solver._ARMIJO_SLOPE) * Fn)
+    assert (searching[-1] or not singular) and C.shape[1] == np.count_nonzero(searching) >= 5
+    want, J_want, _ = _ray_coefficients(state, jac, z0[searching], degree)
+    assert C.tobytes() == want.tobytes() and J.tobytes() == J_want.tobytes()
+    assert np.array_equal(limit, (1.0 - solver._ARMIJO_SLOPE * powers[1]) * Fn[searching, None])
+
+
+@pytest.mark.parametrize("shape, seed", [((3, 3, 3), 1), ((4, 4, 4, 4), 2), ((3, 3, 3, 3), 3), ((4, 5, 6), 4), ((2, 3, 4, 3), 5)])
+def test_ray_polynomial_bounds_its_own_rounding(shape, seed):
+    # on every row a Newton run from raw starts visits (the symmetric eigenproblem of
+    # a square shape), ||F(alpha)||^2 read off the polynomial is within the margin of
+    # the real state's at every step length; near singular Jacobians (steps of 1e4 and
+    # more) need the margin of C_2 and C_3
+    z0, state, jac, degree = _newton_systems(shape, 2.0, seed, restarts=200)[0]
+    seen = []
+    solver._damped_newton(z0, state, lambda z: seen.append(z) or jac(z), CFG.gradient_tolerance, degree)
+    z = np.concatenate(seen)
+    C, J, dz = _ray_coefficients(state, jac, z, degree)
+    alphas = np.ldexp(1.0, -np.arange(degree - 1, solver._MAX_BACKTRACKS))
+    real = state((z[:, None] + alphas[:, None] * dz[:, None]).reshape(-1, z.shape[1]))[1].reshape(len(z), -1)
+    powers = alphas ** np.arange(degree + 1)[:, None]
+    excess, margin = solver._ray_excess(C, J, real, powers)
+    assert len(z) > 100 and np.isfinite(excess).all()
+    assert np.all(np.abs(excess) <= margin)
+    # tight enough to matter: away from the rounding floor, 0.9 of the norm is far beyond it
+    far = real > 1e-6
+    assert far.mean() > 0.25 and np.all((solver._ray_excess(C, J, 0.9 * real, powers)[0] > margin)[far])
 
 
 def _toy_state(z):
@@ -1439,12 +1652,33 @@ def test_singular_jacobian_row_leaves_other_rows_alone():
     z0 = np.concatenate(Ws + [s0], axis=1)
     bad = z0[:1].copy()
     bad[:, :3] = 0.0
-    state, jac = _singular_system(data, 2.0)
+    state, jac, degree = _singular_system(data, 2.0)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(jac(bad), np.ones((1, 12, 1)))
-    alone = solver._damped_newton(z0, state, jac, CFG.gradient_tolerance)
-    mixed = solver._damped_newton(np.concatenate([z0[:7], bad, z0[7:]]), state, jac, CFG.gradient_tolerance)
+    alone = solver._damped_newton(z0, state, jac, CFG.gradient_tolerance, degree)
+    mixed = solver._damped_newton(np.concatenate([z0[:7], bad, z0[7:]]), state, jac, CFG.gradient_tolerance, degree)
     assert np.delete(mixed, 7, axis=0).tobytes() == alone.tobytes()
+
+
+def test_singular_jacobians_next_to_huge_entries_warn_nothing():
+    # slogdet, which picks the rows for the pinv step, divides by zero on such
+    # Jacobians; the test suite turns every warning into an error
+    tuples = singular_tuples(DenseTensor([[1e-300, -1e300], [1e300, 5e-324]]), SolverConfig(restarts=16, seed=81))
+    assert all(np.isfinite(t.sigma) for t in tuples)
+
+
+@pytest.mark.parametrize(
+    "solve, tensor",
+    [
+        (symmetric_eigenpairs, random_tensor((3,) * 4, 1, symmetric=True)),
+        (singular_tuples, random_tensor((2, 3, 2, 2), 1)),
+    ],
+)
+def test_polynomial_line_search_at_1e300_warns_nothing(solve, tensor):
+    # the coefficients of the ray polynomial overflow there; the prediction is NaN
+    # and rules nothing out, and no warning reaches the caller
+    points = solve(DenseTensor(1e300 * tensor.data), SolverConfig(restarts=24, seed=5))
+    assert all(np.isfinite(pt.residual) for pt in points)
 
 
 def test_line_search_state_calls_per_newton_iteration(monkeypatch):
@@ -1619,7 +1853,7 @@ def _whole_tensor_contractions(monkeypatch, data):
 def test_singular_system_contracts_the_whole_tensor_twice_per_state_call(shape, monkeypatch):
     data = random_tensor(shape, 1).data
     z, _ = _row_blocks(shape, 5, seed=2)
-    state, jac = _singular_system(data, 2.0)
+    state, jac, _ = _singular_system(data, 2.0)
     calls = _whole_tensor_contractions(monkeypatch, data)
     state(z)
     assert len(calls) == 2
@@ -1634,7 +1868,7 @@ def test_eigen_system_contracts_the_whole_tensor_once_per_jacobian(shape):
     n = shape[0]
     z = np.random.default_rng(2).standard_normal((5, n + 1))
     for data in (_leading_mean(random_tensor(shape, 1).data), random_tensor(shape, 1, symmetric=True).data):
-        state, jac = _eigen_system(data, 2.0)
+        state, jac, _ = _eigen_system(data, 2.0)
         with pytest.MonkeyPatch.context() as mp:
             calls = _whole_tensor_contractions(mp, data)
             state(z)
