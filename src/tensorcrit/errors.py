@@ -10,10 +10,10 @@ class AsymmetricTensorError(ValueError):
 
 
 class DegenerateTensorError(RuntimeError):
-    """The critical set is positive-dimensional; no finite list describes it.
+    """The critical set is degenerate; the solver returns no finite list for it.
 
-    The message names the rule that fired: ``count cap`` (p = 2 eigenpairs
-    beyond the Cartwright-Sturmfels count) or ``continuum witness`` (a step
-    along a Jacobian null vector reaches another point of the same value).
-    Isolated degenerate points do not raise; the solvers return them.
+    The message names the rule that fired: ``count cap`` (p = 2 eigenpairs beyond the
+    Cartwright-Sturmfels count: the set is not finite or Newton split a multiple root) or
+    ``continuum witness`` (a step along a Jacobian null vector reaches another point of the
+    same value).  Other isolated degenerate points do not raise; the solvers return them.
     """

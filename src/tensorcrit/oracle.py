@@ -9,6 +9,7 @@ shared with the rest of the package.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -270,16 +271,17 @@ def _starts(d, a, k):
     return Z / (Z[:, :n] @ a)[:, None] ** np.append(np.ones(n), k - 2)
 
 
-def _track(data, d, a, Z):
+def _track(system, Z):
     """Carry every row z from t = 0 to 1 in one batch, each with its own step.
 
+    ``system(Z, t)`` gives (F, J, dF/dt) of the homotopy at rows Z and times t.
     RK4 on dz/dt = -J^-1 dF/dt, three Newton corrections, a retry at half length.
     """
     t = np.zeros(len(Z))
     dt = np.full(len(Z), 0.05)
 
     def velocity(z, s):
-        _, J, Ft = _system(data, d, a, z, s)
+        _, J, Ft = system(z, s)
         return -np.linalg.solve(J, Ft[..., None])[..., 0]
 
     while np.any(t < 1):
@@ -295,7 +297,7 @@ def _track(data, d, a, Z):
         s = np.where(last, 1.0, s + h)
         steps = []
         for _ in range(3):
-            F, J, _ = _system(data, d, a, z, s)
+            F, J, _ = system(z, s)
             delta = np.linalg.solve(J, F[..., None])[..., 0]
             z = z - delta
             steps.append(np.linalg.norm(delta, axis=1))
@@ -332,14 +334,15 @@ def sphere_critical_points(tensor):
     data = np.ldexp(tensor.data, -math.frexp(float(np.max(np.abs(tensor.data))))[1])
     rng = np.random.default_rng(2016)  # one fixed start system: every call is reproducible
     d, a = rng.uniform(1.0, 2.0, (2, n)) * np.exp(2j * np.pi * rng.uniform(size=(2, n)))
+    system = functools.partial(_system, data, d, a)
     try:
-        Z = _track(data, d, a, _starts(d, a, k))
+        Z = _track(system, _starts(d, a, k))
     except np.linalg.LinAlgError as exc:
         raise DegenerateTensorError("a homotopy path met a singular Jacobian") from exc
     # the chart can be far from x (|z| ~ 1e4): judge the endpoints at unit x
     r = np.linalg.norm(Z[:, :n], axis=1)
     U = Z[:, :n] / r[:, None]
-    _, J, _ = _system(data, d, a, np.column_stack([U, Z[:, n] / r ** (k - 2)]), np.ones(len(U)))
+    _, J, _ = system(np.column_stack([U, Z[:, n] / r ** (k - 2)]), np.ones(len(U)))
     J[:, n, :n] = U.conj()
     sigma = np.linalg.svd(J, compute_uv=False)
     if np.any(sigma[:, -1] <= 1e-8 * sigma[:, 0]):

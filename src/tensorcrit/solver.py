@@ -801,7 +801,7 @@ def residual_eigen(tensor, v, value, mode, p=2.0):
         raise ValueError(f"value must be finite, got {value}")
     k = tensor.order
     grad = mode_gradient(tensor, [vec] * k, max(mode, 1))
-    return float(np.linalg.norm(grad - value * phi(vec, p - 1.0)))
+    return p_norm(grad - value * phi(vec, p - 1.0), 2.0)
 
 
 def _morse_rows(H, V):
@@ -850,12 +850,41 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
     return int(index[0]), bool(nondegenerate[0])
 
 
-def _search(config, dims, degree, grads, blocks, ascend, act, merge_tol, cap, noun):
-    """The multi-start search on the product of the unit p-spheres of dims.
+def _eigen_parts(D):
+    """(dims, degree, grads, blocks) of the last-mode eigenproblem of D, on one sphere."""
+    k = D.ndim
 
-    ``degree`` is the degree of the g_i in w.  At p = 2 the Lagrange system
-    is then a polynomial of degree d = max(degree, 2), which Newton's line
-    search reads off up to d = 3.
+    def grads(Ws):
+        return [_contract_leading(D, Ws * (k - 1))]
+
+    def blocks(Ws):
+        # D is symmetric in its leading k-1 modes, so dg/dv is k-1 times D contracted in k-2
+        return [((0, 0), np.swapaxes((k - 1) * _contract_leading(D, Ws * (k - 2)), 1, 2))]
+
+    return D.shape[:1], k - 1, grads, blocks
+
+
+def _tuple_parts(data):
+    """(dims, degree, grads, blocks) of the singular tuples of data: one sphere per mode."""
+
+    def blocks(Ws):
+        for (i, j), B in _batch_pair_jacs(data, Ws).items():
+            yield (i, j), B
+            yield (j, i), np.swapaxes(B, 1, 2)
+
+    return data.shape, data.ndim - 1, lambda Ws: _batch_mode_grads(data, Ws), blocks
+
+
+def _ray_degree(degree, p):
+    """The system's degree along a Newton ray at p = 2, max(degree, 2); None above 3 or at p != 2."""
+    return max(degree, 2) if p == 2.0 and degree <= 3 else None
+
+
+def _search(config, system, ascend, act, merge_tol, cap, noun):
+    """The multi-start search on the product of the unit p-spheres of a system.
+
+    ``system`` is _eigen_parts' or _tuple_parts' (dims, degree, grads, blocks):
+    the spheres, the degree of the g_i in w, and what _lagrange_fns takes.
 
     ``ascend`` takes the first _ASCENT_STARTS starts, one array of rows per
     sphere, to endpoints; Newton polishes every endpoint, then every start.
@@ -867,9 +896,10 @@ def _search(config, dims, degree, grads, blocks, ascend, act, merge_tol, cap, no
     kept by dedupe at merge_tol, value descending; more than ``cap`` of them
     (None: no cap), or a continuum, raises DegenerateTensorError naming a ``noun``.
     """
+    dims, degree, grads, blocks = system
     p, gtol = config.p, config.gradient_tolerance
     state, jac = _lagrange_fns(dims, p, grads, blocks)
-    d = max(degree, 2) if p == 2.0 and degree <= 3 else None
+    d = _ray_degree(degree, p)
     starts = _random_starts(config.seed, config.restarts, dims, p)
     ends = ascend([S[:_ASCENT_STARTS] for S in starts])
     Ws = [np.concatenate([E, W]) for E, W in zip(ends, starts)]
@@ -883,7 +913,8 @@ def _search(config, dims, degree, grads, blocks, ascend, act, merge_tol, cap, no
     if cap is not None and len(kept) > cap:
         raise DegenerateTensorError(
             f"count cap: {len(kept)} {noun}s survive deduplication, more than the "
-            f"{cap} of the Cartwright-Sturmfels count (antipodes included); the set is not finite"
+            f"{cap} of the Cartwright-Sturmfels count (antipodes included); either the set is not "
+            "finite or Newton split a multiple root"
         )
     z = np.concatenate([keys[kept], np.repeat(value[kept, None], len(dims), axis=1)], axis=1)
     J = jac(z)
@@ -921,13 +952,6 @@ def _eigen_run(tensor, mode, config):
     if max_asymmetry(tensor) != 0.0:
         D = _orbit_mean(D, _orbit_ids(D.shape, k - 1))
 
-    def grads(Ws):
-        return [_contract_leading(D, Ws * (k - 1))]
-
-    def blocks(Ws):
-        # D is symmetric in its leading k-1 modes, so dg/dv is k-1 times D contracted in k-2
-        return [((0, 0), np.swapaxes((k - 1) * _contract_leading(D, Ws * (k - 2)), 1, 2))]
-
     def ascend(starts):
         if not is_symmetric(tensor):  # no endpoints: Newton polishes the raw starts alone
             return [starts[0][:0]]
@@ -950,7 +974,7 @@ def _eigen_run(tensor, mode, config):
     else:  # the Cartwright-Sturmfels count, antipodes included
         cap = 2 * (n if k == 2 else ((k - 1) ** n - 1) // (k - 2))
     (V,), lam, resid, _, _, J = _search(
-        config, (n,), k - 1, grads, blocks, ascend, act, merge_tol, cap, "stationary point"
+        config, _eigen_parts(D), ascend, act, merge_tol, cap, "stationary point"
     )
     index = nondeg = [None] * len(V)
     if mode == 0 and p == 2.0:
@@ -1050,14 +1074,6 @@ def singular_tuples(tensor, config=None):
     data = tensor.data
     scale = p_norm(data.reshape(-1), 2.0)
 
-    def grads(Ws):
-        return _batch_mode_grads(data, Ws)
-
-    def blocks(Ws):
-        for (i, j), B in _batch_pair_jacs(data, Ws).items():
-            yield (i, j), B
-            yield (j, i), np.swapaxes(B, 1, 2)
-
     def act(Ws, raw, resid, mults):
         # canonical sign: negating w_1 where the value is negative negates the value, the
         # multipliers and every gradient but the first exactly, so no residual changes
@@ -1065,8 +1081,7 @@ def singular_tuples(tensor, config=None):
         return [sign[:, None] * Ws[0]] + Ws[1:], sign * raw, resid, sign[:, None] * mults, raw
 
     Ws, sigma, resid, mults, raw, _ = _search(
-        config, tensor.shape, tensor.order - 1, grads, blocks,
-        lambda starts: _alternating_ascent(data, starts, config.p),
+        config, _tuple_parts(data), lambda starts: _alternating_ascent(data, starts, config.p),
         act, _DEDUPE_TOLERANCE, None, "singular tuple",
     )
     return [

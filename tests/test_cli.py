@@ -152,8 +152,10 @@ def test_degenerate_diagnostic_names_the_rule(tmp_path, capsys):
     eye = write(tmp_path, "eye.json", np.eye(2))
     code, out, err = run(capsys, ["eig", eye, "--symmetric", "--restarts", "30"])
     assert (code, out) == (4, "")
-    assert err.startswith(
-        "degenerate: count cap: 60 stationary points survive deduplication, more than the 4 "
+    assert err == (
+        "degenerate: count cap: 60 stationary points survive deduplication, more than the 4 of the "
+        "Cartwright-Sturmfels count (antipodes included); either the set is not finite or Newton "
+        "split a multiple root\n"
     )
     cubic = np.zeros((2, 2, 2))
     cubic[0, 0, 0] = cubic[1, 1, 1] = 1.0
@@ -215,8 +217,9 @@ def test_report_digests_the_bytes_it_parsed(cubic_file, capsys, monkeypatch):
 
 
 def test_eig_audit_of_degenerate_pairs_exits_4(tmp_path, capsys):
-    # x1^2 x2 + x1 x3^2: the solve returns pairs, some with nondegenerate=False.  Its set is
-    # not finite, so more effort raises count cap instead (from 16 restarts at seed 0)
+    # x1^2 x2 + x1 x3^2: the solve returns pairs, some with nondegenerate=False.  Newton splits
+    # its multiple root (0, +-1, 0), so more effort raises count cap instead (from 16 restarts
+    # at seed 0)
     data = np.zeros((3, 3, 3))
     data[0, 0, 1] = data[0, 2, 2] = 1.0
     T = symmetrize(DenseTensor(data))

@@ -1,0 +1,86 @@
+"""Contract tests: every input ends in verified points, a typed error or a documented exit code.
+
+The draws are derandomized and fixed in number, so every run tries the same cases.
+"""
+
+import contextlib
+import io
+import json
+import math
+import warnings
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tensorcrit import DegenerateTensorError, DenseTensor, SolverConfig, generalized_eigenpairs, mode_gradient
+from tensorcrit import p_norm, phi, residual_eigen, singular_tuples, symmetrize, write_tensor_file
+from tensorcrit.cli import main
+
+# zeros, units, 1e300, subnormals, and values whose squares overflow or underflow
+ENTRIES = [0.0, 1.0, -1.0, 0.5, 3.0, 1e300, -1e300, 1e-300, 5e-324, 1e154, 1e-160]
+CONTRACT = settings(derandomize=True, max_examples=120, deadline=None, database=None)
+
+
+@st.composite
+def cases(draw):
+    """(tensor, problem): None for tuples, 0 for the symmetric problem, else a mode (k + 1 too).
+
+    Orders 2-4, dimensions 1-3; half the shapes are square and half of those symmetric,
+    so that the eigen solvers get inputs to solve, not only to refuse.
+    """
+    k, square, n = draw(st.integers(2, 4)), draw(st.booleans()), draw(st.sampled_from([2, 3, 1]))
+    shape = (n,) * k if square else tuple(draw(st.integers(1, 3)) for _ in range(k))
+    size = math.prod(shape)
+    entries = [0.0] * size
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.sampled_from(ENTRIES), min_size=size, max_size=size))
+    else:
+        entries[draw(st.integers(0, size - 1))] = draw(st.sampled_from(ENTRIES))
+    T = DenseTensor(np.reshape(entries, shape))
+    return symmetrize(T) if square and draw(st.booleans()) else T, draw(st.sampled_from([None, *range(k + 2)]))
+
+
+@CONTRACT
+@given(cases(), st.sampled_from([1.5, 2.0, 3.0]), st.integers(1, 12), st.integers(0, 3))
+@example((DenseTensor(np.arange(1.0, 7.0).reshape(2, 1, 3)), None), 2.0, 8, 0)
+@example((DenseTensor(np.arange(1.0, 7.0).reshape(1, 1, 3, 2)), None), 2.0, 8, 0)
+def test_every_solve_ends_in_verified_points_or_a_typed_error(case, p, restarts, seed):
+    (tensor, problem), config = case, SolverConfig(restarts=restarts, seed=seed, p=p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning is an outcome outside the contract
+        try:
+            found = (singular_tuples(tensor, config) if problem is None
+                     else generalized_eigenpairs(tensor, problem, config))
+        except (ValueError, DegenerateTensorError):  # ShapeError is a ValueError
+            return
+    # every point re-verifies through the core contractions, up to rounding at max|T|
+    bound = config.gradient_tolerance + 1e-12 * float(np.max(np.abs(tensor.data)))
+    for pt in found:
+        if problem is None:
+            assert math.isfinite(pt.sigma) and pt.sigma >= 0.0
+            for i, v in enumerate(pt.vectors):
+                assert abs(p_norm(v, p) - 1.0) <= 1e-8
+                assert p_norm(mode_gradient(tensor, pt.vectors, i + 1) - pt.sigma * phi(v, p - 1.0), 2.0) <= bound
+        else:
+            assert math.isfinite(pt.value) and pt.mode == problem
+            assert residual_eigen(tensor, pt.vector, pt.value, problem, p) <= bound
+
+
+@CONTRACT
+@given(cases(), st.sampled_from(["1.5", "2", "3"]), st.integers(1, 12), st.booleans())
+def test_cli_exits_with_a_documented_code(tmp_path_factory, case, p, restarts, audit):
+    tensor, problem = case
+    tensor_file = tmp_path_factory.getbasetemp() / "contract.json"
+    write_tensor_file(tensor, tensor_file)
+    argv = ["svd"] if problem is None else ["eig", "--symmetric"] if problem == 0 else ["eig", "--mode", str(problem)]
+    argv += ["--audit"] * (audit and problem is not None) + [str(tensor_file), "--p", p, "--restarts", str(restarts)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a usage error with exit 2
+            code = exc.code
+    assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue(), err.getvalue()
+    if code in (0, 3):
+        assert json.loads(out.getvalue())["command"] == argv[0]

@@ -149,6 +149,13 @@ def test_residual_generic_point_positive(cubic):
     assert residual_eigen(cubic, v, lam, 1) > 1e-3
 
 
+def test_residual_at_1e300_is_finite():
+    # the defect's squares pass the largest float; the norm did overflow to inf, with a warning
+    T = DenseTensor(np.diag([1e300, 2e300]))
+    assert residual_eigen(T, [0.6, 0.8], 1e300, 1) == pytest.approx(8e299, rel=1e-15)
+    assert residual_eigen(T, [1.0, 0.0], 0.0, 1) == 1e300
+
+
 def test_residual_requires_unit_vector():
     T = DenseTensor(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
@@ -438,7 +445,8 @@ def test_count_cap_names_the_cartwright_sturmfels_count():
         symmetric_eigenpairs(DenseTensor(np.eye(3)), SolverConfig(restarts=24))
     assert re.fullmatch(
         r"count cap: 48 stationary points survive deduplication, more than the 6 of the "
-        r"Cartwright-Sturmfels count \(antipodes included\); the set is not finite",
+        r"Cartwright-Sturmfels count \(antipodes included\); either the set is not finite or "
+        r"Newton split a multiple root",
         str(err.value),
     )
 
@@ -1083,105 +1091,55 @@ def _ref_damped_newton(z0, state_fn, jac_fn, gtol):
 BACKTRACKS = [0, 1, 2, 3, 7, 8, 15, 16, 17, 25, 26]
 
 
-def _form_values(data, vs):
-    """f(vs[0][z], ..., vs[-1][z]) per row, as the solver seeds its multipliers."""
-    return solver._dot_rows(solver._contract_leading(data, vs[:-1]), vs[-1])
-
-
 def _leading_mean(D):
     """D averaged over its leading k-1 modes, on which the solver runs a mode-last eigenproblem."""
     return _orbit_mean(D, _orbit_ids(D.shape, D.ndim - 1))
 
 
-def _eigen_parts(D):
-    """(dims, grads, blocks) of the last-mode eigenproblem of D, as _eigen_run builds them."""
-    k = D.ndim
-    return (
-        D.shape[:1],
-        lambda Ws: [solver._contract_leading(D, Ws * (k - 1))],
-        lambda Ws: [((0, 0), np.swapaxes((k - 1) * solver._contract_leading(D, Ws * (k - 2)), 1, 2))],
-    )
+def _newton_system(parts, p):
+    """(state_fn, jac_fn, degree) as _search builds them from a solver's system."""
+    dims, degree, grads, blocks = parts
+    return solver._lagrange_fns(dims, p, grads, blocks) + (solver._ray_degree(degree, p),)
 
 
-def _singular_parts(data):
-    """(dims, grads, blocks) of the singular tuples of data, as singular_tuples builds them."""
-
-    def blocks(Ws):
-        for (i, j), B in solver._batch_pair_jacs(data, Ws).items():
-            yield (i, j), B
-            yield (j, i), np.swapaxes(B, 1, 2)
-
-    return data.shape, lambda Ws: solver._batch_mode_grads(data, Ws), blocks
-
-
-def _ray_degree(k, p):
-    """The degree of an order-k Lagrange system along a Newton ray, where the line search reads it.
-
-    At p = 2 the g_i have degree k - 1 and the rest of the system degree 2;
-    the polynomial line search takes degrees 2 and 3.
-    """
-    return max(k - 1, 2) if p == 2.0 and k <= 4 else None
-
-
-def _eigen_system(D, p):
-    """(state_fn, jac_fn, degree) of the last-mode eigenproblem of D."""
-    dims, grads, blocks = _eigen_parts(D)
-    return solver._lagrange_fns(dims, p, grads, blocks) + (_ray_degree(D.ndim, p),)
-
-
-def _singular_system(data, p):
-    """(state_fn, jac_fn, degree) of the singular tuples of data."""
-    dims, grads, blocks = _singular_parts(data)
-    return solver._lagrange_fns(dims, p, grads, blocks) + (_ray_degree(data.ndim, p),)
+def _raw_rows(parts, p, seed, restarts=24):
+    """(z0, state_fn, jac_fn, degree) of a solver's system on raw starts, seeded as _search seeds them."""
+    dims, _, grads, _ = parts
+    Ws = solver._random_starts(seed, restarts, dims, p)
+    s0 = np.repeat(solver._dot_rows(grads(Ws)[-1], Ws[-1])[:, None], len(dims), axis=1)
+    return (np.concatenate(Ws + [s0], axis=1),) + _newton_system(parts, p)
 
 
 def _newton_systems(shape, p, seed, restarts=24):
-    """(z0, state_fn, jac_fn, degree) as the solver's polish builds them, on raw starts."""
-    out = []
+    """_raw_rows of the systems of random tensors of shape: symmetric, mode-2 eigen (if square), tuples."""
+    T = random_tensor(shape, seed).data
+    parts = [solver._tuple_parts(T)]
     if len(set(shape)) == 1:
-        T = random_tensor(shape, seed)
-        S = random_tensor(shape, seed, symmetric=True)
-        for D in (S.data, _leading_mean(np.moveaxis(T.data, 1, -1))):
-            (V,) = solver._random_starts(seed, restarts, shape[:1], p)
-            lam = _form_values(D, [V] * len(shape))
-            out.append((np.concatenate([V, lam[:, None]], axis=1),) + _eigen_system(D, p))
-    data = random_tensor(shape, seed).data
-    Ws = solver._random_starts(seed, restarts, shape, p)
-    s0 = np.repeat(_form_values(data, Ws)[:, None], len(shape), axis=1)
-    out.append((np.concatenate(Ws + [s0], axis=1),) + _singular_system(data, p))
-    return out
+        S = random_tensor(shape, seed, symmetric=True).data
+        parts[:0] = [solver._eigen_parts(S), solver._eigen_parts(_leading_mean(np.moveaxis(T, 1, -1)))]
+    return [_raw_rows(q, p, seed, restarts) for q in parts]
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_test_systems_are_the_ones_the_solvers_build(p, monkeypatch):
-    # the line-search and contraction tests run _eigen_system and _singular_system,
-    # with the degree the solvers hand to Newton (None at p != 2 and at k = 5)
-    for shape in [(3, 3, 3), (2, 2, 2, 2), (2, 2, 2, 2, 2)]:
-        T = random_tensor(shape, 4)
-        refs = [_eigen_system(_leading_mean(np.moveaxis(T.data, 1, -1)), p), _singular_system(T.data, p)]
-        built, degrees = [], []
-        with monkeypatch.context() as mp:
-            lagrange, newton = solver._lagrange_fns, solver._damped_newton
-            mp.setattr(solver, "_lagrange_fns", lambda *args: built.append(lagrange(*args)) or built[-1])
+# the degree of the Lagrange system along a Newton ray, by order k and p: at p = 2
+# it is max(k - 1, 2), which the line search reads up to 3; elsewhere it scans
+RAY_DEGREES = {2.0: [2, 2, 3, None], 1.5: [None] * 4, 3.0: [None] * 4}
 
-            def recorded_newton(z0, state_fn, jac_fn, gtol, degree=None, *args):
-                degrees.append(degree)
-                return newton(z0, state_fn, jac_fn, gtol, degree, *args)
 
-            mp.setattr(solver, "_damped_newton", recorded_newton)
-            generalized_eigenpairs(T, 2, SolverConfig(restarts=2, p=p))
-            n_eigen = len(degrees)
-            singular_tuples(T, SolverConfig(restarts=2, p=p))
-        # the polish, and the continuum check's Newton if it runs, get the degree of the helpers
-        assert set(degrees[:n_eigen]) == {refs[0][2]} and set(degrees[n_eigen:]) == {refs[1][2]}
-        n, k = shape[0], len(shape)
-        z = np.random.default_rng(1).standard_normal((7, (n + 1) * k))
-        assert len(built) == 2
-        for (state, jac), (ref_state, ref_jac, _), rows in zip(built, refs, (z[:, : n + 1], z)):
-            F, Fn = state(rows)
-            assert F.tobytes() == ref_state(rows)[0].tobytes()
-            assert Fn.tobytes() == np.linalg.norm(F, axis=1).tobytes()
-            assert jac(rows).tobytes() == ref_jac(rows).tobytes()
+@pytest.mark.parametrize("p", sorted(RAY_DEGREES))
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_solvers_hand_newton_the_ray_degree(k, p, monkeypatch):
+    newton, degrees = solver._damped_newton, []
+
+    def recorded_newton(z0, state_fn, jac_fn, gtol, degree=None, *args):
+        degrees.append(degree)
+        return newton(z0, state_fn, jac_fn, gtol, degree, *args)
+
+    monkeypatch.setattr(solver, "_damped_newton", recorded_newton)
+    T = random_tensor((2,) * k, 4)
+    generalized_eigenpairs(T, k, SolverConfig(restarts=2, p=p))
+    singular_tuples(T, SolverConfig(restarts=2, p=p))
+    # the polish, and the continuum check's Newton where it runs
+    assert len(degrees) >= 2 and set(degrees) == {RAY_DEGREES[p][k - 2]}
 
 
 def _ref_bordered_jacobian(dims, p, blocks, z):
@@ -1219,9 +1177,9 @@ def _ref_bordered_jacobian(dims, p, blocks, z):
 @pytest.mark.parametrize("shape", [(3, 3, 3), (3, 4, 5), (2, 3, 4, 3)])
 def test_bordered_jacobian_matches_an_entry_by_entry_assembly(shape, p):
     if len(set(shape)) == 1:  # one sphere: the symmetric eigenproblem
-        dims, grads, blocks = _eigen_parts(random_tensor(shape, 21, symmetric=True).data)
+        dims, _, grads, blocks = solver._eigen_parts(random_tensor(shape, 21, symmetric=True).data)
     else:
-        dims, grads, blocks = _singular_parts(random_tensor(shape, 21).data)
+        dims, _, grads, blocks = solver._tuple_parts(random_tensor(shape, 21).data)
     state, jac = solver._lagrange_fns(dims, p, grads, blocks)
     k, total = len(dims), sum(dims)
     z = np.random.default_rng(22).standard_normal((6, total + k))
@@ -1260,10 +1218,7 @@ def test_line_search_matches_sequential_halving_at_block_edges(max_backtracks, m
 def test_line_search_matches_sequential_halving_where_squares_overflow(shape, seed):
     # residual rows of 1e160 square past the largest float: the polynomial is NaN
     # there and rules no step length out, so each row tries the longest for real
-    data = 1e160 * random_tensor(shape, seed).data
-    state, jac, degree = _singular_system(data, 2.0)
-    Ws = solver._random_starts(seed, 24, shape, 2.0)
-    z0 = np.concatenate(Ws + [np.repeat(_form_values(data, Ws)[:, None], len(shape), axis=1)], axis=1)
+    z0, state, jac, degree = _raw_rows(solver._tuple_parts(1e160 * random_tensor(shape, seed).data), 2.0, seed)
     args = (state, jac, 1e152)
     assert solver._damped_newton(z0, *args, degree).tobytes() == _ref_damped_newton(z0, *args).tobytes()
 
@@ -1315,10 +1270,7 @@ def test_polynomial_line_search_at_the_armijo_boundary(shape, seed, monkeypatch)
     # rows on both sides of an Armijo decision that only rounding settles: the
     # polynomial cannot rule that step length out, so on the side where it
     # fails the real test the fallback stacks every shorter step length
-    D = random_tensor(shape, seed, symmetric=True).data
-    state, jac, degree = _eigen_system(D, 2.0)
-    (V,) = solver._random_starts(seed, 24, shape[:1], 2.0)
-    z0 = np.concatenate([V, _form_values(D, [V] * len(shape))[:, None]], axis=1)
+    z0, state, jac, degree = _newton_systems(shape, 2.0, seed)[0]
     t = [_longest_step(state, jac, z) for z in z0]
     # neighbouring rows whose full steps fail and whose longest steps differ
     pairs = [(z0[r], z0[r + 1]) for r in range(len(z0) - 1) if 1 <= min(t[r], t[r + 1]) < max(t[r], t[r + 1])]
@@ -1347,7 +1299,7 @@ def test_polynomial_line_search_near_convergence(shape, monkeypatch):
     # rounds at about the target: full steps fail, the rounding bound decides
     # which step lengths are ruled out, and picks that fail the real test fall back
     T = random_tensor(shape, 31, symmetric=True)
-    state, jac, degree = _eigen_system(2.0**16 * T.data, 2.0)
+    state, jac, degree = _newton_system(solver._eigen_parts(2.0**16 * T.data), 2.0)
     rng = np.random.default_rng(5)
     z0 = np.array([
         np.concatenate([pt.vector + 10.0**e * rng.standard_normal(len(pt.vector)), [2.0**16 * pt.value]])
@@ -1646,13 +1598,9 @@ def test_row_that_moved_stalls_on_a_non_finite_step_where_it_got_to(caplog):
 
 def test_singular_jacobian_row_leaves_other_rows_alone():
     # a zero first vector zeroes that row's constraint row of the Jacobian
-    data = random_tensor((3, 3, 3), 2).data
-    Ws = solver._random_starts(3, 20, (3, 3, 3), 2.0)
-    s0 = np.repeat(_form_values(data, Ws)[:, None], 3, axis=1)
-    z0 = np.concatenate(Ws + [s0], axis=1)
+    z0, state, jac, degree = _raw_rows(solver._tuple_parts(random_tensor((3, 3, 3), 2).data), 2.0, 3, 20)
     bad = z0[:1].copy()
     bad[:, :3] = 0.0
-    state, jac, degree = _singular_system(data, 2.0)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(jac(bad), np.ones((1, 12, 1)))
     alone = solver._damped_newton(z0, state, jac, CFG.gradient_tolerance, degree)
@@ -1762,7 +1710,7 @@ def _kept_last(data, vs, keep):
 def _kernel_outputs(data, vs):
     """Every batch kernel: the mode-last chain for each kept mode and pair, and both trees."""
     k = data.ndim
-    out = {"eval": _form_values(data, vs)}
+    out = {"eval": solver._dot_rows(solver._contract_leading(data, vs[:-1]), vs[-1])}  # f per row
     for i, g in enumerate(solver._batch_mode_grads(data, vs)):
         out[("grads", i)] = g
     for (i, r), B in solver._batch_pair_jacs(data, vs).items():
@@ -1853,7 +1801,7 @@ def _whole_tensor_contractions(monkeypatch, data):
 def test_singular_system_contracts_the_whole_tensor_twice_per_state_call(shape, monkeypatch):
     data = random_tensor(shape, 1).data
     z, _ = _row_blocks(shape, 5, seed=2)
-    state, jac, _ = _singular_system(data, 2.0)
+    state, jac, _ = _newton_system(solver._tuple_parts(data), 2.0)
     calls = _whole_tensor_contractions(monkeypatch, data)
     state(z)
     assert len(calls) == 2
@@ -1868,7 +1816,7 @@ def test_eigen_system_contracts_the_whole_tensor_once_per_jacobian(shape):
     n = shape[0]
     z = np.random.default_rng(2).standard_normal((5, n + 1))
     for data in (_leading_mean(random_tensor(shape, 1).data), random_tensor(shape, 1, symmetric=True).data):
-        state, jac, _ = _eigen_system(data, 2.0)
+        state, jac, _ = _newton_system(solver._eigen_parts(data), 2.0)
         with pytest.MonkeyPatch.context() as mp:
             calls = _whole_tensor_contractions(mp, data)
             state(z)
@@ -2212,10 +2160,7 @@ def test_antipodal_completion_after_acceptance_is_exact(k, p, symmetric):
     n = 3 if k < 5 else 2
     T = random_tensor((n,) * k, 20 + k, symmetric=symmetric)
     D = T.data if symmetric else _orbit_mean(T.data, _orbit_ids(T.shape, k - 1))
-
-    def grads(Ws):
-        return [solver._contract_leading(D, Ws * (k - 1))]
-
+    grads = solver._eigen_parts(D)[2]
     found = generalized_eigenpairs(T, k, SolverConfig(restarts=20, p=p))
     assert found
     rng = np.random.default_rng(k)
@@ -2249,7 +2194,7 @@ SEARCH_STAGES = ("_random_starts", "_lagrange_fns", "_accept", "_check_continuum
 def test_one_search_driver_runs_both_problems():
     source = inspect.getsource(solver)
     assert _top_level_callers(source, SEARCH_STAGES) == {name: {"_search"} for name in SEARCH_STAGES}
-    # the problems hand the driver closures; no polish, acceptance, dedupe or check of their own
+    # the problems hand _search a system and closures; no polish, acceptance, dedupe or check of their own
     stages = _top_level_callers(source, ("_damped_newton", "_leaders", "_dedupe_rows") + SEARCH_STAGES)
     assert not any({"_eigen_run", "singular_tuples"} & fns for fns in stages.values())
     # one clusterer with one job: the search clusters nothing before Newton
