@@ -6,8 +6,9 @@ search, optionally with a Morse audit), ``svd`` (singular tuples), ``gen``
 tensor).  Reports are JSON with a stable schema; reruns with the same
 inputs are byte-identical except for the ``timings`` field.
 
-Exit codes: 0 success, 1 failed identity check, 2 input or usage error,
-3 audit violation, 4 degenerate-tensor diagnostic.
+Exit codes: 0 success, 1 failed identity check, 2 input or usage error
+(running out of memory included), 3 audit violation, 4 degenerate-tensor
+diagnostic.
 """
 
 from __future__ import annotations
@@ -326,6 +327,8 @@ def main(argv=None):
         return args.run(args)
     except _InputError as exc:
         return _fail(str(exc))
+    except MemoryError as exc:  # an input too large for the machine, as numpy reports it
+        return _fail(f"out of memory: {str(exc) or 'an allocation failed'}")
 
 
 if __name__ == "__main__":

@@ -62,7 +62,9 @@ log = logging.getLogger(__name__)
 # gives those steps a call of their own rather than nine more trial rows on
 # every such row; dropping them loses critical points.  At p = 2 and order
 # k <= 4 the residual is a polynomial along each Newton step, and its
-# step length is read off that polynomial rather than scanned.
+# step length is read off that polynomial rather than scanned: each row first
+# tries the one step length the polynomial picks, and the powers of the
+# shorter lengths and the rounding bound's constants are built once per polish.
 # A row retires after _CREEP_ITERATIONS consecutive accepted steps of length at
 # most _CREEP_STEP.
 # An ascent climbs from the first _ASCENT_STARTS starts only: gradient flow
@@ -272,8 +274,8 @@ def _row_dist(D):
     is redone on D / 2^e, as in _unit_rows, so its norm is finite too.
     """
     d = np.sqrt(np.add.reduce(D * D, axis=1))
-    if np.isinf(d).any():
-        redo = np.isinf(d) & np.all(np.isfinite(D), axis=1)
+    if np.logical_or.reduce(np.isinf(d)):
+        redo = np.isinf(d) & np.logical_and.reduce(np.isfinite(D), axis=1)
         e = np.frexp(np.max(np.abs(D[redo]), axis=1))[1]
         Y = np.ldexp(D[redo], -e[:, None])
         d[redo] = np.ldexp(np.sqrt(np.add.reduce(Y * Y, axis=1)), e)
@@ -301,14 +303,14 @@ def _unit_rows(V, p):
     as in norms._scaled_norm; every other row is bit for bit v / ||v||_p.
     """
     with np.errstate(all="ignore"):
-        s = np.sum(np.abs(V) ** p, axis=1)
+        s = np.add.reduce(np.abs(V) ** p, axis=1)
         ok = np.isfinite(s) & (s >= np.finfo(float).tiny)
         U = V / (s ** (1.0 / p))[:, None]
-        if not ok.all():
+        if not np.logical_and.reduce(ok):
             redo = ~ok
             e = np.frexp(np.max(np.abs(V[redo]), axis=1) * math.sqrt(0.5))[1]
             Y = np.ldexp(V[redo], -e[:, None])
-            s[redo] = np.sum(np.abs(Y) ** p, axis=1)
+            s[redo] = np.add.reduce(np.abs(Y) ** p, axis=1)
             U[redo] = Y / (s[redo] ** (1.0 / p))[:, None]
             ok = np.isfinite(s) & (s > 0)
     return U, ok
@@ -420,33 +422,46 @@ def _newton_steps(J, F):
     return dz
 
 
-def _ray_excess(C, J, limit, powers):
+def _ray_constants(degree, exponents, width):
+    """(powers, gram_powers, state_eps, coef_eps): what _ray_excess needs that one polish fixes.
+
+    The step lengths are alpha_t = 2^-exponents[t]; powers[i, t] = alpha_t^i
+    for i up to ``degree``, gram_powers[(degree + 1) i + j, t] = alpha_t^(i + j),
+    and the two eps factors are those of the rounding bound for rows of F of
+    length ``width``.
+    """
+    eps = np.finfo(float).eps
+    powers = np.ldexp(1.0, -np.outer(np.arange(degree + 1), exponents))
+    gram_powers = (powers[:, None] * powers).reshape(-1, powers.shape[1])  # alpha^(i + j)
+    return powers, gram_powers, 4.0 * eps * width, 64.0 * eps
+
+
+def _ray_excess(C, J, limit, constants):
     """(excess, margin): ||F(alpha)||^2 - limit^2 for F(alpha) = sum_i C[i] alpha^i, and its rounding.
 
     C[i] holds the coefficients of degree i of the rows of F, one row per
-    search row; J holds the rows' Jacobians, powers[i, t] = alpha_t^i and
-    limit[r, t] the bound at alpha_t.  ||F(alpha)||^2 is the Gram matrix of
-    the coefficients summed against the powers.  margin bounds how far the
-    excess may be from that of the state at z + alpha * dz: err * (2 b + err),
-    with b = sum_i ||C_i|| alpha^i >= ||F(alpha)|| and err, a bound on the
-    rounding of ||F(alpha)||, the sum of
+    search row; J holds the rows' Jacobians, ``constants`` is _ray_constants'
+    tuple and limit[r, t] the bound at alpha_t.  ||F(alpha)||^2 is the Gram
+    matrix of the coefficients summed against the powers.  margin bounds how
+    far the excess may be from that of the state at z + alpha * dz:
+    err * (2 b + err), with b = sum_i ||C_i|| alpha^i >= ||F(alpha)|| and err,
+    a bound on the rounding of ||F(alpha)||, the sum of
       - the state's rounding, which is absolute near a solution: 4 eps times
         the row's largest Jacobian entry times its width (its longest sum);
       - the polynomial's: 1e-12 of b;
       - that of the coefficients above C_1, which come from states of size
         up to sum_i ||C_i||: 64 eps of that, times alpha^2.
-    A polynomial that overflows gives NaN.
+    A polynomial that overflows gives NaN; the caller turns numpy's warnings
+    off around it.
     """
-    eps = np.finfo(float).eps
-    gram_powers = (powers[:, None] * powers).reshape(-1, powers.shape[1])  # alpha^(i + j)
-    with np.errstate(all="ignore"):
-        G = np.einsum("izs,jzs->zij", C, C)
-        norms = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
-        bound = norms @ powers
-        err = 4.0 * eps * C.shape[2] * np.abs(J).max(axis=(1, 2))[:, None] + 1e-12 * bound
-        err += 64.0 * eps * norms.sum(axis=1)[:, None] * powers[2]
-        excess = G.reshape(len(G), len(gram_powers)) @ gram_powers - np.square(limit)
-        return excess, err * (2.0 * bound + err)
+    powers, gram_powers, state_eps, coef_eps = constants
+    G = np.einsum("izs,jzs->zij", C, C).reshape(C.shape[1], len(gram_powers))
+    norms = np.sqrt(G[:, :: len(powers) + 1])  # the diagonal of each Gram matrix
+    bound = norms @ powers
+    err = state_eps * np.maximum.reduce(np.abs(J), axis=(1, 2))[:, None] + 1e-12 * bound
+    err += coef_eps * np.add.reduce(norms, axis=1)[:, None] * powers[2]
+    excess = G @ gram_powers - np.square(limit)
+    return excess, err * (2.0 * bound + err)
 
 
 def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps):
@@ -481,6 +496,8 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
     alpha stalls with no call.  The rows that fail the real test get every
     shorter alpha stacked in one call.  So an iteration makes at most three
     calls, and the outcome is the scan's wherever the rounding bound holds.
+    The powers of the step lengths and the bound's constants are built once
+    per call (_ray_constants), and the coefficients are written into one array.
     ``steps(J, F)`` gives the Newton steps of the active rows: _newton_steps,
     or _min_norm_steps where a solution set may be positive-dimensional.
 
@@ -492,6 +509,7 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
     """
     target = 0.05 * gtol
     z = z0.copy()
+    width = z.shape[1]
     F, Fn = state_fn(z)
     calls, trial_rows, newton_iters = 1, 0, 0
     creep = np.zeros(len(z), dtype=int)  # consecutive accepted steps with alpha <= _CREEP_STEP
@@ -506,29 +524,36 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
     lead = 1  # the step lengths every active row tries first, in one call
     if degree is not None:
         lead = degree - 1  # 1/2 too at d = 3: the polynomial needs the state there
-        powers = np.ldexp(1.0, -np.outer(np.arange(degree + 1), np.arange(lead, alphas.size)))
         scan = [np.arange(lead, alphas.size)]  # the fallback's one batch
+        constants = _ray_constants(degree, scan[0], width)
 
     def tries(searching, t):
-        """Row searching[r] tries alphas[t[r]] (t[0] if t has one row), longest first, in one state call.
+        """Row searching[r] tries alphas[t[r]], or every alphas[t[0, :]] longest first, in one state call.
 
         It takes the first that passes the Armijo test; returns the rows none passed.
         """
         nonlocal calls, trial_rows
         if not searching.size:
             return searching
-        m = t.shape[1]
-        zt = za.take(searching, 0)[:, None] + alphas[t][..., None] * dz.take(searching, 0)[:, None]
-        Ft, Fnt = state_fn(zt.reshape(-1, za.shape[1]))
+        zs, dzs, fs = za.take(searching, 0), dz.take(searching, 0), fa.take(searching)
+        if t.ndim == 1:  # one step length per row: its test is the pick
+            zt = zs + alphas[t][:, None] * dzs
+            Ft, Fnt = state_fn(zt)
+            pick = hit = Fnt <= armijo[t] * fs
+            crept = creeps[t]
+        else:
+            m = t.shape[1]
+            zt = (zs[:, None] + alphas[t][..., None] * dzs[:, None]).reshape(-1, width)
+            Ft, Fnt = state_fn(zt)
+            ok = Fnt.reshape(-1, m) <= armijo[t] * fs[:, None]
+            pick = np.arange(0, Fnt.size, m) + ok.argmax(axis=1)  # the first passing step length, or 0
+            hit = ok.reshape(-1)[pick]
+            pick, crept = pick[hit], (ok & creeps[t]).reshape(-1)
         calls += 1
         trial_rows += Fnt.size
-        ok = Fnt.reshape(-1, m) <= armijo[t] * fa.take(searching)[:, None]
-        first = np.argmax(ok, axis=1)  # the first passing step length, or 0 where none passes
-        pick = np.arange(0, Fnt.size, m) + first
-        hit = ok.reshape(-1)[pick]
-        pick, took = pick[hit], searching[hit]
-        za[took], Fa[took], fa[took] = zt.reshape(-1, za.shape[1])[pick], Ft[pick], Fnt[pick]
-        ca[took] = np.where((ok & creeps[t]).reshape(-1)[pick], ca[took] + 1, 0)
+        took = searching[hit]
+        za[took], Fa[took], fa[took] = zt[pick], Ft[pick], Fnt[pick]
+        ca[took] = np.where(crept[pick], ca[took] + 1, 0)
         moved[took] = True
         return searching[~hit]
 
@@ -538,42 +563,53 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
         newton_iters += 1
         J = jac_fn(za)
         dz = steps(J, Fa)
-        if not np.isfinite(dz).all():  # a row with a non-finite step stalls: it leaves before any trial
-            finite = np.all(np.isfinite(dz), axis=1)
+        if not np.logical_and.reduce(np.isfinite(dz), axis=None):  # a row with one stalls before any trial
+            finite = np.logical_and.reduce(np.isfinite(dz), axis=1)
             left = rows[~finite]
             z[left], Fn[left], creep[left] = za[~finite], fa[~finite], ca[~finite]
             rows, za, Fa, fa, ca, dz, J = (x[finite] for x in (rows, za, Fa, fa, ca, dz, J))
         moved = np.zeros(rows.size, dtype=bool)
         # every active norm fa is finite, so a non-finite trial norm fails each Armijo test
         if alphas.size and rows.size:
-            # 1.0 * dz is exact, so the full step is za + dz; one test per row and step length
-            zt = za + alphas[:lead, None, None] * dz
-            Ft, Fnt = state_fn(zt.reshape(-1, za.shape[1]))
+            if lead == 1:  # 1.0 * dz is exact, so the full step is za + dz
+                zt = za + dz
+                Ft, Fnt = state_fn(zt)
+                moved = Fnt <= armijo[0] * fa
+                np.copyto(za, zt, where=moved[:, None])
+                np.copyto(Fa, Ft, where=moved[:, None])
+                np.copyto(fa, Fnt, where=moved)
+                Ft = Ft[None]
+            else:  # and 1/2, longest first
+                zt = za + alphas[:lead, None, None] * dz
+                Ft, Fnt = state_fn(zt.reshape(-1, width))
+                Ft, Fnt = Ft.reshape(lead, rows.size, -1), Fnt.reshape(lead, rows.size)
+                for a in range(lead):
+                    took = ~moved & (Fnt[a] <= armijo[a] * fa)
+                    np.copyto(za, zt[a], where=took[:, None])
+                    np.copyto(Fa, Ft[a], where=took[:, None])
+                    np.copyto(fa, Fnt[a], where=took)
+                    moved |= took
             calls += 1
             trial_rows += Fnt.size
-            Ft, Fnt = Ft.reshape(lead, rows.size, -1), Fnt.reshape(lead, rows.size)
-            for a in range(lead):
-                took = ~moved & (Fnt[a] <= armijo[a] * fa)
-                np.copyto(za, zt[a], where=took[:, None])
-                np.copyto(Fa, Ft[a], where=took[:, None])
-                np.copyto(fa, Fnt[a], where=took)
-                moved |= took
             ca[moved] = 0  # neither 1 nor 1/2 creeps
         searching = np.flatnonzero(~moved)
         if degree is not None and searching.size:
             s = searching
-            Js, F0 = J.take(s, 0), Fa.take(s, 0)
+            Js, C = J.take(s, 0), np.empty((degree + 1, s.size, width))
             with np.errstate(all="ignore"):  # rows that overflow give a NaN polynomial
-                F1 = np.einsum("zij,zj->zi", Js, dz.take(s, 0))
-                R = Ft[0].take(s, 0) - F0 - F1  # F2 + ... + Fd
-                coef = (F0, F1, R)
+                F0 = Fa.take(s, 0, out=C[0])
+                F1 = np.einsum("zij,zj->zi", Js, dz.take(s, 0), out=C[1])
+                R = np.subtract(Ft[0].take(s, 0), F0, out=C[degree])
+                R -= F1  # F2 + ... + Fd
                 if degree == 3:
-                    F2 = 8.0 * (Ft[1].take(s, 0) - F0 - 0.5 * F1) - R
-                    coef = (F0, F1, F2, R - F2)
-            excess, margin = _ray_excess(np.stack(coef), Js, armijo[lead:] * fa.take(s)[:, None], powers)
-            fails = excess > margin  # sure to fail the Armijo test; NaN (an overflow) is not sure
-            pick = ~fails.all(axis=1)  # a row ruled out at every alpha stalls
-            searching = tries(s[pick], lead + np.argmin(fails[pick], axis=1)[:, None])
+                    F2 = np.multiply(8.0, Ft[1].take(s, 0) - F0 - 0.5 * F1, out=C[2])
+                    F2 -= R
+                    R -= F2
+                excess, margin = _ray_excess(C, Js, armijo[lead:] * fa.take(s)[:, None], constants)
+                fails = excess > margin  # sure to fail the Armijo test; NaN (an overflow) is not sure
+            first = fails.argmin(axis=1)  # the longest alpha not ruled out, or 0 where every one is
+            pick = (first > 0) | ~fails[:, 0]  # a row ruled out at every alpha stalls
+            searching = tries(s[pick], lead + first[pick])
         for t in scan:
             searching = tries(searching, t[None])
         keep = moved & (fa > target) & (ca < _CREEP_ITERATIONS)
@@ -610,7 +646,7 @@ def _lagrange_fns(dims, p, grads, blocks):
     k spheres of a tensor's modes, an eigenpair on the one sphere (k = 1).
     """
     cols = _column_slices(dims)
-    starts = [c.start for c in cols]
+    starts = np.array([c.start for c in cols])
     total = cols[-1].stop
     size = total + len(dims)
     diag = np.arange(total)

@@ -508,3 +508,30 @@ def test_order_beyond_numpy_dimensions_is_input_error(tmp_path, capsys, command)
     code, out, err = run(capsys, [command[0], str(path), *command[1:]])
     assert code == 2 and out == ""
     assert "bad tensor entries" in err
+
+
+# --- running out of memory ----------------------------------------------------
+
+# numpy's message for the array that `gen --shape 100000,100000` asks for
+TOO_LARGE = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64"
+
+
+@pytest.mark.parametrize(
+    "allocation, argv, message",
+    [
+        ("tensorcrit.cli.random_tensor", ["gen", "--shape", "100000,100000"], TOO_LARGE),
+        ("tensorcrit.solver._random_starts", ["eig", "--symmetric", "--restarts", "100000000"], TOO_LARGE),
+        ("tensorcrit.solver._random_starts", ["svd", "--restarts", "100000000"], ""),
+    ],
+)
+def test_running_out_of_memory_is_one_error_line(allocation, argv, message, cubic_file, capsys, monkeypatch):
+    # the allocation raises as numpy does when the machine refuses it; nothing is allocated
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(allocation, refuse)
+    if argv[0] != "gen":
+        argv = [argv[0], cubic_file, *argv[1:]]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: out of memory: {message or 'an allocation failed'}\n"

@@ -1223,6 +1223,39 @@ def test_line_search_matches_sequential_halving_where_squares_overflow(shape, se
     assert solver._damped_newton(z0, *args, degree).tobytes() == _ref_damped_newton(z0, *args).tobytes()
 
 
+@st.composite
+def _polynomial_systems(draw):
+    """(z0, state, jac, degree, gtol) of a p = 2 system on raw starts: order 2-4, dimensions 1-4, scale 2^e.
+
+    The system is a symmetric eigenproblem, a mode eigenproblem of a
+    non-symmetric tensor or its singular tuples.  The tolerance is drawn apart
+    from the scale, so some targets lie below the state's rounding: there the
+    rounding bound decides which step lengths are ruled out.
+    """
+    k, e, seed = draw(st.integers(2, 4)), draw(st.integers(-20, 20)), draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["symmetric", "mode", "tuples"]))
+    if kind == "tuples":
+        shape = tuple(draw(st.integers(1, 4)) for _ in range(k))
+        parts = solver._tuple_parts(2.0**e * random_tensor(shape, seed).data)
+    else:
+        T = random_tensor((draw(st.integers(1, 4)),) * k, seed, symmetric=kind == "symmetric").data
+        if kind == "mode":
+            T = _leading_mean(np.moveaxis(T, draw(st.integers(0, k - 1)), -1))
+        parts = solver._eigen_parts(2.0**e * T)
+    z0, state, jac, degree = _raw_rows(parts, 2.0, seed, draw(st.integers(1, 16)))
+    return z0, state, jac, degree, 2.0 ** (e - draw(st.integers(0, 24))) * CFG.gradient_tolerance
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(_polynomial_systems())
+def test_polynomial_line_search_matches_the_scan(system):
+    # every pick, fallback and stall the polynomial decides gives the scan's bytes
+    z0, state, jac, degree, gtol = system
+    assert degree in (2, 3)
+    got = solver._damped_newton(z0, state, jac, gtol, degree)
+    assert got.tobytes() == solver._damped_newton(z0, state, jac, gtol).tobytes()
+
+
 def _longest_step(state, jac, z):
     """The index of the longest step length the scan takes from row z in one iteration, or -1."""
     F, Fn = state(z[None])
@@ -1363,7 +1396,7 @@ def test_newton_reads_the_ray_polynomial_of_its_searching_rows(shape, seed, sing
     ray_excess = solver._ray_excess
     monkeypatch.setattr(solver, "_ray_excess", lambda *args: seen.append(args) or ray_excess(*args))
     _one_iteration_calls(z0, state, jac, degree, monkeypatch)
-    ((C, J, limit, powers),) = seen
+    ((C, J, limit, (powers, *_)),) = seen
     F, Fn = state(z0)
     dz = solver._newton_steps(jac(z0), F)
     searching = ~(state(z0 + dz)[1] <= (1.0 - solver._ARMIJO_SLOPE) * Fn)
@@ -1388,13 +1421,13 @@ def test_ray_polynomial_bounds_its_own_rounding(shape, seed):
     C, J, dz = _ray_coefficients(state, jac, z, degree)
     alphas = np.ldexp(1.0, -np.arange(degree - 1, solver._MAX_BACKTRACKS))
     real = state((z[:, None] + alphas[:, None] * dz[:, None]).reshape(-1, z.shape[1]))[1].reshape(len(z), -1)
-    powers = alphas ** np.arange(degree + 1)[:, None]
-    excess, margin = solver._ray_excess(C, J, real, powers)
+    constants = solver._ray_constants(degree, np.arange(degree - 1, solver._MAX_BACKTRACKS), z.shape[1])
+    excess, margin = solver._ray_excess(C, J, real, constants)
     assert len(z) > 100 and np.isfinite(excess).all()
     assert np.all(np.abs(excess) <= margin)
     # tight enough to matter: away from the rounding floor, 0.9 of the norm is far beyond it
     far = real > 1e-6
-    assert far.mean() > 0.25 and np.all((solver._ray_excess(C, J, 0.9 * real, powers)[0] > margin)[far])
+    assert far.mean() > 0.25 and np.all((solver._ray_excess(C, J, 0.9 * real, constants)[0] > margin)[far])
 
 
 def _toy_state(z):
