@@ -292,11 +292,23 @@ def _reject_constant(name):
     raise ValueError(f"non-finite value {name!r} in tensor file")
 
 
+def _unique_names(pairs):
+    # json.loads alone keeps the last of a repeated name silently
+    doc = {}
+    for name, value in pairs:
+        if name in doc:
+            raise ValueError(f"malformed tensor file: the name {name!r} is repeated")
+        doc[name] = value
+    return doc
+
+
 def loads_tensor(text: str) -> DenseTensor:
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_names)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed tensor file: {exc}") from exc
+    except RecursionError as exc:  # about a thousand nested arrays or objects
+        raise ValueError("malformed tensor file: nested too deeply") from exc
     if not isinstance(doc, dict) or "shape" not in doc or "entries" not in doc:
         raise ValueError('tensor file must be an object with "shape" and "entries"')
     shape = doc["shape"]

@@ -12,18 +12,23 @@ the sign of negative coordinates under even powers (phi_2((-2,)) = (-4,)).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 __all__ = ["check_norm_param", "p_norm", "phi", "p_norm_gradient", "unit_normalize"]
 
 
+def _is_a(x, kind):
+    """isinstance(x, kind) for a numbers ABC, bool excepted: a cast would read True as 1 and "2" as 2."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def check_norm_param(p: float) -> float:
-    """Validate 1 < p < inf and return p as a float."""
-    p = float(p)
-    if not (p > 1.0 and math.isfinite(p)):
-        raise ValueError(f"norm parameter must satisfy 1 < p < inf, got {p}")
-    return p
+    """Validate a real 1 < p < inf and return p as a float."""
+    if not (_is_a(p, numbers.Real) and p > 1.0 and math.isfinite(p)):
+        raise ValueError(f"norm parameter must be a real number with 1 < p < inf, got {p!r}")
+    return float(p)
 
 
 def _as_vector(x) -> np.ndarray:
@@ -57,8 +62,8 @@ def p_norm(x, p: float) -> float:
 def phi(x, p: float) -> np.ndarray:
     """Componentwise signed power sgn(x_j)|x_j|^p, any finite p >= 0."""
     # a NaN p fails p >= 0; an infinite one would map |x_j| > 1 to inf
-    if not (p >= 0 and math.isfinite(p)):
-        raise ValueError(f"signed power map needs a finite p >= 0, got {p}")
+    if not (_is_a(p, numbers.Real) and p >= 0 and math.isfinite(p)):
+        raise ValueError(f"signed power map needs a real, finite p >= 0, got {p!r}")
     arr = _as_vector(x)
     return np.sign(arr) * np.abs(arr) ** p
 

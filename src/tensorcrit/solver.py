@@ -38,7 +38,7 @@ from .core import (
     mode_gradient,
 )
 from .errors import DegenerateTensorError, ShapeError
-from .norms import check_norm_param, p_norm, phi
+from .norms import _is_a, check_norm_param, p_norm, phi
 
 __all__ = [
     "SolverConfig",
@@ -57,14 +57,14 @@ log = logging.getLogger(__name__)
 
 # Effort caps and step control of the search.  Newton steps are damped as
 # _damped_newton describes, with the Armijo fraction _ARMIJO_SLOPE * alpha, over
-# the _MAX_BACKTRACKS step lengths 2^0..2^-24.  About one row in ten whose full
-# step fails needs a step below 2^-15 (near singular Jacobians), so the scan
-# gives those steps a call of their own rather than nine more trial rows on
-# every such row; dropping them loses critical points.  At p = 2 and order
-# k <= 4 the residual is a polynomial along each Newton step, and its
-# step length is read off that polynomial rather than scanned: each row first
-# tries the one step length the polynomial picks, and the powers of the
-# shorter lengths and the rounding bound's constants are built once per polish.
+# the _MAX_BACKTRACKS step lengths 2^0..2^-24; the tables below hold them and
+# what both line searches read of them.  After the full step both stack the
+# same two batches: 2^-1..2^-15, then 2^-16..2^-24 on the rows still failing.
+# About one row in ten whose full step fails needs a step below 2^-15 (near
+# singular Jacobians), so those steps get a call of their own rather than nine
+# more trial rows on every such row; dropping them loses critical points.  At
+# p = 2 and order k <= 4 the residual is a polynomial along each Newton step,
+# and each row first tries the one step length read off that polynomial.
 # A row retires after _CREEP_ITERATIONS consecutive accepted steps of length at
 # most _CREEP_STEP.
 # An ascent climbs from the first _ASCENT_STARTS starts only: gradient flow
@@ -90,9 +90,17 @@ _MAX_BACKTRACKS = 25
 _CREEP_STEP = 2.0**-6
 _CREEP_ITERATIONS = 5
 
-
-def _is_a(x, kind):
-    return isinstance(x, kind) and not isinstance(x, bool)
+# the step lengths, their Armijo factors and which of them creep; the batches
+# stacked after the full step, as indices into _ALPHAS; and, by ray degree d,
+# alpha^i (row i <= d) and alpha^(i + j) (row (d + 1) i + j) at 2^-(d-1)..2^-24,
+# the step lengths the ray polynomial rules on
+_ALPHAS = np.ldexp(1.0, -np.arange(_MAX_BACKTRACKS))
+_ARMIJO, _CREEPS = 1.0 - _ARMIJO_SLOPE * _ALPHAS, _ALPHAS <= _CREEP_STEP
+_BATCHES = [t[None] for t in np.split(np.arange(1, _MAX_BACKTRACKS), [15])]
+_POWERS = {d: np.ldexp(1.0, -np.outer(np.arange(d + 1), np.arange(d - 1, _MAX_BACKTRACKS))) for d in (2, 3)}
+_GRAM_POWERS = {d: (P[:, None] * P).reshape(-1, P.shape[1]) for d, P in _POWERS.items()}
+for _table in (_ALPHAS, _ARMIJO, _CREEPS, *_BATCHES, *_POWERS.values(), *_GRAM_POWERS.values()):
+    _table.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -120,8 +128,6 @@ class SolverConfig:
             raise ValueError("seed must be an integer")
         if not (_is_a(self.gradient_tolerance, numbers.Real) and 0 < self.gradient_tolerance < np.inf):
             raise ValueError("gradient_tolerance must be finite and > 0")
-        if not _is_a(self.p, numbers.Real):
-            raise ValueError(f"p must be a real number, got {self.p!r}")
         object.__setattr__(self, "p", check_norm_param(self.p))
 
 
@@ -422,26 +428,12 @@ def _newton_steps(J, F):
     return dz
 
 
-def _ray_constants(degree, exponents, width):
-    """(powers, gram_powers, state_eps, coef_eps): what _ray_excess needs that one polish fixes.
-
-    The step lengths are alpha_t = 2^-exponents[t]; powers[i, t] = alpha_t^i
-    for i up to ``degree``, gram_powers[(degree + 1) i + j, t] = alpha_t^(i + j),
-    and the two eps factors are those of the rounding bound for rows of F of
-    length ``width``.
-    """
-    eps = np.finfo(float).eps
-    powers = np.ldexp(1.0, -np.outer(np.arange(degree + 1), exponents))
-    gram_powers = (powers[:, None] * powers).reshape(-1, powers.shape[1])  # alpha^(i + j)
-    return powers, gram_powers, 4.0 * eps * width, 64.0 * eps
-
-
-def _ray_excess(C, J, limit, constants):
+def _ray_excess(C, J, limit):
     """(excess, margin): ||F(alpha)||^2 - limit^2 for F(alpha) = sum_i C[i] alpha^i, and its rounding.
 
     C[i] holds the coefficients of degree i of the rows of F, one row per
-    search row; J holds the rows' Jacobians, ``constants`` is _ray_constants'
-    tuple and limit[r, t] the bound at alpha_t.  ||F(alpha)||^2 is the Gram
+    search row, at the step lengths of _POWERS[len(C) - 1]; J holds the rows'
+    Jacobians and limit[r, t] the bound at alpha_t.  ||F(alpha)||^2 is the Gram
     matrix of the coefficients summed against the powers.  margin bounds how
     far the excess may be from that of the state at z + alpha * dz:
     err * (2 b + err), with b = sum_i ||C_i|| alpha^i >= ||F(alpha)|| and err,
@@ -454,12 +446,12 @@ def _ray_excess(C, J, limit, constants):
     A polynomial that overflows gives NaN; the caller turns numpy's warnings
     off around it.
     """
-    powers, gram_powers, state_eps, coef_eps = constants
+    powers, gram_powers, eps = _POWERS[len(C) - 1], _GRAM_POWERS[len(C) - 1], np.finfo(float).eps
     G = np.einsum("izs,jzs->zij", C, C).reshape(C.shape[1], len(gram_powers))
     norms = np.sqrt(G[:, :: len(powers) + 1])  # the diagonal of each Gram matrix
     bound = norms @ powers
-    err = state_eps * np.maximum.reduce(np.abs(J), axis=(1, 2))[:, None] + 1e-12 * bound
-    err += coef_eps * np.add.reduce(norms, axis=1)[:, None] * powers[2]
+    err = 4.0 * eps * C.shape[2] * np.maximum.reduce(np.abs(J), axis=(1, 2))[:, None] + 1e-12 * bound
+    err += 64.0 * eps * np.add.reduce(norms, axis=1)[:, None] * powers[2]
     excess = G @ gram_powers - np.square(limit)
     return excess, err * (2.0 * bound + err)
 
@@ -475,14 +467,15 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
 
     Each row takes the longest step alpha * dz, alpha in 2^0, 2^-1, ...,
     2^-(_MAX_BACKTRACKS-1), that passes the Armijo test; a row with no such
-    alpha, or a non-finite Newton step, stalls.  The full step z + dz goes
-    first, on every active row with a finite step, checked by one
+    alpha stalls.  Every active norm is finite, so a non-finite trial norm,
+    as every trial of a non-finite Newton step gives, fails each test.  The
+    full step z + dz goes first, on every active row, checked by one
     comparison per row; each later state_fn call is on the rows for which
-    no longer step passed.  Then, with no ``degree``, the scan stacks
-    2^-1..2^-15 on the rows whose full step failed, and the rest down to the
-    floor on the rows still failing.  The alphas are exact powers of two,
-    1.0 * dz is dz, and state_fn works row by row, so the outcome is
-    bit-identical to trying the halvings one at a time.
+    no longer step passed.  Then both line searches stack the batches of
+    _BATCHES: 2^-1..2^-15 on the rows still failing, and 2^-16..2^-24 on the
+    rows failing those.  The alphas are exact powers of two, 1.0 * dz is
+    dz, and state_fn works row by row, so the outcome is bit-identical to
+    trying the halvings one at a time.
 
     ``degree`` d (2 or 3) says that every row of F is a polynomial of degree
     d along the ray z + alpha * dz.  Its coefficients are F(z), J dz (from
@@ -493,19 +486,16 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
     exceeds the Armijo bound by more than its rounding (_ray_excess).  Each
     row then tries, in one call, the longest alpha not ruled out, with the
     real test on the bits the scan would build; a row ruled out at every
-    alpha stalls with no call.  The rows that fail the real test get every
-    shorter alpha stacked in one call.  So an iteration makes at most three
-    calls, and the outcome is the scan's wherever the rounding bound holds.
-    The powers of the step lengths and the bound's constants are built once
-    per call (_ray_constants), and the coefficients are written into one array.
-    ``steps(J, F)`` gives the Newton steps of the active rows: _newton_steps,
-    or _min_norm_steps where a solution set may be positive-dimensional.
+    alpha stalls with no call.  The rows that fail the real test get the
+    two batches, from 2^-(d-1) on.  The outcome is the scan's wherever the
+    rounding bound holds.  ``steps(J, F)`` gives the Newton steps of the
+    active rows: _newton_steps, or _min_norm_steps where a solution set may
+    be positive-dimensional.
 
     Rows only ever leave the active set, so its points, residuals, norms and
     creep counts are carried compacted from one iteration to the next; a row
     is written back to the full arrays when it leaves (converged, stalled or
-    retired; a row with a non-finite step leaves before the line search) and
-    the rest once at the end.
+    retired) and the rest once at the end.
     """
     target = 0.05 * gtol
     z = z0.copy()
@@ -515,20 +505,11 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
     creep = np.zeros(len(z), dtype=int)  # consecutive accepted steps with alpha <= _CREEP_STEP
     rows = np.flatnonzero((Fn > target) & np.isfinite(Fn))  # the active rows; the rest never move
     za, Fa, fa, ca = z[rows], F[rows], Fn[rows], creep[rows]
-    alphas = np.ldexp(1.0, -np.arange(_MAX_BACKTRACKS))
-    armijo, creeps = 1.0 - _ARMIJO_SLOPE * alphas, alphas <= _CREEP_STEP
-    # the batches of shorter step lengths the scan stacks, as indices into alphas
-    scan = [t for t in np.split(np.arange(1, alphas.size), [15]) if t.size]
-    if degree is not None and degree > alphas.size:
-        degree = None  # no step length left for the polynomial to pick
-    lead = 1  # the step lengths every active row tries first, in one call
-    if degree is not None:
-        lead = degree - 1  # 1/2 too at d = 3: the polynomial needs the state there
-        scan = [np.arange(lead, alphas.size)]  # the fallback's one batch
-        constants = _ray_constants(degree, scan[0], width)
+    lead = 1 if degree is None else degree - 1  # 1/2 too at d = 3: the polynomial needs the state there
+    batches = [_BATCHES[0][:, lead - 1 :], _BATCHES[1]]
 
     def tries(searching, t):
-        """Row searching[r] tries alphas[t[r]], or every alphas[t[0, :]] longest first, in one state call.
+        """Row searching[r] tries _ALPHAS[t[r]], or every _ALPHAS[t[0, :]] longest first, in one state call.
 
         It takes the first that passes the Armijo test; returns the rows none passed.
         """
@@ -537,18 +518,18 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
             return searching
         zs, dzs, fs = za.take(searching, 0), dz.take(searching, 0), fa.take(searching)
         if t.ndim == 1:  # one step length per row: its test is the pick
-            zt = zs + alphas[t][:, None] * dzs
+            zt = zs + _ALPHAS[t][:, None] * dzs
             Ft, Fnt = state_fn(zt)
-            pick = hit = Fnt <= armijo[t] * fs
-            crept = creeps[t]
+            pick = hit = Fnt <= _ARMIJO[t] * fs
+            crept = _CREEPS[t]
         else:
             m = t.shape[1]
-            zt = (zs[:, None] + alphas[t][..., None] * dzs[:, None]).reshape(-1, width)
+            zt = (zs[:, None] + _ALPHAS[t][..., None] * dzs[:, None]).reshape(-1, width)
             Ft, Fnt = state_fn(zt)
-            ok = Fnt.reshape(-1, m) <= armijo[t] * fs[:, None]
+            ok = Fnt.reshape(-1, m) <= _ARMIJO[t] * fs[:, None]
             pick = np.arange(0, Fnt.size, m) + ok.argmax(axis=1)  # the first passing step length, or 0
             hit = ok.reshape(-1)[pick]
-            pick, crept = pick[hit], (ok & creeps[t]).reshape(-1)
+            pick, crept = pick[hit], (ok & _CREEPS[t]).reshape(-1)
         calls += 1
         trial_rows += Fnt.size
         took = searching[hit]
@@ -563,35 +544,28 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
         newton_iters += 1
         J = jac_fn(za)
         dz = steps(J, Fa)
-        if not np.logical_and.reduce(np.isfinite(dz), axis=None):  # a row with one stalls before any trial
-            finite = np.logical_and.reduce(np.isfinite(dz), axis=1)
-            left = rows[~finite]
-            z[left], Fn[left], creep[left] = za[~finite], fa[~finite], ca[~finite]
-            rows, za, Fa, fa, ca, dz, J = (x[finite] for x in (rows, za, Fa, fa, ca, dz, J))
-        moved = np.zeros(rows.size, dtype=bool)
-        # every active norm fa is finite, so a non-finite trial norm fails each Armijo test
-        if alphas.size and rows.size:
-            if lead == 1:  # 1.0 * dz is exact, so the full step is za + dz
-                zt = za + dz
-                Ft, Fnt = state_fn(zt)
-                moved = Fnt <= armijo[0] * fa
-                np.copyto(za, zt, where=moved[:, None])
-                np.copyto(Fa, Ft, where=moved[:, None])
-                np.copyto(fa, Fnt, where=moved)
-                Ft = Ft[None]
-            else:  # and 1/2, longest first
-                zt = za + alphas[:lead, None, None] * dz
-                Ft, Fnt = state_fn(zt.reshape(-1, width))
-                Ft, Fnt = Ft.reshape(lead, rows.size, -1), Fnt.reshape(lead, rows.size)
-                for a in range(lead):
-                    took = ~moved & (Fnt[a] <= armijo[a] * fa)
-                    np.copyto(za, zt[a], where=took[:, None])
-                    np.copyto(Fa, Ft[a], where=took[:, None])
-                    np.copyto(fa, Fnt[a], where=took)
-                    moved |= took
-            calls += 1
-            trial_rows += Fnt.size
-            ca[moved] = 0  # neither 1 nor 1/2 creeps
+        if lead == 1:  # 1.0 * dz is exact, so the full step is za + dz
+            zt = za + dz
+            Ft, Fnt = state_fn(zt)
+            moved = Fnt <= _ARMIJO[0] * fa
+            np.copyto(za, zt, where=moved[:, None])
+            np.copyto(Fa, Ft, where=moved[:, None])
+            np.copyto(fa, Fnt, where=moved)
+            Ft = Ft[None]
+        else:  # and 1/2, longest first
+            zt = za + _ALPHAS[:lead, None, None] * dz
+            Ft, Fnt = state_fn(zt.reshape(-1, width))
+            Ft, Fnt = Ft.reshape(lead, rows.size, -1), Fnt.reshape(lead, rows.size)
+            moved = np.zeros(rows.size, dtype=bool)
+            for a in range(lead):
+                took = ~moved & (Fnt[a] <= _ARMIJO[a] * fa)
+                np.copyto(za, zt[a], where=took[:, None])
+                np.copyto(Fa, Ft[a], where=took[:, None])
+                np.copyto(fa, Fnt[a], where=took)
+                moved |= took
+        calls += 1
+        trial_rows += Fnt.size
+        ca[moved] = 0  # neither 1 nor 1/2 creeps
         searching = np.flatnonzero(~moved)
         if degree is not None and searching.size:
             s = searching
@@ -605,13 +579,13 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
                     F2 = np.multiply(8.0, Ft[1].take(s, 0) - F0 - 0.5 * F1, out=C[2])
                     F2 -= R
                     R -= F2
-                excess, margin = _ray_excess(C, Js, armijo[lead:] * fa.take(s)[:, None], constants)
+                excess, margin = _ray_excess(C, Js, _ARMIJO[lead:] * fa.take(s)[:, None])
                 fails = excess > margin  # sure to fail the Armijo test; NaN (an overflow) is not sure
             first = fails.argmin(axis=1)  # the longest alpha not ruled out, or 0 where every one is
             pick = (first > 0) | ~fails[:, 0]  # a row ruled out at every alpha stalls
             searching = tries(s[pick], lead + first[pick])
-        for t in scan:
-            searching = tries(searching, t[None])
+        for t in batches:
+            searching = tries(searching, t)
         keep = moved & (fa > target) & (ca < _CREEP_ITERATIONS)
         if not keep.all():
             out = ~keep
@@ -794,8 +768,8 @@ def dedupe(points, tol):
     (their distance is 2 on unit spheres).  Points with non-finite vectors
     are dropped before ranking, so they never change which point is kept.
     """
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if not (_is_a(tol, numbers.Real) and 0 <= tol < np.inf):
+        raise ValueError(f"tol must be a finite real number >= 0, got {tol!r}")
     if not points:
         return []
     keys = np.array(
@@ -809,6 +783,11 @@ def _check_unit(vec, p):
     nrm = p_norm(vec, p)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"v must be a unit vector in the p-norm, got ||v||_p = {nrm}")
+
+
+def _check_value(value):
+    if not (_is_a(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"value must be a finite real number, got {value!r}")
 
 
 def _check_eigen_args(tensor, mode):
@@ -833,8 +812,7 @@ def residual_eigen(tensor, v, value, mode, p=2.0):
     vec = np.asarray(v, dtype=float)
     _check_unit(vec, p)
     # an unchecked nan or inf value would come back as a nan residual, not an error
-    if not math.isfinite(value):
-        raise ValueError(f"value must be finite, got {value}")
+    _check_value(value)
     k = tensor.order
     grad = mode_gradient(tensor, [vec] * k, max(mode, 1))
     return p_norm(grad - value * phi(vec, p - 1.0), 2.0)
@@ -871,10 +849,9 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
     vec = _check_vectors(tensor, [v] * k)[0]
     _check_unit(vec, 2.0)
     # a NaN would pass the stationarity guard unseen
-    if not math.isfinite(value):
-        raise ValueError(f"value must be finite, got {value}")
-    if not 0 <= residual_tolerance < np.inf:
-        raise ValueError(f"residual_tolerance must be finite and >= 0, got {residual_tolerance}")
+    _check_value(value)
+    if not (_is_a(residual_tolerance, numbers.Real) and 0 <= residual_tolerance < np.inf):
+        raise ValueError(f"residual_tolerance must be a finite real number >= 0, got {residual_tolerance!r}")
     C = _contract_leading(tensor.data, [vec[None, :]] * (k - 2))[0]  # T(v, ..., v, ., .)
     resid = float(np.linalg.norm(vec @ C - value * vec))
     if resid > residual_tolerance:

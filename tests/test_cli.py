@@ -436,6 +436,17 @@ def test_garbage_file_rejected(tmp_path, capsys):
         path.write_text('{"shape": [2], "entries": %s}' % entries)
         code, out, err = run(capsys, ["eig", str(path), "--mode", "1"])
         assert code == 2 and out == "" and '"entries" must be a list of numbers' in err
+    # a file nested 5000 arrays deep ended svd in a RecursionError traceback and exit 1,
+    # and the last of a repeated name was read silently (eval printed 25)
+    for text, message in [
+        ("[" * 5000, "nested too deeply"),
+        ('{"shape": [2], "entries": [1, 2], "entries": [3, 4]}', "'entries' is repeated"),
+    ]:
+        path.write_text(text)
+        for argv in (["svd", str(path)], ["eval", str(path), str(path)]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+            assert message in err
 
 
 # --- report determinism ------------------------------------------------------

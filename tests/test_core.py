@@ -361,6 +361,15 @@ def test_file_format_rejects_nonfinite():
 def test_file_format_rejects_garbage():
     with pytest.raises(ValueError):
         loads_tensor("not json")
+    # the parser's RecursionError escaped, and a repeated name kept its last value
+    with pytest.raises(ValueError, match="nested too deeply"):
+        loads_tensor("[" * 5000 + "]" * 5000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        loads_tensor('{"shape": [1], "entries": %s}' % ("[" * 5000))
+    with pytest.raises(ValueError, match="'entries' is repeated"):
+        loads_tensor('{"shape": [2], "entries": [1, 2], "entries": [3, 4]}')
+    with pytest.raises(ValueError, match="'a' is repeated"):
+        loads_tensor('{"shape": [2], "entries": [1, 2], "x": {"a": 1, "a": 1}}')
     with pytest.raises(ValueError):
         loads_tensor('{"shape": [2]}')
     with pytest.raises(ShapeError):

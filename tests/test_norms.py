@@ -150,9 +150,13 @@ def test_unit_normalize_zero_rejected():
         unit_normalize([0.0, 0.0], 2)
 
 
-@pytest.mark.parametrize("p", [1.0, 0.5, -2.0, np.inf, np.nan])
+# a string, None and a bool are not real numbers: float() read "2" as 2.0
+@pytest.mark.parametrize("p", [1.0, 0.5, -2.0, np.inf, np.nan, "2", None, True])
 def test_norm_param_rejected(p):
     with pytest.raises(ValueError):
         check_norm_param(p)
     with pytest.raises(ValueError):
         p_norm([1.0], p)
+    if not isinstance(p, float):
+        with pytest.raises(ValueError, match="real, finite p >= 0"):
+            phi([1.0], p)

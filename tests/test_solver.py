@@ -162,12 +162,18 @@ def test_residual_requires_unit_vector():
         residual_eigen(T, [2.0, 0.0], 1.0, 1)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+# True was read as 1, and "1" and None raised TypeError
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, "1", None])
 def test_residual_rejects_nonfinite_value(value):
     # nan came back as the residual, and inf as nan with a RuntimeWarning
     T = DenseTensor(np.diag([1.0, 2.0]))
-    with pytest.raises(ValueError, match="value must be finite"):
+    with pytest.raises(ValueError, match="value must be a finite real number"):
         residual_eigen(T, [1.0, 0.0], value, 1)
+    with pytest.raises(ValueError, match="value must be a finite real number"):
+        classify_index(T, [1.0, 0.0], value)
+    if not isinstance(value, float):  # residual_tolerance takes inf and nan as it takes value
+        with pytest.raises(ValueError, match="residual_tolerance must be a finite real number"):
+            classify_index(T, [1.0, 0.0], 1.0, residual_tolerance=value)
 
 
 @pytest.mark.parametrize("p", [2.0, 1.5])
@@ -781,9 +787,10 @@ def test_dedupe_ranks_a_nan_residual_last():
     assert [pt is lone for pt in dedupe([c, lone, d], 1e-6)] == [True, False]
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1e-6, -math.inf, math.inf])
+@pytest.mark.parametrize("tol", [math.nan, -1e-6, -math.inf, math.inf, True, "0.1", None])
 def test_dedupe_rejects_a_radius_that_is_not_finite_and_nonnegative(tol):
-    # a NaN radius used to merge every point into one, a negative one to keep exact duplicates
+    # a NaN radius used to merge every point into one, a negative one to keep exact
+    # duplicates; True was read as 1, and "0.1" and None raised TypeError
     pairs = symmetric_eigenpairs(random_tensor((3, 3, 3), 1, symmetric=True), CFG)
     with pytest.raises(ValueError, match="tol"):
         dedupe(pairs + pairs, tol)
@@ -1035,10 +1042,10 @@ def test_clusterer_property_matches_greedy_loops(cloud):
 # --- damped Newton line search ---------------------------------------------
 # Brute-force copy of the sequential-halving loop that the batched line
 # search replaced, with the same retirement of creeping rows; the new code
-# must return the same bits.
+# must return the same bits.  Its Newton steps are scaled by ``scale``.
 
 
-def _ref_damped_newton(z0, state_fn, jac_fn, gtol):
+def _ref_damped_newton(z0, state_fn, jac_fn, gtol, scale=1.0):
     target = 0.05 * gtol
     z = z0.copy()
     F, Fn = state_fn(z)
@@ -1053,9 +1060,9 @@ def _ref_damped_newton(z0, state_fn, jac_fn, gtol):
         dz = np.empty_like(F[active])
         for r, b in enumerate(F[active]):
             try:
-                dz[r] = np.linalg.solve(J[r], -b)
+                dz[r] = scale * np.linalg.solve(J[r], -b)
             except np.linalg.LinAlgError:  # only this row's system is singular
-                dz[r] = -(np.linalg.pinv(J[r]) @ b)
+                dz[r] = scale * -(np.linalg.pinv(J[r]) @ b)
         bad = ~np.all(np.isfinite(dz), axis=1)
         dz[bad] = 0.0
         alpha = np.ones(active.size)
@@ -1085,10 +1092,16 @@ def _ref_damped_newton(z0, state_fn, jac_fn, gtol):
     return z
 
 
-# no step (0); the full step alone, so the other batches are empty (1); a
-# second batch cut short by the floor (2, 3, 7, 8); the edge between the second
-# and third batches (15, 16, 17); both sides of the shipped floor (25, 26)
-BACKTRACKS = [0, 1, 2, 3, 7, 8, 15, 16, 17, 25, 26]
+# exponents e of a scale 2^e on the Newton steps, which is exact, so a row whose
+# longest passing step was 2^-j needs 2^-(j + e): the steps as they are (0); rows
+# moved deeper into the first batch (1, 2, 3, 7, 8), across the edge between the
+# two batches (15, 16, 17) and beyond the floor of 2^-24 (25, 26)
+SCALE_EXPONENTS = [0, 1, 2, 3, 7, 8, 15, 16, 17, 25, 26]
+
+
+def _scaled_steps(e):
+    """_newton_steps times 2^e."""
+    return lambda J, F: 2.0**e * solver._newton_steps(J, F)
 
 
 def _leading_mean(D):
@@ -1195,23 +1208,21 @@ def test_bordered_jacobian_matches_an_entry_by_entry_assembly(shape, p):
 
 @pytest.mark.parametrize("p", [2.0, 1.5, 3.0])
 @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4, 4), (4, 5, 6), (2, 3, 4, 3)])
-def test_line_search_matches_sequential_halving(shape, p, monkeypatch):
+def test_line_search_matches_sequential_halving(shape, p):
     # at p = 2 the step lengths come from the polynomial (degree 2 at k = 3, 3 at k = 4)
-    for max_backtracks in (25,) if len(shape) == 4 else (2, 25):
-        monkeypatch.setattr(solver, "_MAX_BACKTRACKS", max_backtracks)
-        for z0, state, jac, degree in _newton_systems(shape, p, seed=len(shape) + int(2 * p)):
-            args = (state, jac, CFG.gradient_tolerance)
-            got = solver._damped_newton(z0, *args, degree)
-            assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
+    for z0, state, jac, degree in _newton_systems(shape, p, seed=len(shape) + int(2 * p)):
+        args = (state, jac, CFG.gradient_tolerance)
+        got = solver._damped_newton(z0, *args, degree)
+        assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
 
 
-@pytest.mark.parametrize("max_backtracks", BACKTRACKS)
-def test_line_search_matches_sequential_halving_at_block_edges(max_backtracks, monkeypatch):
-    monkeypatch.setattr(solver, "_MAX_BACKTRACKS", max_backtracks)
+@pytest.mark.parametrize("e", SCALE_EXPONENTS)
+def test_line_search_matches_sequential_halving_at_block_edges(e):
     systems = _newton_systems((3, 3, 3), 2.0, seed=11) + _newton_systems((2, 3, 4), 3.0, seed=12)
     for z0, state, jac, degree in systems + _newton_systems((2, 2, 2, 2), 2.0, seed=13):
         args = (state, jac, CFG.gradient_tolerance)
-        assert solver._damped_newton(z0, *args, degree).tobytes() == _ref_damped_newton(z0, *args).tobytes()
+        got = solver._damped_newton(z0, *args, degree, _scaled_steps(e))
+        assert got.tobytes() == _ref_damped_newton(z0, *args, 2.0**e).tobytes()
 
 
 @pytest.mark.parametrize("shape, seed", [((3, 3), 1), ((3, 3, 3), 3), ((2, 2, 2, 2), 4)])
@@ -1302,7 +1313,7 @@ def _one_iteration_calls(z0, state, jac, degree, monkeypatch):
 def test_polynomial_line_search_at_the_armijo_boundary(shape, seed, monkeypatch):
     # rows on both sides of an Armijo decision that only rounding settles: the
     # polynomial cannot rule that step length out, so on the side where it
-    # fails the real test the fallback stacks every shorter step length
+    # fails the real test the fallback stacks the first batch, 2^-(d-1)..2^-15
     z0, state, jac, degree = _newton_systems(shape, 2.0, seed)[0]
     t = [_longest_step(state, jac, z) for z in z0]
     # neighbouring rows whose full steps fail and whose longest steps differ
@@ -1316,11 +1327,11 @@ def test_polynomial_line_search_at_the_armijo_boundary(shape, seed, monkeypatch)
         assert _longest_step(state, jac, a) != _longest_step(state, jac, b)
         for r in (a[None], b[None]):
             assert solver._damped_newton(r, *args, degree).tobytes() == _ref_damped_newton(r, *args).tobytes()
-            # the entry state, the full step (and 1/2 at d = 3), the pick and the fallback
-            # stacking every shorter step length
+            # the entry state, the full step (and 1/2 at d = 3), the pick and the fallback's
+            # first batch; no row here needs the second
             sizes = _one_iteration_calls(r, state, jac, degree, monkeypatch)
             assert sizes[:2] == [1, degree - 1] and sizes[2:3] in ([], [1])
-            assert sizes[3:] in ([], [solver._MAX_BACKTRACKS + 1 - degree])
+            assert sizes[3:] in ([], [17 - degree])
             fallbacks += len(sizes) == 4
     # at d = 3 a flip at 1/2 is settled by the call there
     assert fallbacks == 3 if degree == 2 else fallbacks >= 1
@@ -1344,11 +1355,28 @@ def test_polynomial_line_search_near_convergence(shape, monkeypatch):
     assert len(z0) >= 20
     args = (state, jac, CFG.gradient_tolerance)
     assert solver._damped_newton(z0, *args, degree).tobytes() == _ref_damped_newton(z0, *args).tobytes()
-    # the entry state, the full step (and 1/2 at d = 3), the picks and one call stacking
-    # every shorter step length (lengths 2^-1.. at d = 2, 2^-2.. at d = 3) on the rest
+    # the entry state, the full step (and 1/2 at d = 3), the picks, the first batch
+    # (2^-1..2^-15 at d = 2, 2^-2..2^-15 at d = 3) on the rest, and 2^-16..2^-24 on
+    # the rows that stall
     sizes = _one_iteration_calls(z0, state, jac, degree, monkeypatch)
-    assert len(sizes) == 4 and sizes[1] == (degree - 1) * len(z0)
-    assert sizes[3] % (solver._MAX_BACKTRACKS + 1 - degree) == 0
+    assert len(sizes) == 5 and sizes[1] == (degree - 1) * len(z0)
+    assert sizes[3] % (17 - degree) == 0 and sizes[4] % 9 == 0
+
+
+def test_polynomial_fallback_reaches_the_second_batch(monkeypatch):
+    # first vectors scaled to 1e-160 and 1e-150 leave the bordered Jacobian singular to
+    # working precision: one row's Newton step is non-finite and the other's of size
+    # 1e299, so the ray polynomial is NaN on both and rules nothing out.  Each tries the
+    # pick, then 2^-1..2^-15, then 2^-16..2^-24, passes none and stays where it is
+    T = random_tensor((3, 3, 3), 3, symmetric=True)
+    z0, state, jac, degree = _raw_rows(solver._eigen_parts(T.data), 2.0, 3, 4)
+    z0[0, :3] *= 1e-160
+    z0[1, :3] *= 1e-150
+    args = (state, jac, CFG.gradient_tolerance)
+    got = solver._damped_newton(z0, *args, degree)
+    assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
+    assert np.array_equal(got[:2], z0[:2])
+    assert _one_iteration_calls(z0, state, jac, degree, monkeypatch) == [4, 4, 3, 2 * 15, 2 * 9]
 
 
 @pytest.mark.parametrize(
@@ -1396,7 +1424,8 @@ def test_newton_reads_the_ray_polynomial_of_its_searching_rows(shape, seed, sing
     ray_excess = solver._ray_excess
     monkeypatch.setattr(solver, "_ray_excess", lambda *args: seen.append(args) or ray_excess(*args))
     _one_iteration_calls(z0, state, jac, degree, monkeypatch)
-    ((C, J, limit, (powers, *_)),) = seen
+    ((C, J, limit),) = seen
+    powers = solver._POWERS[degree]
     F, Fn = state(z0)
     dz = solver._newton_steps(jac(z0), F)
     searching = ~(state(z0 + dz)[1] <= (1.0 - solver._ARMIJO_SLOPE) * Fn)
@@ -1421,13 +1450,12 @@ def test_ray_polynomial_bounds_its_own_rounding(shape, seed):
     C, J, dz = _ray_coefficients(state, jac, z, degree)
     alphas = np.ldexp(1.0, -np.arange(degree - 1, solver._MAX_BACKTRACKS))
     real = state((z[:, None] + alphas[:, None] * dz[:, None]).reshape(-1, z.shape[1]))[1].reshape(len(z), -1)
-    constants = solver._ray_constants(degree, np.arange(degree - 1, solver._MAX_BACKTRACKS), z.shape[1])
-    excess, margin = solver._ray_excess(C, J, real, constants)
+    excess, margin = solver._ray_excess(C, J, real)
     assert len(z) > 100 and np.isfinite(excess).all()
     assert np.all(np.abs(excess) <= margin)
     # tight enough to matter: away from the rounding floor, 0.9 of the norm is far beyond it
     far = real > 1e-6
-    assert far.mean() > 0.25 and np.all((solver._ray_excess(C, J, 0.9 * real, constants)[0] > margin)[far])
+    assert far.mean() > 0.25 and np.all((solver._ray_excess(C, J, 0.9 * real)[0] > margin)[far])
 
 
 def _toy_state(z):
@@ -1465,29 +1493,29 @@ def _toy_rows(singular):
         [0.6, 0.5, -0.3],
     ]
     # s << 1 overshoots into the non-finite region, so the accepted alpha
-    # ranges over the step lengths, down to about 2^-19 for s = 1e-6
+    # ranges over the step lengths, down to 2^-20 for s = 1e-6
     for s in (1.0, 0.7, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6):
         for x in rng.uniform(-1.9, 1.9, size=(3, 2)):
             rows.append([x[0], x[1], s])
-    # the ends of the second and third batches of step lengths at the shipped
-    # floor, and one step length beyond it
-    rows += [_longest_step_row(e) for e in (-15, -16, -24, -25)]
+    # each end of the full step and of the two batches, and one step length beyond the floor
+    rows += [_longest_step_row(e) for e in (0, -1, -15, -16, -24, -25)]
     if singular:
         rows.append([1.2, 0.1, 0.0])  # a singular Jacobian sends the batch to pinv
     return np.array(rows)
 
 
 @pytest.mark.parametrize("singular", [False, True])
-@pytest.mark.parametrize("max_backtracks", BACKTRACKS)
-def test_line_search_edge_rows_match_sequential_halving(max_backtracks, singular, monkeypatch):
-    monkeypatch.setattr(solver, "_MAX_BACKTRACKS", max_backtracks)
+@pytest.mark.parametrize("e", SCALE_EXPONENTS)
+def test_line_search_edge_rows_match_sequential_halving(e, singular):
     z0 = _toy_rows(singular)
     args = (_toy_state, _toy_jac, CFG.gradient_tolerance)
-    got = solver._damped_newton(z0, *args)
-    assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
+    got = solver._damped_newton(z0, *args, None, _scaled_steps(e))
+    assert got.tobytes() == _ref_damped_newton(z0, *args, 2.0**e).tobytes()
     assert np.array_equal(got[:6], z0[:6])  # converged, non-finite, bad step, uphill
+    # the random rows take steps down to 2^-20, so all of them move up to e = 4 and
+    # none beyond the floor
     moved = np.any(got[6:39] != z0[6:39], axis=1)
-    assert moved.all() if max_backtracks >= 20 else not moved.all()
+    assert moved.all() if e <= 4 else not moved.all() and moved.any() == (e < solver._MAX_BACKTRACKS)
 
 
 def test_line_search_floor_is_two_to_the_minus_24():
@@ -1567,7 +1595,7 @@ def test_rows_leave_the_active_set_by_every_route_in_one_batch(caplog):
         [1.5, 0.5, 1.0],  # the full step lands on 1/2: converged
         [1.5, 0.5, 0.5],  # the full step overshoots to -1/2; 2^-1, in the second call, lands on 1/2
         [1.5, 0.5, 2.0**-16],  # only 2^-16, in the third call, passes, and lands on 1/2
-        [1.0, 0.2, 1e-320],  # the Newton step overflows: stalled
+        [1.0, 0.2, 1e-320],  # the Newton step overflows: every trial is non-finite, stalled
         [1.5, -1.0, -1.0],  # the step points uphill: no step length passes, stalled
         [1.5, 0.5, 0.01],  # 2^-6 passes five times, in the second call: retired
     ])
@@ -1578,18 +1606,18 @@ def test_rows_leave_the_active_set_by_every_route_in_one_batch(caplog):
     assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
     assert np.all(got[:3, :2] == 0.5) and np.array_equal(got[3:5], z0[3:5])
     assert got[5, 0] - 0.5 == pytest.approx(-(0.5625**5), rel=1e-12)  # five steps, each scaling by -0.5625
-    # iteration 1: the full step on the 5 rows with a finite step, 2^-1..2^-15 on the 4 it
-    # failed, 2^-16..2^-24 on the 2 still failing; iterations 2-5: the creeping row alone,
-    # in two calls; each left row is tried no more
+    # iteration 1: the full step on the 6 rows, 2^-1..2^-15 on the 5 it failed,
+    # 2^-16..2^-24 on the 3 still failing; iterations 2-5: the creeping row alone, in two
+    # calls; each left row is tried no more
     iters, calls, trials, converged, rows, stalled, retired = _newton_counts(caplog)
-    assert (iters, calls, trials) == (5, 1 + 3 + 4 * 2, 5 + 4 * 15 + 2 * 9 + 4 * (1 + 15))
+    assert (iters, calls, trials) == (5, 1 + 3 + 4 * 2, 6 + 5 * 15 + 3 * 9 + 4 * (1 + 15))
     assert (converged, rows, stalled, retired) == (3, 6, 2, 1)
     # a row's result does not depend on the rows that left the batch before it
     for r in range(len(z0)):
         assert solver._damped_newton(z0[r : r + 1], *args).tobytes() == got[r].tobytes()
 
 
-def test_batch_whose_every_first_step_is_non_finite_tries_no_step(caplog):
+def test_batch_whose_every_newton_step_is_non_finite_moves_no_row(caplog):
     z0 = np.array([
         [0.5, 0.5, 1.0],  # converged at entry: never active
         [1.0, 0.2, 1e-320],  # each active row's Newton step overflows
@@ -1602,8 +1630,9 @@ def test_batch_whose_every_first_step_is_non_finite_tries_no_step(caplog):
         got = solver._damped_newton(z0, *args)
     assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
     assert np.array_equal(got, z0)
-    # one iteration, the entry state call alone and no step-length row; three rows stalled
-    assert _newton_counts(caplog) == [1, 1, 0, 1, 4, 3, 0]
+    # one iteration: the entry state, then each of the three active rows tries all 25
+    # step lengths in three calls, fails every Armijo test on a non-finite norm and stalls
+    assert _newton_counts(caplog) == [1, 4, 75, 1, 4, 3, 0]
 
 
 def _toy_jac_flat_near_one(z):
@@ -1678,8 +1707,9 @@ def test_line_search_state_calls_per_newton_iteration(monkeypatch):
     monkeypatch.setattr(solver, "_lagrange_fns", counted_fns)
     monkeypatch.setattr(solver, "_damped_newton", counted(solver._damped_newton, "newton"))
     singular_tuples(random_tensor((4, 5, 6), 5))
-    # one polish; one Jacobian per Newton iteration, at most three state calls
-    # (one per batch of step lengths) and one initial state call
+    # one polish; one Jacobian per Newton iteration, at most four state calls in one
+    # (the full step, the pick and two batches) and at most three on average here,
+    # and one initial state call
     assert counts["newton"] == 1 and counts["jac"] > 0
     assert counts["state"] <= 3 * counts["jac"] + counts["newton"]
 
