@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AsymmetricTensorError, ShapeError
+from .norms import _as_vector, _integer
 
 __all__ = [
     "DenseTensor",
@@ -48,10 +49,8 @@ class DenseTensor:
 
     def __init__(self, data):
         arr = np.array(data, dtype=float, order="C")
-        if arr.ndim < 1:
-            raise ShapeError("a tensor needs at least one mode")
-        if any(d < 1 for d in arr.shape):
-            raise ShapeError(f"all dimensions must be >= 1, got {arr.shape}")
+        if arr.ndim < 1 or arr.size == 0:
+            raise ShapeError(f"a tensor needs one or more dimensions, all >= 1, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor entries must be finite")
         arr.flags.writeable = False
@@ -61,15 +60,8 @@ class DenseTensor:
     @classmethod
     def from_flat(cls, shape, entries):
         """Build from a dimension list and a flat row-major entry array."""
-        dims = tuple(int(d) for d in shape)
-        if len(dims) < 1 or any(d < 1 for d in dims):
-            raise ShapeError(f"invalid shape {dims}")
-        flat = np.asarray(entries, dtype=float)
-        if flat.ndim != 1 or flat.size != math.prod(dims):
-            raise ShapeError(
-                f"expected {math.prod(dims)} entries for shape {dims}, got {flat.size}"
-            )
-        return cls(flat.reshape(dims))
+        dims = _dims(shape)
+        return cls(_as_vector(entries, math.prod(dims), "entries").reshape(dims))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -92,6 +84,17 @@ class DenseTensor:
         return f"DenseTensor(shape={self.shape})"
 
 
+def _dims(shape) -> tuple[int, ...]:
+    """shape as a tuple of one or more integers >= 1, else ShapeError."""
+    try:
+        dims = tuple(_integer(d, "a dimension", 1) for d in shape)
+    except (TypeError, ValueError):  # TypeError: shape is not iterable
+        dims = ()
+    if not dims:
+        raise ShapeError(f"a shape must be a sequence of one or more integers >= 1, got {shape!r}")
+    return dims
+
+
 def _require_square(tensor: DenseTensor):
     if not tensor.is_square:
         raise ShapeError(f"operation needs a square tensor, got shape {tensor.shape}")
@@ -99,19 +102,8 @@ def _require_square(tensor: DenseTensor):
 
 def _check_vectors(tensor: DenseTensor, vectors: Sequence) -> list[np.ndarray]:
     if len(vectors) != tensor.order:
-        raise ShapeError(
-            f"need {tensor.order} vectors for an order-{tensor.order} tensor, "
-            f"got {len(vectors)}"
-        )
-    out = []
-    for i, (v, n) in enumerate(zip(vectors, tensor.shape)):
-        arr = np.asarray(v, dtype=float)
-        if arr.ndim != 1 or arr.size != n:
-            raise ShapeError(f"vector {i + 1} must have length {n}, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"vector {i + 1} has non-finite entries")
-        out.append(arr)
-    return out
+        raise ShapeError(f"need {tensor.order} vectors for an order-{tensor.order} tensor, got {len(vectors)}")
+    return [_as_vector(v, n, f"vector {i + 1}") for i, (v, n) in enumerate(zip(vectors, tensor.shape))]
 
 
 def evaluate(tensor: DenseTensor, vectors: Sequence) -> float:
@@ -131,8 +123,7 @@ def mode_gradient(tensor: DenseTensor, vectors: Sequence, mode: int) -> np.ndarr
     """
     vs = _check_vectors(tensor, vectors)
     k = tensor.order
-    if not 1 <= mode <= k:
-        raise ValueError(f"mode must be in 1..{k}, got {mode}")
+    mode = _integer(mode, "mode", 1, k)
     out = np.moveaxis(tensor.data, mode - 1, 0)
     for r in range(k):
         if r != mode - 1:
@@ -206,11 +197,9 @@ def sym_hessian(tensor: DenseTensor, v) -> np.ndarray:
     _require_symmetric(tensor)
     k = tensor.order
     n = tensor.shape[0]
+    vec = _as_vector(v, n, "v")
     if k == 1:
         return np.zeros((n, n))
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != (n,):
-        raise ShapeError(f"vector must have length {n}")
     out = tensor.data
     for _ in range(k - 2):
         out = np.tensordot(out, vec, axes=([2], [0]))
@@ -229,7 +218,7 @@ def euler_residual(tensor: DenseTensor, v) -> float:
     asymmetrized inputs.
     """
     _require_square(tensor)
-    vec = np.asarray(v, dtype=float)
+    vec = _as_vector(v, tensor.shape[0], "v")
     if not np.any(vec):
         raise ValueError("v must be nonzero")
     k = tensor.order
@@ -265,12 +254,10 @@ def _orbit_mean(data, ids):
 
 def random_tensor(shape, seed: int, symmetric: bool = False) -> DenseTensor:
     """Standard-normal tensor from NumPy's PCG64 stream; same seed, same bits."""
-    dims = tuple(int(d) for d in shape)
-    if len(dims) < 1 or any(d < 1 for d in dims):
-        raise ShapeError(f"invalid shape {dims}")
+    dims = _dims(shape)
     if symmetric and len(set(dims)) != 1:
         raise ValueError(f"symmetric tensors must be square, got shape {dims}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     t = DenseTensor(rng.standard_normal(dims))
     return symmetrize(t) if symmetric else t
 
@@ -311,20 +298,16 @@ def loads_tensor(text: str) -> DenseTensor:
         raise ValueError("malformed tensor file: nested too deeply") from exc
     if not isinstance(doc, dict) or "shape" not in doc or "entries" not in doc:
         raise ValueError('tensor file must be an object with "shape" and "entries"')
-    shape = doc["shape"]
     entries = doc["entries"]
-    # JSON true/false load as bool, a subclass of int: reject them in both lists.
-    # Entries are JSON numbers only: float() would parse "1.5", and null or a
-    # nested list would fail later under a misleading message.
-    if not isinstance(shape, list) or not all(type(d) is int for d in shape):
-        raise ValueError('"shape" must be a list of integers')
+    # Entries are JSON numbers only, not true/false (a bool is an int) or "1.5", which float()
+    # would parse; null or a nested list would fail later under a misleading message.
     if not isinstance(entries, list) or not all(type(x) in (int, float) for x in entries):
         raise ValueError('"entries" must be a list of numbers')
     try:
-        return DenseTensor.from_flat(shape, entries)
+        return DenseTensor.from_flat(doc["shape"], entries)
     except ShapeError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad tensor entries: {exc}") from exc
 
 

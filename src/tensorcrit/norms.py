@@ -16,28 +16,57 @@ import numbers
 
 import numpy as np
 
+from .errors import ShapeError
+
 __all__ = ["check_norm_param", "p_norm", "phi", "p_norm_gradient", "unit_normalize"]
 
 
-def _is_a(x, kind):
-    """isinstance(x, kind) for a numbers ABC, bool excepted: a cast would read True as 1 and "2" as 2."""
-    return isinstance(x, kind) and not isinstance(x, bool)
+def _real(x, name, above=None, at_least=None) -> float:
+    """x as a float: a finite real number, > above and >= at_least where given, else ValueError.
+
+    The package's numeric arguments all take this check or _integer's, which test float or int
+    before the slower ABC.  A bool, a string or None is not a number: a cast would read True as 1.
+    """
+    real = type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
+    try:
+        v = float(x) if real else math.nan
+    except OverflowError:  # an int beyond the largest float is out of range, like inf
+        v = math.nan
+    if not (math.isfinite(v) and (above is None or v > above) and (at_least is None or v >= at_least)):
+        bound = f" > {above}" if above is not None else f" >= {at_least}" if at_least is not None else ""
+        raise ValueError(f"{name} must be a finite real number{bound}, got {x!r}")
+    return v
+
+
+def _integer(x, name, low=None, high=None) -> int:
+    """x as an int, in low..high where given, else ValueError."""
+    if not ((type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool))
+            and (low is None or x >= low) and (high is None or x <= high)):
+        bound = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+        raise ValueError(f"{name} must be an integer{bound}, got {x!r}")
+    return int(x)
+
+
+def _as_vector(x, n=None, name="x") -> np.ndarray:
+    """x as a 1-D float array of finite reals (no strings, bools or complex), of length n where given."""
+    arr = np.asarray(x)
+    try:
+        arr = arr.astype(float, copy=False) if arr.dtype.kind in "iufO" else None
+    except (TypeError, OverflowError):
+        arr = None
+    if arr is None:
+        raise ValueError(f"{name} must hold real numbers, got dtype {np.asarray(x).dtype}")
+    if arr.ndim != 1 or n is not None and arr.size != n:
+        length = "" if n is None else f" with length {n}"
+        raise ShapeError(f"{name} must be 1-D{length}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
 
 
 def check_norm_param(p: float) -> float:
     """Validate a real 1 < p < inf and return p as a float."""
-    if not (_is_a(p, numbers.Real) and p > 1.0 and math.isfinite(p)):
-        raise ValueError(f"norm parameter must be a real number with 1 < p < inf, got {p!r}")
-    return float(p)
-
-
-def _as_vector(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector has non-finite entries")
-    return arr
+    return _real(p, "norm parameter p", above=1)
 
 
 def _scaled_norm(arr: np.ndarray, p: float):
@@ -61,9 +90,8 @@ def p_norm(x, p: float) -> float:
 
 def phi(x, p: float) -> np.ndarray:
     """Componentwise signed power sgn(x_j)|x_j|^p, any finite p >= 0."""
-    # a NaN p fails p >= 0; an infinite one would map |x_j| > 1 to inf
-    if not (_is_a(p, numbers.Real) and p >= 0 and math.isfinite(p)):
-        raise ValueError(f"signed power map needs a real, finite p >= 0, got {p!r}")
+    # an infinite p would map |x_j| > 1 to inf
+    p = _real(p, "power p", at_least=0)
     arr = _as_vector(x)
     return np.sign(arr) * np.abs(arr) ** p
 

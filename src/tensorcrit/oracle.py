@@ -51,6 +51,8 @@ def jacobi_eigen(A):
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"need a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
     n = A.shape[0]
     if n > 32:
         raise ValueError("jacobi_eigen is meant for n <= 32")
@@ -108,6 +110,8 @@ def svd_small(A):
     A = np.array(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"need a matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
     m, n = A.shape
     if max(m, n) > 32:
         raise ValueError("svd_small is meant for m, n <= 32")

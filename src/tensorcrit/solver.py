@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    _check_vectors,
     _orbit_ids,
     _orbit_mean,
     _require_square,
@@ -38,7 +36,7 @@ from .core import (
     mode_gradient,
 )
 from .errors import DegenerateTensorError, ShapeError
-from .norms import _is_a, check_norm_param, p_norm, phi
+from .norms import _as_vector, _integer, _real, check_norm_param, p_norm, phi
 
 __all__ = [
     "SolverConfig",
@@ -121,14 +119,14 @@ class SolverConfig:
     p: float = 2.0
 
     def __post_init__(self):
-        # bool is an Integral; a cast would misread 1.5, "3" or None
-        if not (_is_a(self.restarts, numbers.Integral) and self.restarts >= 1):
-            raise ValueError("restarts must be an integer >= 1")
-        if not _is_a(self.seed, numbers.Integral):
-            raise ValueError("seed must be an integer")
-        if not (_is_a(self.gradient_tolerance, numbers.Real) and 0 < self.gradient_tolerance < np.inf):
-            raise ValueError("gradient_tolerance must be finite and > 0")
-        object.__setattr__(self, "p", check_norm_param(self.p))
+        # stored as plain int and float: a huge int tolerance would overflow only in the search
+        for name, value in {
+            "restarts": _integer(self.restarts, "restarts", 1),
+            "seed": _integer(self.seed, "seed"),
+            "gradient_tolerance": _real(self.gradient_tolerance, "gradient_tolerance", above=0),
+            "p": check_norm_param(self.p),
+        }.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -668,7 +666,7 @@ def _accept(grads, Ws, p, gtol):
     with np.errstate(all="ignore"):
         terms = list(zip(grads(Ws), [_phi_rows(W, p - 1.0) for W in Ws]))
         value = _dot_rows(terms[0][0], Ws[0])  # f(w_1, ..., w_k) = <g_i, w_i> in every mode
-        resid = np.max([np.linalg.norm(g - value[:, None] * f, axis=1) for g, f in terms], axis=0)
+        resid = np.max([_row_dist(g - value[:, None] * f) for g, f in terms], axis=0)
         mults = np.stack([np.sum(g * f, axis=1) / np.sum(f * f, axis=1) for g, f in terms], 1)
     keep = np.isfinite(resid) & (resid <= gtol)
     return [W[keep] for W in Ws], value[keep], resid[keep], mults[keep]
@@ -744,7 +742,7 @@ def _check_continuum(z, J, state_fn, jac_fn, degree, merge_tol, gtol, noun):
         z1 = _damped_newton(
             z0 + h * np.linalg.svd(J[rows])[2][:, -1], state_fn, jac_fn, gtol, degree, _min_norm_steps
         )
-        dist = np.linalg.norm(z1 - z0, axis=1)
+        dist = _row_dist(z1 - z0)
         same = (state_fn(z1)[1] <= gtol) & (np.abs(z1[:, -1] - z0[:, -1]) <= gtol)
         witness = np.flatnonzero(same & (dist > merge_tol) & (dist <= 2.0 * h))
     log.debug(
@@ -768,8 +766,7 @@ def dedupe(points, tol):
     (their distance is 2 on unit spheres).  Points with non-finite vectors
     are dropped before ranking, so they never change which point is kept.
     """
-    if not (_is_a(tol, numbers.Real) and 0 <= tol < np.inf):
-        raise ValueError(f"tol must be a finite real number >= 0, got {tol!r}")
+    tol = _real(tol, "tol", at_least=0)
     if not points:
         return []
     keys = np.array(
@@ -785,21 +782,13 @@ def _check_unit(vec, p):
         raise ValueError(f"v must be a unit vector in the p-norm, got ||v||_p = {nrm}")
 
 
-def _check_value(value):
-    if not (_is_a(value, numbers.Real) and math.isfinite(value)):
-        raise ValueError(f"value must be a finite real number, got {value!r}")
-
-
 def _check_eigen_args(tensor, mode):
-    """A square tensor and an integer mode in 0..k; mode 0 (symmetric) needs a symmetric tensor."""
+    """The integer mode in 0..k of a square tensor; mode 0 (symmetric) needs a symmetric tensor."""
     _require_square(tensor)
-    k = tensor.order
-    if not _is_a(mode, numbers.Integral):
-        raise ValueError(f"mode must be an integer, got {mode!r}")
-    if not 0 <= mode <= k:
-        raise ValueError(f"mode must be in 0..{k} (0: symmetric), got {mode}")
+    mode = _integer(mode, "mode", 0, tensor.order)
     if mode == 0:
         _require_symmetric(tensor)
+    return mode
 
 
 def residual_eigen(tensor, v, value, mode, p=2.0):
@@ -807,14 +796,12 @@ def residual_eigen(tensor, v, value, mode, p=2.0):
 
     Mode 0 is the symmetric problem (gradient in mode 1, symmetric tensor).
     """
-    _check_eigen_args(tensor, mode)
+    mode = _check_eigen_args(tensor, mode)
     p = check_norm_param(p)
-    vec = np.asarray(v, dtype=float)
+    vec = _as_vector(v, tensor.shape[0], "v")
     _check_unit(vec, p)
-    # an unchecked nan or inf value would come back as a nan residual, not an error
-    _check_value(value)
-    k = tensor.order
-    grad = mode_gradient(tensor, [vec] * k, max(mode, 1))
+    value = _real(value, "value")
+    grad = mode_gradient(tensor, [vec] * tensor.order, max(mode, 1))
     return p_norm(grad - value * phi(vec, p - 1.0), 2.0)
 
 
@@ -846,12 +833,10 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
         raise ShapeError("index classification needs tensor order >= 2")
     if n < 2:
         raise ShapeError("index classification needs dimension >= 2")
-    vec = _check_vectors(tensor, [v] * k)[0]
+    vec = _as_vector(v, n, "v")
     _check_unit(vec, 2.0)
-    # a NaN would pass the stationarity guard unseen
-    _check_value(value)
-    if not (_is_a(residual_tolerance, numbers.Real) and 0 <= residual_tolerance < np.inf):
-        raise ValueError(f"residual_tolerance must be a finite real number >= 0, got {residual_tolerance!r}")
+    value = _real(value, "value")
+    residual_tolerance = _real(residual_tolerance, "residual_tolerance", at_least=0)
     C = _contract_leading(tensor.data, [vec[None, :]] * (k - 2))[0]  # T(v, ..., v, ., .)
     resid = float(np.linalg.norm(vec @ C - value * vec))
     if resid > residual_tolerance:
@@ -951,7 +936,7 @@ def _eigen_run(tensor, mode, config):
     points of f(v) = T(v, ..., v), so only then does the ascent run.
     """
     k = tensor.order
-    _check_eigen_args(tensor, mode)
+    mode = _check_eigen_args(tensor, mode)
     n = tensor.shape[0]
     if k < 2:
         raise ShapeError("eigenpair solvers need tensor order >= 2")
@@ -1062,7 +1047,7 @@ def _alternating_ascent(data, Ws0, p):
             with np.errstate(all="ignore"):
                 U, ok = _unit_rows(_phi_rows(G, q), p)
             Ws[i][ok] = U[ok]
-    moved = np.linalg.norm(np.concatenate(Ws, axis=1) - before, axis=1)
+    moved = _row_dist(np.concatenate(Ws, axis=1) - before)
     log.debug(
         "alternating ascent: %d sweeps, largest move %.3g in the last, %d rows",
         _ALTERNATING_SWEEPS, np.max(moved), len(moved),

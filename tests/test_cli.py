@@ -239,7 +239,7 @@ def test_nonfinite_tolerance_is_usage_error(cubic_file, capsys, command, value):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert "gradient_tolerance must be finite and > 0" in err
+    assert err == f"error: gradient_tolerance must be a finite real number > 0, got {value}\n"
 
 
 def test_debug_logging_leaves_report_unchanged(tmp_path, capsys, caplog):

@@ -7,15 +7,18 @@ import contextlib
 import io
 import json
 import math
+import numbers
 import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorcrit import DegenerateTensorError, DenseTensor, SolverConfig, generalized_eigenpairs, mode_gradient
-from tensorcrit import p_norm, phi, residual_eigen, singular_tuples, symmetrize, write_tensor_file
+from tensorcrit import DegenerateTensorError, DenseTensor, SolverConfig, classify_index, dedupe, evaluate
+from tensorcrit import generalized_eigenpairs, mode_gradient, p_norm, p_norm_gradient, phi, random_tensor
+from tensorcrit import residual_eigen, singular_tuples, sym_hessian, symmetrize, unit_normalize, write_tensor_file
 from tensorcrit.cli import main
+from tensorcrit.norms import check_norm_param
 
 # zeros, units, 1e300, subnormals, and values whose squares overflow or underflow
 ENTRIES = [0.0, 1.0, -1.0, 0.5, 3.0, 1e300, -1e300, 1e-300, 5e-324, 1e154, 1e-160]
@@ -84,3 +87,59 @@ def test_cli_exits_with_a_documented_code(tmp_path_factory, case, p, restarts, a
     assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue(), err.getvalue()
     if code in (0, 3):
         assert json.loads(out.getvalue())["command"] == argv[0]
+
+
+def _integer(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _finite_real(x):
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # 10**400
+        return False
+
+
+# Every public argument that is a number, an integer, a shape entry or a vector entry, with what
+# it may accept: a non-integer is never a shape, a mode or a seed.  A scalar is never a shape.
+M, E1 = DenseTensor(np.diag([1.0, 2.0])), [1.0, 0.0]  # E1 is an eigenvector of M with value 1
+ARGUMENTS = {
+    "check_norm_param": (_finite_real, check_norm_param),
+    "p_norm p": (_finite_real, lambda x: p_norm([3.0, 4.0], x)),
+    "phi p": (_finite_real, lambda x: phi([3.0, -4.0], x)),
+    "unit_normalize p": (_finite_real, lambda x: unit_normalize([3.0, 4.0], x)),
+    "p_norm_gradient p": (_finite_real, lambda x: p_norm_gradient([3.0, 4.0], x)),
+    "SolverConfig restarts": (_integer, lambda x: SolverConfig(restarts=x)),
+    "SolverConfig seed": (_integer, lambda x: SolverConfig(seed=x)),
+    "SolverConfig gradient_tolerance": (_finite_real, lambda x: SolverConfig(gradient_tolerance=x)),
+    "SolverConfig p": (_finite_real, lambda x: SolverConfig(p=x)),
+    "dedupe tol": (_finite_real, lambda x: dedupe([], x)),
+    "residual_eigen value": (_finite_real, lambda x: residual_eigen(M, E1, x, 1)),
+    "residual_eigen mode": (_integer, lambda x: residual_eigen(M, E1, 1.0, x)),
+    "classify_index value": (_finite_real, lambda x: classify_index(M, E1, x)),
+    "classify_index residual_tolerance": (_finite_real, lambda x: classify_index(M, E1, 1.0, x)),
+    "mode_gradient mode": (_integer, lambda x: mode_gradient(M, [E1, E1], x)),
+    "generalized_eigenpairs mode": (_integer, lambda x: generalized_eigenpairs(M, x, SolverConfig(restarts=2))),
+    "from_flat dimension": (_integer, lambda x: DenseTensor.from_flat((x,), [1.0, 2.0])),
+    "from_flat shape": (lambda x: False, lambda x: DenseTensor.from_flat(x, [1.0, 2.0])),
+    "random_tensor dimension": (_integer, lambda x: random_tensor((x, 2), 0)),
+    "random_tensor shape": (lambda x: False, lambda x: random_tensor(x, 0)),
+    "random_tensor seed": (_integer, lambda x: random_tensor((2,), x)),
+    "evaluate vector entry": (lambda x: True, lambda x: evaluate(M, [[x, 1.0], E1])),
+    "mode_gradient vector": (lambda x: False, lambda x: mode_gradient(M, [x, E1], 1)),
+    "sym_hessian vector entry": (lambda x: True, lambda x: sym_hessian(M, [x, 1.0])),
+    "p_norm vector": (lambda x: False, lambda x: p_norm(x, 2.0)),
+}
+VALUES = [True, None, "2", 2.7, 0, -1, 10**400, math.nan, math.inf, np.int64(2), np.float32(2.5), 2, 1.5, 3.0]
+
+
+# 25 uses x 14 values: the draws cover every pair, in well under a second
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.sampled_from(sorted(ARGUMENTS)), st.sampled_from(VALUES))
+def test_a_bad_argument_is_a_value_error(use, x):
+    may_accept, call = ARGUMENTS[use]
+    try:
+        call(x)
+    except ValueError:  # ShapeError is a ValueError; a TypeError or OverflowError fails the test
+        return
+    assert may_accept(x), f"{use} accepted {x!r}"

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -322,6 +323,40 @@ def test_random_tensor_symmetric_order_eleven_is_fast():
 def test_random_tensor_symmetric_needs_square():
     with pytest.raises(ValueError):
         random_tensor((2, 3), 0, symmetric=True)
+
+
+# each was read as a shape: "23" as (2, 3), 2.7 as 2, True as 1 and "3" as 3; a scalar raised TypeError
+@pytest.mark.parametrize("shape", ["23", (2.7, 3), (True, 3), ("3", 3), (2, 0), (), 3, None])
+def test_a_shape_is_one_or_more_integers(shape):
+    message = f"a shape must be a sequence of one or more integers >= 1, got {shape!r}"
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        random_tensor(shape, 0)
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        DenseTensor.from_flat(shape, [1.0] * 6)
+    assert random_tensor(np.array([2, 3]), 0).shape == DenseTensor.from_flat((np.int64(2), 3), [0.0] * 6).shape
+
+
+# True was read as seed 1; 1.5 and None raised TypeError
+@pytest.mark.parametrize("seed", [True, 1.5, None, "1", -1])
+def test_random_tensor_seed_is_an_integer(seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+        random_tensor((2, 2), seed)
+    assert np.array_equal(random_tensor((2, 2), np.int64(3)).data, random_tensor((2, 2), 3).data)
+
+
+def test_vectors_are_finite_real_numbers():
+    T = random_tensor((3, 3, 3), 2, symmetric=True)
+    # sym_hessian returned a NaN matrix
+    with pytest.raises(ValueError, match="v has non-finite entries"):
+        sym_hessian(T, [np.nan, 0.0, 0.0])
+    with pytest.raises(ShapeError, match=re.escape("v must be 1-D with length 3, got shape (2,)")):
+        sym_hessian(T, [1.0, 0.0])
+    # strings were parsed as numbers, and an int beyond binary64 raised OverflowError
+    for v in (["1", "0", "0"], [True, False, False], [10**400, 0, 0], [1j, 0, 0]):
+        with pytest.raises(ValueError, match="vector 1 must hold real numbers"):
+            evaluate(T, [v, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="mode must be an integer in 1..3, got True"):
+        mode_gradient(T, [[1.0, 0.0, 0.0]] * 3, True)
 
 
 def test_tensor_rejects_nonfinite():

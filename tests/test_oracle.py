@@ -121,6 +121,14 @@ def test_jacobi_rejects_large():
         jacobi_eigen(np.eye(33))
 
 
+# a NaN fails every comparison, so both came back as NaN eigenvalues and singular values
+@pytest.mark.parametrize("oracle_fn", [jacobi_eigen, svd_small])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_oracle_rejects_non_finite_entries(oracle_fn, bad):
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        oracle_fn([[bad, 0.0], [0.0, 1.0]])
+
+
 def test_svd_diagonal():
     s, U, V = svd_small(np.diag([3.0, 1.0]))
     np.testing.assert_allclose(s, [3.0, 1.0])

@@ -52,6 +52,15 @@ def test_config_validation():
         SolverConfig(p=1.0)
 
 
+def test_config_stores_plain_numbers():
+    # a tolerance of 10**400 was stored as that int and overflowed only in the search
+    with pytest.raises(ValueError, match="gradient_tolerance must be a finite real number > 0"):
+        SolverConfig(gradient_tolerance=10**400)
+    config = SolverConfig(restarts=np.int64(3), seed=np.int64(-2), gradient_tolerance=np.float32(0.5), p=3)
+    assert [type(getattr(config, f)) for f in ("restarts", "seed", "gradient_tolerance", "p")] == [int, int, float, float]
+    assert (config.restarts, config.seed, config.gradient_tolerance, config.p) == (3, -2, 0.5, 3.0)
+
+
 # step control, effort caps and the dedupe radius are solver constants now
 REMOVED_FIELDS = {
     "max_iterations": 500,
@@ -193,7 +202,7 @@ def test_residual_mode_range_and_symmetry():
     with pytest.raises(AsymmetricTensorError):
         residual_eigen(T, [1.0, 0.0], 0.0, 0)
     for mode in (-1, 3):
-        with pytest.raises(ValueError, match=r"mode must be in 0\.\.2"):
+        with pytest.raises(ValueError, match=re.escape(f"mode must be an integer in 0..2, got {mode}")):
             residual_eigen(T, [1.0, 0.0], 0.0, mode)
     # a bool used to run as mode 1; 1.5 and "1" failed with a TypeError
     for mode in (1.5, True, "1"):
@@ -2402,6 +2411,26 @@ def test_row_norms_redo_only_the_rows_that_overflow():
     assert norm[1] == np.inf and d[1] == pytest.approx(5e200, rel=1e-15)
     E = np.random.default_rng(3).standard_normal((50, 4))
     assert np.array_equal(solver._row_dist(E), np.linalg.norm(E, axis=1))
+
+
+# The baseline is 2^500, not 2^0: gradient_tolerance is in tensor units (ROADMAP item 7), so
+# scaling T and the tolerance together moves a few points (3x4x5 gives 98 tuples at 2^0 and 100
+# at 2^500). Above 2^500 the acceptance residuals square past the largest float; the parent's
+# np.linalg.norm kept 4 of 10 pairs of the 3^3 tensor at 2^900 and none of the others' points.
+@pytest.mark.parametrize(
+    "solve, shape, p",
+    [(symmetric_eigenpairs, (3, 3, 3), 2.0), (symmetric_eigenpairs, (4, 4, 4), 2.0),
+     (singular_tuples, (3, 4, 5), 2.0), (singular_tuples, (3, 3), 2.0), (singular_tuples, (3, 3, 3), 3.0)],
+    ids=["sym-3^3", "sym-4^3", "svd-3x4x5", "svd-3x3", "svd-3^3-p3"],
+)
+def test_acceptance_keeps_the_points_of_huge_tensors(solve, shape, p):
+    T = random_tensor(shape, 5, symmetric=solve is symmetric_eigenpairs)
+
+    def count(j):
+        config = SolverConfig(gradient_tolerance=math.ldexp(1e-10, j), p=p)
+        return len(solve(DenseTensor(np.ldexp(T.data, j)), config))
+
+    assert [count(900), count(1000)] == [count(500)] * 2
 
 
 def test_singular_tuple_contracts():
