@@ -101,8 +101,12 @@ def _require_square(tensor: DenseTensor):
 
 
 def _check_vectors(tensor: DenseTensor, vectors: Sequence) -> list[np.ndarray]:
-    if len(vectors) != tensor.order:
-        raise ShapeError(f"need {tensor.order} vectors for an order-{tensor.order} tensor, got {len(vectors)}")
+    try:
+        count = len(vectors)
+    except TypeError:  # a number, None or a 0-d array
+        raise ShapeError(f"need a sequence of {tensor.order} vectors, got {type(vectors).__name__}") from None
+    if count != tensor.order:
+        raise ShapeError(f"need {tensor.order} vectors for an order-{tensor.order} tensor, got {count}")
     return [_as_vector(v, n, f"vector {i + 1}") for i, (v, n) in enumerate(zip(vectors, tensor.shape))]
 
 

@@ -49,6 +49,9 @@ def _integer(x, name, low=None, high=None) -> int:
 
 def _as_vector(x, n=None, name="x") -> np.ndarray:
     """x as a 1-D float array of finite reals (no strings, bools or complex), of length n where given."""
+    # numpy reads a bool among numbers as one ([True, 0.5] as [1.0, 0.5]), so a list's entries are checked first
+    if isinstance(x, (list, tuple)) and any(isinstance(e, (bool, np.bool_)) for e in x):
+        raise ValueError(f"{name} must hold real numbers, got a bool entry")
     arr = np.asarray(x)
     try:
         arr = arr.astype(float, copy=False) if arr.dtype.kind in "iufO" else None

@@ -169,6 +169,21 @@ def test_degenerate_diagnostic_names_the_rule(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("restarts", [["--restarts", "24"], []])
+def test_diagonal_p3_continuum_is_one_diagnostic_line(tmp_path, capsys, restarts):
+    # the 3x3x3 diagonal's mode-1 pairs under the 3-norm form a continuum; at the default
+    # 200 restarts dedupe gets hundreds of points on it, and Newton retires the rows stuck there
+    data = np.zeros((3, 3, 3))
+    data[np.arange(3), np.arange(3), np.arange(3)] = 1.0
+    t = write(tmp_path, "diag.json", data)
+    assert run(capsys, ["eig", t, "--mode", "1", "--p", "3"] + restarts) == (
+        4,
+        "",
+        "degenerate: continuum witness: the stationary point with critical value -1 continues to "
+        "another at distance 0.001 with the same value; the critical set is positive-dimensional\n",
+    )
+
+
 def test_eig_matrix_values(tmp_path, capsys):
     t = write(tmp_path, "diag.json", np.diag([1.0, 2.0]))
     code, out, _ = run(capsys, ["eig", t, "--symmetric", "--restarts", "24"])

@@ -11,10 +11,11 @@ import numbers
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorcrit import DegenerateTensorError, DenseTensor, SolverConfig, classify_index, dedupe, evaluate
+from tensorcrit import DegenerateTensorError, DenseTensor, ShapeError, SolverConfig, classify_index, dedupe, evaluate
 from tensorcrit import generalized_eigenpairs, mode_gradient, p_norm, p_norm_gradient, phi, random_tensor
 from tensorcrit import residual_eigen, singular_tuples, sym_hessian, symmetrize, unit_normalize, write_tensor_file
 from tensorcrit.cli import main
@@ -125,15 +126,17 @@ ARGUMENTS = {
     "random_tensor dimension": (_integer, lambda x: random_tensor((x, 2), 0)),
     "random_tensor shape": (lambda x: False, lambda x: random_tensor(x, 0)),
     "random_tensor seed": (_integer, lambda x: random_tensor((2,), x)),
-    "evaluate vector entry": (lambda x: True, lambda x: evaluate(M, [[x, 1.0], E1])),
+    "evaluate vector entry": (_finite_real, lambda x: evaluate(M, [[x, 1.0], E1])),
+    "evaluate vectors": (lambda x: False, lambda x: evaluate(M, x)),
     "mode_gradient vector": (lambda x: False, lambda x: mode_gradient(M, [x, E1], 1)),
-    "sym_hessian vector entry": (lambda x: True, lambda x: sym_hessian(M, [x, 1.0])),
+    "mode_gradient vectors": (lambda x: False, lambda x: mode_gradient(M, x, 1)),
+    "sym_hessian vector entry": (_finite_real, lambda x: sym_hessian(M, [x, 1.0])),
     "p_norm vector": (lambda x: False, lambda x: p_norm(x, 2.0)),
 }
 VALUES = [True, None, "2", 2.7, 0, -1, 10**400, math.nan, math.inf, np.int64(2), np.float32(2.5), 2, 1.5, 3.0]
 
 
-# 25 uses x 14 values: the draws cover every pair, in well under a second
+# 27 uses x 14 values: the draws cover every pair, in well under a second
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(st.sampled_from(sorted(ARGUMENTS)), st.sampled_from(VALUES))
 def test_a_bad_argument_is_a_value_error(use, x):
@@ -143,3 +146,21 @@ def test_a_bad_argument_is_a_value_error(use, x):
     except ValueError:  # ShapeError is a ValueError; a TypeError or OverflowError fails the test
         return
     assert may_accept(x), f"{use} accepted {x!r}"
+
+
+def test_a_vector_list_that_is_no_sequence_is_a_shape_error():
+    T = random_tensor((3, 3, 3), 1)
+    for call in (lambda: evaluate(T, 5), lambda: evaluate(T, None), lambda: mode_gradient(T, 5, 1)):
+        with pytest.raises(ShapeError, match="need a sequence of 3 vectors"):
+            call()
+
+
+def test_a_bool_among_numbers_is_not_a_number():
+    # numpy alone reads [True, 0.5] as [1.0, 0.5]
+    e1 = [1.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="got a bool entry"):
+        p_norm([True, 0.5], 2)
+    with pytest.raises(ValueError, match="got a bool entry"):
+        evaluate(random_tensor((3, 3, 3), 1), [[True, 0.5, 0], e1, e1])
+    with pytest.raises(ValueError, match="got a bool entry"):
+        p_norm((0.5, np.False_), 2)

@@ -37,6 +37,7 @@ def test_readme_states_the_fixed_search_constants():
         "_MAX_BACKTRACKS": r"(\d+) step lengths",
         "_ASCENT_ITERATIONS": r"(\d+) ascent iterations",
         "_ALTERNATING_SWEEPS": r"(\d+) alternating sweeps",
+        "_RANK_CHECK_ITERATIONS": r"rank check at every (\d+)th Newton iteration",
         "_ASCENT_STARTS": r"(\d+) ascent starts",
         "_DEDUPE_TOLERANCE": r"dedupe radius (\S+) ",
     }

@@ -1050,8 +1050,26 @@ def test_clusterer_property_matches_greedy_loops(cloud):
 
 # --- damped Newton line search ---------------------------------------------
 # Brute-force copy of the sequential-halving loop that the batched line
-# search replaced, with the same retirement of creeping rows; the new code
-# must return the same bits.  Its Newton steps are scaled by ``scale``.
+# search replaced, with the same retirement of creeping rows and of slow rows
+# at a rank-deficient Jacobian; the new code must return the same bits.  Its
+# Newton steps are scaled by ``scale``.
+
+
+def _ref_rank_deficient(J):
+    """sigma_min <= sqrt(eps) * sigma_max of one matrix, both with its rows then its columns and
+    with its columns then its rows scaled entry by entry."""
+    if not np.all(np.isfinite(J)):
+        return False
+    for rows_first in (True, False):
+        E = J.copy()
+        for lines in (E, E.T) if rows_first else (E.T, E):  # E.T is a view: its lines are E's columns
+            for line in lines:
+                e = math.frexp(max(abs(float(x)) for x in line))[1]
+                line[:] = [math.ldexp(float(x), -e) for x in line]
+        s = np.linalg.svd(E, compute_uv=False)
+        if s[-1] > math.sqrt(np.finfo(float).eps) * s[0]:
+            return False
+    return True
 
 
 def _ref_damped_newton(z0, state_fn, jac_fn, gtol, scale=1.0):
@@ -1060,7 +1078,7 @@ def _ref_damped_newton(z0, state_fn, jac_fn, gtol, scale=1.0):
     F, Fn = state_fn(z)
     stalled = ~np.isfinite(Fn)
     creep = np.zeros(len(z), dtype=int)
-    for _ in range(solver._NEWTON_ITERATIONS):
+    for it in range(1, solver._NEWTON_ITERATIONS + 1):
         active = np.flatnonzero((Fn > target) & ~stalled & (creep < solver._CREEP_ITERATIONS))
         if active.size == 0:
             break
@@ -1095,6 +1113,11 @@ def _ref_damped_newton(z0, state_fn, jac_fn, gtol, scale=1.0):
         stalled[active[~improved]] = True
         for r in np.flatnonzero(improved):
             creep[active[r]] = creep[active[r]] + 1 if alpha[r] <= solver._CREEP_STEP else 0
+            # at every 20th iteration below the cap, a slow step at a rank-deficient Jacobian retires
+            check = it % solver._RANK_CHECK_ITERATIONS == 0 and it < solver._NEWTON_ITERATIONS
+            slow = target < best_Fn[r] and best_Fn[r] > 0.9 * Fn[active[r]]
+            if check and slow and creep[active[r]] < solver._CREEP_ITERATIONS and _ref_rank_deficient(J[r]):
+                creep[active[r]] = solver._CREEP_ITERATIONS
         z[active] = best_z
         F[active] = best_F
         Fn[active] = best_Fn
@@ -1559,9 +1582,10 @@ def _creep_jac(z):
     return J
 
 
-def _newton_counts(caplog):
-    """The seven numbers of the one damped-Newton DEBUG line in caplog."""
-    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("damped Newton")]
+def _newton_counts(caplog, first=False):
+    """The seven numbers of the one damped-Newton DEBUG line in caplog, or of the first (the polish's)."""
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("damped Newton")]
+    (line,) = lines[:1] if first else lines
     return list(map(int, re.findall(r"\d+", line)))
 
 
@@ -1596,6 +1620,85 @@ def test_creeping_rows_retire_and_leave_other_rows_alone(caplog):
     assert counts[-1] == 1
     assert np.delete(got, 3, axis=0).tobytes() == alone.tobytes()
     assert got.tobytes() == _ref_damped_newton(mixed, _creep_state, _creep_jac, CFG.gradient_tolerance).tobytes()
+
+
+def test_slow_rows_at_a_rank_deficient_jacobian_retire(caplog, monkeypatch):
+    # the 3x3x3 diagonal's mode-1 pairs under the 3-norm fill curves: on these 48 raw
+    # starts two rows creep along them with long steps, and the rank test retires
+    # one at iteration 20, where the polish ends
+    z0, state, jac, degree = _raw_rows(solver._eigen_parts(_diag([1.0, 1.0, 1.0], 3).data), 3.0, 0, 48)
+    args = (state, jac, CFG.gradient_tolerance, degree)
+    want = _ref_damped_newton(z0, *args[:3])
+    runs = []
+    for every in (solver._RANK_CHECK_ITERATIONS, solver._NEWTON_ITERATIONS):  # with the rank test, then without
+        monkeypatch.setattr(solver, "_RANK_CHECK_ITERATIONS", every)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+            runs.append((solver._damped_newton(z0, *args), _newton_counts(caplog)))
+    (got, counts), (unchecked, unchecked_counts) = runs
+    assert got.tobytes() == want.tobytes()
+    iters, *_, converged, rows, stalled, retired = counts
+    assert iters <= 21 and retired > 0
+    # without it the polish runs to the cap, and the same rows converge to the same bits
+    assert unchecked_counts[0] == solver._NEWTON_ITERATIONS and unchecked_counts[3] == converged
+    done = state(got)[1] <= 0.05 * CFG.gradient_tolerance
+    assert got[done].tobytes() == unchecked[done].tobytes() and got.tobytes() != unchecked.tobytes()
+
+
+def _rate_state(z):
+    """F = (x, 0, 0) on rows z = (x, q, s): the residual is |x|."""
+    F = np.zeros_like(z)
+    F[:, 0] = z[:, 0]
+    return F, np.abs(z[:, 0])
+
+
+def _rate_jac(z):
+    """diag(1/q, 1, s): the Newton step takes x to (1 - q) x, and s = 0 makes J singular."""
+    J = np.zeros((len(z), 3, 3))
+    J[:, 0, 0], J[:, 1, 1], J[:, 2, 2] = 1.0 / z[:, 1], 1.0, z[:, 2]
+    return J
+
+
+def test_rank_test_retires_only_slow_rows_at_singular_jacobians(caplog):
+    z0 = np.array([
+        [1.0, 0.3, 0.0],  # singular, but each step lowers the residual by 30 %: not slow
+        [1.0, 0.05, 0.0],  # singular and 5 % a step: retires at iteration 20
+        [1.0, 0.05, 1.0],  # 5 % a step at a regular Jacobian
+    ])
+    args = (_rate_state, _rate_jac, CFG.gradient_tolerance)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        got = solver._damped_newton(z0, *args)
+    assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
+    # the other two rows are still above the target at the cap
+    iters, _, _, converged, _, stalled, retired = _newton_counts(caplog)
+    assert (iters, converged, stalled, retired) == (solver._NEWTON_ITERATIONS, 0, 0, 1)
+    want = z0[1:2]
+    for _ in range(solver._RANK_CHECK_ITERATIONS):
+        want = want + solver._newton_steps(_rate_jac(want), _rate_state(want)[0])
+    assert got[1:2].tobytes() == want.tobytes()
+
+
+def test_rank_test_reads_the_same_at_any_row_and_column_scale():
+    rng = np.random.default_rng(3)
+    singular = rng.integers(-4, 5, size=(8, 5, 5)).astype(float)
+    singular[:, :, -1] = singular[:, :, 0] + singular[:, :, 1]  # exactly singular
+    T = random_tensor((3, 3, 3), 1001, symmetric=True)
+    pairs = symmetric_eigenpairs(T, CFG)
+    assert pairs and all(pt.nondegenerate for pt in pairs)
+    dims, _, grads, blocks = solver._eigen_parts(T.data)
+    _, jac = solver._lagrange_fns(dims, 2.0, grads, blocks)
+    regular = jac(np.array([np.append(pt.vector, pt.value) for pt in pairs]))
+    for J, want in ((singular, True), (regular, False)):
+        assert solver._rank_deficient(J).tolist() == [want] * len(J)
+        for e in (900, -900):
+            # each row, or each column, scaled by 2^e or left as it is
+            scales = np.where(rng.random((len(J), J.shape[-1])) < 0.5, e, 0)
+            for scaled in (np.ldexp(J, scales[:, :, None]), np.ldexp(J, scales[:, None, :])):
+                assert solver._rank_deficient(scaled).tolist() == [want] * len(J)
+    # a Jacobian with a non-finite entry is never flagged
+    singular[0, 0, 0] = np.inf
+    assert solver._rank_deficient(singular[:2]).tolist() == [False, True]
 
 
 def test_rows_leave_the_active_set_by_every_route_in_one_batch(caplog):
@@ -1751,19 +1854,28 @@ def test_newton_effort_is_logged_at_debug(caplog, monkeypatch):
     _assert_newton_input(z0, E, CFG.restarts, 1)
 
 
+def _continuum_of_diag_p3(tensor):
+    """The 3x3x3 diagonal's mode-1 solve under the 3-norm, which raises on its continuum."""
+    with pytest.raises(DegenerateTensorError, match="continuum witness"):
+        generalized_eigenpairs(tensor, 1, SolverConfig(p=3.0))
+
+
 @pytest.mark.parametrize(
     "solve, tensor",
     [
         (singular_tuples, random_tensor((4, 5, 6), 5)),
         (symmetric_eigenpairs, random_tensor((2, 2, 2, 2), 15, symmetric=True)),
+        (_continuum_of_diag_p3, _diag([1.0, 1.0, 1.0], 3)),
     ],
 )
 def test_newton_tail_ends_under_the_iteration_cap(solve, tensor, caplog):
-    # these polishes took 60 and 51 iterations before creeping rows retired
+    # these polishes took 60 and 51 iterations before creeping rows retired, and the
+    # diagonal's 60 before slow rows at rank-deficient Jacobians retired, at iteration 20
     with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
         solve(tensor)
-    iters, *_, retired = _newton_counts(caplog)
-    assert iters <= solver._NEWTON_ITERATIONS // 2 and retired > 0
+    iters, *_, retired = _newton_counts(caplog, first=True)
+    most = 21 if solve is _continuum_of_diag_p3 else solver._NEWTON_ITERATIONS // 2
+    assert iters <= most and retired > 0
 
 
 # --- batch kernels ---------------------------------------------------------
