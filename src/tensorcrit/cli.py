@@ -35,7 +35,7 @@ from .core import (
     write_tensor_file,
 )
 from .errors import DegenerateTensorError
-from .norms import p_norm, p_norm_gradient
+from .norms import MAX_NORM_PARAM, p_norm, p_norm_gradient
 
 class _InputError(Exception):
     """User-input problem; reported on stderr with exit code 2."""
@@ -284,7 +284,7 @@ def build_parser():
     # the four SolverConfig settings, shared by eig and svd
     search = argparse.ArgumentParser(add_help=False)
     config = solver.SolverConfig
-    search.add_argument("--p", type=float, default=config.p)
+    search.add_argument("--p", type=float, default=config.p, help=f"norm parameter, 1 < p <= {MAX_NORM_PARAM:g}")
     search.add_argument("--seed", type=int, default=config.seed)
     search.add_argument("--restarts", type=int, default=config.restarts)
     tolerance = "absolute residual bound, in the tensor's units: c * T needs c times the tolerance"

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AsymmetricTensorError, ShapeError
-from .norms import _as_vector, _integer
+from .norms import _as_vector, _integer, _real_array
 
 __all__ = [
     "DenseTensor",
@@ -48,11 +48,10 @@ class DenseTensor:
     __slots__ = ("data", "_asymmetry")
 
     def __init__(self, data):
-        arr = np.array(data, dtype=float, order="C")
+        # a copy, so that freezing it leaves the caller's array writable
+        arr = np.array(_real_array(data, "a tensor"), order="C")
         if arr.ndim < 1 or arr.size == 0:
             raise ShapeError(f"a tensor needs one or more dimensions, all >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must be finite")
         arr.flags.writeable = False
         self.data = arr
         self._asymmetry = None

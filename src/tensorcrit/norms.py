@@ -21,15 +21,19 @@ from .errors import ShapeError
 __all__ = ["check_norm_param", "p_norm", "phi", "p_norm_gradient", "unit_normalize"]
 
 
+def _is_real(x) -> bool:
+    """x is a real number; a bool is not (numpy's bool is no numbers.Real either)."""
+    return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _real(x, name, above=None, at_least=None) -> float:
     """x as a float: a finite real number, > above and >= at_least where given, else ValueError.
 
     The package's numeric arguments all take this check or _integer's, which test float or int
     before the slower ABC.  A bool, a string or None is not a number: a cast would read True as 1.
     """
-    real = type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
     try:
-        v = float(x) if real else math.nan
+        v = float(x) if _is_real(x) else math.nan
     except OverflowError:  # an int beyond the largest float is out of range, like inf
         v = math.nan
     if not (math.isfinite(v) and (above is None or v > above) and (at_least is None or v >= at_least)):
@@ -47,36 +51,57 @@ def _integer(x, name, low=None, high=None) -> int:
     return int(x)
 
 
-def _as_vector(x, n=None, name="x") -> np.ndarray:
-    """x as a 1-D float array of finite reals (no strings, bools or complex), of length n where given."""
-    # numpy reads a bool among numbers as one ([True, 0.5] as [1.0, 0.5]), so a list's entries are checked first
-    if isinstance(x, (list, tuple)) and any(isinstance(e, (bool, np.bool_)) for e in x):
-        raise ValueError(f"{name} must hold real numbers, got a bool entry")
-    arr = np.asarray(x)
-    try:
-        arr = arr.astype(float, copy=False) if arr.dtype.kind in "iufO" else None
-    except (TypeError, OverflowError):
-        arr = None
-    if arr is None:
-        raise ValueError(f"{name} must hold real numbers, got dtype {np.asarray(x).dtype}")
-    if arr.ndim != 1 or n is not None and arr.size != n:
-        length = "" if n is None else f" with length {n}"
-        raise ShapeError(f"{name} must be 1-D{length}, got shape {arr.shape}")
+def _real_array(x, name) -> np.ndarray:
+    """x as a float array of finite reals, of any shape, else ValueError.
+
+    Every entry, at any depth, must be a real number: a bool, a string, None, a complex number
+    or a container is refused, never parsed or cast (numpy alone reads [True, 0.5] as
+    [1.0, 0.5] and "1.5" as 1.5).  A float or int ndarray is taken as it is.
+    """
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":
+        arr = x.astype(float, copy=False)
+    else:
+        arr = np.array(x, dtype=object)
+        bad = [e for e in arr.flat if not _is_real(e)]
+        if bad:
+            raise ValueError(f"{name} must hold real numbers, got a {type(bad[0]).__name__} entry")
+        try:
+            arr = arr.astype(float)
+        except OverflowError:  # an int beyond the largest float
+            raise ValueError(f"{name} must hold real numbers, got an int beyond binary64") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite entries")
     return arr
 
 
+def _as_vector(x, n=None, name="x") -> np.ndarray:
+    """x as a 1-D float array of finite reals (see _real_array), of length n where given."""
+    arr = _real_array(x, name)
+    if arr.ndim != 1 or n is not None and arr.size != n:
+        length = "" if n is None else f" with length {n}"
+        raise ShapeError(f"{name} must be 1-D{length}, got shape {arr.shape}")
+    return arr
+
+
+# The largest norm parameter.  _scaled_norm brings max|y| into [2^-1/2, 2^1/2), so up to here its
+# largest power |y_j|^p lies within 2^+-500 and no sum over a vector that fits in memory overflows
+# or underflows; from p ~ 2044 on it leaves the normal range.
+MAX_NORM_PARAM = 1000.0
+
+
 def check_norm_param(p: float) -> float:
-    """Validate a real 1 < p < inf and return p as a float."""
-    return _real(p, "norm parameter p", above=1)
+    """Validate a real 1 < p <= MAX_NORM_PARAM and return p as a float."""
+    v = _real(p, "norm parameter p", above=1)
+    if v > MAX_NORM_PARAM:
+        raise ValueError(f"norm parameter p must be at most {MAX_NORM_PARAM:g}, got {p!r}")
+    return v
 
 
 def _scaled_norm(arr: np.ndarray, p: float):
     """(||y||_p, y, e) for y = arr / 2^e, the exact scaling that brings max|y| into [2^-1/2, 2^1/2).
 
-    The powers |y_j|^p then neither overflow nor underflow for p up to about
-    2000.  Scaling by 2^e is exact, so at p = 2 the results are bit for bit
+    The powers |y_j|^p then neither overflow nor underflow for p up to
+    MAX_NORM_PARAM.  Scaling by 2^e is exact, so at p = 2 the results are bit for bit
     those of the unscaled formulas wherever those stay in range.
     """
     e = math.frexp(float(np.max(np.abs(arr))) * math.sqrt(0.5))[1]

@@ -1,12 +1,18 @@
 import hashlib
 import json
+import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tensorcrit
 from tensorcrit import (
     DenseTensor,
     SolverConfig,
@@ -43,6 +49,10 @@ def strip_timings(text):
     doc = json.loads(text)
     doc.pop("timings", None)
     return json.dumps(doc, sort_keys=True)
+
+
+# the tensor that `tensorcrit gen --shape 3,3,3 --seed 1 --symmetric` writes; write() gives the same bytes
+GEN = random_tensor((3, 3, 3), 1, symmetric=True).data
 
 
 # --- gen --------------------------------------------------------------------
@@ -95,12 +105,18 @@ def test_gen_symmetric_output_is_symmetric(tmp_path, capsys):
 # --- eval -------------------------------------------------------------------
 
 
-def test_eval_identity(tmp_path, capsys):
-    t = write(tmp_path, "eye.json", np.eye(2))
-    e1 = write(tmp_path, "e1.json", np.array([1.0, 0.0]))
-    code, out, _ = run(capsys, ["eval", t, e1, e1])
-    assert code == 0
-    assert out.strip() == "1.0000000000000000e+00"
+@pytest.mark.parametrize(
+    "array, expected",
+    [
+        pytest.param(np.eye(2), "1.0000000000000000e+00", id="identity"),
+        # the form at (e1, e1, e1) is T[0, 0, 0]
+        pytest.param(GEN, format(GEN[0, 0, 0], ".16e"), id="gen"),
+    ],
+)
+def test_eval_at_the_first_unit_vector(tmp_path, capsys, array, expected):
+    t = write(tmp_path, "t.json", array)
+    e1 = write(tmp_path, "e1.json", np.eye(len(array))[0])
+    assert run(capsys, ["eval", t, *[e1] * array.ndim]) == (0, expected + "\n", "")
 
 
 def test_eval_all_ones(tmp_path, capsys):
@@ -141,11 +157,13 @@ def test_eig_cubic_audit(cubic_file, capsys):
     assert values == [-1.0, -1.0, -r, r, 1.0, 1.0]
 
 
-def test_eig_identity_degenerate(tmp_path, capsys):
-    t = write(tmp_path, "eye.json", np.eye(2))
-    code, _, err = run(capsys, ["eig", t, "--symmetric", "--restarts", "30"])
-    assert code == 4
-    assert "degenerate" in err
+@pytest.mark.parametrize("n, effort", [(2, ["--restarts", "30"]), (3, [])], ids=["2x2", "3x3-default"])
+def test_eig_identity_degenerate(tmp_path, capsys, n, effort):
+    # the identity's eigenvectors fill the sphere
+    t = write(tmp_path, "eye.json", np.eye(n))
+    code, out, err = run(capsys, ["eig", t, "--symmetric", *effort])
+    assert (code, out) == (4, "")
+    assert err.startswith("degenerate: ") and err.count("\n") == 1
 
 
 def test_degenerate_diagnostic_names_the_rule(tmp_path, capsys):
@@ -316,19 +334,46 @@ def test_eig_mode_p3_run(tmp_path, capsys):
         assert np.sum(np.abs(p["vector"]) ** 3) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.fixture
-def sym_file(tmp_path):
-    return write(tmp_path, "sym.json", random_tensor((3, 3, 3), 5, symmetric=True).data)
-
-
-def test_eig_symmetric_p_run_reports_mode_zero(sym_file, capsys):
-    code, out, _ = run(capsys, ["eig", sym_file, "--symmetric", "--p", "1.5", "--restarts", "24"])
-    assert code == 0
+@pytest.mark.parametrize(
+    "array, argv",
+    [
+        pytest.param(
+            random_tensor((3, 3, 3), 5, symmetric=True).data,
+            ["eig", "--symmetric", "--p", "1.5", "--restarts", "24"],
+            id="eig-symmetric-p1.5",
+        ),
+        pytest.param(GEN, ["svd", "--restarts", "24"], id="svd"),
+        # the tuple solver's scanned line search (p != 2), both sides of p = 2
+        pytest.param(GEN, ["svd", "--p", "3", "--restarts", "24"], id="svd-p3"),
+        pytest.param(GEN, ["svd", "--p", "1.5", "--restarts", "24"], id="svd-p1.5"),
+        # singular Jacobians next to entries of 1e300: the pinv fallback warns nothing
+        pytest.param(
+            np.array([[1e-300, -1e300], [1e300, 5e-324]]), ["svd", "--restarts", "16", "--seed", "81"], id="svd-1e300"
+        ),
+        # scaled by 2^900, with the tolerance to match: the acceptance residuals square past the
+        # largest float, and the report must still list tuples
+        pytest.param(
+            np.ldexp(random_tensor((3, 3), 5).data, 900),
+            ["svd", "--tolerance", repr(math.ldexp(1e-10, 900))],
+            id="svd-2^900",
+        ),
+    ],
+)
+def test_search_reports_unit_vectors(tmp_path, capsys, array, argv):
+    t = write(tmp_path, "t.json", array)
+    code, out, err = run(capsys, [argv[0], t, *argv[1:]])
+    assert (code, err) == (0, "")
     doc = json.loads(out)
-    assert doc["symmetric"] is True and doc["mode"] == 0 and doc["pairs"]
-    for p in doc["pairs"]:
-        assert p["mode"] == 0 and p["index"] is None
-        assert np.sum(np.abs(p["vector"]) ** 1.5) == pytest.approx(1.0, abs=1e-12)
+    p = doc["config"]["p"]
+    if argv[0] == "svd":
+        vectors = [v for tup in doc["tuples"] for v in tup["vectors"]]
+    else:
+        assert doc["symmetric"] is True and doc["mode"] == 0 and doc["pairs"]
+        assert all(pair["mode"] == 0 and pair["index"] is None for pair in doc["pairs"])
+        vectors = [pair["vector"] for pair in doc["pairs"]]
+    assert vectors
+    for v in vectors:
+        assert np.sum(np.abs(v) ** p) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eig_symmetric_p_rejects_asymmetric(tmp_path, capsys):
@@ -419,6 +464,7 @@ CHECK_LINES = [
             random_tensor((2, 3, 4), 5).data, "pass", "skipped (tensor not symmetric)", 0, id="2x3x4"
         ),
         pytest.param(np.full((2, 2, 2), 1e300), "FAIL", "pass", 1, id="1e300"),
+        pytest.param(GEN, "pass", "pass", 0, id="gen"),
     ],
 )
 def test_check_report_is_pinned(tmp_path, capsys, seed, array, gradient, euler, exit_code):
@@ -561,3 +607,17 @@ def test_running_out_of_memory_is_one_error_line(allocation, argv, message, cubi
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"error: out of memory: {message or 'an allocation failed'}\n"
+
+
+def test_gen_beyond_the_address_space_is_one_error_line():
+    # a fresh process: the cap holds in the child alone, and PYTHONWARNINGS=error acts from
+    # interpreter start.  Under the cap numpy refuses the 74.5 GiB before any page is touched.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+    src = os.path.dirname(os.path.dirname(tensorcrit.__file__))
+    # one BLAS thread: each thread's buffers count against the cap on a many-core host
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    argv = [sys.executable, "-m", "tensorcrit.cli", "gen", "--shape", "100000,100000"]
+    done = subprocess.run(argv, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: out of memory: {TOO_LARGE}\n")

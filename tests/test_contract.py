@@ -19,7 +19,7 @@ from tensorcrit import DegenerateTensorError, DenseTensor, ShapeError, SolverCon
 from tensorcrit import generalized_eigenpairs, mode_gradient, p_norm, p_norm_gradient, phi, random_tensor
 from tensorcrit import residual_eigen, singular_tuples, sym_hessian, symmetrize, unit_normalize, write_tensor_file
 from tensorcrit.cli import main
-from tensorcrit.norms import check_norm_param
+from tensorcrit.norms import MAX_NORM_PARAM, check_norm_param
 
 # zeros, units, 1e300, subnormals, and values whose squares overflow or underflow
 ENTRIES = [0.0, 1.0, -1.0, 0.5, 3.0, 1e300, -1e300, 1e-300, 5e-324, 1e154, 1e-160]
@@ -132,12 +132,14 @@ ARGUMENTS = {
     "mode_gradient vectors": (lambda x: False, lambda x: mode_gradient(M, x, 1)),
     "sym_hessian vector entry": (_finite_real, lambda x: sym_hessian(M, [x, 1.0])),
     "p_norm vector": (lambda x: False, lambda x: p_norm(x, 2.0)),
+    "p_norm object-array entry": (_finite_real, lambda x: p_norm(np.array([x, 1.0], dtype=object), 2.0)),
+    "DenseTensor entry": (_finite_real, lambda x: DenseTensor([x, 1.0])),
 }
 VALUES = [True, None, "2", 2.7, 0, -1, 10**400, math.nan, math.inf, np.int64(2), np.float32(2.5), 2, 1.5, 3.0]
 
 
-# 27 uses x 14 values: the draws cover every pair, in well under a second
-@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+# 29 uses x 14 values: the draws cover every pair, in well under a second
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
 @given(st.sampled_from(sorted(ARGUMENTS)), st.sampled_from(VALUES))
 def test_a_bad_argument_is_a_value_error(use, x):
     may_accept, call = ARGUMENTS[use]
@@ -164,3 +166,21 @@ def test_a_bool_among_numbers_is_not_a_number():
         evaluate(random_tensor((3, 3, 3), 1), [[True, 0.5, 0], e1, e1])
     with pytest.raises(ValueError, match="got a bool entry"):
         p_norm((0.5, np.False_), 2)
+
+
+def test_the_norm_parameter_ends_where_its_exact_scaling_holds(tmp_path, capsys):
+    # from p ~ 2044 on the scaled largest power |y_j|^p leaves the normal range: p_norm gave 0.0,
+    # unit_normalize inf, a tuple solve leaked RuntimeWarnings and the eigen solvers found nothing
+    assert check_norm_param(1000.0) == MAX_NORM_PARAM == 1000.0
+    for p in (1000.5, 3000):
+        with pytest.raises(ValueError, match="norm parameter p must be at most 1000, got "):
+            check_norm_param(p)
+    assert p_norm([1.5, 0.5], 1000) == 1.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tuples = singular_tuples(random_tensor((3, 4), 2), SolverConfig(p=1000, restarts=8))
+    assert tuples and all(abs(p_norm(v, 1000) - 1.0) <= 1e-12 for t in tuples for v in t.vectors)
+    tensor_file = tmp_path / "t.json"
+    write_tensor_file(random_tensor((3, 4), 2), tensor_file)
+    assert main(["svd", str(tensor_file), "--p", "3000"]) == 2
+    assert capsys.readouterr() == ("", "error: norm parameter p must be at most 1000, got 3000.0\n")

@@ -357,6 +357,12 @@ def test_vectors_are_finite_real_numbers():
             evaluate(T, [v, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="mode must be an integer in 1..3, got True"):
         mode_gradient(T, [[1.0, 0.0, 0.0]] * 3, True)
+    # tensor entries take the same check: strings were parsed, bools read as 1 and 0, a complex
+    # array cast with a ComplexWarning, and a complex list, a dict and 10**400 raised TypeError or
+    # OverflowError
+    for data in (["1.5", "2"], [True, False], np.array([1 + 2j, 1]), [1 + 2j, 1], {}, [10**400], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="a tensor must hold real numbers, got an? "):
+            DenseTensor(data)
 
 
 def test_tensor_rejects_nonfinite():
