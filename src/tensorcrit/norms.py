@@ -117,11 +117,18 @@ def p_norm(x, p: float) -> float:
 
 
 def phi(x, p: float) -> np.ndarray:
-    """Componentwise signed power sgn(x_j)|x_j|^p, any finite p >= 0."""
+    """Componentwise signed power sgn(x_j)|x_j|^p, any finite p >= 0.
+
+    A power beyond the largest float is a ValueError; one below the smallest is 0.
+    """
     # an infinite p would map |x_j| > 1 to inf
     p = _real(p, "power p", at_least=0)
     arr = _as_vector(x)
-    return np.sign(arr) * np.abs(arr) ** p
+    with np.errstate(over="ignore"):
+        out = np.sign(arr) * np.abs(arr) ** p
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"the signed power |x_j|^{p:g} of an entry of x overflows the float range")
+    return out
 
 
 def p_norm_gradient(x, p: float) -> np.ndarray:

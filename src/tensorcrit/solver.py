@@ -410,26 +410,55 @@ def _min_norm_steps(J, F):
     return -(np.linalg.pinv(J) @ F[..., None])[..., 0]
 
 
-def _newton_steps(J, F):
-    """dz with J dz = -F per row; a row whose own J is singular takes the pinv step.
+def _regularized_steps(J, F):
+    """dz = J^T y with (J J^T + mu I) y = -F, mu = eps * trace(J J^T), for every row.
 
-    The batched solve raises if any J is exactly singular.  The rows whose
-    LU factorization meets a zero pivot are exactly those where slogdet has
-    sign 0, so those rows take the pinv step and the others are solved
-    apart from them: a singular row changes no other row's step.  The log of
-    a zero determinant is -inf and may be NaN next to huge entries; only the
-    sign is read, so slogdet runs with those warnings off.
+    Each row's J and F are first scaled by the power of two of its max|J|,
+    which is exact, so the step is the same at any scale of the row.  dz lies
+    in J's row space, as the minimum-norm step does, and where F lies in J's
+    range it differs from that step by about mu / sigma^2 along each singular
+    value sigma of J: one batched product and one batched solve, no SVD.
+    A zero J takes dz = 0.  A row whose J is not finite, or whose scaled F
+    overflows, gets a non-finite step, which the line search refuses, so
+    numpy's warnings are off.
     """
-    try:
-        return np.linalg.solve(J, -F[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            singular = np.linalg.slogdet(J)[0] == 0
+    with np.errstate(all="ignore"):
+        e = np.frexp(np.maximum.reduce(np.abs(J), axis=(1, 2)))[1][:, None]
+        Js, Fs = np.ldexp(J, -e[..., None]), np.ldexp(F, -e)
+        Jt = np.swapaxes(Js, 1, 2)
+        G = Js @ Jt
+        trace = np.trace(G, axis1=1, axis2=2)
+        mu = np.where(trace > 0, np.finfo(float).eps * trace, 1.0)  # any mu > 0 serves a zero J
+        G.reshape(len(G), -1)[:, :: G.shape[1] + 1] += mu[:, None]  # the diagonal, in place
+        return (Jt @ np.linalg.solve(G, -Fs[..., None]))[..., 0]
+
+
+def _newton_steps(J, F, split=False):
+    """(dz, singular): dz with J dz = -F per row, and the rows whose own J is exactly singular.
+
+    One batched solve serves every row unless it raises, which it does when
+    any J is exactly singular; ``split`` skips it, once a polish has met such
+    a batch.  The rows whose LU factorization meets a zero pivot are exactly
+    those where slogdet has sign 0, so those rows take _regularized_steps and
+    the others are solved apart from them, by the same call: a singular row
+    changes no other row's step.  singular is None where the one solve
+    served.  The log of a zero determinant is -inf and may be NaN next to
+    huge entries; only the sign is read, so slogdet runs with those warnings
+    off.
+    """
+    if not split:
+        try:
+            return np.linalg.solve(J, -F[..., None])[..., 0], None
+        except np.linalg.LinAlgError:
+            pass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = np.linalg.slogdet(J)[0] == 0
     dz = np.empty_like(F)
     ok = ~singular
     dz[ok] = np.linalg.solve(J[ok], -F[ok][..., None])[..., 0]
-    dz[singular] = _min_norm_steps(J[singular], F[singular])
-    return dz
+    if singular.any():
+        dz[singular] = _regularized_steps(J[singular], F[singular])
+    return dz, singular
 
 
 def _rank_deficient(J):
@@ -484,7 +513,7 @@ def _ray_excess(C, J, limit):
     return excess, err * (2.0 * bound + err)
 
 
-def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps):
+def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, min_norm=False):
     """Damped Newton on the square systems F(z) = 0, one per row of z0.
 
     At most _NEWTON_ITERATIONS iterations; a row is done when its residual
@@ -525,9 +554,16 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
     real test on the bits the scan would build; a row ruled out at every
     alpha stalls with no call.  The rows that fail the real test get the
     two batches, from 2^-(d-1) on.  The outcome is the scan's wherever the
-    rounding bound holds.  ``steps(J, F)`` gives the Newton steps of the
-    active rows: _newton_steps, or _min_norm_steps where a solution set may
-    be positive-dimensional.
+    rounding bound holds.
+
+    The Newton steps of the active rows come from _newton_steps: a row whose
+    Jacobian is exactly singular takes the regularized row-space step
+    (_regularized_steps), every other row the solve of J dz = -F.  Once a
+    batch has had such a row, the later iterations skip the batched solve,
+    which would only raise, and go straight to the split.  ``min_norm``
+    gives every row the pseudo-inverse step (_min_norm_steps) instead, as
+    the continuum check's witness needs.  The DEBUG line counts the
+    row-steps that took the singular-row step.
 
     Rows only ever leave the active set, so its points, residuals, norms and
     creep counts are carried compacted from one iteration to the next; a row
@@ -538,7 +574,8 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
     z = z0.copy()
     width = z.shape[1]
     F, Fn = state_fn(z)
-    calls, trial_rows, newton_iters = 1, 0, 0
+    calls, trial_rows, newton_iters, regularized = 1, 0, 0, 0
+    split = False  # set once a batch had an exactly singular row
     creep = np.zeros(len(z), dtype=int)  # consecutive accepted steps with alpha <= _CREEP_STEP
     rows = np.flatnonzero((Fn > target) & np.isfinite(Fn))  # the active rows; the rest never move
     za, Fa, fa, ca = z[rows], F[rows], Fn[rows], creep[rows]
@@ -583,7 +620,12 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
         if check:
             f0 = fa.copy()
         J = jac_fn(za)
-        dz = steps(J, Fa)
+        if min_norm:
+            dz = _min_norm_steps(J, Fa)
+        else:
+            dz, singular = _newton_steps(J, Fa, split)
+            if singular is not None:
+                split, regularized = True, regularized + np.count_nonzero(singular)
         if lead == 1:  # 1.0 * dz is exact, so the full step is za + dz
             zt = za + dz
             Ft, Fnt = state_fn(zt)
@@ -640,9 +682,9 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, steps=_newton_steps)
     converged = np.count_nonzero(Fn <= target)
     retired = np.count_nonzero((Fn > target) & (creep >= _CREEP_ITERATIONS))
     log.debug(
-        "damped Newton: %d iterations, %d state calls, %d step-length rows; "
+        "damped Newton: %d iterations, %d state calls, %d step-length rows, %d singular-row steps; "
         "%d of %d rows converged, %d stalled, %d retired",
-        newton_iters, calls, trial_rows, converged, Fn.size,
+        newton_iters, calls, trial_rows, regularized, converged, Fn.size,
         Fn.size - converged - retired - rows.size, retired,  # a row still active at the cap is none of these
     )
     return z
@@ -770,6 +812,13 @@ def _check_continuum(z, J, state_fn, jac_fn, degree, merge_tol, gtol, noun):
     across a continuum rather than along it; a
     stationary result with the same value at a distance in (merge_tol, 2h]
     witnesses a continuum.  Newton returns to isolated degenerate points.
+    The witness keeps the pseudo-inverse step for every row, singular or
+    not, where the polish gives exactly singular rows the regularized step:
+    to get back to an isolated multiple root it must move along directions
+    of tiny singular values, which pinv inverts and the regularization
+    damps.  With the regularized step in its place, the witness reported a
+    false continuum on the symmetrized x1^2 x2 + x1 x3^2 (critical value
+    7.3e-23, distance 8e-5).
     The error names the first witness in flagged order, so the flagged rows
     are tried in batches of 1, 2, 4, ... rows, in order, up to the first
     batch with a witness; rows are independent, so each comes out as it
@@ -786,7 +835,7 @@ def _check_continuum(z, J, state_fn, jac_fn, degree, merge_tol, gtol, noun):
         start, size = start + size, 2 * size
         z0 = z[rows]
         z1 = _damped_newton(
-            z0 + h * np.linalg.svd(J[rows])[2][:, -1], state_fn, jac_fn, gtol, degree, _min_norm_steps
+            z0 + h * np.linalg.svd(J[rows])[2][:, -1], state_fn, jac_fn, gtol, degree, min_norm=True
         )
         dist = _row_dist(z1 - z0)
         same = (state_fn(z1)[1] <= gtol) & (np.abs(z1[:, -1] - z0[:, -1]) <= gtol)
@@ -1063,7 +1112,7 @@ def mode_eigenpairs(tensor, mode, config=None):
 
 
 def generalized_eigenpairs(tensor, mode, config=None):
-    """Mode-i eigenpairs under the p-norm from the config (1 < p < inf).
+    """Mode-i eigenpairs under the p-norm from the config (1 < p <= norms.MAX_NORM_PARAM, 1000).
 
     ``mode`` is 0..k.  Mode 0 is the symmetric problem: the tensor must be
     symmetric, and with p = 2 the pairs carry Morse data exactly as from

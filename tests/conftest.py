@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tensorcrit import DenseTensor, evaluate
+
+# Every property test draws the same examples on every run: no random seed, no example
+# database and no deadline.  A test's own settings give only its max_examples.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

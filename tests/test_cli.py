@@ -346,7 +346,7 @@ def test_eig_mode_p3_run(tmp_path, capsys):
         # the tuple solver's scanned line search (p != 2), both sides of p = 2
         pytest.param(GEN, ["svd", "--p", "3", "--restarts", "24"], id="svd-p3"),
         pytest.param(GEN, ["svd", "--p", "1.5", "--restarts", "24"], id="svd-p1.5"),
-        # singular Jacobians next to entries of 1e300: the pinv fallback warns nothing
+        # exactly singular Jacobians next to entries of 1e300: their regularized steps warn nothing
         pytest.param(
             np.array([[1e-300, -1e300], [1e300, 5e-324]]), ["svd", "--restarts", "16", "--seed", "81"], id="svd-1e300"
         ),

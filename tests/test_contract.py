@@ -1,6 +1,7 @@
 """Contract tests: every input ends in verified points, a typed error or a documented exit code.
 
-The draws are derandomized and fixed in number, so every run tries the same cases.
+The draws are fixed in number, and derandomized by the profile conftest.py loads, so every
+run tries the same cases.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ from tensorcrit.norms import MAX_NORM_PARAM, check_norm_param
 
 # zeros, units, 1e300, subnormals, and values whose squares overflow or underflow
 ENTRIES = [0.0, 1.0, -1.0, 0.5, 3.0, 1e300, -1e300, 1e-300, 5e-324, 1e154, 1e-160]
-CONTRACT = settings(derandomize=True, max_examples=120, deadline=None, database=None)
+CONTRACT = settings(max_examples=120)
 
 
 @st.composite
@@ -139,7 +140,7 @@ VALUES = [True, None, "2", 2.7, 0, -1, 10**400, math.nan, math.inf, np.int64(2),
 
 
 # 29 uses x 14 values: the draws cover every pair, in well under a second
-@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@settings(max_examples=500)
 @given(st.sampled_from(sorted(ARGUMENTS)), st.sampled_from(VALUES))
 def test_a_bad_argument_is_a_value_error(use, x):
     may_accept, call = ARGUMENTS[use]
@@ -184,3 +185,14 @@ def test_the_norm_parameter_ends_where_its_exact_scaling_holds(tmp_path, capsys)
     write_tensor_file(random_tensor((3, 4), 2), tensor_file)
     assert main(["svd", str(tensor_file), "--p", "3000"]) == 2
     assert capsys.readouterr() == ("", "error: norm parameter p must be at most 1000, got 3000.0\n")
+
+
+def test_a_signed_power_beyond_the_float_range_is_a_value_error():
+    # phi([3, -4], 999) returned [inf, -inf] with "RuntimeWarning: overflow encountered in power"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (999, 3000):
+            with pytest.raises(ValueError, match=rf"the signed power \|x_j\|\^{p} of an entry of x overflows"):
+                phi([3.0, -4.0], p)
+        assert np.all(np.isfinite(phi([3.0, -4.0], 500)))
+        assert phi([1e-300, -0.5], 3).tolist() == [0.0, -0.125]  # an underflow to 0 is a result
