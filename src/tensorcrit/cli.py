@@ -19,7 +19,7 @@ import hashlib
 import json
 import sys
 import time
-from functools import cache, partial
+from functools import cache, partial, wraps
 
 import numpy as np
 
@@ -222,7 +222,20 @@ def _matches_differences(grad, fn, x, step):
     return _within(err, 1e-6 * max(1.0, float(np.linalg.norm(grad))))
 
 
-# Overflow in a check shows as a non-finite result, which fails the check.
+def _fails_on_overflow(check):
+    """check, where a ValueError (a form, gradient or defect beyond the float range) fails it."""
+
+    @wraps(check)
+    def checked(*args):
+        try:
+            return check(*args)
+        except ValueError:
+            return False
+
+    return checked
+
+
+# Overflow in a check shows as a non-finite result, or as core's ValueError; either fails the check.
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_check(args):
     tensor, _ = _load(args.tensor)
@@ -234,6 +247,7 @@ def cmd_check(args):
     def draws(count, shape=tensor.shape):
         return [[rng.standard_normal(n) for n in shape] for _ in range(count)]
 
+    @_fails_on_overflow
     def differentiates(vs, m):
         # mode gradient m + 1 against differences of the form in slot m
         def form(u):
@@ -241,6 +255,7 @@ def cmd_check(args):
 
         return _matches_differences(mode_gradient(tensor, vs, m + 1), form, vs[m], 1e-5)
 
+    @_fails_on_overflow
     def contracts(vs):
         # contraction identity: v_i . grad_i equals the form value
         value = evaluate(tensor, vs)
@@ -248,6 +263,7 @@ def cmd_check(args):
         lhs = (float(v @ mode_gradient(tensor, vs, m + 1)) for m, v in enumerate(vs))
         return bool(np.isfinite(value)) and all(_within(abs(x - value), bound) for x in lhs)
 
+    @_fails_on_overflow
     def homogeneous(v):
         # degree-k homogeneity, checked on symmetric square tensors only
         return _within(euler_residual(tensor, v), 1e-12 * (k * abs(evaluate(tensor, [v] * k)) + 1.0))

@@ -7,6 +7,8 @@ k-linear form
 
 and a square symmetric tensor with the degree-k homogeneous polynomial
 f(x, ..., x).  Everything here is a pure function of immutable inputs.
+Entries and vectors are finite, so a contraction whose result leaves the
+float range is a ValueError naming it, never an inf with a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AsymmetricTensorError, ShapeError
-from .norms import _as_vector, _integer, _real_array
+from .norms import _as_vector, _in_range, _integer, _real_array, p_norm
 
 __all__ = [
     "DenseTensor",
@@ -109,15 +111,17 @@ def _check_vectors(tensor: DenseTensor, vectors: Sequence) -> list[np.ndarray]:
     return [_as_vector(v, n, f"vector {i + 1}") for i, (v, n) in enumerate(zip(vectors, tensor.shape))]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(tensor: DenseTensor, vectors: Sequence) -> float:
     """Value of the multilinear form at one vector per mode."""
     vs = _check_vectors(tensor, vectors)
     out = tensor.data
     for v in vs:
         out = np.tensordot(out, v, axes=([0], [0]))
-    return float(out)
+    return float(_in_range(out, "the value of the form"))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mode_gradient(tensor: DenseTensor, vectors: Sequence, mode: int) -> np.ndarray:
     """Gradient of the multilinear form in the given mode (1-based).
 
@@ -131,7 +135,7 @@ def mode_gradient(tensor: DenseTensor, vectors: Sequence, mode: int) -> np.ndarr
     for r in range(k):
         if r != mode - 1:
             out = np.tensordot(out, vs[r], axes=([1], [0]))
-    return out
+    return _in_range(out, f"the mode-{mode} gradient")
 
 
 @functools.lru_cache(maxsize=16)
@@ -153,13 +157,15 @@ def max_asymmetry(tensor: DenseTensor) -> float:
 
     Any two entries of an index orbit are linked by a permutation, so this
     is the largest entry minus its orbit's minimum.  Cached on the tensor.
+    A difference beyond the largest float reads inf.
     """
     _require_square(tensor)
     if tensor._asymmetry is None:
         ids = _orbit_ids(tensor.shape)
         lo = np.full(ids.max() + 1, np.inf)
         np.minimum.at(lo, ids, tensor.entries)
-        tensor._asymmetry = float(np.max(tensor.entries - lo[ids]))
+        with np.errstate(over="ignore"):
+            tensor._asymmetry = float(np.max(tensor.entries - lo[ids]))
     return tensor._asymmetry
 
 
@@ -190,6 +196,7 @@ def sym_gradient(tensor: DenseTensor, v) -> np.ndarray:
     return mode_gradient(tensor, [v] * tensor.order, 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sym_hessian(tensor: DenseTensor, v) -> np.ndarray:
     """Hessian of the polynomial f(x, ..., x) at v, for symmetric tensors.
 
@@ -207,9 +214,10 @@ def sym_hessian(tensor: DenseTensor, v) -> np.ndarray:
     for _ in range(k - 2):
         out = np.tensordot(out, vec, axes=([2], [0]))
     out = k * (k - 1) * out
-    return (out + out.T) / 2
+    return _in_range((out + out.T) / 2, "the Hessian")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def euler_residual(tensor: DenseTensor, v) -> float:
     """Defect of the single-mode shortcut for the homogeneity gradient at v.
 
@@ -226,7 +234,7 @@ def euler_residual(tensor: DenseTensor, v) -> float:
         raise ValueError("v must be nonzero")
     k = tensor.order
     grads = [mode_gradient(tensor, [vec] * k, i) for i in range(1, k + 1)]
-    return float(np.linalg.norm(k * grads[0] - sum(grads)))
+    return p_norm(_in_range(k * grads[0] - sum(grads), "the Euler defect"), 2.0)
 
 
 def symmetrize(tensor: DenseTensor) -> DenseTensor:

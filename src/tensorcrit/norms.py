@@ -74,6 +74,17 @@ def _real_array(x, name) -> np.ndarray:
     return arr
 
 
+def _in_range(out, what):
+    """out, computed from finite inputs; a non-finite entry means a step overflowed: ValueError.
+
+    In sums and products an inf only ever turns into an inf or a NaN, so
+    testing the result finds every overflow on the way to it.
+    """
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{what} overflows the float range")
+    return out
+
+
 def _as_vector(x, n=None, name="x") -> np.ndarray:
     """x as a 1-D float array of finite reals (see _real_array), of length n where given."""
     arr = _real_array(x, name)
@@ -110,10 +121,16 @@ def _scaled_norm(arr: np.ndarray, p: float):
 
 
 def p_norm(x, p: float) -> float:
-    """(sum |x_j|^p)^(1/p); zero only for the zero vector."""
+    """(sum |x_j|^p)^(1/p); zero only for the zero vector.
+
+    A norm beyond the largest float is a ValueError, as phi's powers are.
+    """
     p = check_norm_param(p)
     norm, _, e = _scaled_norm(_as_vector(x), p)
-    return float(np.ldexp(norm, e))
+    try:
+        return math.ldexp(norm, e)
+    except OverflowError:
+        raise ValueError(f"the {p:g}-norm of x overflows the float range") from None
 
 
 def phi(x, p: float) -> np.ndarray:
@@ -126,9 +143,7 @@ def phi(x, p: float) -> np.ndarray:
     arr = _as_vector(x)
     with np.errstate(over="ignore"):
         out = np.sign(arr) * np.abs(arr) ** p
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"the signed power |x_j|^{p:g} of an entry of x overflows the float range")
-    return out
+    return _in_range(out, f"the signed power |x_j|^{p:g} of an entry of x")
 
 
 def p_norm_gradient(x, p: float) -> np.ndarray:

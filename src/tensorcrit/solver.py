@@ -16,6 +16,18 @@ sign group (each eigenpair's antipode; sigma >= 0 for a tuple),
 deduplication, the count cap and the continuum check.  A mode
 problem on a non-symmetric tensor has no form whose critical points are its
 pairs, so it has no ascent and polishes its raw starts alone.
+
+One floating-point rule holds in every solver call.  Each public entry
+(_eigen_run, which serves the three eigen solvers, singular_tuples,
+residual_eigen, classify_index and dedupe) runs under one
+np.errstate(all="ignore"), and nothing inside sets its own: there an
+overflow or an invalid operation gives a value the code already tests for.
+A non-finite trial fails the Armijo test, _unit_rows returns an ok mask,
+acceptance keeps only finite residuals, and _row_dist redoes the rows whose
+squares overflow.  errstate changes no arithmetic, and np.linalg still
+raises LinAlgError.  residual_eigen and classify_index take finite
+arguments and, as core and norms do, raise a ValueError where a defect or
+second variation they compute leaves the float range.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from .core import (
     mode_gradient,
 )
 from .errors import DegenerateTensorError, ShapeError
-from .norms import _as_vector, _integer, _real, check_norm_param, p_norm, phi
+from .norms import _as_vector, _in_range, _integer, _real, _scaled_norm, check_norm_param, p_norm, phi
 
 __all__ = [
     "SolverConfig",
@@ -312,17 +324,16 @@ def _unit_rows(V, p):
     A row whose sum of |v|^p is not a finite normal number is redone on v / 2^e
     as in norms._scaled_norm; every other row is bit for bit v / ||v||_p.
     """
-    with np.errstate(all="ignore"):
-        s = np.add.reduce(np.abs(V) ** p, axis=1)
-        ok = np.isfinite(s) & (s >= np.finfo(float).tiny)
-        U = V / (s ** (1.0 / p))[:, None]
-        if not np.logical_and.reduce(ok):
-            redo = ~ok
-            e = np.frexp(np.max(np.abs(V[redo]), axis=1) * math.sqrt(0.5))[1]
-            Y = np.ldexp(V[redo], -e[:, None])
-            s[redo] = np.add.reduce(np.abs(Y) ** p, axis=1)
-            U[redo] = Y / (s[redo] ** (1.0 / p))[:, None]
-            ok = np.isfinite(s) & (s > 0)
+    s = np.add.reduce(np.abs(V) ** p, axis=1)
+    ok = np.isfinite(s) & (s >= np.finfo(float).tiny)
+    U = V / (s ** (1.0 / p))[:, None]
+    if not np.logical_and.reduce(ok):
+        redo = ~ok
+        e = np.frexp(np.max(np.abs(V[redo]), axis=1) * math.sqrt(0.5))[1]
+        Y = np.ldexp(V[redo], -e[:, None])
+        s[redo] = np.add.reduce(np.abs(Y) ** p, axis=1)
+        U[redo] = Y / (s[redo] ** (1.0 / p))[:, None]
+        ok = np.isfinite(s) & (s > 0)
     return U, ok
 
 
@@ -419,18 +430,16 @@ def _regularized_steps(J, F):
     range it differs from that step by about mu / sigma^2 along each singular
     value sigma of J: one batched product and one batched solve, no SVD.
     A zero J takes dz = 0.  A row whose J is not finite, or whose scaled F
-    overflows, gets a non-finite step, which the line search refuses, so
-    numpy's warnings are off.
+    overflows, gets a non-finite step, which the line search refuses.
     """
-    with np.errstate(all="ignore"):
-        e = np.frexp(np.maximum.reduce(np.abs(J), axis=(1, 2)))[1][:, None]
-        Js, Fs = np.ldexp(J, -e[..., None]), np.ldexp(F, -e)
-        Jt = np.swapaxes(Js, 1, 2)
-        G = Js @ Jt
-        trace = np.trace(G, axis1=1, axis2=2)
-        mu = np.where(trace > 0, np.finfo(float).eps * trace, 1.0)  # any mu > 0 serves a zero J
-        G.reshape(len(G), -1)[:, :: G.shape[1] + 1] += mu[:, None]  # the diagonal, in place
-        return (Jt @ np.linalg.solve(G, -Fs[..., None]))[..., 0]
+    e = np.frexp(np.maximum.reduce(np.abs(J), axis=(1, 2)))[1][:, None]
+    Js, Fs = np.ldexp(J, -e[..., None]), np.ldexp(F, -e)
+    Jt = np.swapaxes(Js, 1, 2)
+    G = Js @ Jt
+    trace = np.trace(G, axis1=1, axis2=2)
+    mu = np.where(trace > 0, np.finfo(float).eps * trace, 1.0)  # any mu > 0 serves a zero J
+    G.reshape(len(G), -1)[:, :: G.shape[1] + 1] += mu[:, None]  # the diagonal, in place
+    return (Jt @ np.linalg.solve(G, -Fs[..., None]))[..., 0]
 
 
 def _newton_steps(J, F, split=False):
@@ -443,16 +452,14 @@ def _newton_steps(J, F, split=False):
     the others are solved apart from them, by the same call: a singular row
     changes no other row's step.  singular is None where the one solve
     served.  The log of a zero determinant is -inf and may be NaN next to
-    huge entries; only the sign is read, so slogdet runs with those warnings
-    off.
+    huge entries; only the sign is read.
     """
     if not split:
         try:
             return np.linalg.solve(J, -F[..., None])[..., 0], None
         except np.linalg.LinAlgError:
             pass
-    with np.errstate(divide="ignore", invalid="ignore"):
-        singular = np.linalg.slogdet(J)[0] == 0
+    singular = np.linalg.slogdet(J)[0] == 0
     dz = np.empty_like(F)
     ok = ~singular
     dz[ok] = np.linalg.solve(J[ok], -F[ok][..., None])[..., 0]
@@ -500,8 +507,7 @@ def _ray_excess(C, J, limit):
       - the polynomial's: 1e-12 of b;
       - that of the coefficients above C_1, which come from states of size
         up to sum_i ||C_i||: 64 eps of that, times alpha^2.
-    A polynomial that overflows gives NaN; the caller turns numpy's warnings
-    off around it.
+    A polynomial that overflows gives NaN.
     """
     powers, gram_powers, eps = _POWERS[len(C) - 1], _GRAM_POWERS[len(C) - 1], np.finfo(float).eps
     G = np.einsum("izs,jzs->zij", C, C).reshape(C.shape[1], len(gram_powers))
@@ -652,17 +658,17 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, min_norm=False):
         if degree is not None and searching.size:
             s = searching
             Js, C = J.take(s, 0), np.empty((degree + 1, s.size, width))
-            with np.errstate(all="ignore"):  # rows that overflow give a NaN polynomial
-                F0 = Fa.take(s, 0, out=C[0])
-                F1 = np.einsum("zij,zj->zi", Js, dz.take(s, 0), out=C[1])
-                R = np.subtract(Ft[0].take(s, 0), F0, out=C[degree])
-                R -= F1  # F2 + ... + Fd
-                if degree == 3:
-                    F2 = np.multiply(8.0, Ft[1].take(s, 0) - F0 - 0.5 * F1, out=C[2])
-                    F2 -= R
-                    R -= F2
-                excess, margin = _ray_excess(C, Js, _ARMIJO[lead:] * fa.take(s)[:, None])
-                fails = excess > margin  # sure to fail the Armijo test; NaN (an overflow) is not sure
+            # a row that overflows gives a NaN polynomial
+            F0 = Fa.take(s, 0, out=C[0])
+            F1 = np.einsum("zij,zj->zi", Js, dz.take(s, 0), out=C[1])
+            R = np.subtract(Ft[0].take(s, 0), F0, out=C[degree])
+            R -= F1  # F2 + ... + Fd
+            if degree == 3:
+                F2 = np.multiply(8.0, Ft[1].take(s, 0) - F0 - 0.5 * F1, out=C[2])
+                F2 -= R
+                R -= F2
+            excess, margin = _ray_excess(C, Js, _ARMIJO[lead:] * fa.take(s)[:, None])
+            fails = excess > margin  # sure to fail the Armijo test; NaN (an overflow) is not sure
             first = fails.argmin(axis=1)  # the longest alpha not ruled out, or 0 where every one is
             pick = (first > 0) | ~fails[:, 0]  # a row ruled out at every alpha stalls
             searching = tries(s[pick], lead + first[pick])
@@ -717,25 +723,23 @@ def _lagrange_fns(dims, p, grads, blocks):
     def state(z):
         W = z[:, :total]
         F = np.empty((len(z), size))
-        with np.errstate(all="ignore"):
-            Phi = _phi_rows(W, p - 1.0)
-            for i, (c, g) in enumerate(zip(cols, grads([z[:, c] for c in cols]))):
-                np.subtract(g, z[:, total + i, None] * Phi[:, c], out=F[:, c])  # g_i - s_i * phi(w_i)
-            np.divide(np.add.reduceat(np.abs(W) ** p, starts, axis=1) - 1.0, p, out=F[:, total:])
-            return F, _row_dist(F)
+        Phi = _phi_rows(W, p - 1.0)
+        for i, (c, g) in enumerate(zip(cols, grads([z[:, c] for c in cols]))):
+            np.subtract(g, z[:, total + i, None] * Phi[:, c], out=F[:, c])  # g_i - s_i * phi(w_i)
+        np.divide(np.add.reduceat(np.abs(W) ** p, starts, axis=1) - 1.0, p, out=F[:, total:])
+        return F, _row_dist(F)
 
     def jac(z):
         W, S = z[:, :total], z[:, border]
         K = np.zeros((len(z), size, size))
         Kf = K.reshape(len(z), size * size)  # a view; reshape(len(z), -1) fails on zero rows
-        with np.errstate(all="ignore"):
-            for (i, j), B in blocks([z[:, c] for c in cols]):
-                K[:, cols[i], cols[j]] = B
-            # at p = 2 phi_1 has slope 1, and s * 1.0 is s exactly
-            Kf[:, on_diag] -= S if p == 2.0 else S * _phi_slope_rows(W, p)
-            Phi = _phi_rows(W, p - 1.0)
-            Kf[:, on_border] = -Phi
-            Kf[:, under_border] = Phi
+        for (i, j), B in blocks([z[:, c] for c in cols]):
+            K[:, cols[i], cols[j]] = B
+        # at p = 2 phi_1 has slope 1, and s * 1.0 is s exactly
+        Kf[:, on_diag] -= S if p == 2.0 else S * _phi_slope_rows(W, p)
+        Phi = _phi_rows(W, p - 1.0)
+        Kf[:, on_border] = -Phi
+        Kf[:, under_border] = Phi
         return K
 
     return state, jac
@@ -751,11 +755,10 @@ def _accept(grads, Ws, p, gtol):
     units = [_unit_rows(W, p) for W in Ws]
     good = np.all([ok for _, ok in units], axis=0)
     Ws = [U[good] for U, _ in units]
-    with np.errstate(all="ignore"):
-        terms = list(zip(grads(Ws), [_phi_rows(W, p - 1.0) for W in Ws]))
-        value = _dot_rows(terms[0][0], Ws[0])  # f(w_1, ..., w_k) = <g_i, w_i> in every mode
-        resid = np.max([_row_dist(g - value[:, None] * f) for g, f in terms], axis=0)
-        mults = np.stack([np.sum(g * f, axis=1) / np.sum(f * f, axis=1) for g, f in terms], 1)
+    terms = list(zip(grads(Ws), [_phi_rows(W, p - 1.0) for W in Ws]))
+    value = _dot_rows(terms[0][0], Ws[0])  # f(w_1, ..., w_k) = <g_i, w_i> in every mode
+    resid = np.max([_row_dist(g - value[:, None] * f) for g, f in terms], axis=0)
+    mults = np.stack([np.sum(g * f, axis=1) / np.sum(f * f, axis=1) for g, f in terms], 1)
     keep = np.isfinite(resid) & (resid <= gtol)
     return [W[keep] for W in Ws], value[keep], resid[keep], mults[keep]
 
@@ -824,9 +827,8 @@ def _check_continuum(z, J, state_fn, jac_fn, degree, merge_tol, gtol, noun):
     batch with a witness; rows are independent, so each comes out as it
     would in one batch of all of them.
     """
-    with np.errstate(all="ignore"):
-        s = np.linalg.svd(J, compute_uv=False)
-        rel = s[:, -1] / s[:, 0]
+    s = np.linalg.svd(J, compute_uv=False)
+    rel = s[:, -1] / s[:, 0]
     flagged = np.flatnonzero(rel <= np.sqrt(gtol))
     h = max(1e-3, 10.0 * merge_tol)
     witness, start, size = [], 0, 1
@@ -852,6 +854,7 @@ def _check_continuum(z, J, state_fn, jac_fn, degree, merge_tol, gtol, noun):
         )
 
 
+@np.errstate(all="ignore")
 def dedupe(points, tol):
     """Greedy clustering at Euclidean distance tol on concatenated vectors.
 
@@ -886,6 +889,7 @@ def _check_eigen_args(tensor, mode):
     return mode
 
 
+@np.errstate(all="ignore")
 def residual_eigen(tensor, v, value, mode, p=2.0):
     """Stationarity defect ||mode_gradient - value * phi_{p-1}(v)||_2 at a unit v.
 
@@ -897,7 +901,7 @@ def residual_eigen(tensor, v, value, mode, p=2.0):
     _check_unit(vec, p)
     value = _real(value, "value")
     grad = mode_gradient(tensor, [vec] * tensor.order, max(mode, 1))
-    return p_norm(grad - value * phi(vec, p - 1.0), 2.0)
+    return p_norm(_in_range(grad - value * phi(vec, p - 1.0), "the stationarity defect"), 2.0)
 
 
 def _morse_rows(H, V):
@@ -912,6 +916,7 @@ def _morse_rows(H, V):
     return np.sum(eig < -eps, axis=1), np.sum(np.abs(eig) <= eps, axis=1) == 1
 
 
+@np.errstate(all="ignore")
 def classify_index(tensor, v, value, residual_tolerance=1e-8):
     """Morse data (index, nondegenerate) of a symmetric eigenpair under the 2-norm.
 
@@ -939,7 +944,8 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
             f"(v, value) is not stationary enough to classify: residual {resid:.3e} "
             f"exceeds {residual_tolerance:.3e}"
         )
-    index, nondegenerate = _morse_rows(k * ((k - 1) * C.T - value * np.eye(n))[None], vec[None, :])
+    H = _in_range(k * ((k - 1) * C.T - value * np.eye(n)), "the second variation")
+    index, nondegenerate = _morse_rows(H[None], vec[None, :])
     return int(index[0]), bool(nondegenerate[0])
 
 
@@ -1020,6 +1026,7 @@ def _search(config, system, ascend, act, merge_tol, cap, noun):
     return [W[kept] for W in Ws], value[kept], resid[kept], mults[kept], found[kept], J[order]
 
 
+@np.errstate(all="ignore")
 def _eigen_run(tensor, mode, config):
     """Eigenpairs in ``mode`` under config.p; mode 0 is the symmetric problem.
 
@@ -1139,8 +1146,7 @@ def _alternating_ascent(data, Ws0, p):
         before = np.concatenate(Ws, axis=1)
         for i in range(k):
             G = _contract_leading(Ds[i], Ws[:i] + Ws[i + 1 :])
-            with np.errstate(all="ignore"):
-                U, ok = _unit_rows(_phi_rows(G, q), p)
+            U, ok = _unit_rows(_phi_rows(G, q), p)
             Ws[i][ok] = U[ok]
     moved = _row_dist(np.concatenate(Ws, axis=1) - before)
     log.debug(
@@ -1150,6 +1156,7 @@ def _alternating_ascent(data, Ws0, p):
     return Ws
 
 
+@np.errstate(all="ignore")
 def singular_tuples(tensor, config=None):
     """Singular tuples of a (possibly rectangular) tensor, sigma descending.
 
@@ -1165,7 +1172,8 @@ def singular_tuples(tensor, config=None):
     if tensor.order < 2:
         raise ShapeError("singular tuples need tensor order >= 2")
     data = tensor.data
-    scale = p_norm(data.reshape(-1), 2.0)
+    # ||T|| = scale * 2^e, in range at any scale of T
+    scale, _, e = _scaled_norm(data.reshape(-1), 2.0)
 
     def act(Ws, raw, resid, mults):
         # canonical sign: negating w_1 where the value is negative negates the value, the
@@ -1177,11 +1185,12 @@ def singular_tuples(tensor, config=None):
         config, _tuple_parts(data), lambda starts: _alternating_ascent(data, starts, config.p),
         act, _DEDUPE_TOLERANCE, None, "singular tuple",
     )
+    degenerate = np.ldexp(np.abs(sigma), -e) <= 1e-8 * scale
     return [
         SingularTuple(
             vectors=tuple(W[i] for W in Ws), sigma=float(sigma[i]), residual=float(resid[i]),
             critical_value=float(raw[i]), mode_multipliers=tuple(mults[i]),
-            degenerate=bool(abs(sigma[i]) <= 1e-8 * scale),
+            degenerate=bool(degenerate[i]),
         )
         for i in range(len(sigma))
     ]

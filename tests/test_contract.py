@@ -16,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorcrit import DegenerateTensorError, DenseTensor, ShapeError, SolverConfig, classify_index, dedupe, evaluate
-from tensorcrit import generalized_eigenpairs, mode_gradient, p_norm, p_norm_gradient, phi, random_tensor
-from tensorcrit import residual_eigen, singular_tuples, sym_hessian, symmetrize, unit_normalize, write_tensor_file
+from tensorcrit import DegenerateTensorError, DenseTensor, EigenPair, ShapeError, SolverConfig, classify_index, dedupe
+from tensorcrit import evaluate, euler_residual, generalized_eigenpairs, is_symmetric, max_asymmetry, mode_eigenpairs
+from tensorcrit import mode_gradient, p_norm, p_norm_gradient, phi, random_tensor, residual_eigen, singular_tuples
+from tensorcrit import sym_gradient, sym_hessian, symmetric_eigenpairs, symmetrize, unit_normalize, write_tensor_file
 from tensorcrit.cli import main
 from tensorcrit.norms import MAX_NORM_PARAM, check_norm_param
 
@@ -72,6 +73,17 @@ def test_every_solve_ends_in_verified_points_or_a_typed_error(case, p, restarts,
             assert residual_eigen(tensor, pt.vector, pt.value, problem, p) <= bound
 
 
+def _cli(argv):
+    """(exit code, stdout, stderr) of an in-process run; any exception but argparse's exit fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a usage error with exit 2
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @CONTRACT
 @given(cases(), st.sampled_from(["1.5", "2", "3"]), st.integers(1, 12), st.booleans())
 def test_cli_exits_with_a_documented_code(tmp_path_factory, case, p, restarts, audit):
@@ -80,15 +92,10 @@ def test_cli_exits_with_a_documented_code(tmp_path_factory, case, p, restarts, a
     write_tensor_file(tensor, tensor_file)
     argv = ["svd"] if problem is None else ["eig", "--symmetric"] if problem == 0 else ["eig", "--mode", str(problem)]
     argv += ["--audit"] * (audit and problem is not None) + [str(tensor_file), "--p", p, "--restarts", str(restarts)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses a usage error with exit 2
-            code = exc.code
-    assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue(), err.getvalue()
+    code, out, err = _cli(argv)
+    assert code in (0, 2, 3, 4) and "Traceback" not in err, err
     if code in (0, 3):
-        assert json.loads(out.getvalue())["command"] == argv[0]
+        assert json.loads(out)["command"] == argv[0]
 
 
 def _integer(x):
@@ -196,3 +203,99 @@ def test_a_signed_power_beyond_the_float_range_is_a_value_error():
                 phi([3.0, -4.0], p)
         assert np.all(np.isfinite(phi([3.0, -4.0], 500)))
         assert phi([1e-300, -0.5], 3).tolist() == [0.0, -0.125]  # an underflow to 0 is a result
+
+
+# Finite inputs at the edge of the float range, each of which once ended in a RuntimeWarning:
+# a solver path outside its errstate blocks, a contraction or norm that returned inf, or an
+# asymmetry that overflowed.  Each case is a call and its outcome: the message of the ValueError
+# it raises (a str), the value it returns, or None, for any result or typed error.
+BIG = np.full((2, 2), 1e300)
+WIDE = DenseTensor([[1e308, -1e308], [1e308, 0.0]])  # its off-diagonal orbit spans 2e308
+HUGE = random_tensor((3, 3, 3), 1).data
+HUGE = DenseTensor(1.7e308 / np.max(np.abs(HUGE)) * HUGE)  # ||HUGE|| is beyond the largest float
+NEAR_LIMIT = {
+    "dedupe": (lambda: len(dedupe([EigenPair([0, 1e200], 1, 0, 0), EigenPair([0, -1e200], 1, 0, 1e-3)], 1e-6)), 2),
+    "classify_index": (
+        lambda: classify_index(DenseTensor(np.full((2, 2, 2), 1e300)), [1, 0], 1e308), "not stationary enough"
+    ),
+    # x^3 at v = e1, a stationary pair whose second variation 3 (2 T(v) - value I) is beyond
+    # the largest float: it read index 0, degenerate, where 1e300 * x^3 reads index 1
+    "classify_index second variation": (
+        lambda: classify_index(DenseTensor(np.pad([[[1e308]]], ((0, 1),) * 3)), [1, 0], 1e308), "the second variation"
+    ),
+    "residual_eigen": (
+        lambda: residual_eigen(DenseTensor(np.full((2, 2), 1e308)), [1, 0], -1e308, 1), "the stationarity defect"
+    ),
+    "symmetric_eigenpairs": (
+        lambda: symmetric_eigenpairs(DenseTensor([[1e308, 1e308], [1e308, -1e308]]), SolverConfig(restarts=8)), None
+    ),
+    "generalized_eigenpairs": (
+        lambda: generalized_eigenpairs(DenseTensor(np.full((3, 3, 3), 1e308)), 1, SolverConfig(restarts=8, p=3)), None
+    ),
+    "mode_eigenpairs": (lambda: mode_eigenpairs(WIDE, 1, SolverConfig(restarts=8)), None),
+    "singular_tuples": (
+        lambda: singular_tuples(DenseTensor(np.full((3, 3, 3), 1e308)), SolverConfig(restarts=8)), None
+    ),
+    # the flag compares sigma with 1e-8 ||T||, never with an infinite norm: no tuple of a generic
+    # tensor has sigma near 0, and once every one was flagged
+    "singular_tuples degenerate": (
+        lambda: {t.degenerate for t in singular_tuples(HUGE, SolverConfig(restarts=60, gradient_tolerance=1.7e298))},
+        {False},
+    ),
+    "evaluate": (lambda: evaluate(DenseTensor(BIG), [[1e10, 1e10], [1, 1]]), "the value of the form overflows"),
+    "mode_gradient": (lambda: mode_gradient(DenseTensor(BIG), [[1e10, 1e10], [1, 1]], 2), "the mode-2 gradient"),
+    "sym_gradient": (lambda: sym_gradient(DenseTensor(np.full((2, 2), 1e308)), [1, 1]), "the mode-1 gradient"),
+    "sym_hessian": (lambda: sym_hessian(DenseTensor(np.full((2, 2, 2), 1e308)), [1, 1]), "the Hessian"),
+    "euler_residual": (lambda: euler_residual(DenseTensor([[0, 1e308], [-1e308, 0]]), [1, 1]), "the Euler defect"),
+    "p_norm": (lambda: p_norm(np.full(27, 1e308), 2), "the 2-norm of x overflows"),
+    "max_asymmetry": (lambda: (max_asymmetry(WIDE), is_symmetric(WIDE)), (math.inf, False)),
+    "symmetrize": (lambda: symmetrize(WIDE).data.tolist(), [[1e308, 0.0], [0.0, 0.0]]),
+}
+# the command line on such inputs: argv, the tensor, any vector files, and the exit code, stdout and
+# stderr, each None where any documented code or any output without a traceback will do
+CHECK_REPORT = "".join(
+    f"{name}: {verdict}\n"
+    for name, verdict in [
+        ("gradient-finite-difference", "FAIL"),
+        ("contraction-identity", "FAIL"),
+        ("euler-homogeneity", "FAIL"),
+        *((f"p-norm-gradient[p={p}]", "pass") for p in (1.5, 2.0, 3.0)),
+    ]
+)
+NEAR_LIMIT_CLI = {
+    "cli eval": (
+        ["eval"], BIG, [[1e10, 1e10], [1, 1]], 2, "", "error: the value of the form overflows the float range\n"
+    ),
+    "cli eig --symmetric": (
+        ["eig", "--symmetric", "--restarts", "8"], [[1e308, 1e308], [1e308, -1e308]], [], None, None, ""
+    ),
+    "cli eig --mode 1": (["eig", "--mode", "1", "--restarts", "8"], WIDE.data, [], None, None, ""),
+    "cli svd": (["svd", "--restarts", "8"], np.full((3, 3, 3), 1e308), [], None, None, ""),
+    "cli check": (["check"], np.full((2, 2, 2), 1e308), [], 1, CHECK_REPORT, ""),
+}
+
+
+@pytest.mark.parametrize("case", [*NEAR_LIMIT, *NEAR_LIMIT_CLI])
+def test_near_limit_inputs_end_in_results_or_typed_errors(case, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning is an outcome outside the contract
+        if case in NEAR_LIMIT_CLI:
+            argv, data, vectors, *want = NEAR_LIMIT_CLI[case]
+            paths = [tmp_path / f"{i}.json" for i in range(1 + len(vectors))]
+            for path, x in zip(paths, [data, *vectors]):
+                write_tensor_file(DenseTensor(x), path)
+            got = _cli(argv + [str(path) for path in paths])
+            assert got[0] in (0, 1, 2, 3, 4) and "Traceback" not in got[2], got[2]
+            assert [w if w is None else g for w, g in zip(want, got)] == want
+            return
+        call, outcome = NEAR_LIMIT[case]
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError, match=outcome):
+                call()
+            return
+        try:
+            got = call()
+        except (ValueError, DegenerateTensorError):  # ShapeError is a ValueError
+            assert outcome is None
+            return
+    assert outcome is None or got == outcome

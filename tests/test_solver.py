@@ -44,6 +44,17 @@ from conftest import geodesic_second_derivative, match_pair, tangent_basis
 CFG = SolverConfig(restarts=40, seed=0)
 
 
+def solver_policy():
+    """The floating-point policy of a public solver call: numpy's warnings off.
+
+    The solver's public entries set it and its internals set none of their
+    own, so a test that calls an internal directly with rows that overflow
+    sets it around that call.  That the entries warn nothing is checked in
+    tests/test_contract.py, on inputs at the float limit.
+    """
+    return np.errstate(all="ignore")
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
@@ -1282,7 +1293,8 @@ def test_line_search_matches_sequential_halving_where_squares_overflow(shape, se
     # there and rules no step length out, so each row tries the longest for real
     z0, state, jac, degree = _raw_rows(solver._tuple_parts(1e160 * random_tensor(shape, seed).data), 2.0, seed)
     args = (state, jac, 1e152)
-    assert solver._damped_newton(z0, *args, degree).tobytes() == _ref_damped_newton(z0, *args).tobytes()
+    with solver_policy():
+        assert solver._damped_newton(z0, *args, degree).tobytes() == _ref_damped_newton(z0, *args).tobytes()
 
 
 @st.composite
@@ -1424,10 +1436,11 @@ def test_polynomial_fallback_reaches_the_second_batch(monkeypatch):
     z0[0, :3] *= 1e-160
     z0[1, :3] *= 1e-150
     args = (state, jac, CFG.gradient_tolerance)
-    got = solver._damped_newton(z0, *args, degree)
-    assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
+    with solver_policy():
+        got = solver._damped_newton(z0, *args, degree)
+        assert got.tobytes() == _ref_damped_newton(z0, *args).tobytes()
+        assert _one_iteration_calls(z0, state, jac, degree, monkeypatch) == [4, 4, 3, 2 * 15, 2 * 9]
     assert np.array_equal(got[:2], z0[:2])
-    assert _one_iteration_calls(z0, state, jac, degree, monkeypatch) == [4, 4, 3, 2 * 15, 2 * 9]
 
 
 @pytest.mark.parametrize(
@@ -1878,13 +1891,14 @@ def test_singular_row_step_of_a_zero_or_non_finite_jacobian():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dz, singular = solver._newton_steps(np.zeros((2, 3, 3)), F)
-        assert singular.all() and np.all(dz == 0.0)
-        # a singular J with an inf or NaN entry takes a non-finite step, which the line
-        # search refuses (np.linalg.pinv on such a J did not return: numpy 2.4, OpenBLAS)
-        J = np.zeros((2, 3, 3))
-        J[0, 0, 0], J[1, 0, 0], J[1, 2, 2] = np.inf, np.nan, 1.0
+    assert singular.all() and np.all(dz == 0.0)
+    # a singular J with an inf or NaN entry takes a non-finite step, which the line
+    # search refuses (np.linalg.pinv on such a J did not return: numpy 2.4, OpenBLAS)
+    J = np.zeros((2, 3, 3))
+    J[0, 0, 0], J[1, 0, 0], J[1, 2, 2] = np.inf, np.nan, 1.0
+    with solver_policy():
         dz, singular = solver._newton_steps(J, F)
-        assert singular.all() and not np.isfinite(dz).any()
+    assert singular.all() and not np.isfinite(dz).any()
 
 
 def test_a_polish_that_met_a_singular_batch_makes_no_failing_solve_again(monkeypatch):
@@ -2153,7 +2167,8 @@ def test_random_starts_are_prefix_stable(dims, seed, p):
 def test_random_starts_are_unit_rows_at_large_p(p):
     # the plain sum of |v|^p overflowed or underflowed: 3 of 200 rows were zero or NaN at
     # p = 600 and 26 at p = 1000
-    (V,) = solver._random_starts(0, 200, (3,), p)
+    with solver_policy():
+        (V,) = solver._random_starts(0, 200, (3,), p)
     assert np.all(np.isfinite(V)) and np.all(np.any(V != 0, axis=1))
     np.testing.assert_allclose([p_norm(v, p) for v in V], 1.0, rtol=1e-12)
 
@@ -2168,11 +2183,11 @@ def test_unit_rows_keep_in_range_rows_bit_for_bit():
     bad = np.arange(40) >= 10
     bad[13:] = False
     for p in (1.5, 2.0, 3.0, 200.0):
-        U, ok = solver._unit_rows(V, p)
+        with solver_policy():
+            U, ok = solver._unit_rows(V, p)
+            s = np.sum(np.abs(V) ** p, axis=1)
         assert np.array_equal(ok, ~bad)
         np.testing.assert_allclose([p_norm(u, p) for u in U[ok]], 1.0, rtol=1e-12)
-        with np.errstate(all="ignore"):
-            s = np.sum(np.abs(V) ** p, axis=1)
         plain = np.isfinite(s) & (s >= np.finfo(float).tiny)
         assert plain[13:].all()
         assert U[plain].tobytes() == (V[plain] / (s[plain] ** (1.0 / p))[:, None]).tobytes()
@@ -2260,7 +2275,8 @@ def test_ascent_keeps_rows_that_do_not_normalize():
     (V0,) = solver._random_starts(4, 6, (3,), 2.0)
     V0[[1, 4]] = 0.0
     sign = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-    V = solver._ascend(S, V0, 2.0, sign)
+    with solver_policy():
+        V = solver._ascend(S, V0, 2.0, sign)
     ref = np.concatenate([_ref_ascend(S, V0[:3], 2.0, 1.0), _ref_ascend(S, V0[3:], 2.0, -1.0)])
     assert V.tobytes() == ref.tobytes()
     assert not V[[1, 4]].any() and np.all(V[[0, 2, 3, 5]] != V0[[0, 2, 3, 5]])
@@ -2516,6 +2532,36 @@ def test_search_driver_guard_sees_calls_in_closures():
     assert _top_level_callers(source, ["_accept", "_leaders"]) == {"_accept": {"f", "g"}, "_leaders": set()}
 
 
+POLICY_ENTRIES = ("_eigen_run", "singular_tuples", "residual_eigen", "classify_index", "dedupe")
+
+
+def _errstate_uses(source):
+    """({function: its errstate decorators, unparsed}, how often the name errstate occurs) in source."""
+    tree = ast.parse(source)
+    decorators = {
+        fn.name: [ast.unparse(d) for d in fn.decorator_list if "errstate" in ast.unparse(d)]
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    names = [getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(tree)]
+    return {name: d for name, d in decorators.items() if d}, names.count("errstate")
+
+
+def test_floating_point_policy_is_set_once_at_each_public_entry():
+    # the internals set no errstate of their own: the policy is the module docstring's one rule
+    decorated, uses = _errstate_uses(inspect.getsource(solver))
+    assert decorated == {name: ["np.errstate(all='ignore')"] for name in POLICY_ENTRIES}
+    assert uses == len(POLICY_ENTRIES)  # no with block, call or alias anywhere else
+
+
+def test_floating_point_policy_guard_sees_blocks_and_aliases():
+    source = (
+        "@np.errstate(all='ignore')\ndef f():\n    with np.errstate(over='ignore'):\n        pass\n\n\n"
+        "ignore = errstate\n"
+    )
+    assert _errstate_uses(source) == ({"f": ["np.errstate(all='ignore')"]}, 3)
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4), (3, 3, 3, 3)])
 def test_mode_i_pairs_are_the_last_mode_pairs_with_mode_i_moved_last(shape, p):
@@ -2642,7 +2688,7 @@ def test_newton_moves_rows_whose_squared_norm_overflows(sweeps, monkeypatch):
 
 def test_row_norms_redo_only_the_rows_that_overflow():
     D = np.array([[3.0, 4.0], [3e200, 4e200], [np.inf, 1.0], [np.nan, 1.0], [1e-200, 0.0]])
-    with np.errstate(over="ignore"):
+    with solver_policy():
         d, norm = solver._row_dist(D), np.linalg.norm(D, axis=1)
     # the non-finite rows and the underflowing one come out as np.linalg.norm's
     np.testing.assert_array_equal(np.delete(d, 1), np.delete(norm, 1))
