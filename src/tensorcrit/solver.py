@@ -25,9 +25,11 @@ overflow or an invalid operation gives a value the code already tests for.
 A non-finite trial fails the Armijo test, _unit_rows returns an ok mask,
 acceptance keeps only finite residuals, and _row_dist redoes the rows whose
 squares overflow.  errstate changes no arithmetic, and np.linalg still
-raises LinAlgError.  residual_eigen and classify_index take finite
-arguments and, as core and norms do, raise a ValueError where a defect or
-second variation they compute leaves the float range.
+raises LinAlgError.  As core and norms do, the search raises a ValueError
+where the bordered Jacobian or the second variation at a found point leaves
+the float range, before an SVD or eigensolver meets it, and residual_eigen
+and classify_index, which take finite arguments, where a defect or second
+variation they compute does.
 """
 
 from __future__ import annotations
@@ -416,11 +418,6 @@ def _dedupe_rows(keys, resid, tol):
 # ---------------------------------------------------------------------------
 
 
-def _min_norm_steps(J, F):
-    """The minimum-norm dz with J dz = -F, for every row."""
-    return -(np.linalg.pinv(J) @ F[..., None])[..., 0]
-
-
 def _regularized_steps(J, F):
     """dz = J^T y with (J J^T + mu I) y = -F, mu = eps * trace(J J^T), for every row.
 
@@ -519,7 +516,7 @@ def _ray_excess(C, J, limit):
     return excess, err * (2.0 * bound + err)
 
 
-def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, min_norm=False):
+def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None):
     """Damped Newton on the square systems F(z) = 0, one per row of z0.
 
     At most _NEWTON_ITERATIONS iterations; a row is done when its residual
@@ -566,10 +563,8 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, min_norm=False):
     Jacobian is exactly singular takes the regularized row-space step
     (_regularized_steps), every other row the solve of J dz = -F.  Once a
     batch has had such a row, the later iterations skip the batched solve,
-    which would only raise, and go straight to the split.  ``min_norm``
-    gives every row the pseudo-inverse step (_min_norm_steps) instead, as
-    the continuum check's witness needs.  The DEBUG line counts the
-    row-steps that took the singular-row step.
+    which would only raise, and go straight to the split.  The DEBUG line
+    counts the row-steps that took the singular-row step.
 
     Rows only ever leave the active set, so its points, residuals, norms and
     creep counts are carried compacted from one iteration to the next; a row
@@ -626,12 +621,9 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None, min_norm=False):
         if check:
             f0 = fa.copy()
         J = jac_fn(za)
-        if min_norm:
-            dz = _min_norm_steps(J, Fa)
-        else:
-            dz, singular = _newton_steps(J, Fa, split)
-            if singular is not None:
-                split, regularized = True, regularized + np.count_nonzero(singular)
+        dz, singular = _newton_steps(J, Fa, split)
+        if singular is not None:
+            split, regularized = True, regularized + np.count_nonzero(singular)
         if lead == 1:  # 1.0 * dz is exact, so the full step is za + dz
             zt = za + dz
             Ft, Fnt = state_fn(zt)
@@ -810,18 +802,14 @@ def _check_continuum(z, J, state_fn, jac_fn, degree, merge_tol, gtol, noun):
     Local dimension test (Bates, Hauenstein, Peterson & Sommese, SINUM 2009)
     on rows z = (point, multipliers), critical value last, with Jacobians J.
     A row with sigma_min <= sqrt(gtol) * sigma_max is stepped h = max(1e-3,
-    10 * merge_tol) along its null vector and corrected by damped Newton with
-    minimum-norm steps (and ``degree`` as in _damped_newton), which move
-    across a continuum rather than along it; a
-    stationary result with the same value at a distance in (merge_tol, 2h]
-    witnesses a continuum.  Newton returns to isolated degenerate points.
-    The witness keeps the pseudo-inverse step for every row, singular or
-    not, where the polish gives exactly singular rows the regularized step:
-    to get back to an isolated multiple root it must move along directions
-    of tiny singular values, which pinv inverts and the regularization
-    damps.  With the regularized step in its place, the witness reported a
-    false continuum on the symmetrized x1^2 x2 + x1 x3^2 (critical value
-    7.3e-23, distance 8e-5).
+    10 * merge_tol) along its null vector and corrected by the polish's
+    damped Newton (``degree`` as there).  A row whose Jacobian is exactly
+    singular takes the regularized step, which lies in J's row space and so
+    moves across a continuum rather than along it; every other row takes
+    the full solve, which, unlike the regularization, does not damp the
+    directions of tiny singular values along which Newton gets back to an
+    isolated multiple root.  A stationary result with the same value at a
+    distance in (merge_tol, 2h] witnesses a continuum.
     The error names the first witness in flagged order, so the flagged rows
     are tried in batches of 1, 2, 4, ... rows, in order, up to the first
     batch with a witness; rows are independent, so each comes out as it
@@ -836,9 +824,7 @@ def _check_continuum(z, J, state_fn, jac_fn, degree, merge_tol, gtol, noun):
         rows = flagged[start : start + size]
         start, size = start + size, 2 * size
         z0 = z[rows]
-        z1 = _damped_newton(
-            z0 + h * np.linalg.svd(J[rows])[2][:, -1], state_fn, jac_fn, gtol, degree, min_norm=True
-        )
+        z1 = _damped_newton(z0 + h * np.linalg.svd(J[rows])[2][:, -1], state_fn, jac_fn, gtol, degree)
         dist = _row_dist(z1 - z0)
         same = (state_fn(z1)[1] <= gtol) & (np.abs(z1[:, -1] - z0[:, -1]) <= gtol)
         witness = np.flatnonzero(same & (dist > merge_tol) & (dist <= 2.0 * h))
@@ -907,8 +893,10 @@ def residual_eigen(tensor, v, value, mode, p=2.0):
 def _morse_rows(H, V):
     """classify_index's (index, nondegenerate) of the unit eigenvectors V, as two arrays.
 
-    H[r] is k times the bordered Jacobian's vector block at (V[r], value).
+    H[r] is k times the bordered Jacobian's vector block at (V[r], value); an
+    H that leaves the float range is a ValueError.
     """
+    _in_range(H, "the second variation")
     P = np.eye(V.shape[1]) - V[:, :, None] * V[:, None, :]
     PHP = P @ H @ P
     eig = np.linalg.eigvalsh((PHP + np.swapaxes(PHP, 1, 2)) / 2)
@@ -938,14 +926,13 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
     value = _real(value, "value")
     residual_tolerance = _real(residual_tolerance, "residual_tolerance", at_least=0)
     C = _contract_leading(tensor.data, [vec[None, :]] * (k - 2))[0]  # T(v, ..., v, ., .)
-    resid = float(np.linalg.norm(vec @ C - value * vec))
+    resid = p_norm(_in_range(vec @ C - value * vec, "the stationarity defect"), 2.0)
     if resid > residual_tolerance:
         raise ValueError(
             f"(v, value) is not stationary enough to classify: residual {resid:.3e} "
             f"exceeds {residual_tolerance:.3e}"
         )
-    H = _in_range(k * ((k - 1) * C.T - value * np.eye(n)), "the second variation")
-    index, nondegenerate = _morse_rows(H[None], vec[None, :])
+    index, nondegenerate = _morse_rows(k * ((k - 1) * C.T - value * np.eye(n))[None], vec[None, :])
     return int(index[0]), bool(nondegenerate[0])
 
 
@@ -993,7 +980,8 @@ def _search(config, system, ascend, act, merge_tol, cap, noun):
     rows and also returns ``found``, each row's value as accepted.  Returns
     (Ws, value, resid, mults, found, J), J the bordered Jacobians, of the rows
     kept by dedupe at merge_tol, value descending; more than ``cap`` of them
-    (None: no cap), or a continuum, raises DegenerateTensorError naming a ``noun``.
+    (None: no cap), or a continuum, raises DegenerateTensorError naming a ``noun``,
+    and a kept row whose J leaves the float range a ValueError.
     """
     dims, degree, grads, blocks = system
     p, gtol = config.p, config.gradient_tolerance
@@ -1016,7 +1004,7 @@ def _search(config, system, ascend, act, merge_tol, cap, noun):
             "finite or Newton split a multiple root"
         )
     z = np.concatenate([keys[kept], np.repeat(value[kept, None], len(dims), axis=1)], axis=1)
-    J = jac(z)
+    J = _in_range(jac(z), f"the bordered Jacobian at a {noun}")
     if kept.size:
         _check_continuum(z, J, state, jac, d, merge_tol, gtol, noun)
     else:

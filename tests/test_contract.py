@@ -213,6 +213,8 @@ BIG = np.full((2, 2), 1e300)
 WIDE = DenseTensor([[1e308, -1e308], [1e308, 0.0]])  # its off-diagonal orbit spans 2e308
 HUGE = random_tensor((3, 3, 3), 1).data
 HUGE = DenseTensor(1.7e308 / np.max(np.abs(HUGE)) * HUGE)  # ||HUGE|| is beyond the largest float
+DIAG = np.zeros((3, 3, 3))
+DIAG[(np.arange(3),) * 3] = 1.0  # x1^3 + x2^3 + x3^3
 NEAR_LIMIT = {
     "dedupe": (lambda: len(dedupe([EigenPair([0, 1e200], 1, 0, 0), EigenPair([0, -1e200], 1, 0, 1e-3)], 1e-6)), 2),
     "classify_index": (
@@ -223,6 +225,11 @@ NEAR_LIMIT = {
     "classify_index second variation": (
         lambda: classify_index(DenseTensor(np.pad([[[1e308]]], ((0, 1),) * 3)), [1, 0], 1e308), "the second variation"
     ),
+    # defect 1e200 * (1, 1): its square overflows, its norm does not
+    "classify_index residual": (
+        lambda: classify_index(DenseTensor(np.full((2, 2, 2), 1e200)), [1, 0], 0.0, residual_tolerance=1e201),
+        (0, True),
+    ),
     "residual_eigen": (
         lambda: residual_eigen(DenseTensor(np.full((2, 2), 1e308)), [1, 0], -1e308, 1), "the stationarity defect"
     ),
@@ -231,6 +238,15 @@ NEAR_LIMIT = {
     ),
     "generalized_eigenpairs": (
         lambda: generalized_eigenpairs(DenseTensor(np.full((3, 3, 3), 1e308)), 1, SolverConfig(restarts=8, p=3)), None
+    ),
+    # stationary points whose Morse block k J, or whose bordered Jacobian J itself, is beyond
+    # the largest float: they once ended in numpy's LinAlgError from eigvalsh or svd
+    "symmetric_eigenpairs second variation": (
+        lambda: symmetric_eigenpairs(DenseTensor(8e307 * DIAG), SolverConfig(restarts=24)), "the second variation"
+    ),
+    "generalized_eigenpairs Jacobian": (
+        lambda: generalized_eigenpairs(DenseTensor(1.7e308 * DIAG), 1, SolverConfig(restarts=24, p=3)),
+        "the bordered Jacobian at a stationary point",
     ),
     "mode_eigenpairs": (lambda: mode_eigenpairs(WIDE, 1, SolverConfig(restarts=8)), None),
     "singular_tuples": (
@@ -268,6 +284,10 @@ NEAR_LIMIT_CLI = {
     ),
     "cli eig --symmetric": (
         ["eig", "--symmetric", "--restarts", "8"], [[1e308, 1e308], [1e308, -1e308]], [], None, None, ""
+    ),
+    "cli eig --symmetric second variation": (
+        ["eig", "--symmetric", "--restarts", "24"], 8e307 * DIAG, [], 2, "",
+        "error: the second variation overflows the float range\n",
     ),
     "cli eig --mode 1": (["eig", "--mode", "1", "--restarts", "8"], WIDE.data, [], None, None, ""),
     "cli svd": (["svd", "--restarts", "8"], np.full((3, 3, 3), 1e308), [], None, None, ""),

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import logging
 import math
+import pathlib
 import re
 import warnings
 from dataclasses import replace
@@ -481,10 +482,12 @@ def test_count_cap_names_the_cartwright_sturmfels_count():
 @pytest.mark.parametrize(
     "case, noun, distance",
     # the step is h = max(1e-3, 10 * merge radius); for p = k = 4 the merge
-    # radius widens to 10 * gtol^(1/3)
+    # radius widens to 10 * gtol^(1/3), so h = 0.0464.  The diagonal's witness
+    # lands off h: its Newton is the polish's, whose first steps there meet an
+    # exactly singular Jacobian and take the regularized row-space step
     [
         ("svd-ones-2x3", "singular tuple", 1e-3),
-        ("diag-111-p4", "stationary point", 100 * 1e-10 ** (1 / 3)),
+        ("diag-111-p4", "stationary point", 0.0508),
     ],
 )
 def test_continuum_witness_names_value_and_distance(case, noun, distance, caplog):
@@ -502,6 +505,17 @@ def test_continuum_witness_names_value_and_distance(case, noun, distance, caplog
     (line,) = _continuum_lines(caplog)
     points, flagged, witnesses = _counts(line)
     assert points >= flagged >= witnesses >= 1
+
+
+def test_continuum_witness_takes_the_polish_steps(caplog):
+    # one Newton step rule: where the witness meets an exactly singular Jacobian it
+    # takes the polish's regularized row-space step, which its DEBUG line counts
+    with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+        with pytest.raises(DegenerateTensorError, match="continuum witness"):
+            CONTINUA["diag-111-p4"](SolverConfig(restarts=24))
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("damped Newton")]
+    _, witness = lines  # the polish, then the witness's one batch
+    assert int(re.search(r"(\d+) singular-row steps", witness).group(1)) >= 1
 
 
 def test_continuum_check_stops_at_its_first_witness(caplog):
@@ -1869,7 +1883,7 @@ def test_singular_row_step_is_the_minimum_norm_step_up_to_its_regularization():
         J = (U * sigma) @ V.T
         F = J @ rng.standard_normal(n)  # in J's range
         got = solver._regularized_steps(J[None], F[None])[0]
-        want = solver._min_norm_steps(J[None], F[None])[0]
+        want = -np.linalg.pinv(J) @ F  # the minimum-norm step
         bias = np.finfo(float).eps * np.sum(sigma**2) / sigma[rank - 1] ** 2
         assert np.linalg.norm(got - want) <= 1.1 * bias * np.linalg.norm(want)
         assert bias <= 4e-8  # nonzero singular values down to 1e-4 sigma_max
@@ -2560,6 +2574,21 @@ def test_floating_point_policy_guard_sees_blocks_and_aliases():
         "ignore = errstate\n"
     )
     assert _errstate_uses(source) == ({"f": ["np.errstate(all='ignore')"]}, 3)
+
+
+def _pinv_uses(source):
+    """How often the name pinv occurs in source: as an attribute, a name or an import."""
+    nodes = ast.walk(ast.parse(source))
+    names = [getattr(n, "attr", None) or getattr(n, "id", None) or getattr(n, "name", None) for n in nodes]
+    return names.count("pinv")
+
+
+def test_no_module_takes_a_pseudo_inverse():
+    # every Newton step comes from _newton_steps, and pinv, an SVD, does not return on a
+    # non-finite matrix (see test_singular_row_step_of_a_zero_or_non_finite_jacobian)
+    assert _pinv_uses("from numpy.linalg import pinv\n\n\ndef f(J):\n    return np.linalg.pinv(J) @ pinv(J)\n") == 3
+    for path in sorted(pathlib.Path(solver.__file__).parent.glob("*.py")):
+        assert _pinv_uses(path.read_text()) == 0, path.name
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
