@@ -418,21 +418,35 @@ def _dedupe_rows(keys, resid, tol):
 # ---------------------------------------------------------------------------
 
 
+def _scaled_gram(J):
+    """(e, Js, G): each row's J scaled exactly by 2^-e, e the exponent of its max|J|, and G = Js Js^T.
+
+    For a finite J the scaling makes every |Js| < 1, so G cannot overflow,
+    and its trace is at least 1/4 unless J is zero; entries of J far below
+    max|J| may underflow.
+    """
+    e = np.frexp(np.maximum.reduce(np.abs(J), axis=(1, 2)))[1]
+    Js = np.ldexp(J, -e[:, None, None])
+    return e, Js, Js @ np.swapaxes(Js, 1, 2)
+
+
 def _regularized_steps(J, F):
     """dz = J^T y with (J J^T + mu I) y = -F, mu = eps * trace(J J^T), for every row.
 
     Each row's J and F are first scaled by the power of two of its max|J|,
-    which is exact, so the step is the same at any scale of the row.  dz lies
-    in J's row space, as the minimum-norm step does, and where F lies in J's
-    range it differs from that step by about mu / sigma^2 along each singular
-    value sigma of J: one batched product and one batched solve, no SVD.
-    A zero J takes dz = 0.  A row whose J is not finite, or whose scaled F
-    overflows, gets a non-finite step, which the line search refuses.
+    which is exact, so the step is the same at any scale of the row.  The
+    scaled Gram matrix comes from _scaled_gram, which also serves the
+    continuum check: one batched Cholesky of those matrices certifies its
+    regular points, and only a batch that it cannot clear takes an SVD.
+    dz lies in J's row space, as the minimum-norm step does, and where F
+    lies in J's range it differs from that step by about mu / sigma^2 along
+    each singular value sigma of J: one batched product and one batched
+    solve, no SVD.  A zero J takes dz = 0.  A row whose J is not finite, or
+    whose scaled F overflows, gets a non-finite step, which the line search
+    refuses.
     """
-    e = np.frexp(np.maximum.reduce(np.abs(J), axis=(1, 2)))[1][:, None]
-    Js, Fs = np.ldexp(J, -e[..., None]), np.ldexp(F, -e)
-    Jt = np.swapaxes(Js, 1, 2)
-    G = Js @ Jt
+    e, Js, G = _scaled_gram(J)
+    Fs, Jt = np.ldexp(F, -e[:, None]), np.swapaxes(Js, 1, 2)
     trace = np.trace(G, axis1=1, axis2=2)
     mu = np.where(trace > 0, np.finfo(float).eps * trace, 1.0)  # any mu > 0 serves a zero J
     G.reshape(len(G), -1)[:, :: G.shape[1] + 1] += mu[:, None]  # the diagonal, in place
@@ -796,28 +810,68 @@ def _ascend(S, V0, p, sign):
     return V
 
 
+def _certified_regular(J, gtol):
+    """True when no row's J can have sigma_min <= sqrt(gtol) * sigma_max; False where that is not sure.
+
+    One batched Cholesky of A = G - c I, c = (gtol + 64 n eps) * trace(G),
+    with G = Js Js^T from _scaled_gram (scaled exactly, so it cannot
+    overflow) and n the size of J.  Success bounds the smallest eigenvalue of
+    the exact Gram matrix below by c less the rounding of three steps, each
+    a small multiple of n eps * trace(G) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed.): the product, within gamma_n |Js| |Js^T|
+    entrywise (section 3.5), so within gamma_n trace(G) in the 2-norm; the
+    factor R, with R^T R = A + dA and |dA| <= gamma_{n+1} |R^T| |R| (section
+    10.1), so ||dA|| <= gamma_{n+1} trace(A + dA); and the trace, c and the
+    subtraction, a few eps * trace(G).  As sigma_max^2 <= trace(G), the exact
+    relative sigma_min then exceeds sqrt(gtol + 60 n eps), at least 30 n eps
+    above sqrt(gtol) wherever that bound is below 1 (above it no Cholesky
+    succeeds); the gap covers the SVD's own rounding of its singular values,
+    a small multiple of n eps sigma_max.  So the SVD rule would flag no row
+    of a certified batch.  One row that is flagged or too close to call
+    fails the batch, and so does a mixed-scale row whose smallest singular
+    values underflow once scaled.
+    """
+    G = _scaled_gram(J)[2]
+    n = G.shape[1]
+    c = (gtol + 64.0 * n * np.finfo(float).eps) * np.trace(G, axis1=1, axis2=2)
+    G.reshape(len(G), -1)[:, :: n + 1] -= c[:, None]  # the diagonal, in place
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _check_continuum(z, J, state_fn, jac_fn, degree, merge_tol, gtol, noun):
     """Raise DegenerateTensorError if the rows of z lie on a positive-dimensional set.
 
     Local dimension test (Bates, Hauenstein, Peterson & Sommese, SINUM 2009)
     on rows z = (point, multipliers), critical value last, with Jacobians J.
-    A row with sigma_min <= sqrt(gtol) * sigma_max is stepped h = max(1e-3,
-    10 * merge_tol) along its null vector and corrected by the polish's
-    damped Newton (``degree`` as there).  A row whose Jacobian is exactly
-    singular takes the regularized step, which lies in J's row space and so
-    moves across a continuum rather than along it; every other row takes
-    the full solve, which, unlike the regularization, does not damp the
+    Regular points are cleared all at once by one batched Cholesky
+    (_certified_regular); only a batch that it cannot clear takes a batched
+    SVD.  A row with sigma_min <= sqrt(gtol) * sigma_max is stepped
+    h = max(1e-3, 10 * merge_tol) along its null vector and corrected by the
+    polish's damped Newton (``degree`` as there).  A row whose Jacobian is
+    exactly singular takes the regularized step, which lies in J's row space
+    and so moves across a continuum rather than along it; every other row
+    takes the full solve, which, unlike the regularization, does not damp the
     directions of tiny singular values along which Newton gets back to an
     isolated multiple root.  A stationary result with the same value at a
     distance in (merge_tol, 2h] witnesses a continuum.
     The error names the first witness in flagged order, so the flagged rows
     are tried in batches of 1, 2, 4, ... rows, in order, up to the first
     batch with a witness; rows are independent, so each comes out as it
-    would in one batch of all of them.
+    would in one batch of all of them.  The DEBUG line gives the smallest
+    relative sigma_min where the SVD ran.
     """
-    s = np.linalg.svd(J, compute_uv=False)
-    rel = s[:, -1] / s[:, 0]
-    flagged = np.flatnonzero(rel <= np.sqrt(gtol))
+    # a degenerate set flags most of its points, so its first point alone cheaply fails most such batches
+    if _certified_regular(J[:1], gtol) and _certified_regular(J, gtol):
+        flagged, detail = np.empty(0, dtype=int), ", certified regular by Cholesky"
+    else:
+        s = np.linalg.svd(J, compute_uv=False)
+        rel = s[:, -1] / s[:, 0]
+        flagged = np.flatnonzero(rel <= np.sqrt(gtol))
+        detail = ", smallest relative sigma_min %.3g" % np.min(rel, initial=np.inf)
     h = max(1e-3, 10.0 * merge_tol)
     witness, start, size = [], 0, 1
     while start < flagged.size and not len(witness):
@@ -828,10 +882,7 @@ def _check_continuum(z, J, state_fn, jac_fn, degree, merge_tol, gtol, noun):
         dist = _row_dist(z1 - z0)
         same = (state_fn(z1)[1] <= gtol) & (np.abs(z1[:, -1] - z0[:, -1]) <= gtol)
         witness = np.flatnonzero(same & (dist > merge_tol) & (dist <= 2.0 * h))
-    log.debug(
-        "continuum check: %d points, %d flagged, %d witnesses, smallest relative sigma_min %.3g",
-        len(z), flagged.size, len(witness), np.min(rel, initial=np.inf),
-    )
+    log.debug("continuum check: %d points, %d flagged, %d witnesses%s", len(z), flagged.size, len(witness), detail)
     if len(witness):
         value, d = z0[witness[0], -1], dist[witness[0]]
         raise DegenerateTensorError(
@@ -1076,6 +1127,15 @@ def _eigen_run(tensor, mode, config):
     ]
 
 
+def _config(config):
+    """config, or the default SolverConfig() where it is None; anything else is a ValueError."""
+    if config is None:
+        return SolverConfig()
+    if not isinstance(config, SolverConfig):
+        raise ValueError(f"config must be a SolverConfig or None, got {config!r}")
+    return config
+
+
 def symmetric_eigenpairs(tensor, config=None):
     """All eigenpairs of a symmetric tensor found by the multi-start search.
 
@@ -1085,7 +1145,7 @@ def symmetric_eigenpairs(tensor, config=None):
     DegenerateTensorError at any effort; isolated degenerate points are
     returned, nondegenerate=False where the Morse test resolves them.
     """
-    config = config or SolverConfig()
+    config = _config(config)
     if config.p != 2.0:
         raise ValueError(
             "symmetric eigenpairs use the 2-norm; use generalized_eigenpairs "
@@ -1100,7 +1160,7 @@ def mode_eigenpairs(tensor, mode, config=None):
     Mode 0 is the symmetric problem and returns what symmetric_eigenpairs
     returns.
     """
-    config = config or SolverConfig()
+    config = _config(config)
     if config.p != 2.0:
         raise ValueError("mode_eigenpairs uses the 2-norm; see generalized_eigenpairs")
     return _eigen_run(tensor, mode, config)
@@ -1116,7 +1176,7 @@ def generalized_eigenpairs(tensor, mode, config=None):
     when p != 2, since the p-norm is not twice differentiable there for
     p < 2.
     """
-    return _eigen_run(tensor, mode, config or SolverConfig())
+    return _eigen_run(tensor, mode, _config(config))
 
 
 # ---------------------------------------------------------------------------
@@ -1156,7 +1216,7 @@ def singular_tuples(tensor, config=None):
     DegenerateTensorError at any effort; isolated sigma = 0 tuples are
     returned with degenerate=True.
     """
-    config = config or SolverConfig()
+    config = _config(config)
     if tensor.order < 2:
         raise ShapeError("singular tuples need tensor order >= 2")
     data = tensor.data

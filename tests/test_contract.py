@@ -142,11 +142,16 @@ ARGUMENTS = {
     "p_norm vector": (lambda x: False, lambda x: p_norm(x, 2.0)),
     "p_norm object-array entry": (_finite_real, lambda x: p_norm(np.array([x, 1.0], dtype=object), 2.0)),
     "DenseTensor entry": (_finite_real, lambda x: DenseTensor([x, 1.0])),
+    # None is the default search; 0, False, "" or {} must not stand for it
+    "symmetric_eigenpairs config": (lambda x: x is None, lambda x: symmetric_eigenpairs(M, x)),
+    "mode_eigenpairs config": (lambda x: x is None, lambda x: mode_eigenpairs(M, 1, x)),
+    "generalized_eigenpairs config": (lambda x: x is None, lambda x: generalized_eigenpairs(M, 1, x)),
+    "singular_tuples config": (lambda x: x is None, lambda x: singular_tuples(M, x)),
 }
 VALUES = [True, None, "2", 2.7, 0, -1, 10**400, math.nan, math.inf, np.int64(2), np.float32(2.5), 2, 1.5, 3.0]
 
 
-# 29 uses x 14 values: the draws cover every pair, in well under a second
+# 33 uses x 14 values: the draws cover every pair, in under a second
 @settings(max_examples=500)
 @given(st.sampled_from(sorted(ARGUMENTS)), st.sampled_from(VALUES))
 def test_a_bad_argument_is_a_value_error(use, x):

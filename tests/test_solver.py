@@ -587,7 +587,82 @@ def test_random_tensors_are_never_counts(seed, caplog):
     for line in lines:
         points, flagged, witnesses = _counts(line)
         assert points > 0 and flagged == 0 and witnesses == 0
-        assert float(line.rsplit(" ", 1)[1]) > SolverConfig().gradient_tolerance ** 0.5
+        # the smallest relative sigma_min is printed only where the Cholesky certificate did not clear the batch
+        if not line.endswith("certified regular by Cholesky"):
+            assert float(line.rsplit(" ", 1)[1]) > SolverConfig().gradient_tolerance ** 0.5
+
+
+def _svd_flags(J, gtol):
+    """The continuum check's flag rule, row by row: relative sigma_min <= sqrt(gtol)."""
+    s = np.linalg.svd(J, compute_uv=False)
+    return s[:, -1] / s[:, 0] <= np.sqrt(gtol)
+
+
+def _planted(n, rel, rng):
+    """A random n x n J = U diag(s) V^T with s from 1 down to rel, log-spaced."""
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (U * np.geomspace(1.0, rel, n)) @ V.T
+
+
+def _bordered(n, rng):
+    """A bordered Jacobian of the Lagrange system's shape: a 1e300 vector block, unit border rows."""
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    J = np.zeros((n + 1, n + 1))
+    J[:n, :n] = 1e300 * rng.standard_normal((n, n))
+    J[:n, n], J[n, :n] = -v, v
+    return J
+
+
+@pytest.mark.parametrize("gtol", [1e-4, 1e-10, 1e-14, 1e-16, 1e-30])
+def test_the_cholesky_certificate_never_clears_a_flagged_batch(gtol):
+    # planted relative sigma_min just below, at and just above sqrt(gtol), and well above it; a
+    # batch is one planted row among regular ones, so the planted row alone decides the batch
+    rng = np.random.default_rng(41)
+    tau, flagged = math.sqrt(gtol), 0
+    for n in (3, 4, 7, 18, 40):
+        regular = np.stack([_planted(n, 0.5, rng) for _ in range(3)])
+        for rel in (tau * (1 - 1e-3), tau, tau * (1 + 1e-3), 10 * tau, 1e3 * tau):
+            if rel >= 1.0:
+                continue
+            for e in (0, 900, -900):
+                J = np.ldexp(np.concatenate([regular, _planted(n, rel, rng)[None]]), e)
+                if _svd_flags(J, gtol).any():
+                    flagged += 1
+                    assert not solver._certified_regular(J, gtol), (n, rel / tau, e)
+        J = np.stack([_bordered(n, rng) for _ in range(4)])
+        assert _svd_flags(J, gtol).all() and not solver._certified_regular(J, gtol)
+    assert flagged >= 15  # at least the planted rows below sqrt(gtol)
+
+
+def test_the_cholesky_certificate_clears_well_conditioned_batches():
+    rng = np.random.default_rng(42)
+    for n in (3, 18, 40):
+        for e in (0, 900, -900):
+            J = np.ldexp(np.stack([_planted(n, 1e-3, rng) for _ in range(50)]), e)
+            assert solver._certified_regular(J, 1e-10)
+
+
+def test_generic_points_are_cleared_without_an_svd(monkeypatch):
+    # a margin too wide would send every batch to the SVD with every other test still green
+    svd, check, calls = np.linalg.svd, solver._check_continuum, []
+
+    def counted_check(*args):
+        with pytest.MonkeyPatch.context() as inside:
+            inside.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+            return check(*args)
+
+    monkeypatch.setattr(solver, "_check_continuum", counted_check)
+    assert singular_tuples(random_tensor((3, 4, 5), 500))
+    assert not calls
+    with pytest.raises(DegenerateTensorError) as err:
+        generalized_eigenpairs(_diag([1.0, 1.0, 1.0], 3), 1, SolverConfig(p=3.0))
+    assert len(calls) >= 2  # the flag rule's SVD and the first witness batch's null vector
+    assert str(err.value) == (
+        "continuum witness: the stationary point with critical value -1 continues to another at "
+        "distance 0.001 with the same value; the critical set is positive-dimensional"
+    )
 
 
 # --- classify_index -------------------------------------------------------
