@@ -6,16 +6,20 @@ bordered Lagrange system serves both: g_i(w) = s_i * phi_{p-1}(w_i) and
 multiplier s_i the value f(w).  A singular tuple solves it on the product of
 the spheres of T's k modes, with g_i = mode_gradient(T, (w_1, ..., w_k), i);
 a mode-i eigenpair (v, lam) is its one-sphere case, g = mode_gradient(T,
-(v, ..., v), i).  No closed-form enumeration exists for k > 2, so one
-driver, _search, runs both multi-start searches, each stage once over all
-its rows: an ascent from the first _ASCENT_STARTS starts (eigenpairs:
-projected gradient with a sign per row; tuples: alternating best responses),
-which seeds the extrema, one damped Newton from the ascent's endpoints and all
-the raw starts (which reach saddles), one residual-based acceptance, the
-sign group (each eigenpair's antipode; sigma >= 0 for a tuple),
-deduplication, the count cap and the continuum check.  A mode
-problem on a non-symmetric tensor has no form whose critical points are its
-pairs, so it has no ascent and polishes its raw starts alone.
+(v, ..., v), i).  Each system comes from a builder, _eigen_parts or
+_tuple_parts, as its gradients and a fill that writes its Jacobian blocks
+into place; a tuple system records the einsum steps of its contraction trees
+once and runs that list on every call, each step the same call on the same
+view, so recording changes no bit.  No closed-form enumeration exists for
+k > 2, so one driver, _search, runs both multi-start searches,
+each stage once over all its rows: an ascent from the first _ASCENT_STARTS
+starts (eigenpairs: projected gradient with a sign per row; tuples:
+alternating best responses), which seeds the extrema, one damped Newton from
+the ascent's endpoints and all the raw starts (which reach saddles), one
+residual-based acceptance, the sign group (each eigenpair's antipode; sigma
+>= 0 for a tuple), deduplication, the count cap and the continuum check.  A
+mode problem on a non-symmetric tensor has no form whose critical points are
+its pairs, so it has no ascent and polishes its raw starts alone.
 
 One floating-point rule holds in every solver call.  Each public entry
 (_eigen_run, which serves the three eigen solvers, singular_tuples,
@@ -199,8 +203,8 @@ class SingularTuple:
 # ---------------------------------------------------------------------------
 
 
-def _contract_axis(T, v, before):
-    """Contract, row by row, the axis of length v.shape[1] that follows ``before`` entries.
+def _contract_axis(T, v, shape):
+    """Contract, row by row, the middle axis of each row of T seen as shape = (before, n, after).
 
     T is the flat tensor itself (no row axis) or one flat tensor per row, in
     C order; both reshapes are views, so the tensor is never copied.  It is
@@ -208,11 +212,9 @@ def _contract_axis(T, v, before):
     depends only on the same row of v, bit for bit, whatever the number of
     rows: the line search and the ascent's carried gradients rely on this.
     """
-    n = v.shape[1]
     if T.ndim == 1:
-        return np.einsum("anb,Zn->Zab", T.reshape(before, n, -1), v)
-    after = math.prod(T.shape[1:]) // (before * n)
-    return np.einsum("Zanb,Zn->Zab", T.reshape(len(T), before, n, after), v)
+        return np.einsum("anb,Zn->Zab", T.reshape(shape), v)
+    return np.einsum("Zanb,Zn->Zab", T.reshape((len(T),) + shape), v)
 
 
 def _contract_leading(D, vs):
@@ -221,70 +223,46 @@ def _contract_leading(D, vs):
     Returns shape (rows,) + the dims of the modes left.  With no vectors it
     is D itself as one row, which broadcasts against any number of rows.
     """
-    T = D.reshape(-1)
-    for v in vs:
-        T = _contract_axis(T, v, 1)
+    T, after = D.reshape(-1), D.size
+    for v, n in zip(vs, D.shape):
+        after //= n
+        T = _contract_axis(T, v, (1, n, after))
     return T.reshape((-1,) + D.shape[len(vs) :])
 
 
-def _grad_tree(T, vs, dims, lo, hi, before, out):
-    """Set out[m], for m in lo..hi-1, to T contracted in every mode of lo..hi-1 but m.
+def _record_tree(steps, src, dims, lo, hi, before, leaves):
+    """Record the steps that give slot leaves[m], m in lo..hi-1: slot src contracted in lo..hi-1 but m.
 
-    T holds, after ``before`` kept entries, the tensor over modes lo..hi-1.
-    Contracting the leading half of the modes gives the tensor over the
-    trailing half and vice versa; each half recurses, so only the first
-    contraction on each side touches all of T.
+    Slot 0 is the tensor itself and steps[s - 1], (source slot, mode,
+    (before, n, after)), fills slot s: the call _contract_axis makes on the
+    source seen as that shape.  Slot src holds, after ``before`` kept
+    entries, the tensor over modes lo..hi-1.  Contracting the leading half of
+    the modes gives the tensor over the trailing half and vice versa; each
+    half recurses, so only the first contraction on each side touches all of
+    slot src.
     """
     if hi - lo == 1:
-        out[lo] = T
+        leaves[lo] = src
         return
     mid = (lo + hi) // 2
-    L = T
+    L = src
     for m in range(lo, mid):
-        L = _contract_axis(L, vs[m], before)
-    _grad_tree(L, vs, dims, mid, hi, before, out)
-    R = T
-    for m in reversed(range(mid, hi)):
-        R = _contract_axis(R, vs[m], before * math.prod(dims[lo:m]))
-    _grad_tree(R, vs, dims, lo, mid, before, out)
+        steps.append((L, m, (before, dims[m], math.prod(dims[m + 1 : hi]))))
+        L = len(steps)
+    _record_tree(steps, L, dims, mid, hi, before, leaves)
+    R = src
+    for m in reversed(range(mid, hi)):  # the modes after m are gone
+        steps.append((R, m, (before * math.prod(dims[lo:m]), dims[m], 1)))
+        R = len(steps)
+    _record_tree(steps, R, dims, lo, mid, before, leaves)
 
 
-def _batch_mode_grads(data, vs):
-    """All k mode gradients, data contracted with vs in every mode but i, from one tree.
-
-    Two contractions touch the whole tensor, whatever k; rows stay
-    independent bit for bit.
-    """
-    dims = data.shape
-    out = [None] * len(dims)
-    _grad_tree(data.reshape(-1), vs, dims, 0, len(dims), 1, out)
-    return [g.reshape(len(g), n) for g, n in zip(out, dims)]
-
-
-def _batch_pair_jacs(data, vs):
-    """Every block {(i, j): data contracted with vs in every mode but i and j}, i < j.
-
-    The (j, i) block is the swapaxes of the (i, j) one.  The blocks (i, .)
-    come from the tensor contracted in modes 0..i-1, which extends the one
-    for i - 1 by a single contraction, through the gradient tree over modes
-    i+1..k-1 with mode i kept in front.  Three contractions touch the whole
-    tensor, whatever k >= 3; a matrix's one block is a broadcast view of it.
-    """
-    dims = data.shape
-    k = len(dims)
-    rows = len(vs[0])
-    out = {}
-    P = data.reshape(-1)
-    for i in range(k - 1):
-        if i:
-            P = _contract_axis(P, vs[i - 1], 1)
-        leaves = [None] * k
-        _grad_tree(P, vs, dims, i + 1, k, dims[i], leaves)
-        for j in range(i + 1, k):
-            shape = (rows, dims[i], dims[j])
-            B = leaves[j]
-            out[i, j] = np.broadcast_to(B.reshape(shape[1:]), shape) if B.ndim == 1 else B.reshape(shape)
-    return out
+def _run_steps(steps, data, vs):
+    """The slots of recorded steps on the rows vs: the flat data, then each step's result in turn."""
+    slots = [data.reshape(-1)]
+    for src, m, shape in steps:
+        slots.append(_contract_axis(slots[src], vs[m], shape))
+    return slots
 
 
 def _dot_rows(A, B):
@@ -708,14 +686,16 @@ def _column_slices(dims):
     return [slice(a, b) for a, b in zip(off, off[1:])]
 
 
-def _lagrange_fns(dims, p, grads, blocks):
+def _lagrange_fns(dims, p, grads, fill):
     """State and bordered Jacobian of the Lagrange system on a product of unit p-spheres.
 
     A row z = (w_1, ..., w_k, s_1, ..., s_k) solves it when every
     g_i(w) = s_i * phi_{p-1}(w_i) and ||w_i||_p = 1.  ``grads(ws)`` gives the
-    g_i of the rows; ``blocks(ws)`` gives the pairs ((i, j), dg_i/dw_j) of
-    blocks that are not identically zero.  A singular tuple solves it on the
-    k spheres of a tensor's modes, an eigenpair on the one sphere (k = 1).
+    g_i of the rows side by side, (g_1, ..., g_k), so the state takes every
+    g_i - s_i * phi_{p-1}(w_i) in one subtraction; ``fill(ws, K)`` writes
+    each block dg_i/dw_j that is not identically zero into its place in the
+    zeroed Jacobians K.  A singular tuple solves it on the k spheres of a
+    tensor's modes, an eigenpair on the one sphere (k = 1).
     """
     cols = _column_slices(dims)
     starts = np.array([c.start for c in cols])
@@ -729,9 +709,7 @@ def _lagrange_fns(dims, p, grads, blocks):
     def state(z):
         W = z[:, :total]
         F = np.empty((len(z), size))
-        Phi = _phi_rows(W, p - 1.0)
-        for i, (c, g) in enumerate(zip(cols, grads([z[:, c] for c in cols]))):
-            np.subtract(g, z[:, total + i, None] * Phi[:, c], out=F[:, c])  # g_i - s_i * phi(w_i)
+        np.subtract(grads([z[:, c] for c in cols]), z[:, border] * _phi_rows(W, p - 1.0), out=F[:, :total])
         np.divide(np.add.reduceat(np.abs(W) ** p, starts, axis=1) - 1.0, p, out=F[:, total:])
         return F, _row_dist(F)
 
@@ -739,8 +717,7 @@ def _lagrange_fns(dims, p, grads, blocks):
         W, S = z[:, :total], z[:, border]
         K = np.zeros((len(z), size, size))
         Kf = K.reshape(len(z), size * size)  # a view; reshape(len(z), -1) fails on zero rows
-        for (i, j), B in blocks([z[:, c] for c in cols]):
-            K[:, cols[i], cols[j]] = B
+        fill([z[:, c] for c in cols], K)
         # at p = 2 phi_1 has slope 1, and s * 1.0 is s exactly
         Kf[:, on_diag] -= S if p == 2.0 else S * _phi_slope_rows(W, p)
         Phi = _phi_rows(W, p - 1.0)
@@ -761,7 +738,8 @@ def _accept(grads, Ws, p, gtol):
     units = [_unit_rows(W, p) for W in Ws]
     good = np.all([ok for _, ok in units], axis=0)
     Ws = [U[good] for U, _ in units]
-    terms = list(zip(grads(Ws), [_phi_rows(W, p - 1.0) for W in Ws]))
+    G, cols = grads(Ws), _column_slices([W.shape[1] for W in Ws])
+    terms = [(G[:, c], _phi_rows(W, p - 1.0)) for c, W in zip(cols, Ws)]
     value = _dot_rows(terms[0][0], Ws[0])  # f(w_1, ..., w_k) = <g_i, w_i> in every mode
     resid = np.max([_row_dist(g - value[:, None] * f) for g, f in terms], axis=0)
     mults = np.stack([np.sum(g * f, axis=1) / np.sum(f * f, axis=1) for g, f in terms], 1)
@@ -988,28 +966,65 @@ def classify_index(tensor, v, value, residual_tolerance=1e-8):
 
 
 def _eigen_parts(D):
-    """(dims, degree, grads, blocks) of the last-mode eigenproblem of D, on one sphere."""
-    k = D.ndim
+    """(dims, degree, grads, fill) of the last-mode eigenproblem of D, on one sphere.
+
+    D is symmetric in its leading k-1 modes, so dg/dv is k-1 times D
+    contracted with v in k-2 of them, transposed: one pass over D, which
+    ``fill`` multiplies straight into the Jacobians' vector block.
+    """
+    k, n = D.ndim, D.shape[0]
 
     def grads(Ws):
-        return [_contract_leading(D, Ws * (k - 1))]
+        return _contract_leading(D, Ws * (k - 1))
 
-    def blocks(Ws):
-        # D is symmetric in its leading k-1 modes, so dg/dv is k-1 times D contracted in k-2
-        return [((0, 0), np.swapaxes((k - 1) * _contract_leading(D, Ws * (k - 2)), 1, 2))]
+    def fill(Ws, K):
+        np.multiply(k - 1, _contract_leading(D, Ws * (k - 2)), out=K[:, :n, :n].swapaxes(1, 2))
 
-    return D.shape[:1], k - 1, grads, blocks
+    return D.shape[:1], k - 1, grads, fill
 
 
 def _tuple_parts(data):
-    """(dims, degree, grads, blocks) of the singular tuples of data: one sphere per mode."""
+    """(dims, degree, grads, fill) of the singular tuples of data: one sphere per mode.
 
-    def blocks(Ws):
-        for (i, j), B in _batch_pair_jacs(data, Ws).items():
-            yield (i, j), B
-            yield (j, i), np.swapaxes(B, 1, 2)
+    The einsum steps of both contraction trees are recorded once per system
+    (_record_tree), so a call runs a flat list.  ``grads`` runs the halving
+    tree, which leaves the k mode gradients from two passes over the whole
+    tensor, whatever k.  ``fill`` runs the prefix-sharing tree: the tensor
+    contracted in modes 0..i-1 extends the one for i - 1 by one step, and a
+    halving tree over modes i+1..k-1, with mode i kept in front, gives the
+    blocks dg_i/dw_j, j > i, each once, from three passes over the whole
+    tensor whatever k >= 3 (a matrix's one block is the tensor itself).  It
+    writes each block and its transpose dg_j/dw_i straight into the
+    Jacobians.
+    """
+    dims, k = data.shape, data.ndim
+    cols = _column_slices(dims)
+    grad_steps, grad_slots = [], [None] * k
+    _record_tree(grad_steps, 0, dims, 0, k, 1, grad_slots)
+    pair_steps, writes, P = [], [], 0
+    for i in range(k - 1):
+        if i:
+            pair_steps.append((P, i - 1, (1, dims[i - 1], math.prod(dims[i:]))))
+            P = len(pair_steps)
+        leaves = [None] * k
+        _record_tree(pair_steps, P, dims, i + 1, k, dims[i], leaves)
+        writes += [
+            (leaves[j], (-1, dims[i], dims[j]), (slice(None), cols[i], cols[j]), (slice(None), cols[j], cols[i]))
+            for j in range(i + 1, k)
+        ]
 
-    return data.shape, data.ndim - 1, lambda Ws: _batch_mode_grads(data, Ws), blocks
+    def grads(Ws):
+        slots = _run_steps(grad_steps, data, Ws)
+        return np.concatenate([slots[s].reshape(len(Ws[0]), n) for s, n in zip(grad_slots, dims)], axis=1)
+
+    def fill(Ws, K):
+        slots = _run_steps(pair_steps, data, Ws)
+        for slot, shape, block, transposed in writes:
+            B = slots[slot].reshape(shape)  # the tensor itself (k = 2) broadcasts over the rows
+            K[block] = B
+            K[transposed] = B.swapaxes(1, 2)
+
+    return dims, k - 1, grads, fill
 
 
 def _ray_degree(degree, p):
@@ -1020,7 +1035,7 @@ def _ray_degree(degree, p):
 def _search(config, system, ascend, act, merge_tol, cap, noun):
     """The multi-start search on the product of the unit p-spheres of a system.
 
-    ``system`` is _eigen_parts' or _tuple_parts' (dims, degree, grads, blocks):
+    ``system`` is _eigen_parts' or _tuple_parts' (dims, degree, grads, fill):
     the spheres, the degree of the g_i in w, and what _lagrange_fns takes.
 
     ``ascend`` takes the first _ASCENT_STARTS starts, one array of rows per
@@ -1034,17 +1049,18 @@ def _search(config, system, ascend, act, merge_tol, cap, noun):
     (None: no cap), or a continuum, raises DegenerateTensorError naming a ``noun``,
     and a kept row whose J leaves the float range a ValueError.
     """
-    dims, degree, grads, blocks = system
+    dims, degree, grads, fill = system
     p, gtol = config.p, config.gradient_tolerance
-    state, jac = _lagrange_fns(dims, p, grads, blocks)
+    cols = _column_slices(dims)
+    state, jac = _lagrange_fns(dims, p, grads, fill)
     d = _ray_degree(degree, p)
     starts = _random_starts(config.seed, config.restarts, dims, p)
     ends = ascend([S[:_ASCENT_STARTS] for S in starts])
     Ws = [np.concatenate([E, W]) for E, W in zip(ends, starts)]
     # every multiplier starts at the value f(w) = <g_k, w_k>
-    s0 = np.repeat(_dot_rows(grads(Ws)[-1], Ws[-1])[:, None], len(dims), axis=1)
+    s0 = np.repeat(_dot_rows(grads(Ws)[:, cols[-1]], Ws[-1])[:, None], len(dims), axis=1)
     z = _damped_newton(np.concatenate(Ws + [s0], axis=1), state, jac, gtol, d)
-    accepted = _accept(grads, [z[:, c] for c in _column_slices(dims)], p, gtol)
+    accepted = _accept(grads, [z[:, c] for c in cols], p, gtol)
     Ws, value, resid, mults, found = act(*accepted)
     keys = np.concatenate(Ws, axis=1)
     kept = _dedupe_rows(keys, resid, merge_tol)
@@ -1118,12 +1134,10 @@ def _eigen_run(tensor, mode, config):
     index = nondeg = [None] * len(V)
     if mode == 0 and p == 2.0:
         index, nondeg = (a.tolist() for a in _morse_rows(k * J[:, :n, :n], V))
+    near = (np.min(np.abs(V), axis=1) < 1e-6).tolist() if p != 2.0 else [False] * len(V)
     return [
-        EigenPair(
-            vector=v, value=float(value), mode=mode, residual=float(r), index=i, nondegenerate=nd,
-            near_zero_coords=bool(p != 2.0 and np.min(np.abs(v)) < 1e-6),
-        )
-        for v, value, r, i, nd in zip(V, lam, resid, index, nondeg)
+        EigenPair(vector=v, value=x, mode=mode, residual=r, index=i, nondegenerate=nd, near_zero_coords=nz)
+        for v, x, r, i, nd, nz in zip(V, lam.tolist(), resid.tolist(), index, nondeg, near)
     ]
 
 
@@ -1234,11 +1248,8 @@ def singular_tuples(tensor, config=None):
         act, _DEDUPE_TOLERANCE, None, "singular tuple",
     )
     degenerate = np.ldexp(np.abs(sigma), -e) <= 1e-8 * scale
+    columns = (sigma.tolist(), resid.tolist(), raw.tolist(), mults.tolist(), degenerate.tolist())
     return [
-        SingularTuple(
-            vectors=tuple(W[i] for W in Ws), sigma=float(sigma[i]), residual=float(resid[i]),
-            critical_value=float(raw[i]), mode_multipliers=tuple(mults[i]),
-            degenerate=bool(degenerate[i]),
-        )
-        for i in range(len(sigma))
+        SingularTuple(vectors=vs, sigma=s, residual=r, critical_value=c, mode_multipliers=m, degenerate=d)
+        for vs, s, r, c, m, d in zip(zip(*Ws), *columns)
     ]

@@ -1261,15 +1261,16 @@ def _leading_mean(D):
 
 def _newton_system(parts, p):
     """(state_fn, jac_fn, degree) as _search builds them from a solver's system."""
-    dims, degree, grads, blocks = parts
-    return solver._lagrange_fns(dims, p, grads, blocks) + (solver._ray_degree(degree, p),)
+    dims, degree, grads, fill = parts
+    return solver._lagrange_fns(dims, p, grads, fill) + (solver._ray_degree(degree, p),)
 
 
 def _raw_rows(parts, p, seed, restarts=24):
     """(z0, state_fn, jac_fn, degree) of a solver's system on raw starts, seeded as _search seeds them."""
     dims, _, grads, _ = parts
     Ws = solver._random_starts(seed, restarts, dims, p)
-    s0 = np.repeat(solver._dot_rows(grads(Ws)[-1], Ws[-1])[:, None], len(dims), axis=1)
+    g = grads(Ws)[:, solver._column_slices(dims)[-1]]
+    s0 = np.repeat(solver._dot_rows(g, Ws[-1])[:, None], len(dims), axis=1)
     return (np.concatenate(Ws + [s0], axis=1),) + _newton_system(parts, p)
 
 
@@ -1305,13 +1306,35 @@ def test_solvers_hand_newton_the_ray_degree(k, p, monkeypatch):
     assert len(degrees) >= 2 and set(degrees) == {RAY_DEGREES[p][k - 2]}
 
 
-def _ref_bordered_jacobian(dims, p, blocks, z):
-    """The bordered Jacobian of _lagrange_fns at the rows z, assembled one entry at a time.
+def _ref_blocks(data, eigen, w):
+    """{(i, j): dg_i/dw_j} of one row with vectors w, each block from one einsum over the whole tensor.
 
-    Entry (a, b) of block (i, j) is dg_i/dw_j; each vector entry c of sphere i
-    has s_i * phi'_{p-1}(w_c) taken off the diagonal, -phi_{p-1}(w_c) in the
-    multiplier column of sphere i and phi_{p-1}(w_c) in its multiplier row.
+    Singular tuples: data contracted with w_m in every mode m but i and j.  The
+    eigenproblem of data (one sphere, g = data(v, ..., v, .)): the sum over
+    the k - 1 leading positions of data contracted with v in the other k - 2.
     """
+    k = data.ndim
+    idx = "abcdefgh"[:k]
+
+    def contract(keep, vectors):
+        rest = [m for m in range(k) if m not in keep]
+        subscripts = ",".join([idx] + [idx[m] for m in rest]) + "->" + "".join(idx[m] for m in keep)
+        return np.einsum(subscripts, data, *[vectors[m] for m in rest])
+
+    if eigen:
+        return {(0, 0): sum(contract([k - 1, m], w * k) for m in range(k - 1))}
+    return {(i, j): contract([i, j], w) for i in range(k) for j in range(k) if i != j}
+
+
+def _ref_bordered_jacobian(data, eigen, p, z):
+    """The bordered Jacobian of the system of data at the rows z, assembled one entry at a time.
+
+    Entry (a, b) of block (i, j) is dg_i/dw_j from _ref_blocks; each vector
+    entry c of sphere i has s_i * phi'_{p-1}(w_c) taken off the diagonal,
+    -phi_{p-1}(w_c) in the multiplier column of sphere i and phi_{p-1}(w_c) in
+    its multiplier row.
+    """
+    dims = data.shape[:1] if eigen else data.shape
     k, total = len(dims), sum(dims)
     off = np.cumsum((0,) + tuple(dims))
     W = z[:, :total]
@@ -1320,13 +1343,12 @@ def _ref_bordered_jacobian(dims, p, blocks, z):
         phi = W if p == 2.0 else np.sign(W) * np.abs(W) ** (p - 1.0)
         mag = np.maximum(np.abs(W), 1e-8) if p < 2.0 else np.abs(W)
         slope = np.ones_like(W) if p == 2.0 else (p - 1.0) * mag ** (p - 2.0)
-        found = list(blocks([z[:, off[i] : off[i + 1]] for i in range(k)]))
         K = np.zeros((len(z), total + k, total + k))
         for r in range(len(z)):
-            for (i, j), B in found:
+            for (i, j), B in _ref_blocks(data, eigen, [z[r, off[i] : off[i + 1]] for i in range(k)]).items():
                 for a in range(dims[i]):
                     for b in range(dims[j]):
-                        K[r, off[i] + a, off[j] + b] = B[r, a, b]
+                        K[r, off[i] + a, off[j] + b] = B[a, b]
             for i in range(k):
                 s = z[r, total + i]
                 for c in range(off[i], off[i + 1]):
@@ -1339,13 +1361,17 @@ def _ref_bordered_jacobian(dims, p, blocks, z):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("shape", [(3, 3, 3), (3, 4, 5), (2, 3, 4, 3)])
 def test_bordered_jacobian_matches_an_entry_by_entry_assembly(shape, p):
-    if len(set(shape)) == 1:  # one sphere: the symmetric eigenproblem
-        dims, _, grads, blocks = solver._eigen_parts(random_tensor(shape, 21, symmetric=True).data)
-    else:
-        dims, _, grads, blocks = solver._tuple_parts(random_tensor(shape, 21).data)
-    state, jac = solver._lagrange_fns(dims, p, grads, blocks)
-    k, total = len(dims), sum(dims)
-    z = np.random.default_rng(22).standard_normal((6, total + k))
+    # entries of small integers (halves once averaged) and vectors of quarters: every
+    # contraction is exact, so the system's trees and the reference's whole-tensor einsums
+    # agree bit for bit in any order
+    eigen = len(set(shape)) == 1  # one sphere: the eigenproblem of a tensor symmetric in its leading modes
+    data = np.round(4.0 * random_tensor(shape, 21).data)
+    if eigen:
+        data = _leading_mean(data)
+    state, jac, _ = _newton_system((solver._eigen_parts if eigen else solver._tuple_parts)(data), p)
+    k = 1 if eigen else len(shape)
+    total = shape[0] if eigen else sum(shape)
+    z = np.random.default_rng(22).integers(-8, 9, size=(6, total + k)) / 4.0
     z[1, [0, total - 1]] = 0.0  # zero vector entries, and a negative zero
     z[1, 1] = -0.0
     z[2, total] = 0.0  # a zero multiplier
@@ -1353,7 +1379,7 @@ def test_bordered_jacobian_matches_an_entry_by_entry_assembly(shape, p):
     for rows in (z, z[:0]):  # the zero-row call _search makes when dedupe keeps no point
         got = jac(rows)
         assert got.shape == (len(rows), total + k, total + k)
-        assert got.tobytes() == _ref_bordered_jacobian(dims, p, blocks, rows).tobytes()
+        assert got.tobytes() == _ref_bordered_jacobian(data, eigen, p, rows).tobytes()
 
 
 @pytest.mark.parametrize("p", [2.0, 1.5, 3.0])
@@ -1814,8 +1840,7 @@ def test_rank_test_reads_the_same_at_any_row_and_column_scale():
     T = random_tensor((3, 3, 3), 1001, symmetric=True)
     pairs = symmetric_eigenpairs(T, CFG)
     assert pairs and all(pt.nondegenerate for pt in pairs)
-    dims, _, grads, blocks = solver._eigen_parts(T.data)
-    _, jac = solver._lagrange_fns(dims, 2.0, grads, blocks)
+    _, jac, _ = _newton_system(solver._eigen_parts(T.data), 2.0)
     regular = jac(np.array([np.append(pt.vector, pt.value) for pt in pairs]))
     for J, want in ((singular, True), (regular, False)):
         assert solver._rank_deficient(J).tolist() == [want] * len(J)
@@ -2055,6 +2080,28 @@ def test_line_search_state_calls_per_newton_iteration(monkeypatch):
     assert counts["state"] <= 3 * counts["jac"] + counts["newton"]
 
 
+# the bench's shapes at p = 2 and order <= 4, where the line search reads the ray polynomial
+RAY_SHAPES = [("eigen", (n,) * k) for n, k in ((3, 3), (4, 3), (5, 3), (6, 3), (3, 4), (4, 4))] + [
+    ("tuples", shape) for shape in ((4, 5, 6), (3, 4, 5), (3, 3, 3), (2, 3, 4, 3), (3, 4), (5, 6))
+]
+
+
+@pytest.mark.parametrize("kind, shape", RAY_SHAPES)
+def test_ray_prediction_keeps_generic_polishes_to_two_state_calls_per_iteration(kind, shape, caplog):
+    # each iteration makes the full step's state call and at most one more, for the rows that
+    # try their predicted step length; the fallback batches that a wrong or too loose
+    # prediction sends rows to push these generic polishes past 1 + 2 * iterations
+    for seed in range(14):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
+            if kind == "eigen":
+                symmetric_eigenpairs(random_tensor(shape, seed, symmetric=True))
+            else:
+                singular_tuples(random_tensor(shape, seed))
+        iters, calls = _newton_counts(caplog, first=True)[:2]
+        assert calls <= 1 + 2 * iters, seed
+
+
 def test_newton_effort_is_logged_at_debug(caplog, monkeypatch):
     T = random_tensor((3, 4, 5), 2)
     climb, newton = solver._alternating_ascent, solver._damped_newton
@@ -2120,13 +2167,28 @@ def _kept_last(data, vs, keep):
     return np.broadcast_to(out, (len(vs[0]),) + out.shape[1:])
 
 
+def _mode_grads(data, vs):
+    """[g_1, ..., g_k]: the singular system's gradients, split by mode."""
+    G = solver._tuple_parts(data)[2](vs)
+    return [G[:, c] for c in solver._column_slices(data.shape)]
+
+
+def _tuple_blocks(data, vs):
+    """{(i, j): block dg_i/dw_j, i < j} as the singular system's fill writes them into zeroed Jacobians."""
+    k = data.ndim
+    cols = solver._column_slices(data.shape)
+    K = np.zeros((len(vs[0]), cols[-1].stop + k, cols[-1].stop + k))
+    solver._tuple_parts(data)[3](vs, K)
+    return {(i, j): K[:, cols[i], cols[j]] for i in range(k) for j in range(i + 1, k)}
+
+
 def _kernel_outputs(data, vs):
     """Every batch kernel: the mode-last chain for each kept mode and pair, and both trees."""
     k = data.ndim
     out = {"eval": solver._dot_rows(solver._contract_leading(data, vs[:-1]), vs[-1])}  # f per row
-    for i, g in enumerate(solver._batch_mode_grads(data, vs)):
+    for i, g in enumerate(_mode_grads(data, vs)):
         out[("grads", i)] = g
-    for (i, r), B in solver._batch_pair_jacs(data, vs).items():
+    for (i, r), B in _tuple_blocks(data, vs).items():
         out[("pairs", i, r)] = B
     for i in range(k):
         out[("grad", i)] = _kept_last(data, vs, [i])
@@ -2290,15 +2352,16 @@ def test_symmetric_solve_at_large_p_warns_nothing():
         assert abs(p_norm(pt.vector, 200.0) - 1.0) <= 1e-12
 
 
-def test_matrix_pair_jacobian_is_a_broadcast_view():
+def test_matrix_pair_jacobian_is_the_matrix_without_a_contraction(monkeypatch):
+    # a matrix's one block is the tensor itself: fill writes M and M^T into every row
     M = random_tensor((3, 4), 8).data
     _, vs = _row_blocks((3, 4), 5, seed=1)
-    J = solver._batch_pair_jacs(M, vs)[0, 1]
-    Jt = np.swapaxes(J, 1, 2)
+    K = np.zeros((5, 9, 9))
+    calls = _whole_tensor_contractions(monkeypatch, M)
+    solver._tuple_parts(M)[3](vs, K)
     lead = solver._contract_leading(M, [])  # the eigen Jacobian of a matrix
-    assert J.shape == (5, 3, 4) and Jt.shape == (5, 4, 3) and lead.shape == (1, 3, 4)
-    assert np.shares_memory(J, M) and np.shares_memory(Jt, M) and np.shares_memory(lead, M)
-    assert all(np.array_equal(J[z], M) and np.array_equal(Jt[z], M.T) for z in range(5))
+    assert calls == [] and lead.shape == (1, 3, 4) and np.shares_memory(lead, M)
+    assert all(np.array_equal(K[z, :3, 3:7], M) and np.array_equal(K[z, 3:7, :3], M.T) for z in range(5))
     assert np.array_equal(lead[0], M)
 
 
@@ -2554,12 +2617,12 @@ def test_short_alternating_ascent_keeps_the_largest_singular_value():
 def test_singular_sign_flip_negates_the_value_exactly(shape):
     data = random_tensor(shape, 7).data
     Ws = solver._random_starts(3, 200, shape, 2.0)
-    grads = solver._batch_mode_grads(data, Ws)
+    grads = _mode_grads(data, Ws)
     raw = solver._dot_rows(grads[0], Ws[0])
     flip = raw < 0
     assert flip.any() and not flip.all()
     Ws[0] = np.where(flip[:, None], -Ws[0], Ws[0])
-    fresh = solver._batch_mode_grads(data, Ws)
+    fresh = _mode_grads(data, Ws)
     assert np.where(flip, -raw, raw).tobytes() == solver._dot_rows(fresh[0], Ws[0]).tobytes()
     assert fresh[0].tobytes() == grads[0].tobytes()
     for g, h in zip(grads[1:], fresh[1:]):
