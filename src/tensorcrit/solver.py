@@ -80,7 +80,8 @@ log = logging.getLogger(__name__)
 # singular Jacobians), so those steps get a call of their own rather than nine
 # more trial rows on every such row; dropping them loses critical points.  At
 # p = 2 and order k <= 4 the residual is a polynomial along each Newton step,
-# and each row first tries the one step length read off that polynomial.
+# known from the full step's state and, at k = 4, the gradients of the step
+# itself, and each row first tries the one step length read off it.
 # A row retires after _CREEP_ITERATIONS consecutive accepted steps of length at
 # most _CREEP_STEP, or at a multiple of _RANK_CHECK_ITERATIONS below the cap
 # when its step there lowered the residual by less than 10 % at a Jacobian of
@@ -114,12 +115,12 @@ _RANK_CHECK_ITERATIONS = 20
 
 # the step lengths, their Armijo factors and which of them creep; the batches
 # stacked after the full step, as indices into _ALPHAS; and, by ray degree d,
-# alpha^i (row i <= d) and alpha^(i + j) (row (d + 1) i + j) at 2^-(d-1)..2^-24,
+# alpha^i (row i <= d) and alpha^(i + j) (row (d + 1) i + j) at 2^-1..2^-24,
 # the step lengths the ray polynomial rules on
 _ALPHAS = np.ldexp(1.0, -np.arange(_MAX_BACKTRACKS))
 _ARMIJO, _CREEPS = 1.0 - _ARMIJO_SLOPE * _ALPHAS, _ALPHAS <= _CREEP_STEP
 _BATCHES = [t[None] for t in np.split(np.arange(1, _MAX_BACKTRACKS), [15])]
-_POWERS = {d: np.ldexp(1.0, -np.outer(np.arange(d + 1), np.arange(d - 1, _MAX_BACKTRACKS))) for d in (2, 3)}
+_POWERS = {d: np.ldexp(1.0, -np.outer(np.arange(d + 1), np.arange(1, _MAX_BACKTRACKS))) for d in (2, 3)}
 _GRAM_POWERS = {d: (P[:, None] * P).reshape(-1, P.shape[1]) for d, P in _POWERS.items()}
 for _table in (_ALPHAS, _ARMIJO, _CREEPS, *_BATCHES, *_POWERS.values(), *_GRAM_POWERS.values()):
     _table.flags.writeable = False
@@ -494,8 +495,8 @@ def _ray_excess(C, J, limit):
       - the state's rounding, which is absolute near a solution: 4 eps times
         the row's largest Jacobian entry times its width (its longest sum);
       - the polynomial's: 1e-12 of b;
-      - that of the coefficients above C_1, which come from states of size
-        up to sum_i ||C_i||: 64 eps of that, times alpha^2.
+      - that of C_2, the full step's state less the other coefficients, of
+        size up to sum_i ||C_i||: 64 eps of that, times alpha^2.
     A polynomial that overflows gives NaN.
     """
     powers, gram_powers, eps = _POWERS[len(C) - 1], _GRAM_POWERS[len(C) - 1], np.finfo(float).eps
@@ -508,7 +509,7 @@ def _ray_excess(C, J, limit):
     return excess, err * (2.0 * bound + err)
 
 
-def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None):
+def _damped_newton(z0, state_fn, jac_fn, gtol, ray=None):
     """Damped Newton on the square systems F(z) = 0, one per row of z0.
 
     At most _NEWTON_ITERATIONS iterations; a row is done when its residual
@@ -538,18 +539,16 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None):
     dz, and state_fn works row by row, so the outcome is bit-identical to
     trying the halvings one at a time.
 
-    ``degree`` d (2 or 3) says that every row of F is a polynomial of degree
-    d along the ray z + alpha * dz.  Its coefficients are F(z), J dz (from
-    the Jacobian as built, so that they hold for any steps) and the rest,
-    from the full step's F(z + dz) and, at d = 3, F(z + dz / 2), which the
-    full step's call evaluates beside it (a row whose full step fails takes
-    1/2 where that passes).  An alpha is ruled out where ||F(alpha)||
-    exceeds the Armijo bound by more than its rounding (_ray_excess).  Each
-    row then tries, in one call, the longest alpha not ruled out, with the
-    real test on the bits the scan would build; a row ruled out at every
-    alpha stalls with no call.  The rows that fail the real test get the
-    two batches, from 2^-(d-1) on.  The outcome is the scan's wherever the
-    rounding bound holds.
+    ``ray``, (d, cubic) from _ray, says that every row of F is a polynomial
+    of degree d (2 or 3) along the ray z + alpha * dz.  Its coefficients are
+    F(z), J dz (from the Jacobian as built, so that they hold for any
+    steps), at d = 3 cubic(dz), and C_2, the rest of the full step's
+    F(z + dz).  An alpha is ruled out where ||F(alpha)|| exceeds the Armijo
+    bound by more than its rounding (_ray_excess).  Each row then tries, in
+    one call, the longest alpha not ruled out, with the real test on the
+    bits the scan would build; a row ruled out at every alpha stalls with no
+    call.  The rows that fail the real test get the two batches.  The
+    outcome is the scan's wherever the rounding bound holds.
 
     The Newton steps of the active rows come from _newton_steps: a row whose
     Jacobian is exactly singular takes the regularized row-space step
@@ -572,8 +571,6 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None):
     creep = np.zeros(len(z), dtype=int)  # consecutive accepted steps with alpha <= _CREEP_STEP
     rows = np.flatnonzero((Fn > target) & np.isfinite(Fn))  # the active rows; the rest never move
     za, Fa, fa, ca = z[rows], F[rows], Fn[rows], creep[rows]
-    lead = 1 if degree is None else degree - 1  # 1/2 too at d = 3: the polynomial needs the state there
-    batches = [_BATCHES[0][:, lead - 1 :], _BATCHES[1]]
 
     def tries(searching, t):
         """Row searching[r] tries _ALPHAS[t[r]], or every _ALPHAS[t[0, :]] longest first, in one state call.
@@ -616,47 +613,32 @@ def _damped_newton(z0, state_fn, jac_fn, gtol, degree=None):
         dz, singular = _newton_steps(J, Fa, split)
         if singular is not None:
             split, regularized = True, regularized + np.count_nonzero(singular)
-        if lead == 1:  # 1.0 * dz is exact, so the full step is za + dz
-            zt = za + dz
-            Ft, Fnt = state_fn(zt)
-            moved = Fnt <= _ARMIJO[0] * fa
-            np.copyto(za, zt, where=moved[:, None])
-            np.copyto(Fa, Ft, where=moved[:, None])
-            np.copyto(fa, Fnt, where=moved)
-            Ft = Ft[None]
-        else:  # and 1/2, longest first
-            zt = za + _ALPHAS[:lead, None, None] * dz
-            Ft, Fnt = state_fn(zt.reshape(-1, width))
-            Ft, Fnt = Ft.reshape(lead, rows.size, -1), Fnt.reshape(lead, rows.size)
-            moved = np.zeros(rows.size, dtype=bool)
-            for a in range(lead):
-                took = ~moved & (Fnt[a] <= _ARMIJO[a] * fa)
-                np.copyto(za, zt[a], where=took[:, None])
-                np.copyto(Fa, Ft[a], where=took[:, None])
-                np.copyto(fa, Fnt[a], where=took)
-                moved |= took
+        zt = za + dz  # 1.0 * dz is exact, so this is the full step
+        Ft, Fnt = state_fn(zt)
+        moved = Fnt <= _ARMIJO[0] * fa
+        np.copyto(za, zt, where=moved[:, None])
+        np.copyto(Fa, Ft, where=moved[:, None])
+        np.copyto(fa, Fnt, where=moved)
         calls += 1
         trial_rows += Fnt.size
-        ca[moved] = 0  # neither 1 nor 1/2 creeps
+        ca[moved] = 0  # a full step does not creep
         searching = np.flatnonzero(~moved)
-        if degree is not None and searching.size:
-            s = searching
-            Js, C = J.take(s, 0), np.empty((degree + 1, s.size, width))
+        if ray is not None and searching.size:
+            (d, cubic), s = ray, searching
+            Js, dzs, C = J.take(s, 0), dz.take(s, 0), np.empty((d + 1, s.size, width))
             # a row that overflows gives a NaN polynomial
             F0 = Fa.take(s, 0, out=C[0])
-            F1 = np.einsum("zij,zj->zi", Js, dz.take(s, 0), out=C[1])
-            R = np.subtract(Ft[0].take(s, 0), F0, out=C[degree])
+            F1 = np.einsum("zij,zj->zi", Js, dzs, out=C[1])
+            R = np.subtract(Ft.take(s, 0), F0, out=C[2])
             R -= F1  # F2 + ... + Fd
-            if degree == 3:
-                F2 = np.multiply(8.0, Ft[1].take(s, 0) - F0 - 0.5 * F1, out=C[2])
-                F2 -= R
-                R -= F2
-            excess, margin = _ray_excess(C, Js, _ARMIJO[lead:] * fa.take(s)[:, None])
+            if d == 3:
+                R -= cubic(dzs, C[3])
+            excess, margin = _ray_excess(C, Js, _ARMIJO[1:] * fa.take(s)[:, None])
             fails = excess > margin  # sure to fail the Armijo test; NaN (an overflow) is not sure
             first = fails.argmin(axis=1)  # the longest alpha not ruled out, or 0 where every one is
             pick = (first > 0) | ~fails[:, 0]  # a row ruled out at every alpha stalls
-            searching = tries(s[pick], lead + first[pick])
-        for t in batches:
+            searching = tries(s[pick], 1 + first[pick])
+        for t in _BATCHES:
             searching = tries(searching, t)
         keep = moved & (fa > target) & (ca < _CREEP_ITERATIONS)
         if check:
@@ -747,12 +729,13 @@ def _accept(grads, Ws, p, gtol):
     return [W[keep] for W in Ws], value[keep], resid[keep], mults[keep]
 
 
-def _ascend(S, V0, p, sign):
+def _ascend(system, V0, p, sign):
     """Projected gradient on the unit p-sphere, maximizing sign[r] * f on row r.
 
-    S is symmetric (an eigen solve climbs only then), so with g = S
-    contracted with v in its leading k-1 modes, f(v) = S(v, ..., v) is
-    <g, v> and its gradient is k * g: one contraction chain per iteration.
+    ``system`` is _eigen_parts(S) of a symmetric S (an eigen solve climbs
+    only then), so with g = S(v, ..., v, .) from its grads, f(v) =
+    S(v, ..., v) is <g, v> and its gradient is k * g: one contraction chain
+    per iteration.
     ``sign`` holds +1 or -1 per row.  An accepted trial point carries its
     gradient into the next iteration, and row independence makes that
     bit-identical to a fresh one.  The rows that improved take their trial
@@ -760,10 +743,11 @@ def _ascend(S, V0, p, sign):
     shrinks in one pass; a trial point that does not normalize (a zero or
     non-finite row) is the row's current point.
     """
-    k = S.ndim
+    _, degree, grads, _ = system
+    k = degree + 1
 
     def gradient_and_value(V):
-        g = _contract_leading(S, [V] * (k - 1))
+        g = grads([V])
         return k * g, sign * _dot_rows(g, V)
 
     V = V0.copy()
@@ -820,7 +804,7 @@ def _certified_regular(J, gtol):
     return True
 
 
-def _check_continuum(z, J, state_fn, jac_fn, degree, merge_tol, gtol, noun):
+def _check_continuum(z, J, state_fn, jac_fn, ray, merge_tol, gtol, noun):
     """Raise DegenerateTensorError if the rows of z lie on a positive-dimensional set.
 
     Local dimension test (Bates, Hauenstein, Peterson & Sommese, SINUM 2009)
@@ -829,7 +813,7 @@ def _check_continuum(z, J, state_fn, jac_fn, degree, merge_tol, gtol, noun):
     (_certified_regular); only a batch that it cannot clear takes a batched
     SVD.  A row with sigma_min <= sqrt(gtol) * sigma_max is stepped
     h = max(1e-3, 10 * merge_tol) along its null vector and corrected by the
-    polish's damped Newton (``degree`` as there).  A row whose Jacobian is
+    polish's damped Newton (``ray`` as there).  A row whose Jacobian is
     exactly singular takes the regularized step, which lies in J's row space
     and so moves across a continuum rather than along it; every other row
     takes the full solve, which, unlike the regularization, does not damp the
@@ -856,7 +840,7 @@ def _check_continuum(z, J, state_fn, jac_fn, degree, merge_tol, gtol, noun):
         rows = flagged[start : start + size]
         start, size = start + size, 2 * size
         z0 = z[rows]
-        z1 = _damped_newton(z0 + h * np.linalg.svd(J[rows])[2][:, -1], state_fn, jac_fn, gtol, degree)
+        z1 = _damped_newton(z0 + h * np.linalg.svd(J[rows])[2][:, -1], state_fn, jac_fn, gtol, ray)
         dist = _row_dist(z1 - z0)
         same = (state_fn(z1)[1] <= gtol) & (np.abs(z1[:, -1] - z0[:, -1]) <= gtol)
         witness = np.flatnonzero(same & (dist > merge_tol) & (dist <= 2.0 * h))
@@ -1027,9 +1011,23 @@ def _tuple_parts(data):
     return dims, k - 1, grads, fill
 
 
-def _ray_degree(degree, p):
-    """The system's degree along a Newton ray at p = 2, max(degree, 2); None above 3 or at p != 2."""
-    return max(degree, 2) if p == 2.0 and degree <= 3 else None
+def _ray(system, p):
+    """(d, cubic): a system's degree d along a Newton ray at p = 2, max(degree, 2); None above 3 or at p != 2.
+
+    At d = 3 each g_i is a cubic form in w, and the multiplier and sphere
+    terms have degree <= 2, so the alpha^3 coefficient of F, which
+    cubic(dz, out) writes into out, is g of the step's vectors on the vector
+    rows and zero on the sphere rows.
+    """
+    dims, degree, grads, _ = system
+    cols = _column_slices(dims)
+
+    def cubic(dz, out):
+        out[:, : cols[-1].stop] = grads([dz[:, c] for c in cols])
+        out[:, cols[-1].stop :] = 0.0
+        return out
+
+    return (max(degree, 2), cubic) if p == 2.0 and degree <= 3 else None
 
 
 def _search(config, system, ascend, act, merge_tol, cap, noun):
@@ -1049,17 +1047,17 @@ def _search(config, system, ascend, act, merge_tol, cap, noun):
     (None: no cap), or a continuum, raises DegenerateTensorError naming a ``noun``,
     and a kept row whose J leaves the float range a ValueError.
     """
-    dims, degree, grads, fill = system
+    dims, _, grads, fill = system
     p, gtol = config.p, config.gradient_tolerance
     cols = _column_slices(dims)
     state, jac = _lagrange_fns(dims, p, grads, fill)
-    d = _ray_degree(degree, p)
+    ray = _ray(system, p)
     starts = _random_starts(config.seed, config.restarts, dims, p)
     ends = ascend([S[:_ASCENT_STARTS] for S in starts])
     Ws = [np.concatenate([E, W]) for E, W in zip(ends, starts)]
     # every multiplier starts at the value f(w) = <g_k, w_k>
     s0 = np.repeat(_dot_rows(grads(Ws)[:, cols[-1]], Ws[-1])[:, None], len(dims), axis=1)
-    z = _damped_newton(np.concatenate(Ws + [s0], axis=1), state, jac, gtol, d)
+    z = _damped_newton(np.concatenate(Ws + [s0], axis=1), state, jac, gtol, ray)
     accepted = _accept(grads, [z[:, c] for c in cols], p, gtol)
     Ws, value, resid, mults, found = act(*accepted)
     keys = np.concatenate(Ws, axis=1)
@@ -1073,7 +1071,7 @@ def _search(config, system, ascend, act, merge_tol, cap, noun):
     z = np.concatenate([keys[kept], np.repeat(value[kept, None], len(dims), axis=1)], axis=1)
     J = _in_range(jac(z), f"the bordered Jacobian at a {noun}")
     if kept.size:
-        _check_continuum(z, J, state, jac, d, merge_tol, gtol, noun)
+        _check_continuum(z, J, state, jac, ray, merge_tol, gtol, noun)
     else:
         log.info("no %ss found at this effort (restarts=%d)", noun, config.restarts)
     order = _lex_order(-value[kept], keys[kept])
@@ -1106,12 +1104,13 @@ def _eigen_run(tensor, mode, config):
     # every stage runs on that average
     if max_asymmetry(tensor) != 0.0:
         D = _orbit_mean(D, _orbit_ids(D.shape, k - 1))
+    system = _eigen_parts(D)
 
     def ascend(starts):
         if not is_symmetric(tensor):  # no endpoints: Newton polishes the raw starts alone
             return [starts[0][:0]]
         # the first m rows maximize f and the last m minimize it
-        return [_ascend(D, np.concatenate(starts * 2), p, np.repeat([1.0, -1.0], len(starts[0])))]
+        return [_ascend(system, np.concatenate(starts * 2), p, np.repeat([1.0, -1.0], len(starts[0])))]
 
     def act(Ws, lam, resid, mults):
         # antipodal completion: -v is stationary with v's residual and multiplier (-1)^k lam,
@@ -1128,9 +1127,7 @@ def _eigen_run(tensor, mode, config):
         merge_tol = max(merge_tol, 10.0 * config.gradient_tolerance ** (1.0 / (k - 1)))
     else:  # the Cartwright-Sturmfels count, antipodes included
         cap = 2 * (n if k == 2 else ((k - 1) ** n - 1) // (k - 2))
-    (V,), lam, resid, _, _, J = _search(
-        config, _eigen_parts(D), ascend, act, merge_tol, cap, "stationary point"
-    )
+    (V,), lam, resid, _, _, J = _search(config, system, ascend, act, merge_tol, cap, "stationary point")
     index = nondeg = [None] * len(V)
     if mode == 0 and p == 2.0:
         index, nondeg = (a.tolist() for a in _morse_rows(k * J[:, :n, :n], V))

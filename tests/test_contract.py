@@ -21,7 +21,9 @@ from tensorcrit import evaluate, euler_residual, generalized_eigenpairs, is_symm
 from tensorcrit import mode_gradient, p_norm, p_norm_gradient, phi, random_tensor, residual_eigen, singular_tuples
 from tensorcrit import sym_gradient, sym_hessian, symmetric_eigenpairs, symmetrize, unit_normalize, write_tensor_file
 from tensorcrit.cli import main
+from tensorcrit.morse import IndexHistogram
 from tensorcrit.norms import MAX_NORM_PARAM, check_norm_param
+from tensorcrit.oracle import circle_critical_points, jacobi_eigen, svd_small
 
 # zeros, units, 1e300, subnormals, and values whose squares overflow or underflow
 ENTRIES = [0.0, 1.0, -1.0, 0.5, 3.0, 1e300, -1e300, 1e-300, 5e-324, 1e154, 1e-160]
@@ -324,3 +326,40 @@ def test_near_limit_inputs_end_in_results_or_typed_errors(case, tmp_path):
             assert outcome is None
             return
     assert outcome is None or got == outcome
+
+
+_CUBE = random_tensor((3, 3, 3), 1, symmetric=True)
+_UNCLASSIFIED = EigenPair(vector=np.array([1.0, 0.0]), value=1.0, mode=0, residual=0.0)
+# each input a guard refuses, with the error and the start of its message
+REFUSED = [
+    (lambda: symmetric_eigenpairs(DenseTensor([1.0, 2.0])), ShapeError, "eigenpair solvers need tensor order >= 2"),
+    (lambda: generalized_eigenpairs(DenseTensor([1.0, 2.0]), 1), ShapeError, "eigenpair solvers need tensor order"),
+    (
+        lambda: classify_index(DenseTensor(np.ones((1, 1, 1))), [1.0], 1.0),
+        ShapeError,
+        "index classification needs dimension >= 2",
+    ),
+    (lambda: mode_eigenpairs(_CUBE, 1, SolverConfig(p=3.0)), ValueError, "mode_eigenpairs uses the 2-norm"),
+    (lambda: DenseTensor(np.zeros((0, 3))), ShapeError, "a tensor needs one or more dimensions, all >= 1"),
+    (lambda: DenseTensor(3.0), ShapeError, "a tensor needs one or more dimensions, all >= 1"),
+    (lambda: euler_residual(_CUBE, [0, 0, 0]), ValueError, "v must be nonzero"),
+    (lambda: IndexHistogram.from_pairs([_UNCLASSIFIED], 2), ValueError, "every pair must carry a Morse index"),
+    (lambda: jacobi_eigen(np.ones((2, 3))), ValueError, "need a square matrix"),
+    (lambda: svd_small(np.ones(3)), ValueError, "need a matrix"),
+    (lambda: svd_small(np.ones((33, 2))), ValueError, "svd_small is meant for m, n <= 32"),
+    (lambda: circle_critical_points(_CUBE), ShapeError, "need a square order>=2 tensor on R^2"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSED)
+def test_each_refused_input_raises_its_typed_error(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value).startswith(message)
+
+
+def test_edge_inputs_that_are_answered_not_refused():
+    # a rectangular tensor is not symmetric, and the zero matrix has its eigenbasis I
+    assert is_symmetric(DenseTensor(np.ones((2, 3)))) is False
+    values, vectors = jacobi_eigen(np.zeros((3, 3)))
+    assert np.array_equal(values, np.zeros(3)) and np.array_equal(vectors, np.eye(3))

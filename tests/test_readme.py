@@ -47,6 +47,8 @@ def test_readme_states_the_fixed_search_constants():
     count, exponent = re.search(r"once (\w+) steps in a row were damped to length 2\^(-\d+) or shorter", text).groups()
     assert "zero one two three four five six seven eight nine ten".split().index(count) == solver._CREEP_ITERATIONS
     assert 2.0 ** int(exponent) == solver._CREEP_STEP
-    edge = re.search(r"to 2\^(-\d+) at once, then 2\^(-\d+) to 2\^(-\d+)", text).groups()
+    # at every ray degree
+    edge = re.search(r"lengths from 1/(\d+) to 2\^(-\d+) at once, then 2\^(-\d+) to 2\^(-\d+)", text).groups()
     first, second = solver._BATCHES
-    assert [2.0 ** int(e) for e in edge] == solver._ALPHAS[[first[0, -1], second[0, 0], second[0, -1]]].tolist()
+    stated = [1.0 / int(edge[0])] + [2.0 ** int(e) for e in edge[1:]]
+    assert stated == solver._ALPHAS[[first[0, 0], first[0, -1], second[0, 0], second[0, -1]]].tolist()

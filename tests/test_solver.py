@@ -1260,13 +1260,13 @@ def _leading_mean(D):
 
 
 def _newton_system(parts, p):
-    """(state_fn, jac_fn, degree) as _search builds them from a solver's system."""
-    dims, degree, grads, fill = parts
-    return solver._lagrange_fns(dims, p, grads, fill) + (solver._ray_degree(degree, p),)
+    """(state_fn, jac_fn, ray) as _search builds them from a solver's system; ray is None or (degree, cubic)."""
+    dims, _, grads, fill = parts
+    return solver._lagrange_fns(dims, p, grads, fill) + (solver._ray(parts, p),)
 
 
 def _raw_rows(parts, p, seed, restarts=24):
-    """(z0, state_fn, jac_fn, degree) of a solver's system on raw starts, seeded as _search seeds them."""
+    """(z0, state_fn, jac_fn, ray) of a solver's system on raw starts, seeded as _search seeds them."""
     dims, _, grads, _ = parts
     Ws = solver._random_starts(seed, restarts, dims, p)
     g = grads(Ws)[:, solver._column_slices(dims)[-1]]
@@ -1294,9 +1294,9 @@ RAY_DEGREES = {2.0: [2, 2, 3, None], 1.5: [None] * 4, 3.0: [None] * 4}
 def test_solvers_hand_newton_the_ray_degree(k, p, monkeypatch):
     newton, degrees = solver._damped_newton, []
 
-    def recorded_newton(z0, state_fn, jac_fn, gtol, degree=None, **kwargs):
-        degrees.append(degree)
-        return newton(z0, state_fn, jac_fn, gtol, degree, **kwargs)
+    def recorded_newton(z0, state_fn, jac_fn, gtol, ray=None, **kwargs):
+        degrees.append(None if ray is None else ray[0])
+        return newton(z0, state_fn, jac_fn, gtol, ray, **kwargs)
 
     monkeypatch.setattr(solver, "_damped_newton", recorded_newton)
     T = random_tensor((2,) * k, 4)
@@ -1304,6 +1304,14 @@ def test_solvers_hand_newton_the_ray_degree(k, p, monkeypatch):
     singular_tuples(T, SolverConfig(restarts=2, p=p))
     # the polish, and the continuum check's Newton where it runs
     assert len(degrees) >= 2 and set(degrees) == {RAY_DEGREES[p][k - 2]}
+
+
+def _ref_contract(data, keep, vectors):
+    """data contracted with vectors[m] in every mode m not in keep, by one einsum over the whole tensor."""
+    idx = "abcdefgh"[: data.ndim]
+    rest = [m for m in range(data.ndim) if m not in keep]
+    subscripts = ",".join([idx] + [idx[m] for m in rest]) + "->" + "".join(idx[m] for m in keep)
+    return np.einsum(subscripts, data, *[vectors[m] for m in rest])
 
 
 def _ref_blocks(data, eigen, w):
@@ -1314,16 +1322,29 @@ def _ref_blocks(data, eigen, w):
     the k - 1 leading positions of data contracted with v in the other k - 2.
     """
     k = data.ndim
-    idx = "abcdefgh"[:k]
-
-    def contract(keep, vectors):
-        rest = [m for m in range(k) if m not in keep]
-        subscripts = ",".join([idx] + [idx[m] for m in rest]) + "->" + "".join(idx[m] for m in keep)
-        return np.einsum(subscripts, data, *[vectors[m] for m in rest])
-
     if eigen:
-        return {(0, 0): sum(contract([k - 1, m], w * k) for m in range(k - 1))}
-    return {(i, j): contract([i, j], w) for i in range(k) for j in range(k) if i != j}
+        return {(0, 0): sum(_ref_contract(data, [k - 1, m], w * k) for m in range(k - 1))}
+    return {(i, j): _ref_contract(data, [i, j], w) for i in range(k) for j in range(k) if i != j}
+
+
+def _ref_cubic(data, eigen, dz):
+    """Each row's g_i of the step's vectors, zero on its sphere rows: at order 4, F's alpha^3 coefficient.
+
+    Each g_i is one einsum over the whole tensor per row: data contracted with
+    dv in its leading k - 1 modes (the eigenproblem) or with dw_j in every
+    mode j but i (singular tuples).
+    """
+    k = data.ndim
+    dims = data.shape[:1] if eigen else data.shape
+    off = np.cumsum((0,) + tuple(dims))
+    C = np.zeros_like(dz)
+    for row, step in zip(C, dz):
+        ws = [step[off[i] : off[i + 1]] for i in range(len(dims))]
+        if eigen:
+            row[: off[-1]] = _ref_contract(data, [k - 1], ws * k)
+        else:
+            row[: off[-1]] = np.concatenate([_ref_contract(data, [i], ws) for i in range(k)])
+    return C
 
 
 def _ref_bordered_jacobian(data, eigen, p, z):
@@ -1414,7 +1435,7 @@ def test_line_search_matches_sequential_halving_where_squares_overflow(shape, se
 
 @st.composite
 def _polynomial_systems(draw):
-    """(z0, state, jac, degree, gtol) of a p = 2 system on raw starts: order 2-4, dimensions 1-4, scale 2^e.
+    """(z0, state, jac, ray, gtol) of a p = 2 system on raw starts: order 2-4, dimensions 1-4, scale 2^e.
 
     The system is a symmetric eigenproblem, a mode eigenproblem of a
     non-symmetric tensor or its singular tuples.  The tolerance is drawn apart
@@ -1431,17 +1452,17 @@ def _polynomial_systems(draw):
         if kind == "mode":
             T = _leading_mean(np.moveaxis(T, draw(st.integers(0, k - 1)), -1))
         parts = solver._eigen_parts(2.0**e * T)
-    z0, state, jac, degree = _raw_rows(parts, 2.0, seed, draw(st.integers(1, 16)))
-    return z0, state, jac, degree, 2.0 ** (e - draw(st.integers(0, 24))) * CFG.gradient_tolerance
+    z0, state, jac, ray = _raw_rows(parts, 2.0, seed, draw(st.integers(1, 16)))
+    return z0, state, jac, ray, 2.0 ** (e - draw(st.integers(0, 24))) * CFG.gradient_tolerance
 
 
 @settings(max_examples=120)
 @given(_polynomial_systems())
 def test_polynomial_line_search_matches_the_scan(system):
     # every pick, fallback and stall the polynomial decides gives the scan's bytes
-    z0, state, jac, degree, gtol = system
-    assert degree in (2, 3)
-    got = solver._damped_newton(z0, state, jac, gtol, degree)
+    z0, state, jac, ray, gtol = system
+    assert ray[0] in (2, 3)
+    got = solver._damped_newton(z0, state, jac, gtol, ray)
     assert got.tobytes() == solver._damped_newton(z0, state, jac, gtol).tobytes()
 
 
@@ -1473,7 +1494,7 @@ def _boundary_rows(state, jac, pairs):
     return np.array(out)
 
 
-def _one_iteration_calls(z0, state, jac, degree, monkeypatch):
+def _one_iteration_calls(z0, state, jac, ray, monkeypatch):
     """The row counts of the state calls of one Newton iteration from z0."""
     sizes = []
 
@@ -1483,15 +1504,24 @@ def _one_iteration_calls(z0, state, jac, degree, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(solver, "_NEWTON_ITERATIONS", 1)
-        solver._damped_newton(z0, counted, jac, CFG.gradient_tolerance, degree)
+        solver._damped_newton(z0, counted, jac, CFG.gradient_tolerance, ray)
     return sizes
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 3, 3, 3), (2, 3, 4, 3)])
+def test_full_step_evaluates_each_active_row_once(shape, monkeypatch):
+    # at ray degree 3 as at 2 the full step is one state call with one trial row per
+    # active row: the ray polynomial needs no state but F(z + dz)
+    for z0, state, jac, ray in _newton_systems(shape, 2.0, seed=17):
+        assert ray[0] == max(len(shape) - 1, 2)
+        assert _one_iteration_calls(z0, state, jac, ray, monkeypatch)[:2] == [len(z0), len(z0)]
 
 
 @pytest.mark.parametrize("shape, seed", [((3, 3, 3), 11), ((3, 3, 3, 3), 12)])
 def test_polynomial_line_search_at_the_armijo_boundary(shape, seed, monkeypatch):
     # rows on both sides of an Armijo decision that only rounding settles: the
     # polynomial cannot rule that step length out, so on the side where it
-    # fails the real test the fallback stacks the first batch, 2^-(d-1)..2^-15
+    # fails the real test the fallback stacks the first batch, 2^-1..2^-15
     z0, state, jac, degree = _newton_systems(shape, 2.0, seed)[0]
     t = [_longest_step(state, jac, z) for z in z0]
     # neighbouring rows whose full steps fail and whose longest steps differ
@@ -1505,17 +1535,20 @@ def test_polynomial_line_search_at_the_armijo_boundary(shape, seed, monkeypatch)
         assert _longest_step(state, jac, a) != _longest_step(state, jac, b)
         for r in (a[None], b[None]):
             assert solver._damped_newton(r, *args, degree).tobytes() == _ref_damped_newton(r, *args).tobytes()
-            # the entry state, the full step (and 1/2 at d = 3), the pick and the fallback's
-            # first batch; no row here needs the second
+            # the entry state, the full step, the pick and the fallback's first batch at
+            # every degree; no row here needs the second
             sizes = _one_iteration_calls(r, state, jac, degree, monkeypatch)
-            assert sizes[:2] == [1, degree - 1] and sizes[2:3] in ([], [1])
-            assert sizes[3:] in ([], [17 - degree])
+            assert sizes in ([1, 1, 1], [1, 1, 1, 15])
             fallbacks += len(sizes) == 4
-    # at d = 3 a flip at 1/2 is settled by the call there
-    assert fallbacks == 3 if degree == 2 else fallbacks >= 1
+    assert fallbacks == 3
 
 
-@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 3, 3, 3)])
+# the row counts of one iteration's state calls, by shape: the entry state, the full step,
+# the picks, the first batch (2^-1..2^-15) on the rest, and 2^-16..2^-24 on the rows that stall
+NEAR_CONVERGENCE_CALLS = {(3, 3, 3): [41, 41, 9, 8 * 15, 8 * 9], (3, 3, 3, 3): [34, 34, 16, 9 * 15, 5 * 9]}
+
+
+@pytest.mark.parametrize("shape", list(NEAR_CONVERGENCE_CALLS))
 def test_polynomial_line_search_near_convergence(shape, monkeypatch):
     # residuals within 10x the target on a tensor scaled by 2^16, whose state
     # rounds at about the target: full steps fail, the rounding bound decides
@@ -1530,15 +1563,11 @@ def test_polynomial_line_search_near_convergence(shape, monkeypatch):
     Fn = state(z0)[1]
     target = 0.05 * CFG.gradient_tolerance
     z0 = z0[(Fn > target) & (Fn <= 10 * target)]
-    assert len(z0) >= 20
+    sizes = NEAR_CONVERGENCE_CALLS[shape]
+    assert len(z0) == sizes[0]
     args = (state, jac, CFG.gradient_tolerance)
     assert solver._damped_newton(z0, *args, degree).tobytes() == _ref_damped_newton(z0, *args).tobytes()
-    # the entry state, the full step (and 1/2 at d = 3), the picks, the first batch
-    # (2^-1..2^-15 at d = 2, 2^-2..2^-15 at d = 3) on the rest, and 2^-16..2^-24 on
-    # the rows that stall
-    sizes = _one_iteration_calls(z0, state, jac, degree, monkeypatch)
-    assert len(sizes) == 5 and sizes[1] == (degree - 1) * len(z0)
-    assert sizes[3] % (17 - degree) == 0 and sizes[4] % 9 == 0
+    assert _one_iteration_calls(z0, state, jac, degree, monkeypatch) == sizes
 
 
 def test_polynomial_fallback_reaches_the_second_batch(monkeypatch):
@@ -1578,42 +1607,52 @@ def test_line_search_reads_a_polynomial_at_p_two_up_to_order_four(solve, tensor,
     assert bool(calls) == polynomial
 
 
-def _ray_coefficients(state, jac, z, degree):
-    """The coefficients of F along each row's Newton ray, from their definition; also J and dz."""
+def _ray_coefficients(state, jac, z, data, eigen):
+    """The coefficients of F along each row's Newton ray, from their definition; also J and dz.
+
+    They are F(z), J dz, at order 4 the cubic one from _ref_cubic, and the
+    rest of F(z + dz).
+    """
     F0, J = state(z)[0], jac(z)
     dz = solver._newton_steps(J, F0)[0]
     F1 = np.einsum("zij,zj->zi", J, dz)
     R = state(z + dz)[0] - F0 - F1
-    if degree == 2:
+    if data.ndim < 4:
         return np.stack([F0, F1, R]), J, dz
-    F2 = 8.0 * (state(z + 0.5 * dz)[0] - F0 - 0.5 * F1) - R
-    return np.stack([F0, F1, F2, R - F2]), J, dz
+    F3 = _ref_cubic(data, eigen, dz)
+    return np.stack([F0, F1, R - F3, F3]), J, dz
 
 
 @pytest.mark.parametrize(
     "shape, seed, singular", [((3, 3, 3), 6, True), ((3, 4, 5), 7, False), ((2, 2, 2, 2), 8, False), ((2, 3, 4, 3), 9, False)]
 )
 def test_newton_reads_the_ray_polynomial_of_its_searching_rows(shape, seed, singular, monkeypatch):
-    # the coefficients of the first iteration are F(z), J dz and the rest, on the rows
-    # whose full step failed; J dz, not -F(z), also where a singular J takes the singular-row step
-    z0, state, jac, degree = _newton_systems(shape, 2.0, seed)[-1]
+    # the coefficients of the first iteration are F(z), J dz, at order 4 the cubic one and
+    # the rest, on the rows whose full step failed; J dz, not -F(z), also where a singular J
+    # takes the singular-row step
+    z0, state, jac, ray = _newton_systems(shape, 2.0, seed)[-1]
     if singular:
         z0[-1, : shape[0]] = 0.0  # a zero first vector: its sphere's constraint row of J is zero
     seen = []
     ray_excess = solver._ray_excess
     monkeypatch.setattr(solver, "_ray_excess", lambda *args: seen.append(args) or ray_excess(*args))
-    _one_iteration_calls(z0, state, jac, degree, monkeypatch)
+    _one_iteration_calls(z0, state, jac, ray, monkeypatch)
     ((C, J, limit),) = seen
-    powers = solver._POWERS[degree]
     F, Fn = state(z0)
     dz = solver._newton_steps(jac(z0), F)[0]
     searching = ~(state(z0 + dz)[1] <= (1.0 - solver._ARMIJO_SLOPE) * Fn)
-    if degree == 3:  # a row whose full step fails takes 1/2 where that passes
-        searching &= ~(state(z0 + 0.5 * dz)[1] <= (1.0 - 0.5 * solver._ARMIJO_SLOPE) * Fn)
     assert (searching[-1] or not singular) and C.shape[1] == np.count_nonzero(searching) >= 5
-    want, J_want, _ = _ray_coefficients(state, jac, z0[searching], degree)
-    assert C.tobytes() == want.tobytes() and J.tobytes() == J_want.tobytes()
-    assert np.array_equal(limit, (1.0 - solver._ARMIJO_SLOPE * powers[1]) * Fn[searching, None])
+    data = random_tensor(shape, seed).data
+    want, J_want, dzs = _ray_coefficients(state, jac, z0[searching], data, False)
+    exact = 3 if ray[0] == 2 else 2  # F(z), J dz and, at d = 2, the rest of F(z + dz)
+    assert len(C) == ray[0] + 1 and C[:exact].tobytes() == want[:exact].tobytes()
+    assert J.tobytes() == J_want.tobytes()
+    if ray[0] == 3:  # the cubic, and C_2 beside it, within the rounding of the contractions
+        eps = np.finfo(float).eps
+        tol = 16 * eps * _ref_cubic(np.abs(data), False, np.abs(dzs))
+        assert np.all(np.abs(C[3] - want[3]) <= tol) and tol.any()
+        assert np.all(np.abs(C[2] - want[2]) <= tol + 4 * eps * np.abs(want[2]))
+    assert np.array_equal(limit, (1.0 - solver._ARMIJO_SLOPE * solver._ALPHAS[1:]) * Fn[searching, None])
 
 
 @pytest.mark.parametrize("shape, seed", [((3, 3, 3), 1), ((4, 4, 4, 4), 2), ((3, 3, 3, 3), 3), ((4, 5, 6), 4), ((2, 3, 4, 3), 5)])
@@ -1621,13 +1660,14 @@ def test_ray_polynomial_bounds_its_own_rounding(shape, seed):
     # on every row a Newton run from raw starts visits (the symmetric eigenproblem of
     # a square shape), ||F(alpha)||^2 read off the polynomial is within the margin of
     # the real state's at every step length; near singular Jacobians (steps of 1e4 and
-    # more) need the margin of C_2 and C_3
-    z0, state, jac, degree = _newton_systems(shape, 2.0, seed, restarts=200)[0]
+    # more) need the alpha^2 margin of C_2
+    z0, state, jac, ray = _newton_systems(shape, 2.0, seed, restarts=200)[0]
     seen = []
-    solver._damped_newton(z0, state, lambda z: seen.append(z) or jac(z), CFG.gradient_tolerance, degree)
+    solver._damped_newton(z0, state, lambda z: seen.append(z) or jac(z), CFG.gradient_tolerance, ray)
     z = np.concatenate(seen)
-    C, J, dz = _ray_coefficients(state, jac, z, degree)
-    alphas = np.ldexp(1.0, -np.arange(degree - 1, solver._MAX_BACKTRACKS))
+    eigen = len(set(shape)) == 1
+    C, J, dz = _ray_coefficients(state, jac, z, random_tensor(shape, seed, symmetric=eigen).data, eigen)
+    alphas = solver._ALPHAS[1:]
     real = state((z[:, None] + alphas[:, None] * dz[:, None]).reshape(-1, z.shape[1]))[1].reshape(len(z), -1)
     excess, margin = solver._ray_excess(C, J, real)
     assert len(z) > 100 and np.isfinite(excess).all()
@@ -2403,7 +2443,7 @@ def _signed_ascent(caplog, S, p):
     caplog.clear()
     with pytest.MonkeyPatch.context() as mp, caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
         calls = _whole_tensor_contractions(mp, S)
-        V = solver._ascend(S, np.concatenate([V0, V0]), p, np.repeat([1.0, -1.0], 50))
+        V = solver._ascend(solver._eigen_parts(S), np.concatenate([V0, V0]), p, np.repeat([1.0, -1.0], 50))
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("projected ascent")]
     iters, improved, moving, rows = map(int, re.findall(r"\d+", line)[:4])
     assert improved <= rows and moving <= rows and rows == 100
@@ -2428,7 +2468,7 @@ def test_ascent_keeps_rows_that_do_not_normalize():
     V0[[1, 4]] = 0.0
     sign = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
     with solver_policy():
-        V = solver._ascend(S, V0, 2.0, sign)
+        V = solver._ascend(solver._eigen_parts(S), V0, 2.0, sign)
     ref = np.concatenate([_ref_ascend(S, V0[:3], 2.0, 1.0), _ref_ascend(S, V0[3:], 2.0, -1.0)])
     assert V.tobytes() == ref.tobytes()
     assert not V[[1, 4]].any() and np.all(V[[0, 2, 3, 5]] != V0[[0, 2, 3, 5]])
@@ -2461,13 +2501,13 @@ def test_alternating_ascent_logs_its_last_sweep(shape, p, caplog, monkeypatch):
 
 def _eigen_stages(T, monkeypatch, caplog):
     """Of a mode-2 solve: (rows, whole-tensor contractions, endpoints, iterations) per ascent, start rows per Newton."""
-    ascend, newton = solver._ascend, solver._damped_newton
-    ascents, newtons = [], []
+    parts, ascend, newton = solver._eigen_parts, solver._ascend, solver._damped_newton
+    ascents, newtons, tensors = [], [], []
 
-    def counted_ascend(S, V0, p, sign):
+    def counted_ascend(system, V0, p, sign):
         with pytest.MonkeyPatch.context() as mp:
-            calls = _whole_tensor_contractions(mp, S)
-            V = ascend(S, V0, p, sign)
+            calls = _whole_tensor_contractions(mp, tensors[-1])  # the tensor of the system
+            V = ascend(system, V0, p, sign)
         ascents.append((len(V0), len(calls), V))
         return V
 
@@ -2475,6 +2515,7 @@ def _eigen_stages(T, monkeypatch, caplog):
         newtons.append(z0)
         return newton(z0, *args, **kwargs)
 
+    monkeypatch.setattr(solver, "_eigen_parts", lambda D: tensors.append(D) or parts(D))
     monkeypatch.setattr(solver, "_ascend", counted_ascend)
     monkeypatch.setattr(solver, "_damped_newton", counted_newton)
     with caplog.at_level(logging.DEBUG, logger="tensorcrit.solver"):
